@@ -10,15 +10,26 @@ Three solvers:
 * solve_stationary: average-reward relative value iteration on a simplex
   grid of common beliefs with fully refined private tables.
 
-All argmax/argmin ties break toward the lexicographically smallest action,
-so results are reproducible bit for bit across runs.
+Each expanded state is evaluated for every action at once by the action
+kernel (``macfb.kernel``): one set of numpy operations gives all rewards,
+predictive distributions, posteriors and refined private tables. The
+recursions work on those raw arrays and key their memo on the quantised
+(common belief, private tables); validated belief objects exist only at
+the API boundary.
+
+Ties: the policy takes the lexicographically smallest action whose total
+lies within TIE_TOL of the optimum (the maximum for the horizon program,
+the minimum for DSAHT), so rounding noise in the last bits never decides
+between tied actions. The reported value is the optimum itself.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -28,20 +39,20 @@ from .belief import (
     JointBelief,
     initial_state,
     observation_distribution,
-    predictive_distribution,
     update_augmented,
-    update_joint,
 )
 from .channel import Channel, MessageSpace
 from .encoding import (
     DEFAULT_ACTION_CAP,
+    PRUNE_TOL,
     EncoderAction,
     PolicyTree,
     enumerate_actions,
-    prune_actions,
+    history_index,
 )
 from .errors import GridTooLarge, HorizonTooDeep
-from .reward import LambdaWeights, reward_reduced, reward_weighted
+from .kernel import ActionKernel
+from .reward import LambdaWeights, reward_weighted
 
 DEFAULT_NODE_CAP = 1_000_000
 DEFAULT_GRID_CAP = 500_000
@@ -50,18 +61,29 @@ DEFAULT_STATIONARY_ITERS = 500
 # memo keys quantise each belief coordinate to this granularity
 QUANT = 1e-9
 
+# totals this close to the optimum count as tied; the first one wins
+TIE_TOL = 1e-12
+
 
 def _quantized(arr: np.ndarray) -> bytes:
     return np.rint(arr / QUANT).astype(np.int64).tobytes()
 
 
-def _state_key(t: int, state: AugmentedState) -> tuple:
-    return (
-        t,
-        _quantized(state.pi.table),
-        _quantized(state.beta1.rows),
-        _quantized(state.beta2.rows),
-    )
+def _state_key(t: int, pi: np.ndarray, rows1: np.ndarray, rows2: np.ndarray) -> tuple:
+    return (t, _quantized(pi), _quantized(rows1), _quantized(rows2))
+
+
+def _first_within(totals: np.ndarray, best: float) -> int:
+    """Index of the first total within TIE_TOL of ``best``."""
+    return int(np.flatnonzero(np.abs(totals - best) <= TIE_TOL)[0])
+
+
+def _add_continuation(totals: np.ndarray, p: np.ndarray, cont: np.ndarray) -> np.ndarray:
+    """totals + sum_y p[:, y] cont[:, y] over outputs with mass, added one
+    output at a time in y order."""
+    for y in range(p.shape[1]):
+        totals = totals + np.where(p[:, y] > MASS_EPS, p[:, y] * cont[:, y], 0.0)
+    return totals
 
 
 @dataclass
@@ -77,7 +99,13 @@ class HorizonResult:
 class DsahtResult:
     error_probability: float
     policy: PolicyTree
-    decoder: dict  # terminal output history -> best-guess message pair
+    _decode: Callable = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def decoder(self) -> dict:
+        """Terminal output history -> best-guess message pair, for every
+        history the policy reaches; built on first access."""
+        return self._decode()
 
 
 @dataclass
@@ -99,7 +127,6 @@ class ReductionReport:
     n_groups: int
     conflicts: list
     root_action_injective: bool
-    nodes: list = field(default_factory=list)
 
     @property
     def has_conflicts(self) -> bool:
@@ -108,6 +135,59 @@ class ReductionReport:
 
 def _estimated_nodes(n_outputs: int, depth: int) -> int:
     return sum(n_outputs**t for t in range(depth))
+
+
+def _reachable(kernel: ActionKernel, depth: int, pi, rows1, rows2, choose):
+    """Depth-first walk over the beliefs reachable under a per-node choice.
+
+    ``choose(t, hist, pi, rows1, rows2)`` returns the index of the action
+    used at a node. Yields (t, hist, pi, rows1, rows2, a) in history order
+    for t = 1..depth, then the beliefs at t = depth + 1 with a = None.
+    Branches with predictive mass at or below MASS_EPS are not followed.
+    Without private tables (rows1 = rows2 = None) only the common belief
+    is carried.
+    """
+    stack = [(1, (), pi, rows1, rows2)]
+    while stack:
+        t, hist, pi, rows1, rows2 = stack.pop()
+        if t > depth:
+            yield t, hist, pi, rows1, rows2, None
+            continue
+        a = choose(t, hist, pi, rows1, rows2)
+        yield t, hist, pi, rows1, rows2, a
+        joint, p = kernel.joint(pi)
+        post = kernel.posteriors(joint, p)
+        if rows1 is not None:
+            ref1, ref2 = kernel.refined(rows1, rows2)
+            rows1, rows2 = ref1[kernel.enc1_of[a]], ref2[kernel.enc2_of[a]]
+        for y in reversed(range(p.shape[1])):
+            if p[a, y] > MASS_EPS:
+                stack.append((t + 1, hist + (y,), post[a, y], rows1, rows2))
+
+
+def _complete_tree(depth: int, n_outputs: int, reached: dict, default: EncoderAction) -> PolicyTree:
+    # unreachable histories never execute; they get the default action
+    nodes = {hist: reached.get(hist, default) for hist in history_index(depth, n_outputs)}
+    return PolicyTree(depth, n_outputs, nodes)
+
+
+def _best_guesses(channel: Channel, policy: PolicyTree, prior: np.ndarray) -> dict:
+    """Best-guess message pair at every terminal history the policy reaches."""
+    # row-major argmax: the smallest (m1, m2) among tied maximisers
+    if policy.depth == 0:
+        return {(): divmod(int(np.argmax(prior)), prior.shape[1])}
+    used = list(dict.fromkeys(policy.nodes.values()))
+    index = {action: a for a, action in enumerate(used)}
+
+    def choose(t, hist, pi, rows1, rows2):
+        return index[policy.action_at(hist)]
+
+    decoder = {}
+    walk = _reachable(ActionKernel(channel, used), policy.depth, prior, None, None, choose)
+    for t, hist, pi, _, _, a in walk:
+        if a is None:
+            decoder[hist] = divmod(int(np.argmax(pi)), pi.shape[1])
+    return decoder
 
 
 def solve_horizon(
@@ -124,8 +204,10 @@ def solve_horizon(
 
     Backward recursion over augmented states memoised on (step, quantised
     state); branches whose predictive mass is at or below 1e-15 are skipped.
-    With ``prune`` the per-state action list is first collapsed to merge
-    representatives, which never changes the value.
+    Every state is evaluated for all actions at once by the action kernel.
+    With ``prune`` the actions of a state whose successors get expanded are
+    first collapsed to the first representative of each class with equal
+    (reward, predictive, successor) rows, which never changes the value.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -135,61 +217,60 @@ def solve_horizon(
     if start is None:
         start = initial_state(space)
     actions = enumerate_actions(space, channel.alphabets, cap=action_cap)
+    kernel = ActionKernel(channel, actions)
+    enc1_of, enc2_of = kernel.enc1_of, kernel.enc2_of
     n_y = channel.n_outputs
     memo = {}
     stats = {"expanded": 0, "hits": 0}
 
-    def value(t: int, state: AugmentedState) -> float:
-        if t > n:
-            return 0.0
-        key = _state_key(t, state)
+    def value(t, pi, rows1, rows2, key) -> float:
         hit = memo.get(key)
         if hit is not None:
             stats["hits"] += 1
             return hit[0]
         stats["expanded"] += 1
-        candidates = prune_actions(actions, state, channel, weights) if prune else actions
-        best_value = -math.inf
-        best_action = None
-        for action in candidates:
-            total = reward_weighted(state, action, channel, weights).weighted
-            if t < n:
-                p = observation_distribution(state, action, channel)
+        joint, p = kernel.joint(pi)
+        totals = kernel.weighted(weights, pi, rows1, rows2, joint, p)
+        candidates = np.arange(len(actions))
+        if t < n:
+            post = kernel.posteriors(joint, p)
+            ref1, ref2 = kernel.refined(rows1, rows2)
+            if prune:
+                candidates = np.asarray(kernel.distinct(totals, p, post, ref1, ref2, PRUNE_TOL))
+            qpost = np.rint(post / QUANT).astype(np.int64)
+            q1 = [_quantized(r) for r in ref1]
+            q2 = [_quantized(r) for r in ref2]
+            cont = np.zeros_like(p)
+            for a in candidates:
+                r1, r2 = enc1_of[a], enc2_of[a]
                 for y in range(n_y):
-                    if p[y] > MASS_EPS:
-                        total += p[y] * value(t + 1, update_augmented(state, action, y, channel))
-            if total > best_value:
-                best_value = total
-                best_action = action
-        memo[key] = (best_value, best_action)
-        return best_value
+                    if p[a, y] > MASS_EPS:
+                        cont[a, y] = value(
+                            t + 1, post[a, y], ref1[r1], ref2[r2],
+                            (t + 1, qpost[a, y].tobytes(), q1[r1], q2[r2]),
+                        )
+            totals = _add_continuation(totals, p, cont)
+        totals = totals[candidates]
+        best = float(totals.max())
+        memo[key] = (best, int(candidates[_first_within(totals, best)]))
+        return best
 
-    total = value(1, start)
-    policy = _extract_argmax_tree(channel, memo, start, n, actions[0])
+    pi0, rows1, rows2 = start.pi.table, start.beta1.rows, start.beta2.rows
+    total = value(1, pi0, rows1, rows2, _state_key(1, pi0, rows1, rows2))
+    # the recursive closure is a reference cycle: drop it so the memo goes
+    # when this call returns, not at the next full garbage collection
+    del value
+
+    def choose(t, hist, pi, rows1, rows2):
+        return memo[_state_key(t, pi, rows1, rows2)][1]
+
+    nodes = {
+        hist: actions[a]
+        for t, hist, _, _, _, a in _reachable(kernel, n, pi0, rows1, rows2, choose)
+        if a is not None
+    }
+    policy = _complete_tree(n, n_y, nodes, actions[0])
     return HorizonResult(total / n, total, policy, stats["expanded"], stats["hits"])
-
-
-def _extract_argmax_tree(
-    channel: Channel, memo: dict, start: AugmentedState, depth: int, default: EncoderAction
-) -> PolicyTree:
-    nodes = {}
-
-    def walk(t, state, hist):
-        if t > depth:
-            return
-        _, action = memo[_state_key(t, state)]
-        nodes[hist] = action
-        p = observation_distribution(state, action, channel)
-        for y in range(channel.n_outputs):
-            if p[y] > MASS_EPS:
-                walk(t + 1, update_augmented(state, action, y, channel), hist + (y,))
-
-    walk(1, start, ())
-    # unreachable histories never execute; pad them so the tree is complete
-    for t in range(1, depth + 1):
-        for hist in itertools.product(range(channel.n_outputs), repeat=t - 1):
-            nodes.setdefault(hist, default)
-    return PolicyTree(depth, channel.n_outputs, nodes)
 
 
 def evaluate_tree(
@@ -245,60 +326,50 @@ def solve_dsaht(
     if prior is None:
         prior = initial_state(space).pi
     if horizon == 0:
-        return DsahtResult(
-            1.0 - float(prior.table.max()),
-            PolicyTree(0, channel.n_outputs, {}),
-            {(): prior.argmax_pair()},
-        )
+        policy = PolicyTree(0, channel.n_outputs, {})
+        decode = functools.partial(_best_guesses, channel, policy, prior.table)
+        return DsahtResult(1.0 - float(prior.table.max()), policy, decode)
     est = _estimated_nodes(channel.n_outputs, horizon)
     if est > node_cap:
         raise HorizonTooDeep(est, node_cap)
     actions = enumerate_actions(space, channel.alphabets, cap=action_cap)
+    kernel = ActionKernel(channel, actions)
     n_y = channel.n_outputs
     memo = {}
 
-    def cost(t: int, pi: JointBelief) -> float:
-        if t > horizon:
-            return 1.0 - float(pi.table.max())
-        key = (t, _quantized(pi.table))
+    def cost(t: int, pi: np.ndarray) -> float:
+        key = (t, _quantized(pi))
         hit = memo.get(key)
         if hit is not None:
             return hit[0]
-        best_cost = math.inf
-        best_action = None
-        for action in actions:
-            p = predictive_distribution(pi, action, channel)
-            expected = 0.0
-            for y in range(n_y):
-                if p[y] > MASS_EPS:
-                    expected += p[y] * cost(t + 1, update_joint(pi, action, y, channel))
-            if expected < best_cost:
-                best_cost = expected
-                best_action = action
-        memo[key] = (best_cost, best_action)
-        return best_cost
+        joint, p = kernel.joint(pi)
+        post = kernel.posteriors(joint, p)
+        if t == horizon:
+            cont = 1.0 - post.reshape(p.shape + (-1,)).max(axis=2)
+        else:
+            cont = np.zeros_like(p)
+            for a in range(len(actions)):
+                for y in range(n_y):
+                    if p[a, y] > MASS_EPS:
+                        cont[a, y] = cost(t + 1, post[a, y])
+        expected = _add_continuation(np.zeros(len(actions)), p, cont)
+        best = float(expected.min())
+        memo[key] = (best, _first_within(expected, best))
+        return best
 
-    error = cost(1, prior)
+    error = cost(1, prior.table)
+    del cost  # a reference cycle, like value() in solve_horizon
 
-    nodes = {}
-    decoder = {}
+    def choose(t, hist, pi, rows1, rows2):
+        return memo[(t, _quantized(pi))][1]
 
-    def walk(t, pi, hist):
-        if t > horizon:
-            decoder[hist] = pi.argmax_pair()
-            return
-        _, action = memo[(t, _quantized(pi.table))]
-        nodes[hist] = action
-        p = predictive_distribution(pi, action, channel)
-        for y in range(n_y):
-            if p[y] > MASS_EPS:
-                walk(t + 1, update_joint(pi, action, y, channel), hist + (y,))
-
-    walk(1, prior, ())
-    for t in range(1, horizon + 1):
-        for hist in itertools.product(range(n_y), repeat=t - 1):
-            nodes.setdefault(hist, actions[0])
-    return DsahtResult(error, PolicyTree(horizon, n_y, nodes), decoder)
+    nodes = {
+        hist: actions[a]
+        for t, hist, _, _, _, a in _reachable(kernel, horizon, prior.table, None, None, choose)
+        if a is not None
+    }
+    policy = _complete_tree(horizon, n_y, nodes, actions[0])
+    return DsahtResult(error, policy, functools.partial(_best_guesses, channel, policy, prior.table))
 
 
 # ---------------------------------------------------------------------------
@@ -448,19 +519,28 @@ def solve_stationary(
     n_actions = len(actions)
     n_y = channel.n_outputs
 
-    beliefs = [
-        JointBelief(np.asarray(c, dtype=float).reshape(space.m1, space.m2) / resolution)
-        for c in comps
-    ]
-    rewards = np.array(
-        [
-            [reward_reduced(b, a, channel, weights).weighted for a in actions]
-            for b in beliefs
-        ]
-    )
+    kernel = ActionKernel(channel, actions)
+    eye1, eye2 = np.eye(space.m1), np.eye(space.m2)
 
-    # successor structure as COO triples over the flattened (state, action) axis
+    # rewards, and the successor structure as COO triples over the flattened
+    # (state, action) axis
+    rewards = np.empty((n_points, n_actions))
     rows, cols, vals = [], [], []
+    for i, comp in enumerate(comps):
+        pi = np.asarray(comp, dtype=float).reshape(space.m1, space.m2) / resolution
+        joint, p = kernel.joint(pi)
+        rewards[i] = kernel.weighted(weights, pi, eye1, eye2, joint, p)
+        if renewal == "none":
+            post = kernel.posteriors(joint, p)
+            for a_i in range(n_actions):
+                for y in range(n_y):
+                    if p[a_i, y] <= MASS_EPS:
+                        continue
+                    idxs, ws = interp.weights(post[a_i, y].reshape(-1))
+                    for idx, w in zip(idxs, ws):
+                        rows.append(i * n_actions + a_i)
+                        cols.append(idx)
+                        vals.append(float(p[a_i, y]) * w)
     if renewal == "per_use":
         start_idx, start_w = interp.weights(prior.table.reshape(-1))
         for flat in range(n_points * n_actions):
@@ -468,20 +548,6 @@ def solve_stationary(
                 rows.append(flat)
                 cols.append(idx)
                 vals.append(w)
-    else:
-        for i, b in enumerate(beliefs):
-            for a_i, action in enumerate(actions):
-                flat = i * n_actions + a_i
-                p = predictive_distribution(b, action, channel)
-                for y in range(n_y):
-                    if p[y] <= MASS_EPS:
-                        continue
-                    succ = update_joint(b, action, y, channel)
-                    idxs, ws = interp.weights(succ.table.reshape(-1))
-                    for idx, w in zip(idxs, ws):
-                        rows.append(flat)
-                        cols.append(idx)
-                        vals.append(float(p[y]) * w)
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=float)
@@ -542,44 +608,50 @@ def reachability_diagnostic(
     )
     tree = result.policy
     actions = enumerate_actions(space, channel.alphabets, cap=action_cap)
+    kernel = ActionKernel(channel, actions)
+    index = {action: a for a, action in enumerate(actions)}
 
-    reached = []
+    def choose(t, hist, pi, rows1, rows2):
+        return index[tree.action_at(hist)]
 
-    def walk(t, state, hist):
-        if t > n:
-            return
-        reached.append((t, hist, state))
-        action = tree.action_at(hist)
-        p = observation_distribution(state, action, channel)
-        for y in range(channel.n_outputs):
-            if p[y] > MASS_EPS:
-                walk(t + 1, update_augmented(state, action, y, channel), hist + (y,))
-
-    walk(1, start, ())
+    reached = [
+        (t, hist, pi, rows1, rows2)
+        for t, hist, pi, rows1, rows2, a in _reachable(
+            kernel, n, start.pi.table, start.beta1.rows, start.beta2.rows, choose
+        )
+        if a is not None
+    ]
 
     groups = {}
-    for t, hist, state in reached:
-        groups.setdefault(_quantized(state.pi.table), []).append((t, hist, state))
+    for node in reached:
+        groups.setdefault(_quantized(node[2]), []).append(node)
+
+    rewards = {}
+
+    def weighted_rewards(node) -> np.ndarray:
+        _, hist, pi, rows1, rows2 = node
+        if hist not in rewards:
+            joint, p = kernel.joint(pi)
+            rewards[hist] = kernel.weighted(weights, pi, rows1, rows2, joint, p)
+        return rewards[hist]
 
     conflicts = []
     for members in groups.values():
-        for (t_a, hist_a, state_a), (t_b, hist_b, state_b) in itertools.combinations(members, 2):
-            if np.max(np.abs(state_a.pi.table - state_b.pi.table)) > 1e-9:
+        for node_a, node_b in itertools.combinations(members, 2):
+            if np.max(np.abs(node_a[2] - node_b[2])) > 1e-9:
                 continue
-            for a_i, action in enumerate(actions):
-                r_a = reward_weighted(state_a, action, channel, weights).weighted
-                r_b = reward_weighted(state_b, action, channel, weights).weighted
-                if abs(r_a - r_b) > 1e-9:
-                    conflicts.append(
-                        {
-                            "history_a": hist_a,
-                            "history_b": hist_b,
-                            "t_a": t_a,
-                            "t_b": t_b,
-                            "action_index": a_i,
-                            "reward_gap": abs(r_a - r_b),
-                        }
-                    )
+            gap = np.abs(weighted_rewards(node_a) - weighted_rewards(node_b))
+            for a_i in np.flatnonzero(gap > 1e-9):
+                conflicts.append(
+                    {
+                        "history_a": node_a[1],
+                        "history_b": node_b[1],
+                        "t_a": node_a[0],
+                        "t_b": node_b[0],
+                        "action_index": int(a_i),
+                        "reward_gap": float(gap[a_i]),
+                    }
+                )
 
     root = tree.action_at(())
     injective = len(set(root.e1.table)) == space.m1 and len(set(root.e2.table)) == space.m2
@@ -588,5 +660,4 @@ def reachability_diagnostic(
         n_groups=len(groups),
         conflicts=conflicts,
         root_action_injective=injective,
-        nodes=[(t, hist) for t, hist, _ in reached],
     )

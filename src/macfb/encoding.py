@@ -8,16 +8,15 @@ history y_1..y_{t-1}.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .channel import Alphabets, Channel, MessageSpace
 from .errors import ActionSpaceTooLarge
-from .reward import LambdaWeights, reward_weighted
-from . import belief as _belief
+from .kernel import ActionKernel
+from .reward import LambdaWeights
 
 DEFAULT_ACTION_CAP = 1_000_000
 
@@ -55,12 +54,24 @@ class EncoderAction:
     e2: EncoderFunction
 
 
+@functools.lru_cache(maxsize=8)
+def history_index(depth: int, n_outputs: int) -> dict:
+    """Position of every history shorter than ``depth`` in (t, history)
+    order. Trees of one shape share this table and its key tuples, so
+    callers must not modify it."""
+    histories = (
+        hist for t in range(depth) for hist in itertools.product(range(n_outputs), repeat=t)
+    )
+    return {hist: i for i, hist in enumerate(histories)}
+
+
 class PolicyTree:
     """Complete assignment of encoder actions to output histories.
 
     ``nodes`` maps a history tuple (y_1, ..., y_{t-1}) to the action used at
     step t; depth n therefore needs sum_{t=0}^{n-1} |Y|^t nodes. Depth 0 is
-    the empty tree (no channel uses).
+    the empty tree (no channel uses). The tree stores one action per
+    position of ``history_index``, so trees of one shape share their keys.
     """
 
     def __init__(self, depth: int, n_outputs: int, nodes: dict):
@@ -70,27 +81,31 @@ class PolicyTree:
             raise ValueError("n_outputs must be >= 1")
         self.depth = int(depth)
         self.n_outputs = int(n_outputs)
-        self.nodes = dict(nodes)
-        expected = sum(n_outputs**t for t in range(depth))
-        if len(self.nodes) != expected:
-            raise ValueError(f"expected {expected} nodes for depth {depth}, got {len(self.nodes)}")
-        for hist in self.nodes:
-            if len(hist) >= depth or any(not 0 <= y < n_outputs for y in hist):
+        index = history_index(self.depth, self.n_outputs)
+        if len(nodes) != len(index):
+            raise ValueError(f"expected {len(index)} nodes for depth {depth}, got {len(nodes)}")
+        for hist in nodes:
+            if hist not in index:
                 raise ValueError(f"history {hist!r} invalid for depth {depth}")
+        self._actions = tuple(nodes[hist] for hist in index)
+
+    @property
+    def nodes(self) -> dict:
+        return dict(self.items())
 
     def action_at(self, history: Sequence[int]) -> EncoderAction:
-        return self.nodes[tuple(history)]
+        return self._actions[history_index(self.depth, self.n_outputs)[tuple(history)]]
 
     def items(self):
         """Nodes in deterministic (t, history) order."""
-        return sorted(self.nodes.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        return list(zip(history_index(self.depth, self.n_outputs), self._actions))
 
     def __eq__(self, other):
         return (
             isinstance(other, PolicyTree)
             and self.depth == other.depth
             and self.n_outputs == other.n_outputs
-            and self.nodes == other.nodes
+            and self._actions == other._actions
         )
 
 
@@ -162,46 +177,17 @@ def prune_actions(
 ) -> list:
     """Drop actions indistinguishable at ``state`` from an earlier action.
 
-    Two actions merge when their weighted rewards agree within 1e-12, their
-    observation distributions agree entrywise within 1e-12, and for every
-    output carrying mass the successor augmented states agree entrywise
-    within 1e-12. The lexicographically smallest representative survives, so
-    the result is an order-preserving subsequence of ``actions``.
+    The action kernel gives every action's row at once: weighted reward,
+    observation distribution, posteriors on the outputs with mass and both
+    refined private tables. Rows equal after rounding to multiples of
+    PRUNE_TOL (1e-12) merge into one class, and the lexicographically first
+    action of each class survives, so the result is an order-preserving
+    subsequence of ``actions``.
     """
-    kept = []
-    signatures = []
-    n_y = channel.n_outputs
-    for action in actions:
-        r = reward_weighted(state, action, channel, weights).weighted
-        p = _belief.observation_distribution(state, action, channel)
-        succ = [
-            _belief.update_augmented(state, action, y, channel) if p[y] > _belief.MASS_EPS else None
-            for y in range(n_y)
-        ]
-        merged = False
-        for rep_r, rep_p, rep_succ in signatures:
-            if abs(r - rep_r) > PRUNE_TOL:
-                continue
-            if np.max(np.abs(p - rep_p)) > PRUNE_TOL:
-                continue
-            if all(
-                _same_successor(succ[y], rep_succ[y])
-                for y in range(n_y)
-            ):
-                merged = True
-                break
-        if not merged:
-            kept.append(action)
-            signatures.append((r, p, succ))
-    return kept
-
-
-def _same_successor(a, b) -> bool:
-    if a is None or b is None:
-        # at most 1e-12 of mass distinguishes the branches; treat as equal
-        return True
-    return (
-        np.max(np.abs(a.pi.table - b.pi.table)) <= PRUNE_TOL
-        and np.max(np.abs(a.beta1.rows - b.beta1.rows)) <= PRUNE_TOL
-        and np.max(np.abs(a.beta2.rows - b.beta2.rows)) <= PRUNE_TOL
-    )
+    kernel = ActionKernel(channel, actions)
+    pi, rows1, rows2 = state.pi.table, state.beta1.rows, state.beta2.rows
+    joint, p = kernel.joint(pi)
+    ref1, ref2 = kernel.refined(rows1, rows2)
+    totals = kernel.weighted(weights, pi, rows1, rows2, joint, p)
+    keep = kernel.distinct(totals, p, kernel.posteriors(joint, p), ref1, ref2, PRUNE_TOL)
+    return [actions[a] for a in keep]

@@ -12,6 +12,11 @@ at an augmented belief state under a joint encoder action:
 Each equals the expected drop of the matching conditional entropy of the
 message belief, which is what ties the per-state recursion to trajectory
 averages.
+
+All three are conditional output entropies minus the noise entropy
+H(Y | X1, X2), which is how the action kernel (``macfb.kernel``) computes
+them for every action of a state at once. The functions here are thin
+one-action views of that kernel on validated states.
 """
 
 from __future__ import annotations
@@ -20,17 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import AugmentedState, JointBelief, PrivateBeliefTable, observation_distribution
+from .belief import AugmentedState, JointBelief, PrivateBeliefTable
 from .channel import Channel
 from .errors import NotNormalized
+from .kernel import ActionKernel
 
 _LN2 = float(np.log(2.0))
-
-# conditioning cells below this mass contribute nothing
-WEIGHT_EPS = 1e-15
-
-# private rows from identical input histories agree to this tolerance
-ROW_MATCH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -78,93 +78,34 @@ def entropy(p) -> float:
     return float(-np.sum(pos * np.log(pos)) / _LN2)
 
 
-def _column_entropies(cols: np.ndarray) -> np.ndarray:
-    """Entropy in bits of each column of a (Y, N) stochastic array."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(cols > 0.0, cols * np.log(cols), 0.0)
-    return -plogp.sum(axis=0) / _LN2
+def _components(state: AugmentedState, action, channel: Channel) -> tuple:
+    """(i1, i2, i3) of one action: the action kernel on a one-action list."""
+    kernel = ActionKernel(channel, [action])
+    pi = state.pi.table
+    joint, p = kernel.joint(pi)
+    i1, i2, i3 = kernel.rewards(pi, state.beta1.rows, state.beta2.rows, joint, p)
+    return float(i1[0]), float(i2[0]), float(i3[0])
 
 
 def reward_i3(state: AugmentedState, action, channel: Channel) -> float:
     """I(X1, X2; Y) at the current belief: output entropy minus noise entropy."""
-    pred = observation_distribution(state, action, channel)
-    lik = channel.kernel[
-        np.ix_(
-            np.arange(channel.n_outputs),
-            np.asarray(action.e1.table),
-            np.asarray(action.e2.table),
-        )
-    ]
-    cond = _column_entropies(lik.reshape(channel.n_outputs, -1)).reshape(state.pi.table.shape)
-    return entropy(pred) - float((state.pi.table * cond).sum())
-
-
-def _partition_cells(rows: np.ndarray, symbols) -> list:
-    """Group messages whose private rows match entrywise and whose current
-    symbol coincides; these are exactly the cells an input-history observer
-    can tell apart."""
-    cells = []
-    for m in range(rows.shape[0]):
-        for cell in cells:
-            rep = cell[0]
-            if symbols[m] == symbols[rep] and np.max(np.abs(rows[m] - rows[rep])) <= ROW_MATCH_TOL:
-                cell.append(m)
-                break
-        else:
-            cells.append([m])
-    return cells
-
-
-def _one_sided(pi_own_first: np.ndarray, other_rows: np.ndarray, other_symbols,
-               kernel_cols) -> float:
-    """Shared core of i1 and i2.
-
-    pi_own_first: joint belief with the *informing* sender on axis 0 and the
-    conditioned sender on axis 1. kernel_cols(x_other) must return the
-    (Y, M_own) table Q(y | own message, fixed other symbol).
-    """
-    total = 0.0
-    for cell in _partition_cells(other_rows, other_symbols):
-        block = pi_own_first[:, cell]
-        w = float(block.sum())
-        if w <= WEIGHT_EPS:
-            continue
-        own_weights = block.sum(axis=1) / w
-        cols = kernel_cols(other_symbols[cell[0]])
-        mix = cols @ own_weights
-        cond = float(own_weights @ _column_entropies(cols))
-        total += w * (entropy(mix) - cond)
-    return total
+    return _components(state, action, channel)[2]
 
 
 def reward_i1(state: AugmentedState, action, channel: Channel) -> float:
     """I(X1; Y | X2 input history) at the current belief, averaged over the
     conditioning cells of sender 2."""
-    e1 = np.asarray(action.e1.table)
-    return _one_sided(
-        state.pi.table,
-        state.beta2.rows,
-        action.e2.table,
-        lambda x2: channel.kernel[:, e1, x2],
-    )
+    return _components(state, action, channel)[0]
 
 
 def reward_i2(state: AugmentedState, action, channel: Channel) -> float:
     """Mirror of reward_i1 with the senders swapped."""
-    e2 = np.asarray(action.e2.table)
-    return _one_sided(
-        state.pi.table.T,
-        state.beta1.rows,
-        action.e1.table,
-        lambda x1: channel.kernel[:, x1, e2],
-    )
+    return _components(state, action, channel)[1]
 
 
 def reward_weighted(state: AugmentedState, action, channel: Channel,
                     weights: LambdaWeights) -> RewardBreakdown:
-    i1 = reward_i1(state, action, channel)
-    i2 = reward_i2(state, action, channel)
-    i3 = reward_i3(state, action, channel)
+    i1, i2, i3 = _components(state, action, channel)
     return RewardBreakdown(i1, i2, i3, weights.l1 * i1 + weights.l2 * i2 + weights.l3 * i3)
 
 

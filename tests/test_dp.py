@@ -261,3 +261,88 @@ def test_diagnostic_injective_first_step_has_no_conflicts():
         rep = reachability_diagnostic(ch, space, L3, n)
         assert rep.root_action_injective is True
         assert rep.conflicts == []
+
+
+def test_root_action_is_first_within_tie_tolerance():
+    # values from the public per-action functions, not from the kernel's
+    # batch; on this instance several actions tie up to rounding noise, and
+    # a strict first maximum (minimum) lands later in the action order
+    from macfb.belief import predictive_distribution, update_joint
+    from macfb.dp import TIE_TOL
+
+    ch = preset("noisy_adder", (0.05,))
+    space = MessageSpace(3, 3)
+    actions = enumerate_actions(space, ch.alphabets)
+    weights = L_ALL
+    start = uniform_initial(space)
+
+    rewards = np.array([reward_weighted(start, a, ch, weights).weighted for a in actions])
+    first = int(np.flatnonzero(rewards >= rewards.max() - TIE_TOL)[0])
+    res = solve_horizon(ch, space, weights, 1)
+    assert res.policy.action_at(()) == actions[first]
+    assert res.total_value == pytest.approx(rewards.max(), abs=1e-12)
+
+    def error_after_one_use(action):
+        p = predictive_distribution(start.pi, action, ch)
+        return sum(
+            p[y] * (1.0 - update_joint(start.pi, action, y, ch).table.max())
+            for y in range(ch.n_outputs)
+            if p[y] > 1e-15
+        )
+
+    errors = np.array([error_after_one_use(a) for a in actions])
+    first = int(np.flatnonzero(errors <= errors.min() + TIE_TOL)[0])
+    res = solve_dsaht(ch, space, 1)
+    assert res.policy.action_at(()) == actions[first]
+    assert res.error_probability == pytest.approx(errors.min(), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name,params,m,weights,expanded,hits",
+    [
+        ("adder", (), 2, (1.0, 1.0, 1.0), 12, 21),
+        ("noisy_adder", (0.1,), 3, (0.3, 0.3, 0.4), 74, 119),
+    ],
+)
+def test_memo_counters_pinned(name, params, m, weights, expanded, hits):
+    res = solve_horizon(preset(name, params), MessageSpace(m, m), LambdaWeights(*weights), 2)
+    assert (res.states_expanded, res.cache_hits) == (expanded, hits)
+
+
+def test_result_values_are_plain_floats():
+    ch = preset("noisy_adder", (0.1,))
+    space = MessageSpace(2, 2)
+    for n in (1, 2, 3):
+        res = solve_horizon(ch, space, L_ALL, n)
+        assert type(res.value_per_step) is float and type(res.total_value) is float
+    for big_t in (0, 1, 2, 3):
+        assert type(solve_dsaht(ch, space, big_t).error_probability) is float
+
+
+def test_diagnostic_reports_private_table_conflicts():
+    # output 0 is uninformative, so after it the common belief is the prior
+    # again while the private tables have moved; from a correlated prior the
+    # rewards then depend on the tables
+    from macfb.belief import update_augmented
+
+    q = np.zeros((4, 2, 2))
+    for x1 in range(2):
+        for x2 in range(2):
+            q[0, x1, x2] = 0.5
+            q[1 + x1 + x2, x1, x2] = 0.5
+    ch = validate_channel(q)
+    space = MessageSpace(2, 2)
+    start = initial_state(space, np.array([[0.4, 0.1], [0.1, 0.4]]))
+    rep = reachability_diagnostic(ch, space, L_ALL, 2, start=start)
+    assert rep.conflicts
+    root = solve_horizon(ch, space, L_ALL, 2, start=start).policy.action_at(())
+    after = update_augmented(start, root, 0, ch)
+    actions = enumerate_actions(space, ch.alphabets)
+    for c in rep.conflicts:
+        assert (c["history_a"], c["history_b"]) == ((), (0,))
+        action = actions[c["action_index"]]
+        gap = abs(
+            reward_weighted(start, action, ch, L_ALL).weighted
+            - reward_weighted(after, action, ch, L_ALL).weighted
+        )
+        assert c["reward_gap"] == pytest.approx(gap, abs=1e-12)
