@@ -3,7 +3,8 @@
 Every subcommand reads the same config document (or a preset named inline),
 prints one JSON result to stdout, and optionally writes files under an
 output prefix.  Exit codes: 0 success, 1 bad configuration or usage,
-2 solver failure, 3 stationary solve finished without converging.
+2 solver failure, 3 stationary solve finished without converging (only
+``renewal: none`` iterates; ``per_use`` is solved exactly).
 """
 
 from __future__ import annotations
@@ -17,13 +18,7 @@ import numpy as np
 
 from . import dp, oracle, region as region_mod
 from ._io import atomic_write_text
-from .belief import (
-    MASS_EPS,
-    JointBelief,
-    initial_state,
-    observation_distribution,
-    update_augmented,
-)
+from .belief import JointBelief, initial_state
 from .config import RunConfig, _validate_section, load_config, parse_config
 from .encoding import policy_to_csv
 from .errors import ConfigError, SolverError, ValidationError
@@ -195,29 +190,25 @@ def _base_result(command: str, cfg: RunConfig) -> dict:
 
 def _beliefs_csv(tree, cfg: RunConfig) -> str:
     root = initial_state(cfg.space, cfg.prior)
-    stack = [(0, (), root)]
-    seen = []
-    while stack:
-        t, hist, state = stack.pop()
-        seen.append((t, hist, state))
-        if t >= tree.depth:
-            continue
-        action = tree.action_at(hist)
-        obs = observation_distribution(state, action, cfg.channel)
-        for y in range(cfg.channel.n_outputs):
-            if obs[y] <= MASS_EPS:
-                continue
-            stack.append((t + 1, hist + (y,), update_augmented(state, action, y, cfg.channel)))
+    walk = dp.walk_policy(
+        dp.policy_kernel(cfg.channel, tree), tree,
+        root.pi.table, root.beta1.rows, root.beta2.rows,
+    )
+    # the walker counts channel uses from 1; the file counts outputs seen
+    seen = sorted(
+        ((t - 1, hist, pi, rows1, rows2) for t, hist, pi, rows1, rows2, _, _ in walk),
+        key=lambda node: node[:2],
+    )
     lines = []
-    for t, hist, state in sorted(seen, key=lambda item: (item[0], item[1])):
+    for t, hist, pi, rows1, rows2 in seen:
         hist_str = "".join(str(y) for y in hist)
         lines.append(f"# t={t} history={hist_str}")
         lines.append("m1,m2,pi")
         for i in range(cfg.space.m1):
             for j in range(cfg.space.m2):
-                lines.append(f"{i},{j},{state.pi.table[i, j]:.17g}")
+                lines.append(f"{i},{j},{pi[i, j]:.17g}")
         lines.append("i,m,mprime,beta")
-        for sender, table in ((1, state.beta1.rows), (2, state.beta2.rows)):
+        for sender, table in ((1, rows1), (2, rows2)):
             for m in range(table.shape[0]):
                 for mp in range(table.shape[1]):
                     lines.append(f"{sender},{m},{mp},{table[m, mp]:.17g}")
@@ -308,14 +299,10 @@ def _cmd_stationary(cfg: RunConfig, args, result: dict) -> int:
 
 def _cmd_region(cfg: RunConfig, args, result: dict) -> int:
     sec = cfg.section("region")
-    stat = cfg.section("stationary")
     est = region_mod.sweep(
         cfg.channel, cfg.space, sec["n"], sec["sweep"],
         solver=sec["solver"], prior=cfg.prior, workers=cfg.workers,
-        stationary_resolution=stat["grid"], stationary_epsilon=stat["epsilon"],
-        stationary_max_iters=stat["max_iters"],
         node_cap=cfg.limits["node_cap"], action_cap=cfg.limits["action_cap"],
-        grid_cap=cfg.limits["grid_cap"],
     )
     result["params"] = {"n": sec["n"], "sweep": sec["sweep"], "solver": sec["solver"]}
     result["values"] = {

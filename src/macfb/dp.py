@@ -7,15 +7,19 @@ Three solvers:
   recursion and an argmax policy tree.
 * solve_dsaht: finite-horizon minimisation of the terminal decoding-error
   probability; the state is the common belief alone.
-* solve_stationary: average-reward relative value iteration on a simplex
-  grid of common beliefs with fully refined private tables.
+* solve_stationary: the long-run average reward with fully refined
+  private tables. With per-use renewal it is the largest one-step reward
+  at the prior, computed exactly from one kernel row; without renewal it
+  comes from relative value iteration on a simplex grid of common beliefs.
 
 Each expanded state is evaluated for every action at once by the action
 kernel (``macfb.kernel``): one set of numpy operations gives all rewards,
 predictive distributions, posteriors and refined private tables. The
 recursions work on those raw arrays and key their memo on the quantised
 (common belief, private tables); validated belief objects exist only at
-the API boundary.
+the API boundary. Every walk over the beliefs a fixed policy reaches
+(policy extraction, the DSAHT decoder, ``evaluate_tree``, the diagnostic
+and the CLI's belief file) goes through one walker, ``_reachable``.
 
 Ties: the policy takes the lexicographically smallest action whose total
 lies within TIE_TOL of the optimum (the maximum for the horizon program,
@@ -33,14 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .belief import (
-    MASS_EPS,
-    AugmentedState,
-    JointBelief,
-    initial_state,
-    observation_distribution,
-    update_augmented,
-)
+from .belief import MASS_EPS, AugmentedState, JointBelief, initial_state
 from .channel import Channel, MessageSpace
 from .encoding import (
     DEFAULT_ACTION_CAP,
@@ -52,7 +49,7 @@ from .encoding import (
 )
 from .errors import GridTooLarge, HorizonTooDeep
 from .kernel import ActionKernel
-from .reward import LambdaWeights, reward_weighted
+from .reward import LambdaWeights
 
 DEFAULT_NODE_CAP = 1_000_000
 DEFAULT_GRID_CAP = 500_000
@@ -111,7 +108,6 @@ class DsahtResult:
 @dataclass
 class StationaryResult:
     gain: float
-    value_table: dict  # grid composition tuple -> relative value
     iterations: int
     span_at_stop: float
     converged: bool
@@ -141,20 +137,21 @@ def _reachable(kernel: ActionKernel, depth: int, pi, rows1, rows2, choose):
     """Depth-first walk over the beliefs reachable under a per-node choice.
 
     ``choose(t, hist, pi, rows1, rows2)`` returns the index of the action
-    used at a node. Yields (t, hist, pi, rows1, rows2, a) in history order
-    for t = 1..depth, then the beliefs at t = depth + 1 with a = None.
-    Branches with predictive mass at or below MASS_EPS are not followed.
-    Without private tables (rows1 = rows2 = None) only the common belief
-    is carried.
+    used at a node. Yields (t, hist, pi, rows1, rows2, a, mass) in history
+    order for t = 1..depth, then the beliefs at t = depth + 1 with a = None;
+    ``mass`` is the probability of the output history, the product of the
+    predictive masses along it. Branches with predictive mass at or below
+    MASS_EPS are not followed. Without private tables (rows1 = rows2 = None)
+    only the common belief is carried.
     """
-    stack = [(1, (), pi, rows1, rows2)]
+    stack = [(1, (), pi, rows1, rows2, 1.0)]
     while stack:
-        t, hist, pi, rows1, rows2 = stack.pop()
+        t, hist, pi, rows1, rows2, mass = stack.pop()
         if t > depth:
-            yield t, hist, pi, rows1, rows2, None
+            yield t, hist, pi, rows1, rows2, None, mass
             continue
         a = choose(t, hist, pi, rows1, rows2)
-        yield t, hist, pi, rows1, rows2, a
+        yield t, hist, pi, rows1, rows2, a, mass
         joint, p = kernel.joint(pi)
         post = kernel.posteriors(joint, p)
         if rows1 is not None:
@@ -162,7 +159,23 @@ def _reachable(kernel: ActionKernel, depth: int, pi, rows1, rows2, choose):
             rows1, rows2 = ref1[kernel.enc1_of[a]], ref2[kernel.enc2_of[a]]
         for y in reversed(range(p.shape[1])):
             if p[a, y] > MASS_EPS:
-                stack.append((t + 1, hist + (y,), post[a, y], rows1, rows2))
+                stack.append((t + 1, hist + (y,), post[a, y], rows1, rows2, mass * p[a, y]))
+
+
+def policy_kernel(channel: Channel, tree: PolicyTree) -> ActionKernel:
+    """Action kernel over the distinct actions of a policy tree."""
+    return ActionKernel(channel, dict.fromkeys(tree.nodes.values()))
+
+
+def walk_policy(kernel: ActionKernel, tree: PolicyTree, pi, rows1=None, rows2=None):
+    """``_reachable`` under a fixed policy tree; ``kernel`` must hold every
+    action the tree uses, and the yielded action indices refer to it."""
+    index = {action: a for a, action in enumerate(kernel.actions)}
+
+    def choose(t, hist, pi, rows1, rows2):
+        return index[tree.action_at(hist)]
+
+    return _reachable(kernel, tree.depth, pi, rows1, rows2, choose)
 
 
 def _complete_tree(depth: int, n_outputs: int, reached: dict, default: EncoderAction) -> PolicyTree:
@@ -176,15 +189,8 @@ def _best_guesses(channel: Channel, policy: PolicyTree, prior: np.ndarray) -> di
     # row-major argmax: the smallest (m1, m2) among tied maximisers
     if policy.depth == 0:
         return {(): divmod(int(np.argmax(prior)), prior.shape[1])}
-    used = list(dict.fromkeys(policy.nodes.values()))
-    index = {action: a for a, action in enumerate(used)}
-
-    def choose(t, hist, pi, rows1, rows2):
-        return index[policy.action_at(hist)]
-
     decoder = {}
-    walk = _reachable(ActionKernel(channel, used), policy.depth, prior, None, None, choose)
-    for t, hist, pi, _, _, a in walk:
+    for t, hist, pi, _, _, a, _ in walk_policy(policy_kernel(channel, policy), policy, prior):
         if a is None:
             decoder[hist] = divmod(int(np.argmax(pi)), pi.shape[1])
     return decoder
@@ -266,7 +272,7 @@ def solve_horizon(
 
     nodes = {
         hist: actions[a]
-        for t, hist, _, _, _, a in _reachable(kernel, n, pi0, rows1, rows2, choose)
+        for t, hist, _, _, _, a, _ in _reachable(kernel, n, pi0, rows1, rows2, choose)
         if a is not None
     }
     policy = _complete_tree(n, n_y, nodes, actions[0])
@@ -283,28 +289,20 @@ def evaluate_tree(
     """Per-step weighted reward of a fixed policy tree via the belief recursion.
 
     This is the solver-side counterpart of the trajectory oracle: it averages
-    reward_weighted over the reachable augmented states, weighted by the
+    the weighted reward over the reachable augmented states, weighted by the
     probability of the output history that reaches them.
     """
     if tree.depth < 1:
         raise ValueError("policy tree must have depth >= 1")
     if start is None:
         start = initial_state(space)
+    kernel = policy_kernel(channel, tree)
     acc = 0.0
-
-    def walk(t, state, hist, mass):
-        nonlocal acc
-        if t > tree.depth:
-            return
-        action = tree.action_at(hist)
-        acc += mass * reward_weighted(state, action, channel, weights).weighted
-        p = observation_distribution(state, action, channel)
-        for y in range(channel.n_outputs):
-            if p[y] > MASS_EPS:
-                walk(t + 1, update_augmented(state, action, y, channel), hist + (y,), mass * p[y])
-
-    walk(1, start, (), 1.0)
-    return acc / tree.depth
+    walk = walk_policy(kernel, tree, start.pi.table, start.beta1.rows, start.beta2.rows)
+    for t, hist, pi, rows1, rows2, a, mass in walk:
+        if a is not None:
+            acc += mass * kernel.weighted(weights, pi, rows1, rows2, *kernel.joint(pi))[a]
+    return float(acc) / tree.depth
 
 
 def solve_dsaht(
@@ -365,7 +363,7 @@ def solve_dsaht(
 
     nodes = {
         hist: actions[a]
-        for t, hist, _, _, _, a in _reachable(kernel, horizon, prior.table, None, None, choose)
+        for t, hist, _, _, _, a, _ in _reachable(kernel, horizon, prior.table, None, None, choose)
         if a is not None
     }
     policy = _complete_tree(horizon, n_y, nodes, actions[0])
@@ -480,34 +478,45 @@ def solve_stationary(
     grid_cap: int = DEFAULT_GRID_CAP,
     action_cap: int = DEFAULT_ACTION_CAP,
 ) -> StationaryResult:
-    """Relative value iteration for the long-run average weighted reward.
-
-    The grid holds every belief with coordinates k/resolution; off-grid
-    beliefs are evaluated by barycentric interpolation and the update is
-    recentred at the uniform belief, whose update value is the gain
-    estimate. Iteration stops when the span of successive differences
-    falls below epsilon; running out of iterations is reported through the
-    ``converged`` flag rather than an exception, with the partial result
-    kept.
+    """Long-run average weighted reward with fully refined private tables.
 
     renewal="per_use" (default): every channel use carries a fresh message
-    pair drawn from the initial belief, so the continuation restarts there.
-    This models a sender pipeline that never runs out of new data and makes
-    the gain the sustainable per-use information rate; on point-to-point
-    embeddings it reproduces the single-letter channel value at the message
-    granularity.
+    pair drawn from the prior, so every continuation restarts at the prior
+    and the average-reward Bellman equation is solved by the largest
+    one-step reward there. That maximum is returned exactly, with no grid
+    (iterations 0, span 0, converged); ``resolution``, ``epsilon``,
+    ``max_iters`` and ``grid_cap`` do not affect it. This models a sender
+    pipeline that never runs out of new data and makes the gain the
+    sustainable per-use information rate; on point-to-point embeddings it
+    reproduces the single-letter channel value at the message granularity.
+    The private tables are point masses, so the rewards condition on full
+    messages; under a non-product prior this can differ from the horizon
+    program at n = 1, whose private rows are the prior marginals.
 
-    renewal="none": plain Bayes successors on a fixed message pair. The
-    total extractable information is then bounded by the initial entropy,
-    so the gain is 0 for every channel; this mode exists to make that
-    degeneracy observable.
+    renewal="none": plain Bayes successors on a fixed message pair, solved
+    by relative value iteration on the grid of every belief with
+    coordinates k/resolution. Off-grid successors are evaluated by
+    barycentric interpolation and the update is recentred at the uniform
+    belief, whose update value is the gain estimate. Iteration stops when
+    the span of successive differences falls below epsilon; running out of
+    iterations is reported through the ``converged`` flag rather than an
+    exception, with the partial result kept. The total extractable
+    information is bounded by the initial entropy, so the gain is 0 for
+    every channel; this mode exists to make that degeneracy observable.
     """
     if renewal not in ("per_use", "none"):
         raise ValueError(f"unknown renewal mode {renewal!r}")
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-    if prior is None:
-        prior = initial_state(space).pi
+    actions = enumerate_actions(space, channel.alphabets, cap=action_cap)
+    kernel = ActionKernel(channel, actions)
+    eye1, eye2 = np.eye(space.m1), np.eye(space.m2)
+
+    if renewal == "per_use":
+        pi = (initial_state(space).pi if prior is None else prior).table
+        gain = float(kernel.weighted(weights, pi, eye1, eye2, *kernel.joint(pi)).max())
+        return StationaryResult(gain, 0, 0.0, True, resolution, renewal)
+
     parts = space.pairs
     comps = _compositions(resolution, parts)
     n_points = len(comps)
@@ -515,12 +524,8 @@ def solve_stationary(
         raise GridTooLarge(n_points, grid_cap)
     index_of = {c: i for i, c in enumerate(comps)}
     interp = _SimplexInterpolator(resolution, parts, index_of)
-    actions = enumerate_actions(space, channel.alphabets, cap=action_cap)
     n_actions = len(actions)
     n_y = channel.n_outputs
-
-    kernel = ActionKernel(channel, actions)
-    eye1, eye2 = np.eye(space.m1), np.eye(space.m2)
 
     # rewards, and the successor structure as COO triples over the flattened
     # (state, action) axis
@@ -530,24 +535,16 @@ def solve_stationary(
         pi = np.asarray(comp, dtype=float).reshape(space.m1, space.m2) / resolution
         joint, p = kernel.joint(pi)
         rewards[i] = kernel.weighted(weights, pi, eye1, eye2, joint, p)
-        if renewal == "none":
-            post = kernel.posteriors(joint, p)
-            for a_i in range(n_actions):
-                for y in range(n_y):
-                    if p[a_i, y] <= MASS_EPS:
-                        continue
-                    idxs, ws = interp.weights(post[a_i, y].reshape(-1))
-                    for idx, w in zip(idxs, ws):
-                        rows.append(i * n_actions + a_i)
-                        cols.append(idx)
-                        vals.append(float(p[a_i, y]) * w)
-    if renewal == "per_use":
-        start_idx, start_w = interp.weights(prior.table.reshape(-1))
-        for flat in range(n_points * n_actions):
-            for idx, w in zip(start_idx, start_w):
-                rows.append(flat)
-                cols.append(idx)
-                vals.append(w)
+        post = kernel.posteriors(joint, p)
+        for a_i in range(n_actions):
+            for y in range(n_y):
+                if p[a_i, y] <= MASS_EPS:
+                    continue
+                idxs, ws = interp.weights(post[a_i, y].reshape(-1))
+                for idx, w in zip(idxs, ws):
+                    rows.append(i * n_actions + a_i)
+                    cols.append(idx)
+                    vals.append(float(p[a_i, y]) * w)
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=float)
@@ -576,8 +573,7 @@ def solve_stationary(
             converged = True
             break
 
-    table = {comp: float(v) for comp, v in zip(comps, value)}
-    return StationaryResult(gain, table, iterations, span, converged, resolution, renewal)
+    return StationaryResult(gain, iterations, span, converged, resolution, renewal)
 
 
 # ---------------------------------------------------------------------------
@@ -607,17 +603,11 @@ def reachability_diagnostic(
         channel, space, weights, n, start, action_cap=action_cap, node_cap=node_cap
     )
     tree = result.policy
-    actions = enumerate_actions(space, channel.alphabets, cap=action_cap)
-    kernel = ActionKernel(channel, actions)
-    index = {action: a for a, action in enumerate(actions)}
-
-    def choose(t, hist, pi, rows1, rows2):
-        return index[tree.action_at(hist)]
-
+    kernel = ActionKernel(channel, enumerate_actions(space, channel.alphabets, cap=action_cap))
     reached = [
         (t, hist, pi, rows1, rows2)
-        for t, hist, pi, rows1, rows2, a in _reachable(
-            kernel, n, start.pi.table, start.beta1.rows, start.beta2.rows, choose
+        for t, hist, pi, rows1, rows2, a, _ in walk_policy(
+            kernel, tree, start.pi.table, start.beta1.rows, start.beta2.rows
         )
         if a is not None
     ]

@@ -74,14 +74,14 @@ def sweep(
     solver: str = "horizon",
     prior=None,
     workers: int = 1,
-    stationary_resolution: int = 16,
-    stationary_epsilon: float = 1e-6,
-    stationary_max_iters: int = 500,
     action_cap: int = 1_000_000,
     node_cap: int = 1_000_000,
-    grid_cap: int = 500_000,
 ) -> RegionEstimate:
     """Evaluate the weighted bound on a simplex grid and intersect.
+
+    ``solver="stationary"`` takes each bound from the per-use stationary
+    gain, which is exact and needs no belief grid, so it has no grid or
+    iteration settings.
 
     ``workers`` caps how many weight vectors are solved concurrently; the
     reduction order is fixed by the sample order, so results do not depend
@@ -101,10 +101,10 @@ def sweep(
                 action_cap=action_cap, node_cap=node_cap,
             )
             return res.value_per_step
+        # the per-use gain is read off the prior; the grid resolution is unused
         res = solve_stationary(
-            channel, space, weights, stationary_resolution,
-            epsilon=stationary_epsilon, max_iters=stationary_max_iters,
-            prior=start_pi, action_cap=action_cap, grid_cap=grid_cap,
+            channel, space, weights, resolution=1, prior=start_pi,
+            renewal="per_use", action_cap=action_cap,
         )
         return res.gain
 

@@ -124,7 +124,8 @@ def test_stationary_not_converged_exit_three(tmp_path, capsys):
     code, doc = run_json(
         [
             "stationary", "--preset", "bsc_p2p", "--param", "0.1",
-            "--messages", "2,1", "--max-iters", "1", "--out", str(prefix),
+            "--messages", "2,1", "--max-iters", "1", "--renewal", "none",
+            "--out", str(prefix),
         ],
         capsys,
     )

@@ -224,21 +224,47 @@ def test_literal_gain_tracks_finite_horizon_decay():
 def test_stationary_guards():
     ch = preset("bsc_p2p", (0.1,))
     space = MessageSpace(2, 1)
-    with pytest.raises(ValueError):
-        solve_stationary(ch, space, L3, resolution=0)
+    for renewal in ("per_use", "none"):
+        with pytest.raises(ValueError):
+            solve_stationary(ch, space, L3, resolution=0, renewal=renewal)
     with pytest.raises(ValueError):
         solve_stationary(ch, space, L3, resolution=4, renewal="sometimes")
+    # only renewal: none builds a grid
     with pytest.raises(GridTooLarge):
-        solve_stationary(ch, space, L3, resolution=64, grid_cap=10)
+        solve_stationary(ch, space, L3, resolution=64, grid_cap=10, renewal="none")
 
 
 def test_stationary_partial_result_when_iters_exhausted():
+    # only renewal: none iterates
     res = solve_stationary(
-        preset("bsc_p2p", (0.1,)), MessageSpace(2, 1), L3, resolution=16, max_iters=1
+        preset("bsc_p2p", (0.1,)), MessageSpace(2, 1), L3, resolution=16, max_iters=1,
+        renewal="none",
     )
     assert not res.converged
     assert res.iterations == 1
     assert res.span_at_stop > 1e-6
+
+
+def test_per_use_gain_is_exact_one_step_value():
+    # under a product prior the fully refined one-step reward at the prior
+    # is the horizon n = 1 reward, so the two must agree wherever the prior
+    # sits relative to the belief grid; the uniform 3x3 prior is not a
+    # point of the grid-4 simplex grid
+    w = LambdaWeights(0.3, 0.3, 0.4)
+    rng = make_rng(53)
+    prior = JointBelief(np.outer(rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(2))))
+    for ch, space, pri, resolutions in (
+        (preset("noisy_adder", (0.1,)), MessageSpace(3, 3), None, (4, 1, 7)),
+        (random_channel(rng, 2, 2, 3), MessageSpace(2, 2), prior, (8, 1, 16)),
+    ):
+        start = initial_state(space, None if pri is None else pri.table)
+        want = solve_horizon(ch, space, w, 1, start).value_per_step
+        for resolution in resolutions:
+            res = solve_stationary(ch, space, w, resolution, prior=pri)
+            assert abs(res.gain - want) <= 1e-12
+            assert (res.converged, res.iterations, res.span_at_stop) == (True, 0, 0.0)
+        if pri is None:
+            assert res.gain == pytest.approx(0.7262474942212631, abs=1e-12)
 
 
 def test_diagnostic_adder_two_steps():

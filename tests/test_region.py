@@ -3,6 +3,7 @@ import math
 import pytest
 
 from macfb.channel import MessageSpace, preset
+from macfb.dp import solve_stationary
 from macfb.region import HalfPlane, export_region, lambda_samples, sweep
 from macfb.reward import LambdaWeights
 
@@ -85,6 +86,13 @@ def test_sweep_stationary_solver():
     est = sweep(preset("bsc_p2p", (0.0,)), MessageSpace(2, 1), 1, 3, solver="stationary")
     assert est.solver == "stationary"
     assert est.vertices == [(0.0, 0.0), (1.0, 0.0)]
+    # each bound is the exact per-use gain at its weight vector
+    ch = preset("noisy_adder", (0.1,))
+    space = MessageSpace(2, 2)
+    est = sweep(ch, space, 1, 6, solver="stationary")
+    assert len(est.halfplanes) == 6
+    for hp in est.halfplanes:
+        assert hp.bound == solve_stationary(ch, space, hp.weights, 16).gain
 
 
 def test_sweep_rejects_unknown_solver():
