@@ -283,11 +283,10 @@ def _cmd_stationary(cfg: RunConfig, args, result: dict) -> int:
         prior=_prior_joint(cfg), renewal=sec["renewal"],
         grid_cap=cfg.limits["grid_cap"], action_cap=cfg.limits["action_cap"],
     )
-    result["params"] = {
-        "lambda": list(sec["lambda"]), "grid": sec["grid"],
-        "epsilon": sec["epsilon"], "max_iters": sec["max_iters"],
-        "renewal": sec["renewal"],
-    }
+    result["params"] = {"lambda": list(sec["lambda"]), "renewal": sec["renewal"]}
+    # only renewal: none uses the grid and the iteration settings
+    if sec["renewal"] == "none":
+        result["params"].update(grid=sec["grid"], epsilon=sec["epsilon"], max_iters=sec["max_iters"])
     result["values"] = {
         "gain": res.gain,
         "iterations": res.iterations,

@@ -3,8 +3,8 @@
 Three solvers:
 
 * solve_horizon: finite-horizon maximisation of the per-step weighted
-  information reward over augmented states, with memoised backward
-  recursion and an argmax policy tree.
+  information reward over augmented states (common belief and both
+  private tables), with an argmax policy tree.
 * solve_dsaht: finite-horizon minimisation of the terminal decoding-error
   probability; the state is the common belief alone.
 * solve_stationary: the long-run average reward with fully refined
@@ -12,14 +12,20 @@ Three solvers:
   at the prior, computed exactly from one kernel row; without renewal it
   comes from relative value iteration on a simplex grid of common beliefs.
 
-Each expanded state is evaluated for every action at once by the action
-kernel (``macfb.kernel``): one set of numpy operations gives all rewards,
-predictive distributions, posteriors and refined private tables. The
-recursions work on those raw arrays and key their memo on the quantised
-(common belief, private tables); validated belief objects exist only at
-the API boundary. Every walk over the beliefs a fixed policy reaches
-(policy extraction, the DSAHT decoder, ``evaluate_tree``, the diagnostic
-and the CLI's belief file) goes through one walker, ``_reachable``.
+The two finite-horizon programs share one level-synchronous engine,
+``_backward_induction``. The state moves forward one channel use at a
+time, so a forward pass builds every time step's distinct states from the
+previous step's as one batch: the action kernel (``macfb.kernel``)
+evaluates a stack of states for every action at once (rewards,
+predictive distributions, posteriors, refined private tables), and the
+successors are deduplicated on their coordinates quantised to QUANT,
+each represented by its first occurrence in (state, action, output)
+order. A backward pass then takes the optimum level by level, and the
+policy follows the stored successor indices from the root. Validated
+belief objects exist only at the API boundary. Every walk over the
+beliefs a fixed policy reaches (the DSAHT decoder, ``evaluate_tree``, the
+diagnostic and the CLI's belief file) goes through one walker,
+``_reachable``.
 
 Ties: the policy takes the lexicographically smallest action whose total
 lies within TIE_TOL of the optimum (the maximum for the horizon program,
@@ -33,7 +39,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -47,16 +52,20 @@ from .encoding import (
     enumerate_actions,
     history_index,
 )
-from .errors import GridTooLarge, HorizonTooDeep
-from .kernel import ActionKernel
+from .errors import GridTooLarge, HorizonTooDeep, LevelTooWide
+from .kernel import ActionKernel, first_rows
 from .reward import LambdaWeights
 
 DEFAULT_NODE_CAP = 1_000_000
 DEFAULT_GRID_CAP = 500_000
 DEFAULT_STATIONARY_ITERS = 500
 
-# memo keys quantise each belief coordinate to this granularity
+# states are told apart by their coordinates quantised to this granularity
 QUANT = 1e-9
+
+# the finite-horizon programs put at most this many kernel entries
+# (states x actions x outputs x message pairs) through one batch
+CHUNK_ENTRIES = 1 << 13
 
 # totals this close to the optimum count as tied; the first one wins
 TIE_TOL = 1e-12
@@ -66,21 +75,23 @@ def _quantized(arr: np.ndarray) -> bytes:
     return np.rint(arr / QUANT).astype(np.int64).tobytes()
 
 
-def _state_key(t: int, pi: np.ndarray, rows1: np.ndarray, rows2: np.ndarray) -> tuple:
-    return (t, _quantized(pi), _quantized(rows1), _quantized(rows2))
-
-
-def _first_within(totals: np.ndarray, best: float) -> int:
-    """Index of the first total within TIE_TOL of ``best``."""
-    return int(np.flatnonzero(np.abs(totals - best) <= TIE_TOL)[0])
-
-
 def _add_continuation(totals: np.ndarray, p: np.ndarray, cont: np.ndarray) -> np.ndarray:
-    """totals + sum_y p[:, y] cont[:, y] over outputs with mass, added one
-    output at a time in y order."""
-    for y in range(p.shape[1]):
-        totals = totals + np.where(p[:, y] > MASS_EPS, p[:, y] * cont[:, y], 0.0)
+    """totals + sum_y p[..., y] cont[..., y] over outputs with mass, added
+    one output at a time in y order."""
+    for y in range(p.shape[-1]):
+        totals = totals + np.where(p[..., y] > MASS_EPS, p[..., y] * cont[..., y], 0.0)
     return totals
+
+
+def _choose(totals: np.ndarray, candidates, maximise: bool) -> tuple:
+    """Optimum of every row of ``totals`` (states x actions) over its
+    candidate actions (all when ``candidates`` is None), and the first
+    candidate within TIE_TOL of it."""
+    worst = -np.inf if maximise else np.inf
+    if candidates is not None:
+        totals = np.where(candidates, totals, worst)
+    best = totals.max(axis=1) if maximise else totals.min(axis=1)
+    return best, (np.abs(totals - best[:, None]) <= TIE_TOL).argmax(axis=1)
 
 
 @dataclass
@@ -96,13 +107,16 @@ class HorizonResult:
 class DsahtResult:
     error_probability: float
     policy: PolicyTree
-    _decode: Callable = field(repr=False, compare=False)
+    states_expanded: int
+    cache_hits: int
+    _channel: Channel = field(repr=False, compare=False)
+    _prior: np.ndarray = field(repr=False, compare=False)
 
     @functools.cached_property
     def decoder(self) -> dict:
         """Terminal output history -> best-guess message pair, for every
         history the policy reaches; built on first access."""
-        return self._decode()
+        return _best_guesses(self._channel, self.policy, self._prior)
 
 
 @dataclass
@@ -196,6 +210,111 @@ def _best_guesses(channel: Channel, policy: PolicyTree, prior: np.ndarray) -> di
     return decoder
 
 
+def _expand_chunk(expand, t: int, states: tuple, last: bool, maximise: bool, index: dict) -> tuple:
+    """One chunk of a level for ``_backward_induction``: returns what the
+    backward pass needs, the arrays of the successor states new to the
+    level, and the number of live successors. ``index`` maps the quantised
+    bytes of each successor state of the level to its number. At the last
+    level the chunk is chosen at once, (values, actions). Its temporaries
+    are freed when this returns, before the next chunk is evaluated."""
+    totals, p, cand, gather = expand(t, *states)
+    if last:
+        return _choose(totals, cand, maximise), [], 0
+    live = p > MASS_EPS
+    if cand is not None:
+        live &= cand[..., None]
+    s, a, y = np.nonzero(live)
+    nxt = gather(s, a, y)
+    q = np.concatenate([np.rint(x.reshape(len(s), -1) / QUANT).astype(np.int64) for x in nxt], axis=1)
+    first, inverse = first_rows(q)
+    # number the chunk's distinct successors across the level; the new ones
+    # get the next numbers in their order of first occurrence
+    known = len(index)
+    ids = np.array([index.setdefault(row.tobytes(), len(index)) for row in q[first]])
+    succ = np.full(live.shape, -1)
+    succ[s, a, y] = ids[inverse]
+    return (totals, p, cand, succ), [x[first[ids >= known]] for x in nxt], len(s)
+
+
+def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
+                        maximise: bool, node_cap: int) -> tuple:
+    """Level-synchronous backward induction over the distinct states of each
+    time step.
+
+    ``root`` holds the start state's arrays, each with a leading axis of
+    length 1. ``expand(t, *arrays)`` evaluates a batch of level-t states,
+    stacked on that axis, and returns (totals, p, candidates, gather):
+
+    * totals[s, a], what the action earns before any continuation: its
+      reward, or in DSAHT the expected terminal error at the last level;
+    * p[s, a, y], the predictive distribution;
+    * candidates[s, a], a mask of the actions to consider, or None for all;
+    * gather(s, a, y), the successor states' arrays for index vectors s, a
+      and y; unused at the last level.
+
+    Forward pass: level t + 1 holds the successors of level t along every
+    candidate action and every output with predictive mass above MASS_EPS,
+    deduplicated on their coordinates quantised to QUANT. A new state is
+    represented by its first occurrence in (state, action, output) order,
+    so each level lists its states in depth-first first-visit order, and
+    ``succ[s, a, y]`` indexes the successor (-1 where there is none). A
+    level is built CHUNK_ENTRIES kernel entries at a time: ``np.unique``
+    dedupes a chunk's successors, and a dict over their quantised bytes
+    numbers them across the level.
+
+    Backward pass: each level adds its successors' values output by output,
+    then takes the optimum and the first candidate within TIE_TOL of it;
+    the last level, which has no successors, does so chunk by chunk during
+    the forward pass.
+
+    Returns (value, policy, expanded, hits): the root's value, the policy
+    tree (the chosen action at every history it reaches, actions[0]
+    elsewhere), the number of distinct states over all levels, and the
+    number of successor visits that found an existing state (live
+    successors minus distinct states).
+    Raises LevelTooWide before building the successors of a level with more
+    (state, action, output) triples than ``node_cap``.
+    """
+    n_actions, n_outputs = kernel.lik.shape[:2]
+    step = max(1, CHUNK_ENTRIES // kernel.lik.size)
+    levels, states = [], root
+    expanded = hits = 0
+    for t in range(1, depth + 1):
+        n_states = len(states[0])
+        expanded += n_states
+        last = t == depth
+        if not last and n_states * n_actions * n_outputs > node_cap:
+            raise LevelTooWide(t, n_states * n_actions * n_outputs, node_cap)
+        chunks, reps, index = [], [], {}
+        for lo in range(0, n_states, step):
+            chunk = tuple(x[lo : lo + step] for x in states)
+            stored, new, n_live = _expand_chunk(expand, t, chunk, last, maximise, index)
+            chunks.append(stored)
+            reps.append(new)
+            hits += n_live
+        levels.append(tuple(None if part[0] is None else np.concatenate(part) for part in zip(*chunks)))
+        if not last:
+            states = tuple(np.concatenate(arrays) for arrays in zip(*reps))
+            hits -= len(index)
+
+    value, last_best = levels[-1]
+    best = [None] * (depth - 1) + [last_best]
+    for t in reversed(range(depth - 1)):
+        totals, p, cand, succ = levels[t]
+        totals = _add_continuation(totals, p, np.append(value, 0.0)[succ])
+        value, best[t] = _choose(totals, cand, maximise)
+
+    nodes, stack = {}, [(0, (), 0)]
+    while stack:
+        t, hist, s = stack.pop()
+        a = best[t][s]
+        nodes[hist] = kernel.actions[a]
+        if t + 1 < depth:
+            stack.extend((t + 1, hist + (y,), j) for y, j in enumerate(levels[t][3][s, a]) if j >= 0)
+    policy = _complete_tree(depth, n_outputs, nodes, kernel.actions[0])
+    return float(value[0]), policy, expanded, hits
+
+
 def solve_horizon(
     channel: Channel,
     space: MessageSpace,
@@ -208,12 +327,18 @@ def solve_horizon(
 ) -> HorizonResult:
     """Best n-step average weighted reward and an achieving policy tree.
 
-    Backward recursion over augmented states memoised on (step, quantised
-    state); branches whose predictive mass is at or below 1e-15 are skipped.
-    Every state is evaluated for all actions at once by the action kernel.
-    With ``prune`` the actions of a state whose successors get expanded are
-    first collapsed to the first representative of each class with equal
-    (reward, predictive, successor) rows, which never changes the value.
+    Level-synchronous backward induction over augmented states (see
+    ``_backward_induction``): a forward pass builds the distinct states of
+    steps 1..n, skipping branches whose predictive mass is at or below
+    1e-15, and a backward pass adds the continuation values and takes the
+    maximum. ``states_expanded`` counts the distinct states over all steps
+    and ``cache_hits`` the successor visits that found a state already
+    built (live successors minus distinct states). With ``prune`` the
+    actions of a state whose successors get built are first collapsed to
+    the first representative of each class with equal (reward, predictive,
+    successor) rows, which never changes the value. Raises HorizonTooDeep
+    when the full tree estimate exceeds ``node_cap``, and LevelTooWide
+    before a step whose states x actions x outputs exceed it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -222,61 +347,26 @@ def solve_horizon(
         raise HorizonTooDeep(est, node_cap)
     if start is None:
         start = initial_state(space)
-    actions = enumerate_actions(space, channel.alphabets, cap=action_cap)
-    kernel = ActionKernel(channel, actions)
+    kernel = ActionKernel(channel, enumerate_actions(space, channel.alphabets, cap=action_cap))
     enc1_of, enc2_of = kernel.enc1_of, kernel.enc2_of
-    n_y = channel.n_outputs
-    memo = {}
-    stats = {"expanded": 0, "hits": 0}
 
-    def value(t, pi, rows1, rows2, key) -> float:
-        hit = memo.get(key)
-        if hit is not None:
-            stats["hits"] += 1
-            return hit[0]
-        stats["expanded"] += 1
-        joint, p = kernel.joint(pi)
-        totals = kernel.weighted(weights, pi, rows1, rows2, joint, p)
-        candidates = np.arange(len(actions))
-        if t < n:
-            post = kernel.posteriors(joint, p)
-            ref1, ref2 = kernel.refined(rows1, rows2)
-            if prune:
-                candidates = np.asarray(kernel.distinct(totals, p, post, ref1, ref2, PRUNE_TOL))
-            qpost = np.rint(post / QUANT).astype(np.int64)
-            q1 = [_quantized(r) for r in ref1]
-            q2 = [_quantized(r) for r in ref2]
-            cont = np.zeros_like(p)
-            for a in candidates:
-                r1, r2 = enc1_of[a], enc2_of[a]
-                for y in range(n_y):
-                    if p[a, y] > MASS_EPS:
-                        cont[a, y] = value(
-                            t + 1, post[a, y], ref1[r1], ref2[r2],
-                            (t + 1, qpost[a, y].tobytes(), q1[r1], q2[r2]),
-                        )
-            totals = _add_continuation(totals, p, cont)
-        totals = totals[candidates]
-        best = float(totals.max())
-        memo[key] = (best, int(candidates[_first_within(totals, best)]))
-        return best
+    def expand(t, pis, rows1, rows2):
+        joint, p = kernel.joint(pis)
+        totals = kernel.weighted(weights, pis, rows1, rows2, joint, p)
+        if t == n:
+            return totals, p, None, None
+        post = kernel.posteriors(joint, p)
+        ref1, ref2 = kernel.refined(rows1, rows2)
+        cand = kernel.distinct(totals, p, post, ref1, ref2, PRUNE_TOL) if prune else None
 
-    pi0, rows1, rows2 = start.pi.table, start.beta1.rows, start.beta2.rows
-    total = value(1, pi0, rows1, rows2, _state_key(1, pi0, rows1, rows2))
-    # the recursive closure is a reference cycle: drop it so the memo goes
-    # when this call returns, not at the next full garbage collection
-    del value
+        def gather(s, a, y):
+            return post[s, a, y], ref1[s, enc1_of[a]], ref2[s, enc2_of[a]]
 
-    def choose(t, hist, pi, rows1, rows2):
-        return memo[_state_key(t, pi, rows1, rows2)][1]
+        return totals, p, cand, gather
 
-    nodes = {
-        hist: actions[a]
-        for t, hist, _, _, _, a, _ in _reachable(kernel, n, pi0, rows1, rows2, choose)
-        if a is not None
-    }
-    policy = _complete_tree(n, n_y, nodes, actions[0])
-    return HorizonResult(total / n, total, policy, stats["expanded"], stats["hits"])
+    root = (start.pi.table[None], start.beta1.rows[None], start.beta2.rows[None])
+    total, policy, expanded, hits = _backward_induction(kernel, n, root, expand, True, node_cap)
+    return HorizonResult(total / n, total, policy, expanded, hits)
 
 
 def evaluate_tree(
@@ -317,7 +407,9 @@ def solve_dsaht(
 
     Only the common belief matters here; the cost-to-go of a terminal belief
     is one minus its largest entry and interior steps average it under the
-    predictive output distribution.
+    predictive output distribution. The same level-synchronous engine as
+    ``solve_horizon`` solves it, with the same guards and the same two
+    counters over common beliefs (both 0 at T = 0).
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -325,49 +417,26 @@ def solve_dsaht(
         prior = initial_state(space).pi
     if horizon == 0:
         policy = PolicyTree(0, channel.n_outputs, {})
-        decode = functools.partial(_best_guesses, channel, policy, prior.table)
-        return DsahtResult(1.0 - float(prior.table.max()), policy, decode)
+        return DsahtResult(1.0 - float(prior.table.max()), policy, 0, 0, channel, prior.table)
     est = _estimated_nodes(channel.n_outputs, horizon)
     if est > node_cap:
         raise HorizonTooDeep(est, node_cap)
-    actions = enumerate_actions(space, channel.alphabets, cap=action_cap)
-    kernel = ActionKernel(channel, actions)
-    n_y = channel.n_outputs
-    memo = {}
+    kernel = ActionKernel(channel, enumerate_actions(space, channel.alphabets, cap=action_cap))
 
-    def cost(t: int, pi: np.ndarray) -> float:
-        key = (t, _quantized(pi))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[0]
-        joint, p = kernel.joint(pi)
+    def expand(t, pis):
+        joint, p = kernel.joint(pis)
         post = kernel.posteriors(joint, p)
+        totals = np.zeros(p.shape[:-1])
         if t == horizon:
-            cont = 1.0 - post.reshape(p.shape + (-1,)).max(axis=2)
-        else:
-            cont = np.zeros_like(p)
-            for a in range(len(actions)):
-                for y in range(n_y):
-                    if p[a, y] > MASS_EPS:
-                        cont[a, y] = cost(t + 1, post[a, y])
-        expected = _add_continuation(np.zeros(len(actions)), p, cont)
-        best = float(expected.min())
-        memo[key] = (best, _first_within(expected, best))
-        return best
+            terminal = 1.0 - post.reshape(p.shape + (-1,)).max(axis=-1)
+            return _add_continuation(totals, p, terminal), p, None, None
+        return totals, p, None, lambda s, a, y: (post[s, a, y],)
 
-    error = cost(1, prior.table)
-    del cost  # a reference cycle, like value() in solve_horizon
-
-    def choose(t, hist, pi, rows1, rows2):
-        return memo[(t, _quantized(pi))][1]
-
-    nodes = {
-        hist: actions[a]
-        for t, hist, _, _, _, a, _ in _reachable(kernel, horizon, prior.table, None, None, choose)
-        if a is not None
-    }
-    policy = _complete_tree(horizon, n_y, nodes, actions[0])
-    return DsahtResult(error, policy, functools.partial(_best_guesses, channel, policy, prior.table))
+    root = (prior.table[None],)
+    error, policy, expanded, hits = _backward_induction(
+        kernel, horizon, root, expand, False, node_cap
+    )
+    return DsahtResult(error, policy, expanded, hits, channel, prior.table)
 
 
 # ---------------------------------------------------------------------------

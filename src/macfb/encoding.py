@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .channel import Alphabets, Channel, MessageSpace
 from .errors import ActionSpaceTooLarge
@@ -70,9 +73,14 @@ class PolicyTree:
 
     ``nodes`` maps a history tuple (y_1, ..., y_{t-1}) to the action used at
     step t; depth n therefore needs sum_{t=0}^{n-1} |Y|^t nodes. Depth 0 is
-    the empty tree (no channel uses). The tree stores one action per
-    position of ``history_index``, so trees of one shape share their keys.
+    the empty tree (no channel uses). The tree stores each action object
+    once and, for every position of ``history_index``, the index of its
+    action in a compact array, so trees of one shape share their keys and
+    a tree whose nodes share their action objects (as the solvers' do)
+    costs about a byte per node.
     """
+
+    __slots__ = ("depth", "n_outputs", "_distinct", "_at")
 
     def __init__(self, depth: int, n_outputs: int, nodes: dict):
         if depth < 0:
@@ -87,25 +95,34 @@ class PolicyTree:
         for hist in nodes:
             if hist not in index:
                 raise ValueError(f"history {hist!r} invalid for depth {depth}")
-        self._actions = tuple(nodes[hist] for hist in index)
+        # slots by identity: hashing actions by value is slow, and equal
+        # actions in separate slots still compare equal below
+        actions = [nodes[hist] for hist in index]
+        slot = {}
+        at = [slot.setdefault(id(action), len(slot)) for action in actions]
+        self._distinct = tuple({id(action): action for action in actions}.values())
+        self._at = bytes(at) if len(slot) <= 256 else array("I", at)
 
     @property
     def nodes(self) -> dict:
         return dict(self.items())
 
     def action_at(self, history: Sequence[int]) -> EncoderAction:
-        return self._actions[history_index(self.depth, self.n_outputs)[tuple(history)]]
+        return self._distinct[self._at[history_index(self.depth, self.n_outputs)[tuple(history)]]]
+
+    def _actions(self) -> list:
+        return [self._distinct[i] for i in self._at]
 
     def items(self):
         """Nodes in deterministic (t, history) order."""
-        return list(zip(history_index(self.depth, self.n_outputs), self._actions))
+        return list(zip(history_index(self.depth, self.n_outputs), self._actions()))
 
     def __eq__(self, other):
         return (
             isinstance(other, PolicyTree)
             and self.depth == other.depth
             and self.n_outputs == other.n_outputs
-            and self._actions == other._actions
+            and self._actions() == other._actions()
         )
 
 
@@ -156,17 +173,24 @@ def enumerate_actions(
     """All |X1|^|M1| * |X2|^|M2| encoder actions in lexicographic order.
 
     The order is by (e1.table, e2.table), so the all-zero action comes first
-    and downstream argmax tie-breaks are reproducible.
+    and downstream argmax tie-breaks are reproducible. Calls for one shape
+    share the (immutable) action objects, so the policy trees of many
+    solves hold no copies of them.
     """
     count = alphabets.x1**space.m1 * alphabets.x2**space.m2
     if count > cap:
         raise ActionSpaceTooLarge(count, cap)
+    return list(_all_actions(space.m1, space.m2, alphabets.x1, alphabets.x2))
+
+
+@functools.lru_cache(maxsize=4)
+def _all_actions(m1: int, m2: int, x1: int, x2: int) -> tuple:
     actions = []
-    for t1 in itertools.product(range(alphabets.x1), repeat=space.m1):
-        e1 = EncoderFunction(t1, alphabets.x1)
-        for t2 in itertools.product(range(alphabets.x2), repeat=space.m2):
-            actions.append(EncoderAction(e1, EncoderFunction(t2, alphabets.x2)))
-    return actions
+    for t1 in itertools.product(range(x1), repeat=m1):
+        e1 = EncoderFunction(t1, x1)
+        for t2 in itertools.product(range(x2), repeat=m2):
+            actions.append(EncoderAction(e1, EncoderFunction(t2, x2)))
+    return tuple(actions)
 
 
 def prune_actions(
@@ -190,4 +214,4 @@ def prune_actions(
     ref1, ref2 = kernel.refined(rows1, rows2)
     totals = kernel.weighted(weights, pi, rows1, rows2, joint, p)
     keep = kernel.distinct(totals, p, kernel.posteriors(joint, p), ref1, ref2, PRUNE_TOL)
-    return [actions[a] for a in keep]
+    return [actions[a] for a in np.flatnonzero(keep)]

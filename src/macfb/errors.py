@@ -87,6 +87,15 @@ class HorizonTooDeep(SolverError):
         super().__init__(f"estimated {self.estimate} tree nodes exceed the cap of {self.cap}")
 
 
+class LevelTooWide(SolverError):
+    def __init__(self, level, count, cap):
+        self.level, self.count, self.cap = int(level), int(count), int(cap)
+        super().__init__(
+            f"level {self.level} has {self.count} (state, action, output) successors "
+            f"to build, over the cap of {self.cap}"
+        )
+
+
 class GridTooLarge(SolverError):
     def __init__(self, points, cap):
         self.points, self.cap = int(points), int(cap)

@@ -20,6 +20,10 @@ actions in a few numpy operations:
 
 This is the common-information split of the state: the common belief
 carries the outputs, the private tables only the encoders' partitions.
+Every method also takes a batch of states, stacked on a leading axis of
+pi and the private tables, and then returns its results with that axis in
+front. Each state's entries are bit-identical to evaluating it alone as
+long as the batch has fewer than 8 sender cells (see ``_cell_entropy``).
 Everything here works on raw arrays and validates nothing; the validated
 belief and reward functions wrap it at the API boundary.
 """
@@ -53,20 +57,18 @@ def _row_classes(rows: np.ndarray) -> np.ndarray:
 
     A message joins the first class whose representative row matches its
     own entrywise within ROW_MATCH_TOL; labels count up from 0 in order of
-    first appearance.
+    first appearance. ``rows`` is (..., M, M) and the labels (..., M).
     """
-    close = np.max(np.abs(rows[:, None, :] - rows[None, :, :]), axis=2) <= ROW_MATCH_TOL
-    labels = np.empty(rows.shape[0], dtype=np.intp)
-    reps = []
-    for m in range(rows.shape[0]):
-        for k, rep in enumerate(reps):
-            if close[m, rep]:
-                labels[m] = k
-                break
-        else:
-            labels[m] = len(reps)
-            reps.append(m)
-    return labels
+    close = np.max(np.abs(rows[..., :, None, :] - rows[..., None, :, :]), axis=-1) <= ROW_MATCH_TOL
+    n = rows.shape[-1]
+    # rep[..., m]: the representative message of m's class
+    rep = np.empty(rows.shape[:-1], dtype=np.intp)
+    own = np.ones(rows.shape[:-2] + (1,), dtype=bool)
+    for m in range(n):
+        match = close[..., m, :m] & (rep[..., :m] == np.arange(m))
+        rep[..., m] = np.concatenate([match, own], axis=-1).argmax(axis=-1)
+    is_rep = rep == np.arange(n)
+    return np.take_along_axis(np.cumsum(is_rep, axis=-1) - 1, rep, axis=-1)
 
 
 def _distinct_encoders(tables) -> tuple:
@@ -85,15 +87,32 @@ def _cell_entropy(marginal: np.ndarray, classes: np.ndarray, symbols: np.ndarray
                   n_symbols: int) -> np.ndarray:
     """H(Y | C) in bits for every action.
 
-    marginal[a, y, m] is the joint of the output and the conditioning
+    marginal[..., a, y, m] is the joint of the output and the conditioning
     sender's message m; C groups m by (private-row class, current symbol).
+    A batch of states shares one cell count, the largest; the cells a state
+    lacks hold no mass and add exact zeros. Below 8 cells numpy sums them
+    in index order, so the padding leaves every bit as it was; from 8 on
+    its pairwise summation may regroup the terms.
     """
     n_cells = (int(classes.max()) + 1) * n_symbols
-    labels = classes[None, :] * n_symbols + symbols
-    onehot = (labels[:, :, None] == np.arange(n_cells)).astype(float)
-    cells = marginal @ onehot  # (A, Y, cells)
-    mass = cells.sum(axis=1)
-    return (_xlogx(mass) - _xlogx(cells).sum(axis=1)).sum(axis=1) / _LN2
+    labels = classes[..., None, :] * n_symbols + symbols
+    onehot = (labels[..., None] == np.arange(n_cells)).astype(float)
+    cells = marginal @ onehot  # (..., A, Y, cells)
+    mass = cells.sum(axis=-2)
+    return (_xlogx(mass) - _xlogx(cells).sum(axis=-2)).sum(axis=-1) / _LN2
+
+
+def first_rows(rows: np.ndarray) -> tuple:
+    """Distinct rows of a 2-D array, compared by their bytes, in order of
+    first appearance: (first, inverse) with ``rows[first]`` the distinct
+    rows and ``rows[i]`` equal to ``rows[first[inverse[i]]]``."""
+    rows = np.ascontiguousarray(rows)
+    flat = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.ravel()]
 
 
 class ActionKernel:
@@ -124,24 +143,25 @@ class ActionKernel:
         return len(self.actions)
 
     def joint(self, pi: np.ndarray) -> tuple:
-        """J[a, y, m1, m2] = L * pi and the predictive p[a, y]."""
-        joint = self.lik * pi
-        p = joint.reshape(joint.shape[0], joint.shape[1], -1).sum(axis=2)
+        """J[..., a, y, m1, m2] = L * pi and the predictive p[..., a, y]."""
+        joint = self.lik * pi[..., None, None, :, :]
+        p = joint.reshape(joint.shape[:-2] + (-1,)).sum(axis=-1)
         return joint, p
 
     @staticmethod
     def posteriors(joint: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """J[a, y] / p[a, y]. Entries whose p is at or below MASS_EPS are
-        impossible branches; they hold the unnormalised joint instead."""
+        """J[..., a, y] / p[..., a, y]. Entries whose p is at or below
+        MASS_EPS are impossible branches; they hold the unnormalised joint
+        instead."""
         safe = np.where(p > MASS_EPS, p, 1.0)
-        return joint / safe[:, :, None, None]
+        return joint / safe[..., None, None]
 
     def rewards(self, pi, rows1, rows2, joint, p) -> tuple:
-        """(i1, i2, i3) in bits, one (A,) array each."""
-        noise = (self.noise * pi).reshape(len(self), -1).sum(axis=1)
-        i3 = -_xlogx(p).sum(axis=1) / _LN2 - noise
-        i1 = _cell_entropy(joint.sum(axis=2), _row_classes(rows2), self.e2, self.n_x2) - noise
-        i2 = _cell_entropy(joint.sum(axis=3), _row_classes(rows1), self.e1, self.n_x1) - noise
+        """(i1, i2, i3) in bits, one (..., A) array each."""
+        noise = (self.noise * pi[..., None, :, :]).reshape(p.shape[:-1] + (-1,)).sum(axis=-1)
+        i3 = -_xlogx(p).sum(axis=-1) / _LN2 - noise
+        i1 = _cell_entropy(joint.sum(axis=-2), _row_classes(rows2), self.e2, self.n_x2) - noise
+        i2 = _cell_entropy(joint.sum(axis=-1), _row_classes(rows1), self.e1, self.n_x1) - noise
         return i1, i2, i3
 
     def weighted(self, weights, pi, rows1, rows2, joint, p) -> np.ndarray:
@@ -151,33 +171,40 @@ class ActionKernel:
 
     def refined(self, rows1, rows2) -> tuple:
         """Both private tables refined by every distinct encoder; index the
-        results with ``enc1_of[a]`` and ``enc2_of[a]``."""
+        results with ``enc1_of[a]`` and ``enc2_of[a]`` on the axis after
+        the state axes."""
         return _refine(rows1, self._same1), _refine(rows2, self._same2)
 
-    def distinct(self, totals, p, post, ref1, ref2, tol: float) -> list:
-        """Indices, ascending, of the first action of each class whose rows
-        agree after rounding to multiples of ``tol``. A row is the weighted
-        reward, the predictive distribution, the posteriors on outputs with
-        mass and both refined private tables (as returned by ``refined``)."""
-        n_actions = len(self)
-        masked = np.where((p > MASS_EPS)[:, :, None, None], post, 0.0)
+    def distinct(self, totals, p, post, ref1, ref2, tol: float) -> np.ndarray:
+        """Mask (..., A) of the first action of each class whose rows agree
+        after rounding to multiples of ``tol``, separately for every state.
+        A row is the weighted reward, the predictive distribution, the
+        posteriors on outputs with mass and both refined private tables (as
+        returned by ``refined``)."""
+        lead, n_actions = p.shape[:-2], len(self)
+        masked = np.where((p > MASS_EPS)[..., None, None], post, 0.0)
         rows = np.concatenate(
             [
-                totals[:, None],
+                totals[..., None],
                 p,
-                masked.reshape(n_actions, -1),
-                ref1[self.enc1_of].reshape(n_actions, -1),
-                ref2[self.enc2_of].reshape(n_actions, -1),
+                masked.reshape(lead + (n_actions, -1)),
+                ref1[..., self.enc1_of, :, :].reshape(lead + (n_actions, -1)),
+                ref2[..., self.enc2_of, :, :].reshape(lead + (n_actions, -1)),
             ],
-            axis=1,
+            axis=-1,
         )
         keys = np.rint(rows / tol) + 0.0  # + 0.0 folds -0.0 into 0.0
-        first = {}
-        for a, key in enumerate(keys):
-            first.setdefault(key.tobytes(), a)
-        return list(first.values())
+        # the state's position keeps the classes of different states apart
+        state = np.broadcast_to(
+            np.arange(keys[..., 0].size // n_actions, dtype=float).reshape(lead + (1, 1)),
+            lead + (n_actions, 1),
+        )
+        first, _ = first_rows(np.concatenate([state, keys], axis=-1).reshape(-1, rows.shape[-1] + 1))
+        mask = np.zeros(keys[..., 0].size, dtype=bool)
+        mask[first] = True
+        return mask.reshape(lead + (n_actions,))
 
 
 def _refine(rows: np.ndarray, same: np.ndarray) -> np.ndarray:
-    masked = rows * same
-    return masked / masked.sum(axis=2, keepdims=True)
+    masked = rows[..., None, :, :] * same
+    return masked / masked.sum(axis=-1, keepdims=True)

@@ -144,7 +144,23 @@ def test_stationary_renewal_flag(capsys):
     )
     assert code == 0
     assert doc["params"]["renewal"] == "none"
+    assert sorted(doc["params"]) == ["epsilon", "grid", "lambda", "max_iters", "renewal"]
     assert doc["values"]["gain"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_stationary_per_use_params_omit_grid_settings(capsys):
+    # per_use is solved exactly without a grid, so the grid and iteration
+    # settings would only echo options that changed nothing
+    code, doc = run_json(
+        [
+            "stationary", "--preset", "bsc_p2p", "--param", "0.1",
+            "--messages", "2,1", "--grid", "8", "--max-iters", "3",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert doc["params"] == {"lambda": [0.0, 0.0, 1.0], "renewal": "per_use"}
+    assert doc["values"]["gain"] == pytest.approx(0.5310044064107188, abs=1e-12)
 
 
 def test_region_artifacts(tmp_path, capsys):

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import make_rng, random_tree
 from macfb.belief import uniform_initial
-from macfb.channel import MessageSpace, preset
+from macfb.channel import Alphabets, MessageSpace, preset
 from macfb.encoding import (
     EncoderAction,
     EncoderFunction,
@@ -48,6 +48,18 @@ def test_policy_tree_shape_checks():
         PolicyTree(1, 2, {})  # missing the root node
     empty = PolicyTree(0, 3, {})
     assert empty.depth == 0 and empty.items() == []
+
+
+def test_policy_tree_with_many_distinct_actions():
+    # more distinct actions than one byte can index
+    actions = enumerate_actions(MessageSpace(3, 3), Alphabets(3, 3, 400))
+    nodes = {(): actions[0]}
+    nodes.update({(y,): actions[(7 * y + 1) % len(actions)] for y in range(400)})
+    tree = PolicyTree(2, 400, nodes)
+    assert len(set(nodes.values())) > 256
+    assert all(tree.action_at(hist) == action for hist, action in nodes.items())
+    assert tree.nodes == nodes
+    assert tree != PolicyTree(2, 400, {**nodes, (399,): actions[0]})
 
 
 def test_policy_csv_round_trip():

@@ -1,0 +1,285 @@
+"""The level-synchronous finite-horizon programs against the memoised
+recursions they replaced: values, policies, decoders and counters must be
+exactly equal, not merely close."""
+
+import numpy as np
+import pytest
+
+from conftest import make_rng, random_channel, random_prior
+from macfb.belief import MASS_EPS, JointBelief, initial_state
+from macfb.channel import MessageSpace, preset
+from macfb.dp import (
+    QUANT,
+    TIE_TOL,
+    _best_guesses,
+    _complete_tree,
+    _reachable,
+    solve_dsaht,
+    solve_horizon,
+)
+from macfb.encoding import PRUNE_TOL, enumerate_actions
+from macfb.errors import LevelTooWide, SolverError
+from macfb.kernel import ActionKernel
+from macfb.reward import LambdaWeights
+
+# ---------------------------------------------------------------------------
+# reference: the memoised recursions as they stood before the level engine,
+# verbatim apart from the function headers, the returned tuples and the
+# counters in cost(), which counts like value()
+
+
+def _quantized(arr: np.ndarray) -> bytes:
+    return np.rint(arr / QUANT).astype(np.int64).tobytes()
+
+
+def _state_key(t: int, pi: np.ndarray, rows1: np.ndarray, rows2: np.ndarray) -> tuple:
+    return (t, _quantized(pi), _quantized(rows1), _quantized(rows2))
+
+
+def _first_within(totals: np.ndarray, best: float) -> int:
+    """Index of the first total within TIE_TOL of ``best``."""
+    return int(np.flatnonzero(np.abs(totals - best) <= TIE_TOL)[0])
+
+
+def _add_continuation(totals: np.ndarray, p: np.ndarray, cont: np.ndarray) -> np.ndarray:
+    """totals + sum_y p[:, y] cont[:, y] over outputs with mass, added one
+    output at a time in y order."""
+    for y in range(p.shape[1]):
+        totals = totals + np.where(p[:, y] > MASS_EPS, p[:, y] * cont[:, y], 0.0)
+    return totals
+
+
+def _distinct(kernel, totals, p, post, ref1, ref2, tol: float) -> list:
+    """Indices, ascending, of the first action of each class whose rows
+    agree after rounding to multiples of ``tol``. A row is the weighted
+    reward, the predictive distribution, the posteriors on outputs with
+    mass and both refined private tables (as returned by ``refined``)."""
+    n_actions = len(kernel)
+    masked = np.where((p > MASS_EPS)[:, :, None, None], post, 0.0)
+    rows = np.concatenate(
+        [
+            totals[:, None],
+            p,
+            masked.reshape(n_actions, -1),
+            ref1[kernel.enc1_of].reshape(n_actions, -1),
+            ref2[kernel.enc2_of].reshape(n_actions, -1),
+        ],
+        axis=1,
+    )
+    keys = np.rint(rows / tol) + 0.0  # + 0.0 folds -0.0 into 0.0
+    first = {}
+    for a, key in enumerate(keys):
+        first.setdefault(key.tobytes(), a)
+    return list(first.values())
+
+
+def recursive_horizon(channel, space, weights, n, start=None, prune=False):
+    if start is None:
+        start = initial_state(space)
+    actions = enumerate_actions(space, channel.alphabets)
+    kernel = ActionKernel(channel, actions)
+    enc1_of, enc2_of = kernel.enc1_of, kernel.enc2_of
+    n_y = channel.n_outputs
+    memo = {}
+    stats = {"expanded": 0, "hits": 0}
+
+    def value(t, pi, rows1, rows2, key) -> float:
+        hit = memo.get(key)
+        if hit is not None:
+            stats["hits"] += 1
+            return hit[0]
+        stats["expanded"] += 1
+        joint, p = kernel.joint(pi)
+        totals = kernel.weighted(weights, pi, rows1, rows2, joint, p)
+        candidates = np.arange(len(actions))
+        if t < n:
+            post = kernel.posteriors(joint, p)
+            ref1, ref2 = kernel.refined(rows1, rows2)
+            if prune:
+                candidates = np.asarray(_distinct(kernel, totals, p, post, ref1, ref2, PRUNE_TOL))
+            qpost = np.rint(post / QUANT).astype(np.int64)
+            q1 = [_quantized(r) for r in ref1]
+            q2 = [_quantized(r) for r in ref2]
+            cont = np.zeros_like(p)
+            for a in candidates:
+                r1, r2 = enc1_of[a], enc2_of[a]
+                for y in range(n_y):
+                    if p[a, y] > MASS_EPS:
+                        cont[a, y] = value(
+                            t + 1, post[a, y], ref1[r1], ref2[r2],
+                            (t + 1, qpost[a, y].tobytes(), q1[r1], q2[r2]),
+                        )
+            totals = _add_continuation(totals, p, cont)
+        totals = totals[candidates]
+        best = float(totals.max())
+        memo[key] = (best, int(candidates[_first_within(totals, best)]))
+        return best
+
+    pi0, rows1, rows2 = start.pi.table, start.beta1.rows, start.beta2.rows
+    total = value(1, pi0, rows1, rows2, _state_key(1, pi0, rows1, rows2))
+
+    def choose(t, hist, pi, rows1, rows2):
+        return memo[_state_key(t, pi, rows1, rows2)][1]
+
+    nodes = {
+        hist: actions[a]
+        for t, hist, _, _, _, a, _ in _reachable(kernel, n, pi0, rows1, rows2, choose)
+        if a is not None
+    }
+    policy = _complete_tree(n, n_y, nodes, actions[0])
+    return total, policy, stats["expanded"], stats["hits"]
+
+
+def recursive_dsaht(channel, space, horizon, prior=None):
+    if prior is None:
+        prior = initial_state(space).pi
+    actions = enumerate_actions(space, channel.alphabets)
+    kernel = ActionKernel(channel, actions)
+    n_y = channel.n_outputs
+    memo = {}
+    stats = {"expanded": 0, "hits": 0}
+
+    def cost(t: int, pi: np.ndarray) -> float:
+        key = (t, _quantized(pi))
+        hit = memo.get(key)
+        if hit is not None:
+            stats["hits"] += 1
+            return hit[0]
+        stats["expanded"] += 1
+        joint, p = kernel.joint(pi)
+        post = kernel.posteriors(joint, p)
+        if t == horizon:
+            cont = 1.0 - post.reshape(p.shape + (-1,)).max(axis=2)
+        else:
+            cont = np.zeros_like(p)
+            for a in range(len(actions)):
+                for y in range(n_y):
+                    if p[a, y] > MASS_EPS:
+                        cont[a, y] = cost(t + 1, post[a, y])
+        expected = _add_continuation(np.zeros(len(actions)), p, cont)
+        best = float(expected.min())
+        memo[key] = (best, _first_within(expected, best))
+        return best
+
+    error = cost(1, prior.table)
+
+    def choose(t, hist, pi, rows1, rows2):
+        return memo[(t, _quantized(pi))][1]
+
+    nodes = {
+        hist: actions[a]
+        for t, hist, _, _, _, a, _ in _reachable(kernel, horizon, prior.table, None, None, choose)
+        if a is not None
+    }
+    policy = _complete_tree(horizon, n_y, nodes, actions[0])
+    return error, policy, stats["expanded"], stats["hits"]
+
+
+# ---------------------------------------------------------------------------
+
+W_ALL = LambdaWeights(1.0, 1.0, 1.0)
+W_MIX = LambdaWeights(0.3, 0.3, 0.4)
+
+CHANNELS = {
+    "adder": preset("adder"),
+    "multiplier": preset("multiplier"),
+    "noisy_adder": preset("noisy_adder", (0.1,)),
+}
+
+
+def _priors(space, seed):
+    """Uniform, a product and a non-product prior on ``space``."""
+    rng = make_rng(seed)
+    product = np.outer(rng.dirichlet(np.ones(space.m1)), rng.dirichlet(np.ones(space.m2)))
+    return {
+        "uniform": None,
+        "product": product / product.sum(),
+        "joint": random_prior(rng, space.m1, space.m2),
+    }
+
+
+def _horizon_cases():
+    for name in CHANNELS:
+        for m1, m2 in ((2, 2), (2, 3), (3, 3)):
+            for n in (1, 2, 3) if (m1, m2) != (3, 3) else (1, 2):
+                yield name, m1, m2, n, W_ALL, "uniform", False
+    for name in CHANNELS:
+        yield name, 2, 2, 3, W_MIX, "joint", True
+        yield name, 2, 3, 2, W_MIX, "product", True
+        yield name, 3, 3, 2, W_ALL, "joint", False
+    yield "noisy_adder", 2, 3, 3, W_MIX, "product", False
+    yield "noisy_adder", 3, 3, 2, W_MIX, "uniform", True
+
+
+@pytest.mark.parametrize("name,m1,m2,n,weights,prior,prune", list(_horizon_cases()))
+def test_horizon_equals_recursion(name, m1, m2, n, weights, prior, prune):
+    ch, space = CHANNELS[name], MessageSpace(m1, m2)
+    start = initial_state(space, _priors(space, 7 * m1 + m2)[prior])
+    total, policy, expanded, hits = recursive_horizon(ch, space, weights, n, start, prune)
+    res = solve_horizon(ch, space, weights, n, start, prune=prune)
+    assert res.total_value == total
+    assert res.value_per_step == total / n
+    assert res.policy == policy
+    assert (res.states_expanded, res.cache_hits) == (expanded, hits)
+
+
+def test_horizon_equals_recursion_sparse_channel():
+    # outputs with zero predictive mass leave holes in the successor table
+    rng = make_rng(61)
+    space = MessageSpace(2, 3)
+    for _ in range(3):
+        ch = random_channel(rng, 2, 2, 3, sparse=True)
+        start = initial_state(space, random_prior(rng, 2, 3))
+        total, policy, expanded, hits = recursive_horizon(ch, space, W_MIX, 3, start)
+        res = solve_horizon(ch, space, W_MIX, 3, start)
+        assert (res.total_value, res.policy) == (total, policy)
+        assert (res.states_expanded, res.cache_hits) == (expanded, hits)
+
+
+def test_horizon_counters_noisy_adder_3x3_n3():
+    ch, space = CHANNELS["noisy_adder"], MessageSpace(3, 3)
+    total, policy, expanded, hits = recursive_horizon(ch, space, W_MIX, 3)
+    res = solve_horizon(ch, space, W_MIX, 3)
+    assert (res.states_expanded, res.cache_hits) == (expanded, hits) == (2156, 12053)
+    assert (res.total_value, res.policy) == (total, policy)
+
+
+@pytest.mark.parametrize("name", list(CHANNELS))
+@pytest.mark.parametrize("m1,m2", [(2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("prior", ["uniform", "product", "joint"])
+def test_dsaht_equals_recursion(name, m1, m2, prior):
+    ch, space = CHANNELS[name], MessageSpace(m1, m2)
+    table = _priors(space, 5 * m1 + m2)[prior]
+    pri = None if table is None else JointBelief(table)
+    for horizon in (1, 2, 3) if (m1, m2) != (3, 3) else (1, 2):
+        error, policy, expanded, hits = recursive_dsaht(ch, space, horizon, pri)
+        res = solve_dsaht(ch, space, horizon, pri)
+        assert res.error_probability == error
+        assert res.policy == policy
+        assert res.decoder == _best_guesses(ch, policy, (pri or initial_state(space).pi).table)
+        assert (res.states_expanded, res.cache_hits) == (expanded, hits)
+
+
+def test_dsaht_counters_pinned():
+    res = solve_dsaht(preset("adder"), MessageSpace(2, 2), 2)
+    assert (res.states_expanded, res.cache_hits) == (12, 21)
+    res = solve_dsaht(preset("adder"), MessageSpace(2, 2), 0)
+    assert (res.states_expanded, res.cache_hits) == (0, 0)
+
+
+def test_level_guard_names_level_and_count():
+    # noisy_adder(0.1) 3x3, uniform prior: level 4 holds 29,130 states, so
+    # its successors would be 29,130 x 64 actions x 3 outputs
+    ch, space = CHANNELS["noisy_adder"], MessageSpace(3, 3)
+    with pytest.raises(LevelTooWide) as info:
+        solve_horizon(ch, space, W_MIX, 5)
+    assert isinstance(info.value, SolverError)
+    assert (info.value.level, info.value.count) == (4, 29130 * 64 * 3)
+    assert "level 4" in str(info.value) and str(29130 * 64 * 3) in str(info.value)
+    # level 2 holds 73 augmented states, or 67 common beliefs
+    with pytest.raises(LevelTooWide) as info:
+        solve_horizon(ch, space, W_MIX, 3, node_cap=10_000)
+    assert (info.value.level, info.value.count) == (2, 73 * 64 * 3)
+    with pytest.raises(LevelTooWide) as info:
+        solve_dsaht(ch, space, 3, node_cap=10_000)
+    assert (info.value.level, info.value.count) == (2, 67 * 64 * 3)
