@@ -263,7 +263,11 @@ def _cmd_dsaht(cfg: RunConfig, args, result: dict) -> int:
         node_cap=cfg.limits["node_cap"], action_cap=cfg.limits["action_cap"],
     )
     result["params"] = {"T": sec["T"]}
-    result["values"] = {"error_probability": res.error_probability}
+    result["values"] = {
+        "error_probability": res.error_probability,
+        "states_expanded": res.states_expanded,
+        "cache_hits": res.cache_hits,
+    }
     if cfg.output_prefix:
         if args.emit_policy and res.policy is not None:
             path = f"{cfg.output_prefix}_policy.csv"

@@ -53,7 +53,7 @@ from .encoding import (
     history_index,
 )
 from .errors import GridTooLarge, HorizonTooDeep, LevelTooWide
-from .kernel import ActionKernel, first_rows
+from .kernel import ActionKernel, first_rows, row_classes
 from .reward import LambdaWeights
 
 DEFAULT_NODE_CAP = 1_000_000
@@ -64,7 +64,11 @@ DEFAULT_STATIONARY_ITERS = 500
 QUANT = 1e-9
 
 # the finite-horizon programs put at most this many kernel entries
-# (states x actions x outputs x message pairs) through one batch
+# (states x actions x outputs x message pairs) through one batch. A 50 s
+# bench/run.py run at this value peaks at 41.5 MB RSS on horizon-wide and
+# 41.6 MB on dsaht-deep (seed 0, medians of 10 runs, 2 cores). 1 << 14 makes
+# horizon-wide solves about 20% faster but lifts the peak RSS of a run of
+# dsaht-deep solves by 0.2-0.3 MB, so the batch stays at this size.
 CHUNK_ENTRIES = 1 << 13
 
 # totals this close to the optimum count as tied; the first one wins
@@ -237,12 +241,15 @@ def _expand_chunk(expand, t: int, states: tuple, last: bool, maximise: bool, ind
 
 
 def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
-                        maximise: bool, node_cap: int) -> tuple:
+                        maximise: bool, node_cap: int, derive=None) -> tuple:
     """Level-synchronous backward induction over the distinct states of each
     time step.
 
     ``root`` holds the start state's arrays, each with a leading axis of
-    length 1. ``expand(t, *arrays)`` evaluates a batch of level-t states,
+    length 1. ``derive(*arrays)``, when given, returns more per-state
+    arrays computed once per level from the states' own, such as the row
+    classes of the private tables; they take no part in the dedupe.
+    ``expand(t, *arrays, *derived)`` evaluates a batch of level-t states,
     stacked on that axis, and returns (totals, p, candidates, gather):
 
     * totals[s, a], what the action earns before any continuation: its
@@ -286,8 +293,9 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
         if not last and n_states * n_actions * n_outputs > node_cap:
             raise LevelTooWide(t, n_states * n_actions * n_outputs, node_cap)
         chunks, reps, index = [], [], {}
+        level = states + derive(*states) if derive else states
         for lo in range(0, n_states, step):
-            chunk = tuple(x[lo : lo + step] for x in states)
+            chunk = tuple(x[lo : lo + step] for x in level)
             stored, new, n_live = _expand_chunk(expand, t, chunk, last, maximise, index)
             chunks.append(stored)
             reps.append(new)
@@ -350,9 +358,9 @@ def solve_horizon(
     kernel = ActionKernel(channel, enumerate_actions(space, channel.alphabets, cap=action_cap))
     enc1_of, enc2_of = kernel.enc1_of, kernel.enc2_of
 
-    def expand(t, pis, rows1, rows2):
+    def expand(t, pis, rows1, rows2, cls1, cls2):
         joint, p = kernel.joint(pis)
-        totals = kernel.weighted(weights, pis, rows1, rows2, joint, p)
+        totals = kernel.weighted(weights, pis, rows1, rows2, joint, p, (cls1, cls2))
         if t == n:
             return totals, p, None, None
         post = kernel.posteriors(joint, p)
@@ -364,8 +372,13 @@ def solve_horizon(
 
         return totals, p, cand, gather
 
+    def derive(pis, rows1, rows2):
+        return row_classes(rows1), row_classes(rows2)
+
     root = (start.pi.table[None], start.beta1.rows[None], start.beta2.rows[None])
-    total, policy, expanded, hits = _backward_induction(kernel, n, root, expand, True, node_cap)
+    total, policy, expanded, hits = _backward_induction(
+        kernel, n, root, expand, True, node_cap, derive
+    )
     return HorizonResult(total / n, total, policy, expanded, hits)
 
 
@@ -425,11 +438,14 @@ def solve_dsaht(
 
     def expand(t, pis):
         joint, p = kernel.joint(pis)
-        post = kernel.posteriors(joint, p)
         totals = np.zeros(p.shape[:-1])
         if t == horizon:
-            terminal = 1.0 - post.reshape(p.shape + (-1,)).max(axis=-1)
+            # 1 - max(posterior) without the posteriors: dividing by a
+            # positive mass keeps the order, and the rounding too
+            largest = joint.reshape(p.shape + (-1,)).max(axis=-1)
+            terminal = 1.0 - largest / np.where(p > MASS_EPS, p, 1.0)
             return _add_continuation(totals, p, terminal), p, None, None
+        post = kernel.posteriors(joint, p)
         return totals, p, None, lambda s, a, y: (post[s, a, y],)
 
     root = (prior.table[None],)

@@ -22,13 +22,21 @@ This is the common-information split of the state: the common belief
 carries the outputs, the private tables only the encoders' partitions.
 Every method also takes a batch of states, stacked on a leading axis of
 pi and the private tables, and then returns its results with that axis in
-front. Each state's entries are bit-identical to evaluating it alone as
-long as the batch has fewer than 8 sender cells (see ``_cell_entropy``).
+front; each state's entries are bit-identical to evaluating it alone.
+The reward sums over the short axes (messages, outputs, sender cells) are
+slice additions in index order wherever numpy's own sum adds in that
+order, and numpy's sum where it regroups the terms (``_sum``), so the
+rewards carry the bits of plain numpy reductions at a fraction of their
+cost. A caller can compute the private-row classes of a whole stack of
+states once (``row_classes``) and pass slices of them in; the horizon
+program does so once per time step rather than once per batch.
 Everything here works on raw arrays and validates nothing; the validated
 belief and reward functions wrap it at the API boundary.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -42,9 +50,29 @@ ROW_MATCH_TOL = 1e-12
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
-    """Elementwise x ln x with the 0 ln 0 = 0 convention."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(x > 0.0, x * np.log(x), 0.0)
+    """Elementwise x ln x of a non-negative array, with 0 ln 0 = +0.0."""
+    return x * np.log(np.where(x > 0.0, x, 1.0))
+
+
+def _sum(x: np.ndarray, axis: int) -> np.ndarray:
+    """``x.sum(axis)``, bit for bit, for a negative ``axis``.
+
+    Where numpy adds the terms in index order (along an axis followed by
+    more than one entry, or one shorter than 8 when nothing follows) this
+    is a chain of slice additions, which on the short axes here costs a
+    fraction of numpy's strided reduction; the final + 0.0 matches numpy's
+    start from +0.0 in the sign of a zero sum. Elsewhere numpy sums
+    pairwise and is left to it.
+    """
+    n = x.shape[axis]
+    if n < 2 or (n >= 8 and math.prod(x.shape[x.ndim + axis + 1 :]) == 1):
+        return x.sum(axis=axis)
+    tail = (slice(None),) * (-1 - axis)
+    acc = x[(..., 0) + tail] + x[(..., 1) + tail]
+    for k in range(2, n):
+        acc += x[(..., k) + tail]
+    acc += 0.0
+    return acc
 
 
 def _column_entropies(cols: np.ndarray) -> np.ndarray:
@@ -52,7 +80,7 @@ def _column_entropies(cols: np.ndarray) -> np.ndarray:
     return -_xlogx(cols).sum(axis=0) / _LN2
 
 
-def _row_classes(rows: np.ndarray) -> np.ndarray:
+def row_classes(rows: np.ndarray) -> np.ndarray:
     """Label each message by the class of private rows it belongs to.
 
     A message joins the first class whose representative row matches its
@@ -90,16 +118,23 @@ def _cell_entropy(marginal: np.ndarray, classes: np.ndarray, symbols: np.ndarray
     marginal[..., a, y, m] is the joint of the output and the conditioning
     sender's message m; C groups m by (private-row class, current symbol).
     A batch of states shares one cell count, the largest; the cells a state
-    lacks hold no mass and add exact zeros. Below 8 cells numpy sums them
-    in index order, so the padding leaves every bit as it was; from 8 on
-    its pairwise summation may regroup the terms.
+    lacks hold no mass and add exact zeros, in index order below 8 cells.
+    From 8 on numpy sums the cells pairwise, so states with fewer cells
+    are evaluated apart, by count. Either way every state gets the bits it
+    gets alone.
     """
-    n_cells = (int(classes.max()) + 1) * n_symbols
+    counts = (classes.max(axis=-1) + 1) * n_symbols
+    n_cells = int(counts.max())
+    if n_cells >= 8 and counts.min() < n_cells:
+        out = np.empty(marginal.shape[:-2])
+        for count in np.unique(counts):
+            part = counts == count
+            out[part] = _cell_entropy(marginal[part], classes[part], symbols, n_symbols)
+        return out
     labels = classes[..., None, :] * n_symbols + symbols
     onehot = (labels[..., None] == np.arange(n_cells)).astype(float)
     cells = marginal @ onehot  # (..., A, Y, cells)
-    mass = cells.sum(axis=-2)
-    return (_xlogx(mass) - _xlogx(cells).sum(axis=-2)).sum(axis=-1) / _LN2
+    return _sum(_xlogx(_sum(cells, -2)) - _sum(_xlogx(cells), -2), -1) / _LN2
 
 
 def first_rows(rows: np.ndarray) -> tuple:
@@ -156,17 +191,20 @@ class ActionKernel:
         safe = np.where(p > MASS_EPS, p, 1.0)
         return joint / safe[..., None, None]
 
-    def rewards(self, pi, rows1, rows2, joint, p) -> tuple:
-        """(i1, i2, i3) in bits, one (..., A) array each."""
+    def rewards(self, pi, rows1, rows2, joint, p, classes=None) -> tuple:
+        """(i1, i2, i3) in bits, one (..., A) array each. ``classes`` may
+        carry (row_classes(rows1), row_classes(rows2)) when the caller
+        has them already."""
+        cls1, cls2 = (row_classes(rows1), row_classes(rows2)) if classes is None else classes
         noise = (self.noise * pi[..., None, :, :]).reshape(p.shape[:-1] + (-1,)).sum(axis=-1)
-        i3 = -_xlogx(p).sum(axis=-1) / _LN2 - noise
-        i1 = _cell_entropy(joint.sum(axis=-2), _row_classes(rows2), self.e2, self.n_x2) - noise
-        i2 = _cell_entropy(joint.sum(axis=-1), _row_classes(rows1), self.e1, self.n_x1) - noise
+        i3 = -_sum(_xlogx(p), -1) / _LN2 - noise
+        i1 = _cell_entropy(_sum(joint, -2), cls2, self.e2, self.n_x2) - noise
+        i2 = _cell_entropy(_sum(joint, -1), cls1, self.e1, self.n_x1) - noise
         return i1, i2, i3
 
-    def weighted(self, weights, pi, rows1, rows2, joint, p) -> np.ndarray:
+    def weighted(self, weights, pi, rows1, rows2, joint, p, classes=None) -> np.ndarray:
         """l1 i1 + l2 i2 + l3 i3 for every action."""
-        i1, i2, i3 = self.rewards(pi, rows1, rows2, joint, p)
+        i1, i2, i3 = self.rewards(pi, rows1, rows2, joint, p, classes)
         return weights.l1 * i1 + weights.l2 * i2 + weights.l3 * i3
 
     def refined(self, rows1, rows2) -> tuple:

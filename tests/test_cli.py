@@ -230,3 +230,9 @@ def test_worker_env_does_not_change_output(tmp_path, monkeypatch, capsys):
     assert base == with_env
     monkeypatch.setenv("MACFB_WORKERS", "soon")
     assert cli.main(argv) == 1
+
+
+def test_dsaht_json_reports_counters(capsys):
+    code, doc = run_json(["dsaht", "--preset", "adder", "--messages", "2,2", "--T", "2"], capsys)
+    assert code == 0
+    assert doc["values"] == {"error_probability": 0.0, "states_expanded": 12, "cache_hits": 21}

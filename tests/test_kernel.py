@@ -1,7 +1,9 @@
-"""The batched action kernel against the per-cell reward formulas it replaced
-and against the public Bayes updates."""
+"""The batched action kernel against the per-cell reward formulas it replaced,
+against its own earlier reductions bit for bit, and against the public Bayes
+updates."""
 
 import numpy as np
+import pytest
 
 from conftest import (
     make_rng,
@@ -20,8 +22,10 @@ from macfb.belief import (
     update_joint,
     update_private,
 )
-from macfb.channel import MessageSpace
-from macfb.kernel import ActionKernel
+from macfb.channel import MessageSpace, preset
+from macfb.encoding import enumerate_actions
+from macfb.kernel import ROW_MATCH_TOL as KERNEL_ROW_MATCH_TOL
+from macfb.kernel import ActionKernel, row_classes
 
 # ---------------------------------------------------------------------------
 # reference: the per-cell formulas as they stood before the kernel, verbatim
@@ -102,6 +106,64 @@ def reward_i2(state, action, channel) -> float:
         action.e1.table,
         lambda x1: channel.kernel[:, x1, e2],
     )
+
+
+# ---------------------------------------------------------------------------
+# reference: the kernel's rewards as they stood before the in-order sums,
+# verbatim (``rewards`` as a function of the kernel)
+
+
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """Elementwise x ln x with the 0 ln 0 = 0 convention."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x > 0.0, x * np.log(x), 0.0)
+
+
+def _row_classes(rows: np.ndarray) -> np.ndarray:
+    """Label each message by the class of private rows it belongs to.
+
+    A message joins the first class whose representative row matches its
+    own entrywise within ROW_MATCH_TOL; labels count up from 0 in order of
+    first appearance. ``rows`` is (..., M, M) and the labels (..., M).
+    """
+    close = np.max(np.abs(rows[..., :, None, :] - rows[..., None, :, :]), axis=-1) <= ROW_MATCH_TOL
+    n = rows.shape[-1]
+    # rep[..., m]: the representative message of m's class
+    rep = np.empty(rows.shape[:-1], dtype=np.intp)
+    own = np.ones(rows.shape[:-2] + (1,), dtype=bool)
+    for m in range(n):
+        match = close[..., m, :m] & (rep[..., :m] == np.arange(m))
+        rep[..., m] = np.concatenate([match, own], axis=-1).argmax(axis=-1)
+    is_rep = rep == np.arange(n)
+    return np.take_along_axis(np.cumsum(is_rep, axis=-1) - 1, rep, axis=-1)
+
+
+def _cell_entropy(marginal: np.ndarray, classes: np.ndarray, symbols: np.ndarray,
+                  n_symbols: int) -> np.ndarray:
+    """H(Y | C) in bits for every action.
+
+    marginal[..., a, y, m] is the joint of the output and the conditioning
+    sender's message m; C groups m by (private-row class, current symbol).
+    A batch of states shares one cell count, the largest; the cells a state
+    lacks hold no mass and add exact zeros. Below 8 cells numpy sums them
+    in index order, so the padding leaves every bit as it was; from 8 on
+    its pairwise summation may regroup the terms.
+    """
+    n_cells = (int(classes.max()) + 1) * n_symbols
+    labels = classes[..., None, :] * n_symbols + symbols
+    onehot = (labels[..., None] == np.arange(n_cells)).astype(float)
+    cells = marginal @ onehot  # (..., A, Y, cells)
+    mass = cells.sum(axis=-2)
+    return (_xlogx(mass) - _xlogx(cells).sum(axis=-2)).sum(axis=-1) / _LN2
+
+
+def rewards(self, pi, rows1, rows2, joint, p) -> tuple:
+    """(i1, i2, i3) in bits, one (..., A) array each."""
+    noise = (self.noise * pi[..., None, :, :]).reshape(p.shape[:-1] + (-1,)).sum(axis=-1)
+    i3 = -_xlogx(p).sum(axis=-1) / _LN2 - noise
+    i1 = _cell_entropy(joint.sum(axis=-2), _row_classes(rows2), self.e2, self.n_x2) - noise
+    i2 = _cell_entropy(joint.sum(axis=-1), _row_classes(rows1), self.e1, self.n_x1) - noise
+    return i1, i2, i3
 
 
 # ---------------------------------------------------------------------------
@@ -195,3 +257,106 @@ def test_kernel_zero_mass_cells_contribute_nothing():
     joint, p = kernel.joint(table)
     for values in kernel.rewards(table, np.eye(3), np.eye(3), joint, p):
         np.testing.assert_allclose(values, 0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# bit for bit: the batched kernel against the earlier kernel, one state at a
+# time
+
+
+def _bits(values) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+
+
+def _stack(states) -> tuple:
+    return (
+        np.stack([s.pi.table for s in states]),
+        np.stack([s.beta1.rows for s in states]),
+        np.stack([s.beta2.rows for s in states]),
+    )
+
+
+def _state_batch(rng, space, alphabets, size) -> list:
+    states = []
+    while len(states) < size:
+        states.extend(_varied_states(rng, space, alphabets))
+    order = rng.permutation(len(states))
+    return [states[i] for i in order[:size]]
+
+
+def _bitwise_instances(rng):
+    """(channel, space, actions): the named channels at 2x2, 2x3 and 3x3
+    messages, a one-message sender, and an output alphabet of 9."""
+    channels = [
+        preset("adder"),
+        preset("multiplier"),
+        preset("noisy_adder", (0.1,)),
+        random_channel(rng, 3, 2, 4, sparse=True),
+        random_channel(rng, 2, 2, 9),
+    ]
+    for ch in channels:
+        for m1, m2 in ((2, 2), (2, 3), (3, 3)):
+            space = MessageSpace(m1, m2)
+            actions = enumerate_actions(space, ch.alphabets)
+            if len(actions) > 64:
+                actions = [actions[int(i)] for i in rng.choice(len(actions), 64, replace=False)]
+            yield ch, space, actions
+    ch = preset("bsc_p2p", (0.1,))
+    space = MessageSpace(2, 1)
+    yield ch, space, enumerate_actions(space, ch.alphabets)
+
+
+@pytest.mark.parametrize("batch", [1, 4, 73])
+def test_kernel_rewards_bitwise_equal_earlier_kernel_alone(batch):
+    rng = make_rng(80 + batch)
+    for ch, space, actions in _bitwise_instances(rng):
+        kernel = ActionKernel(ch, actions)
+        states = _state_batch(rng, space, ch.alphabets, batch)
+        pis, rows1, rows2 = _stack(states)
+        joint, p = kernel.joint(pis)
+        got = kernel.rewards(pis, rows1, rows2, joint, p)
+        carried = kernel.rewards(pis, rows1, rows2, joint, p, (row_classes(rows1), row_classes(rows2)))
+        for s, state in enumerate(states):
+            pi = state.pi.table
+            want = rewards(kernel, pi, state.beta1.rows, state.beta2.rows, *kernel.joint(pi))
+            for new, old, via_classes in zip(got, want, carried):
+                np.testing.assert_array_equal(_bits(new[s]), _bits(old))
+                np.testing.assert_array_equal(_bits(via_classes[s]), _bits(old))
+
+
+def test_kernel_batch_equals_one_state_at_a_time_at_nine_cells():
+    # ternary inputs and three messages a side: up to 3 row classes x 3
+    # symbols = 9 cells, where numpy sums the cells pairwise
+    rng = make_rng(90)
+    space = MessageSpace(3, 3)
+    ch = random_channel(rng, 3, 3, 3)
+    actions = [random_action(rng, space, ch.alphabets) for _ in range(40)]
+    kernel = ActionKernel(ch, actions)
+    states = _state_batch(rng, space, ch.alphabets, 120)
+    pis, rows1, rows2 = _stack(states)
+    counts = {int(row_classes(r).max()) + 1 for r in rows2}
+    assert 3 in counts and len(counts) > 1  # 9 cells and fewer, in one batch
+    joint, p = kernel.joint(pis)
+    batched = kernel.rewards(pis, rows1, rows2, joint, p)
+    for s, state in enumerate(states):
+        pi = state.pi.table
+        alone = kernel.rewards(pi, state.beta1.rows, state.beta2.rows, *kernel.joint(pi))
+        for many, one in zip(batched, alone):
+            np.testing.assert_array_equal(_bits(many[s]), _bits(one))
+
+
+def test_row_classes_do_not_chain_tolerance_matches():
+    # r0 ~ r1 and r1 ~ r2 within the tolerance, r0 !~ r2: a message joins
+    # the first class whose representative matches, which is not transitive
+    step = np.array([6e-13, -6e-13, 0.0])
+    r0 = np.array([0.5, 0.3, 0.2])
+    r1 = r0 + step
+    r2 = r1 + step
+    assert np.max(np.abs(r1 - r0)) <= KERNEL_ROW_MATCH_TOL
+    assert np.max(np.abs(r2 - r1)) <= KERNEL_ROW_MATCH_TOL
+    assert np.max(np.abs(r2 - r0)) > KERNEL_ROW_MATCH_TOL
+    rows = np.array([r0, r1, r2])
+    assert row_classes(rows).tolist() == [0, 0, 1]
+    assert _row_classes(rows).tolist() == [0, 0, 1]
+    batch = np.stack([rows, rows[::-1], np.eye(3)])
+    assert row_classes(batch).tolist() == [[0, 0, 1], [0, 0, 1], [0, 1, 2]]
