@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--label", help="instance label used in reports")
     common.add_argument(
         "--workers", type=int, default=None,
-        help="worker threads for sweeps (default MACFB_WORKERS or 1)",
+        help="accepted for older configurations; changes nothing (default MACFB_WORKERS or 1)",
     )
 
     p = sub.add_parser("validate", parents=[common], help="check a config document")

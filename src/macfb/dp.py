@@ -17,10 +17,13 @@ The two finite-horizon programs share one level-synchronous engine,
 time, so a forward pass builds every time step's distinct states from the
 previous step's as one batch: the action kernel (``macfb.kernel``)
 evaluates a stack of states for every action at once (rewards,
-predictive distributions, posteriors, refined private tables), and the
-successors are deduplicated on their coordinates quantised to QUANT,
-each represented by its first occurrence in (state, action, output)
-order. A backward pass then takes the optimum level by level, and the
+predictive distributions, posteriors, refined private tables). A Bayes
+update depends on an (action, output) pair only through the pair's
+branch, its likelihood column and encoder partitions, so the successors
+are built once per (state, branch) and deduplicated on their coordinates
+quantised to QUANT, each represented by its first occurrence in (state,
+action, output) order. A backward pass then takes the optimum level by
+level, reading each pair's mass and successor through its branch, and the
 policy follows the stored successor indices from the root. Validated
 belief objects exist only at the API boundary. Every walk over the
 beliefs a fixed policy reaches (the DSAHT decoder, ``evaluate_tree``, the
@@ -63,11 +66,14 @@ DEFAULT_STATIONARY_ITERS = 500
 # states are told apart by their coordinates quantised to this granularity
 QUANT = 1e-9
 
-# the finite-horizon programs put at most this many kernel entries
-# (states x actions x outputs x message pairs) through one batch. A 50 s
-# bench/run.py run at this value peaks at 41.5 MB RSS on horizon-wide and
-# 41.6 MB on dsaht-deep (seed 0, medians of 10 runs, 2 cores). 1 << 14 makes
-# horizon-wide solves about 20% faster but lifts the peak RSS of a run of
+# the finite-horizon programs put at most this many kernel entries through
+# one batch: states x actions x outputs x message pairs in the horizon
+# program, whose rewards need every action's joint, and states x branches x
+# message pairs in DSAHT, which evaluates only the branches (146 states a
+# chunk at noisy_adder 2x2, where the per-action joint allowed 42). A 50 s
+# bench/run.py run at this value peaks at 41.0 MB RSS on horizon-wide and
+# 41.2 MB on dsaht-deep (seed 0, medians of 10 runs, 2 cores). 1 << 14 makes
+# horizon-wide solves about 20% faster but lifted the peak RSS of a run of
 # dsaht-deep solves by 0.2-0.3 MB, so the batch stays at this size.
 CHUNK_ENTRIES = 1 << 13
 
@@ -214,34 +220,43 @@ def _best_guesses(channel: Channel, policy: PolicyTree, prior: np.ndarray) -> di
     return decoder
 
 
-def _expand_chunk(expand, t: int, states: tuple, last: bool, maximise: bool, index: dict) -> tuple:
+def _expand_chunk(expand, members, met, t: int, states: tuple, last: bool, maximise: bool,
+                  index: dict) -> tuple:
     """One chunk of a level for ``_backward_induction``: returns what the
     backward pass needs, the arrays of the successor states new to the
-    level, and the number of live successors. ``index`` maps the quantised
-    bytes of each successor state of the level to its number. At the last
-    level the chunk is chosen at once, (values, actions). Its temporaries
-    are freed when this returns, before the next chunk is evaluated."""
+    level, and the number of live (state, action, output) successors.
+    ``members[a, b]`` counts the outputs of action a in branch b and
+    ``met[a, b]`` is the first of those pairs in (action, output) order.
+    ``index`` maps the quantised bytes of each successor state of the level
+    to its number. At the last level the chunk is chosen at once, (values,
+    actions). Its temporaries are freed when this returns, before the next
+    chunk is evaluated."""
     totals, p, cand, gather = expand(t, *states)
     if last:
         return _choose(totals, cand, maximise), [], 0
-    live = p > MASS_EPS
+    # the live (action, output) pairs of every (state, branch)
+    pairs = (p > MASS_EPS) * (members.sum(axis=0) if cand is None else cand @ members)
+    s, b = np.nonzero(pairs)
     if cand is not None:
-        live &= cand[..., None]
-    s, a, y = np.nonzero(live)
-    nxt = gather(s, a, y)
+        # (state, action, output) order meets a state's branches at their
+        # first candidate pairs; without pruning that is branch order
+        first_met = np.where(cand[..., None], met, np.iinfo(met.dtype).max).min(axis=1)
+        order = np.lexsort((first_met[s, b], s))
+        s, b = s[order], b[order]
+    nxt = gather(s, b)
     q = np.concatenate([np.rint(x.reshape(len(s), -1) / QUANT).astype(np.int64) for x in nxt], axis=1)
     first, inverse = first_rows(q)
     # number the chunk's distinct successors across the level; the new ones
     # get the next numbers in their order of first occurrence
     known = len(index)
     ids = np.array([index.setdefault(row.tobytes(), len(index)) for row in q[first]])
-    succ = np.full(live.shape, -1)
-    succ[s, a, y] = ids[inverse]
-    return (totals, p, cand, succ), [x[first[ids >= known]] for x in nxt], len(s)
+    succ = np.full(p.shape, -1)
+    succ[s, b] = ids[inverse]
+    return (totals, p, cand, succ), [x[first[ids >= known]] for x in nxt], int(pairs.sum())
 
 
 def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
-                        maximise: bool, node_cap: int, derive=None) -> tuple:
+                        maximise: bool, node_cap: int, width: int, derive=None) -> tuple:
     """Level-synchronous backward induction over the distinct states of each
     time step.
 
@@ -254,20 +269,27 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
 
     * totals[s, a], what the action earns before any continuation: its
       reward, or in DSAHT the expected terminal error at the last level;
-    * p[s, a, y], the predictive distribution;
+    * p[s, b], the predictive mass of every branch of the kernel (see
+      ``macfb.kernel``), which is that of each of its (action, output)
+      pairs; unused at the last level;
     * candidates[s, a], a mask of the actions to consider, or None for all;
-    * gather(s, a, y), the successor states' arrays for index vectors s, a
-      and y; unused at the last level.
+    * gather(s, b), the successor states' arrays for index vectors s and b;
+      unused at the last level.
 
     Forward pass: level t + 1 holds the successors of level t along every
     candidate action and every output with predictive mass above MASS_EPS,
-    deduplicated on their coordinates quantised to QUANT. A new state is
-    represented by its first occurrence in (state, action, output) order,
-    so each level lists its states in depth-first first-visit order, and
-    ``succ[s, a, y]`` indexes the successor (-1 where there is none). A
-    level is built CHUNK_ENTRIES kernel entries at a time: ``np.unique``
-    dedupes a chunk's successors, and a dict over their quantised bytes
-    numbers them across the level.
+    deduplicated on their coordinates quantised to QUANT. The members of a
+    branch have bit-identical successors, so each live (state, branch) is
+    gathered, quantised and deduplicated once. A new state is represented
+    by its first occurrence in (state, action, output) order, so each level
+    lists its states in depth-first first-visit order: a state's live
+    branches are taken in the order of their first candidate pair, which
+    without candidates is branch order. ``succ[s, b]`` indexes the
+    successor (-1 where there is none), and the pair (a, y) reads it at
+    ``branch_of[a, y]``. A level is built CHUNK_ENTRIES kernel entries at a
+    time, ``width`` of them per state: ``np.unique`` dedupes a chunk's
+    successors, and a dict over their quantised bytes numbers them across
+    the level.
 
     Backward pass: each level adds its successors' values output by output,
     then takes the optimum and the first candidate within TIE_TOL of it;
@@ -282,8 +304,16 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
     Raises LevelTooWide before building the successors of a level with more
     (state, action, output) triples than ``node_cap``.
     """
-    n_actions, n_outputs = kernel.lik.shape[:2]
-    step = max(1, CHUNK_ENTRIES // kernel.lik.size)
+    branch_of = kernel.branch_of
+    n_actions, n_outputs = branch_of.shape
+    step = max(1, CHUNK_ENTRIES // width)
+    # members[a, b]: the outputs of action a in branch b; met[a, b]: the
+    # first of those pairs, as a flat index a * Y + y (A * Y for none)
+    action = np.repeat(np.arange(n_actions), n_outputs)
+    members = np.zeros((n_actions, len(kernel.branch_lik)), dtype=np.intp)
+    np.add.at(members, (action, branch_of.ravel()), 1)
+    met = np.full(members.shape, branch_of.size)
+    np.minimum.at(met, (action, branch_of.ravel()), np.arange(branch_of.size))
     levels, states = [], root
     expanded = hits = 0
     for t in range(1, depth + 1):
@@ -296,7 +326,9 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
         level = states + derive(*states) if derive else states
         for lo in range(0, n_states, step):
             chunk = tuple(x[lo : lo + step] for x in level)
-            stored, new, n_live = _expand_chunk(expand, t, chunk, last, maximise, index)
+            stored, new, n_live = _expand_chunk(
+                expand, members, met, t, chunk, last, maximise, index
+            )
             chunks.append(stored)
             reps.append(new)
             hits += n_live
@@ -309,7 +341,8 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
     best = [None] * (depth - 1) + [last_best]
     for t in reversed(range(depth - 1)):
         totals, p, cand, succ = levels[t]
-        totals = _add_continuation(totals, p, np.append(value, 0.0)[succ])
+        cont = np.append(value, 0.0)[succ]
+        totals = _add_continuation(totals, p[:, branch_of], cont[:, branch_of])
         value, best[t] = _choose(totals, cand, maximise)
 
     nodes, stack = {}, [(0, (), 0)]
@@ -318,7 +351,8 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
         a = best[t][s]
         nodes[hist] = kernel.actions[a]
         if t + 1 < depth:
-            stack.extend((t + 1, hist + (y,), j) for y, j in enumerate(levels[t][3][s, a]) if j >= 0)
+            succ = levels[t][3][s, branch_of[a]]
+            stack.extend((t + 1, hist + (y,), j) for y, j in enumerate(succ) if j >= 0)
     policy = _complete_tree(depth, n_outputs, nodes, kernel.actions[0])
     return float(value[0]), policy, expanded, hits
 
@@ -356,19 +390,25 @@ def solve_horizon(
     if start is None:
         start = initial_state(space)
     kernel = ActionKernel(channel, enumerate_actions(space, channel.alphabets, cap=action_cap))
-    enc1_of, enc2_of = kernel.enc1_of, kernel.enc2_of
+    enc1, enc2, pair = kernel.branch_enc1, kernel.branch_enc2, kernel.branch_pair
 
     def expand(t, pis, rows1, rows2, cls1, cls2):
         joint, p = kernel.joint(pis)
         totals = kernel.weighted(weights, pis, rows1, rows2, joint, p, (cls1, cls2))
         if t == n:
-            return totals, p, None, None
-        post = kernel.posteriors(joint, p)
+            return totals, None, None, None
+        # the rewards need every action's joint; the updates one per branch
+        lead = (len(pis), -1)
+        p = p.reshape(lead)[:, pair]
+        post = kernel.posteriors(joint.reshape(lead + joint.shape[-2:])[:, pair], p)
         ref1, ref2 = kernel.refined(rows1, rows2)
-        cand = kernel.distinct(totals, p, post, ref1, ref2, PRUNE_TOL) if prune else None
+        cand = None
+        if prune:
+            cand = kernel.distinct(totals, p[:, kernel.branch_of], post[:, kernel.branch_of],
+                                   ref1, ref2, PRUNE_TOL)
 
-        def gather(s, a, y):
-            return post[s, a, y], ref1[s, enc1_of[a]], ref2[s, enc2_of[a]]
+        def gather(s, b):
+            return post[s, b], ref1[s, enc1[b]], ref2[s, enc2[b]]
 
         return totals, p, cand, gather
 
@@ -377,7 +417,7 @@ def solve_horizon(
 
     root = (start.pi.table[None], start.beta1.rows[None], start.beta2.rows[None])
     total, policy, expanded, hits = _backward_induction(
-        kernel, n, root, expand, True, node_cap, derive
+        kernel, n, root, expand, True, node_cap, kernel.lik.size, derive
     )
     return HorizonResult(total / n, total, policy, expanded, hits)
 
@@ -435,22 +475,24 @@ def solve_dsaht(
     if est > node_cap:
         raise HorizonTooDeep(est, node_cap)
     kernel = ActionKernel(channel, enumerate_actions(space, channel.alphabets, cap=action_cap))
+    branch_of = kernel.branch_of
 
     def expand(t, pis):
-        joint, p = kernel.joint(pis)
-        totals = np.zeros(p.shape[:-1])
+        joint, p = kernel.branch_joint(pis)
+        totals = np.zeros((len(pis), len(kernel)))
         if t == horizon:
             # 1 - max(posterior) without the posteriors: dividing by a
             # positive mass keeps the order, and the rounding too
             largest = joint.reshape(p.shape + (-1,)).max(axis=-1)
             terminal = 1.0 - largest / np.where(p > MASS_EPS, p, 1.0)
-            return _add_continuation(totals, p, terminal), p, None, None
+            totals = _add_continuation(totals, p[:, branch_of], terminal[:, branch_of])
+            return totals, None, None, None
         post = kernel.posteriors(joint, p)
-        return totals, p, None, lambda s, a, y: (post[s, a, y],)
+        return totals, p, None, lambda s, b: (post[s, b],)
 
     root = (prior.table[None],)
     error, policy, expanded, hits = _backward_induction(
-        kernel, horizon, root, expand, False, node_cap
+        kernel, horizon, root, expand, False, node_cap, kernel.branch_lik.size
     )
     return DsahtResult(error, policy, expanded, hits, channel, prior.table)
 

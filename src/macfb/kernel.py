@@ -32,6 +32,16 @@ states once (``row_classes``) and pass slices of them in; the horizon
 program does so once per time step rather than once per batch.
 Everything here works on raw arrays and validates nothing; the validated
 belief and reward functions wrap it at the API boundary.
+
+A Bayes update depends on (a, y) only through the likelihood column
+L[a, y] and the two senders' encoder partitions, and many pairs share
+them. The kernel groups the pairs into branches once: pairs with the same
+column, compared by its bytes, and the same partition on each side. The
+members of a branch give bit-identical predictive masses, posteriors and
+refined tables from any state, because the same floating-point operations
+run on the same numbers, so a program needs one update per branch
+(``branch_joint``, and ``branch_of`` to read a pair's branch). At
+noisy_adder 2x2 the 48 pairs make 14 branches, at 3x3 the 192 make 74.
 """
 
 from __future__ import annotations
@@ -106,6 +116,16 @@ def _distinct_encoders(tables) -> tuple:
     return np.array(list(index), dtype=np.intp), of
 
 
+def _partitions(encoders: np.ndarray) -> np.ndarray:
+    """Number the message partitions the encoders induce, in first-seen
+    order: each table relabelled by first appearance of its symbols."""
+    canonical = []
+    for table in encoders.tolist():
+        labels = {}
+        canonical.append(tuple(labels.setdefault(x, len(labels)) for x in table))
+    return _distinct_encoders(canonical)[1]
+
+
 def _partition_masks(encoders: np.ndarray) -> np.ndarray:
     """same[k, m, m'] = 1 when encoder k sends m and m' to the same symbol."""
     return (encoders[:, None, :] == encoders[:, :, None]).astype(float)
@@ -155,6 +175,12 @@ class ActionKernel:
 
     ``enc1_of[a]`` and ``enc2_of[a]`` index the distinct encoders of action
     a, which is how the refined private tables are shared between actions.
+
+    Branches, numbered in order of their first (a, y): ``branch_of[a, y]``
+    is the branch of a pair, ``branch_pair[b]`` the flat index a * Y + y of
+    its first pair, ``branch_lik[b]`` its likelihood column and
+    ``branch_enc1[b]``, ``branch_enc2[b]`` the encoder indices of its first
+    pair.
     """
 
     def __init__(self, channel: Channel, actions):
@@ -173,6 +199,21 @@ class ActionKernel:
         enc2, self.enc2_of = _distinct_encoders(a.e2.table for a in self.actions)
         self._same1 = _partition_masks(enc1)
         self._same2 = _partition_masks(enc2)
+        n_actions, n_outputs = self.lik.shape[:2]
+        # the refined tables depend on an encoder through its partition only
+        keys = np.concatenate(
+            [
+                self.lik.reshape(n_actions * n_outputs, -1).view(np.int64),
+                np.repeat(_partitions(enc1)[self.enc1_of], n_outputs)[:, None],
+                np.repeat(_partitions(enc2)[self.enc2_of], n_outputs)[:, None],
+            ],
+            axis=1,
+        )
+        self.branch_pair, branch_of = first_rows(keys)
+        self.branch_of = branch_of.reshape(n_actions, n_outputs)
+        self.branch_lik = self.lik.reshape((-1,) + self.lik.shape[2:])[self.branch_pair]
+        self.branch_enc1 = self.enc1_of[self.branch_pair // n_outputs]
+        self.branch_enc2 = self.enc2_of[self.branch_pair // n_outputs]
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -180,6 +221,13 @@ class ActionKernel:
     def joint(self, pi: np.ndarray) -> tuple:
         """J[..., a, y, m1, m2] = L * pi and the predictive p[..., a, y]."""
         joint = self.lik * pi[..., None, None, :, :]
+        p = joint.reshape(joint.shape[:-2] + (-1,)).sum(axis=-1)
+        return joint, p
+
+    def branch_joint(self, pi: np.ndarray) -> tuple:
+        """J[..., b, m1, m2] = L_b * pi and the predictive p[..., b] of every
+        branch, bit for bit those of each of its pairs in ``joint``."""
+        joint = self.branch_lik * pi[..., None, :, :]
         p = joint.reshape(joint.shape[:-2] + (-1,)).sum(axis=-1)
         return joint, p
 

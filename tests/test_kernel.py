@@ -360,3 +360,79 @@ def test_row_classes_do_not_chain_tolerance_matches():
     assert _row_classes(rows).tolist() == [0, 0, 1]
     batch = np.stack([rows, rows[::-1], np.eye(3)])
     assert row_classes(batch).tolist() == [[0, 0, 1], [0, 0, 1], [0, 1, 2]]
+
+
+# ---------------------------------------------------------------------------
+# branches: the (action, output) pairs that share one Bayes update
+
+
+def _partition(table) -> tuple:
+    """Message partition of an encoder table, as a frozenset of blocks."""
+    blocks = {}
+    for m, x in enumerate(table):
+        blocks.setdefault(x, []).append(m)
+    return frozenset(tuple(b) for b in blocks.values())
+
+
+def _branch_instances():
+    rng = make_rng(95)
+    sparse = random_channel(rng, 2, 2, 3, sparse=True)
+    ternary = random_channel(rng, 3, 2, 4, sparse=True)
+    for ch in (preset("noisy_adder", (0.1,)), preset("adder"), sparse, ternary):
+        for m1, m2 in ((2, 2), (2, 3), (3, 3)):
+            space = MessageSpace(m1, m2)
+            yield ch, space, ActionKernel(ch, enumerate_actions(space, ch.alphabets))
+
+
+def test_branch_members_share_column_and_partitions():
+    for ch, space, kernel in _branch_instances():
+        n_actions, n_outputs = kernel.branch_of.shape
+        assert (n_actions, n_outputs) == (len(kernel), ch.n_outputs)
+        flat = kernel.branch_of.ravel()
+        # numbered in order of first (action, output) pair
+        firsts = [int(np.flatnonzero(flat == b)[0]) for b in range(len(kernel.branch_lik))]
+        assert firsts == sorted(firsts) == kernel.branch_pair.tolist()
+        keys = {}
+        for a, action in enumerate(kernel.actions):
+            for y in range(n_outputs):
+                column = kernel.lik[a, y].tobytes()
+                key = (column, _partition(action.e1.table), _partition(action.e2.table))
+                keys.setdefault(kernel.branch_of[a, y], set()).add(key)
+        # one key per branch, and different branches have different keys
+        assert all(len(k) == 1 for k in keys.values())
+        assert len({next(iter(k)) for k in keys.values()}) == len(keys) == len(kernel.branch_lik)
+        for b, pair in enumerate(kernel.branch_pair):
+            a, y = divmod(int(pair), n_outputs)
+            assert kernel.branch_lik[b].tobytes() == kernel.lik[a, y].tobytes()
+            assert kernel.branch_enc1[b] == kernel.enc1_of[a]
+            assert kernel.branch_enc2[b] == kernel.enc2_of[a]
+
+
+def test_branch_counts_noisy_adder():
+    ch = preset("noisy_adder", (0.1,))
+    for m, pairs, branches in ((2, 48, 14), (3, 192, 74)):
+        kernel = ActionKernel(ch, enumerate_actions(MessageSpace(m, m), ch.alphabets))
+        assert (kernel.branch_of.size, len(kernel.branch_lik)) == (pairs, branches)
+
+
+def test_branch_updates_bitwise_equal_every_member():
+    rng = make_rng(96)
+    for ch, space, kernel in _branch_instances():
+        states = _state_batch(rng, space, ch.alphabets, 6)
+        pis, rows1, rows2 = _stack(states)
+        joint, p = kernel.joint(pis)
+        post = kernel.posteriors(joint, p)
+        branch_joint, branch_p = kernel.branch_joint(pis)
+        branch_post = kernel.posteriors(branch_joint, branch_p)
+        ref1, ref2 = kernel.refined(rows1, rows2)
+        for a in range(len(kernel)):
+            b = kernel.branch_of[a]
+            np.testing.assert_array_equal(_bits(p[:, a]), _bits(branch_p[:, b]))
+            np.testing.assert_array_equal(_bits(post[:, a]), _bits(branch_post[:, b]))
+            for y in range(ch.n_outputs):
+                np.testing.assert_array_equal(
+                    _bits(ref1[:, kernel.enc1_of[a]]), _bits(ref1[:, kernel.branch_enc1[b[y]]])
+                )
+                np.testing.assert_array_equal(
+                    _bits(ref2[:, kernel.enc2_of[a]]), _bits(ref2[:, kernel.branch_enc2[b[y]]])
+                )

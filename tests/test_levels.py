@@ -11,6 +11,7 @@ from macfb.channel import MessageSpace, preset
 from macfb.dp import (
     QUANT,
     TIE_TOL,
+    _backward_induction,
     _best_guesses,
     _complete_tree,
     _reachable,
@@ -234,6 +235,63 @@ def test_horizon_equals_recursion_sparse_channel():
         res = solve_horizon(ch, space, W_MIX, 3, start)
         assert (res.total_value, res.policy) == (total, policy)
         assert (res.states_expanded, res.cache_hits) == (expanded, hits)
+
+
+def test_horizon_prune_equals_recursion_sparse_channel():
+    # pruning leaves some pairs of a branch without a candidate action, so a
+    # state meets its branches in the order of their first candidate pair
+    rng = make_rng(62)
+    space = MessageSpace(2, 3)
+    for _ in range(3):
+        ch = random_channel(rng, 2, 2, 3, sparse=True)
+        start = initial_state(space, random_prior(rng, 2, 3))
+        total, policy, expanded, hits = recursive_horizon(ch, space, W_MIX, 3, start, prune=True)
+        res = solve_horizon(ch, space, W_MIX, 3, start, prune=True)
+        assert (res.total_value, res.policy) == (total, policy)
+        assert (res.states_expanded, res.cache_hits) == (expanded, hits)
+
+
+def test_dsaht_equals_recursion_sparse_channel():
+    # zero-mass branches leave holes in the successor table
+    rng = make_rng(63)
+    for m1, m2 in ((2, 2), (2, 3)):
+        space = MessageSpace(m1, m2)
+        for _ in range(3):
+            ch = random_channel(rng, 2, 2, 3, sparse=True)
+            pri = JointBelief(random_prior(rng, m1, m2))
+            error, policy, expanded, hits = recursive_dsaht(ch, space, 3, pri)
+            res = solve_dsaht(ch, space, 3, pri)
+            assert (res.error_probability, res.policy) == (error, policy)
+            assert res.decoder == _best_guesses(ch, policy, pri.table)
+            assert (res.states_expanded, res.cache_hits) == (expanded, hits)
+
+
+@pytest.mark.parametrize("prune", [False, True])
+def test_first_candidate_pair_represents_a_state(prune):
+    # every branch leads to one state, with bits that name the branch; the
+    # representative must come from the first candidate (action, output)
+    # pair, which skips action 0 when it is pruned
+    ch = preset("adder")
+    kernel = ActionKernel(ch, enumerate_actions(MessageSpace(2, 2), ch.alphabets))
+    n_actions, n_outputs = kernel.branch_of.shape
+    n_branches = len(kernel.branch_lik)
+    cand = np.ones((1, n_actions), dtype=bool)
+    cand[0, 0] = not prune
+
+    def expand(t, x):
+        if t == 2:
+            return np.repeat(x, n_actions, axis=1), None, None, None
+        tags = 0.5 + 1e-13 * np.arange(n_branches)[:, None]
+        return np.zeros((1, n_actions)), np.ones((1, n_branches)), cand, lambda s, b: (tags[b],)
+
+    value, _, expanded, hits = _backward_induction(
+        kernel, 2, (np.zeros((1, 1)),), expand, True, 10**6, kernel.branch_lik.size
+    )
+    first = kernel.branch_of[1, 0] if prune else 0
+    assert kernel.branch_of[1, 0] != 0
+    tag = 0.5 + 1e-13 * first
+    assert value == ((0.0 + tag) + tag) + tag
+    assert (expanded, hits) == (2, int(cand.sum()) * n_outputs - 1)
 
 
 def test_horizon_counters_noisy_adder_3x3_n3():
