@@ -10,7 +10,10 @@ Three solvers:
 * solve_stationary: the long-run average reward with fully refined
   private tables. With per-use renewal it is the largest one-step reward
   at the prior, computed exactly from one kernel row; without renewal it
-  comes from relative value iteration on a simplex grid of common beliefs.
+  comes from relative value iteration on a simplex grid of common beliefs,
+  whose rewards and interpolated successors are built in one batched pass
+  (``_grid_tables``, Freudenthal interpolation with no nearest-point
+  fallback).
 
 The two finite-horizon programs share one level-synchronous engine,
 ``_backward_induction``. The state moves forward one channel use at a
@@ -501,96 +504,94 @@ def solve_dsaht(
 # stationary solver
 
 
-def _compositions(total: int, parts: int):
-    """All length-``parts`` tuples of non-negative ints summing to ``total``,
-    in lexicographic order."""
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            out.append((head,) + tail)
-    return out
+def _freudenthal(beliefs: np.ndarray, d: int) -> tuple:
+    """Vertices and barycentric weights of the simplex holding each belief
+    in Freudenthal's triangulation of the grid with spacing 1/d (Lovejoy,
+    Oper. Res. 1991).
 
-
-def _nearest_composition(scaled: np.ndarray, d: int) -> tuple:
-    base = np.floor(scaled).astype(int)
-    base = np.clip(base, 0, d)
-    rem = d - int(base.sum())
-    frac = scaled - base
-    if rem > 0:
-        for j in np.argsort(-frac, kind="stable")[:rem]:
-            base[j] += 1
-    elif rem < 0:
-        for j in np.argsort(frac, kind="stable")[: -rem]:
-            base[j] -= 1
-    return tuple(int(v) for v in base)
-
-
-class _SimplexInterpolator:
-    """Barycentric weights over the standard triangulation of the d-grid.
-
-    Beliefs are mapped through cumulative coordinates; the cell containing a
-    point is the simplex of the triangulation picked by sorting fractional
-    parts, which keeps every returned vertex inside the simplex grid. Falls
-    back to the nearest grid point if rounding ever produces an invalid
-    vertex.
+    ``beliefs`` is (N, parts). A point is written in cumulative coordinates
+    z_j = d (b_{j+1} + ... + b_{parts-1}), j < parts - 1, clipped to [0, d]
+    and made non-increasing. Vertex k steps floor(z) up by 1 in the k
+    coordinates with the largest fractional parts, ties broken by index, so
+    its weight is the gap between the (k-1)-th and k-th largest fractional
+    part (1 above the largest, 0 below the smallest). Returns the vertices
+    as (N, parts, parts - 1) int cumulative coordinates and their weights
+    (N, parts). Every vertex whose weight is positive is a grid point:
+    equal floors are stepped up in index order, so the coordinates stay
+    non-increasing, and a coordinate at d has no fractional part, so only
+    vertices of weight 0 step it past d.
     """
+    n, parts = beliefs.shape
+    suffix = np.cumsum(beliefs[:, ::-1], axis=1)[:, ::-1]
+    z = np.minimum.accumulate(np.clip(d * suffix[:, 1:], 0.0, float(d)), axis=1)
+    base = np.floor(z)
+    frac = z - base
+    order = np.argsort(-frac, axis=1, kind="stable")
+    rank = np.argsort(order, axis=1)
+    verts = base[:, None, :] + (rank[:, None, :] < np.arange(parts)[:, None])
+    fs = np.take_along_axis(frac, order, axis=1)
+    edges = np.concatenate([np.ones((n, 1)), fs, np.zeros((n, 1))], axis=1)
+    return verts.astype(np.int64), edges[:, :-1] - edges[:, 1:]
 
-    def __init__(self, d: int, parts: int, index_of: dict):
-        self.d = d
-        self.parts = parts
-        self.index_of = index_of
 
-    def weights(self, flat_belief: np.ndarray):
-        d, parts = self.d, self.parts
-        if parts == 1:
-            return [self.index_of[(d,)]], [1.0]
-        suffix = np.cumsum(flat_belief[::-1])[::-1]
-        z = np.clip(d * suffix[1:], 0.0, float(d))
-        z = np.minimum.accumulate(z)
-        base = np.floor(z)
-        frac = z - base
-        order = np.argsort(-frac, kind="stable")
-        fs = frac[order]
-        verts = [base]
-        for j in order:
-            nxt = verts[-1].copy()
-            nxt[j] += 1.0
-            verts.append(nxt)
-        idxs, ws = [], []
-        for level, vert in enumerate(verts):
-            if level == 0:
-                w = 1.0 - fs[0]
-            elif level < parts - 1:
-                w = fs[level - 1] - fs[level]
-            else:
-                w = fs[-1]
-            if w <= 1e-12:
-                continue
-            comp = self._to_composition(vert)
-            idx = self.index_of.get(comp)
-            if idx is None:
-                comp = _nearest_composition(d * flat_belief, d)
-                return [self.index_of[comp]], [1.0]
-            idxs.append(idx)
-            ws.append(float(w))
-        if not idxs:
-            comp = _nearest_composition(d * flat_belief, d)
-            return [self.index_of[comp]], [1.0]
-        return idxs, ws
+def _grid_tables(kernel: ActionKernel, weights: LambdaWeights, space: MessageSpace,
+                 resolution: int) -> tuple:
+    """Everything relative value iteration reads, built in one pass over the
+    grid of every belief with coordinates k/resolution.
 
-    def _to_composition(self, vert: np.ndarray):
-        d = self.d
-        parts = self.parts
-        comp = [d - vert[0]]
-        for j in range(1, parts - 1):
-            comp.append(vert[j - 1] - vert[j])
-        comp.append(vert[-1])
-        out = tuple(int(round(c)) for c in comp)
-        if any(c < 0 for c in out) or sum(out) != d:
-            return None
-        return out
+    Returns (rewards, rows, cols, vals, ref_idx, ref_w): the (points,
+    actions) reward table with fully refined private tables, the successor
+    structure as COO triples over the flattened (point, action) axis in
+    (point, action, output, vertex) order, and the interpolation of the
+    uniform belief. Each successor with predictive mass above MASS_EPS is
+    spread over the vertices of its Freudenthal simplex whose weight
+    exceeds 1e-12. Points are listed in lexicographic order of their
+    coordinates and evaluated CHUNK_ENTRIES kernel entries at a time.
+    """
+    d, parts, n_actions = resolution, space.pairs, len(kernel)
+    # a grid point by its cumulative coordinates d >= v_0 >= ... >= v_{parts-2}
+    # >= 0, in descending lexicographic order: its coordinates
+    # (d - v_0, v_0 - v_1, ..., v_{parts-2}) / d then ascend lexicographically
+    n_points = math.comb(d + parts - 1, parts - 1)
+    cum = np.array(
+        list(itertools.combinations_with_replacement(range(d, -1, -1), parts - 1)), dtype=np.int64
+    ).reshape(n_points, parts - 1)
+    ends = np.full((n_points, 1), d)
+    grid = -np.diff(np.concatenate([ends, cum, np.zeros_like(ends)], axis=1), axis=1) / d
+    grid = grid.reshape(n_points, space.m1, space.m2)
+    # count[q, r]: the compositions of r into q + 1 parts. The points listed
+    # before v are, by the first j where they differ from it (v_{-1} = d),
+    # count[parts - j - 1, v_{j-1}] - count[parts - j - 1, v_j] in number
+    count = np.ones((parts, d + 1), dtype=np.int64)
+    for q in range(1, parts):
+        count[q] = np.cumsum(count[q - 1])
+    tail = np.arange(parts - 1, 0, -1)
+
+    def interpolate(beliefs: np.ndarray) -> tuple:
+        """(belief, grid index, weight) of every vertex kept, in (belief,
+        vertex) order."""
+        verts, w = _freudenthal(beliefs, d)
+        which, k = np.nonzero(w > 1e-12)
+        verts = verts[which, k]
+        above = np.concatenate([np.full((len(verts), 1), d), verts[:, :-1]], axis=1)
+        return which, (count[tail, above] - count[tail, verts]).sum(axis=1), w[which, k]
+
+    eye1, eye2 = np.eye(space.m1), np.eye(space.m2)
+    rewards = np.empty((n_points, n_actions))
+    rows, cols, vals = [], [], []
+    step = max(1, CHUNK_ENTRIES // kernel.lik.size)
+    for lo in range(0, n_points, step):
+        pis = grid[lo : lo + step]
+        joint, p = kernel.joint(pis)
+        rewards[lo : lo + step] = kernel.weighted(weights, pis, eye1, eye2, joint, p)
+        s, a, y = np.nonzero(p > MASS_EPS)
+        post = kernel.posteriors(joint, p)[s, a, y].reshape(len(s), parts)
+        which, index, w = interpolate(post)
+        rows.append(((lo + s) * n_actions + a)[which])
+        cols.append(index)
+        vals.append(p[s, a, y][which] * w)
+    _, ref_idx, ref_w = interpolate(np.full((1, parts), 1.0 / parts))
+    return rewards, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), ref_idx, ref_w
 
 
 def solve_stationary(
@@ -622,9 +623,14 @@ def solve_stationary(
 
     renewal="none": plain Bayes successors on a fixed message pair, solved
     by relative value iteration on the grid of every belief with
-    coordinates k/resolution. Off-grid successors are evaluated by
-    barycentric interpolation and the update is recentred at the uniform
-    belief, whose update value is the gain estimate. Iteration stops when
+    coordinates k/resolution. The grid's rewards and successors are built
+    in one batched pass over the action kernel; off-grid successors are
+    evaluated by barycentric interpolation over their simplex in
+    Freudenthal's triangulation, whose vertices with weight are always grid
+    points, so no nearest-point fallback exists. The update is recentred
+    at the uniform belief, whose update value is the gain estimate.
+    GridTooLarge is raised when the grid has more than ``grid_cap``
+    points, counted before any point is built. Iteration stops when
     the span of successive differences falls below epsilon; running out of
     iterations is reported through the ``converged`` flag rather than an
     exception, with the partial result kept. The total extractable
@@ -637,49 +643,18 @@ def solve_stationary(
         raise ValueError("resolution must be >= 1")
     actions = enumerate_actions(space, channel.alphabets, cap=action_cap)
     kernel = ActionKernel(channel, actions)
-    eye1, eye2 = np.eye(space.m1), np.eye(space.m2)
 
     if renewal == "per_use":
         pi = (initial_state(space).pi if prior is None else prior).table
+        eye1, eye2 = np.eye(space.m1), np.eye(space.m2)
         gain = float(kernel.weighted(weights, pi, eye1, eye2, *kernel.joint(pi)).max())
         return StationaryResult(gain, 0, 0.0, True, resolution, renewal)
 
-    parts = space.pairs
-    comps = _compositions(resolution, parts)
-    n_points = len(comps)
+    n_points = math.comb(resolution + space.pairs - 1, space.pairs - 1)
     if n_points > grid_cap:
         raise GridTooLarge(n_points, grid_cap)
-    index_of = {c: i for i, c in enumerate(comps)}
-    interp = _SimplexInterpolator(resolution, parts, index_of)
+    rewards, rows, cols, vals, ref_idx, ref_w = _grid_tables(kernel, weights, space, resolution)
     n_actions = len(actions)
-    n_y = channel.n_outputs
-
-    # rewards, and the successor structure as COO triples over the flattened
-    # (state, action) axis
-    rewards = np.empty((n_points, n_actions))
-    rows, cols, vals = [], [], []
-    for i, comp in enumerate(comps):
-        pi = np.asarray(comp, dtype=float).reshape(space.m1, space.m2) / resolution
-        joint, p = kernel.joint(pi)
-        rewards[i] = kernel.weighted(weights, pi, eye1, eye2, joint, p)
-        post = kernel.posteriors(joint, p)
-        for a_i in range(n_actions):
-            for y in range(n_y):
-                if p[a_i, y] <= MASS_EPS:
-                    continue
-                idxs, ws = interp.weights(post[a_i, y].reshape(-1))
-                for idx, w in zip(idxs, ws):
-                    rows.append(i * n_actions + a_i)
-                    cols.append(idx)
-                    vals.append(float(p[a_i, y]) * w)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=float)
-
-    uniform = np.full(parts, 1.0 / parts)
-    ref_idx, ref_w = interp.weights(uniform)
-    ref_idx = np.asarray(ref_idx, dtype=np.int64)
-    ref_w = np.asarray(ref_w, dtype=float)
 
     flat_rewards = rewards.reshape(-1)
     value = np.zeros(n_points)

@@ -46,6 +46,7 @@ noisy_adder 2x2 the 48 pairs make 14 branches, at 3x3 the 192 make 74.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -180,7 +181,7 @@ class ActionKernel:
     is the branch of a pair, ``branch_pair[b]`` the flat index a * Y + y of
     its first pair, ``branch_lik[b]`` its likelihood column and
     ``branch_enc1[b]``, ``branch_enc2[b]`` the encoder indices of its first
-    pair.
+    pair. They are built on first access.
     """
 
     def __init__(self, channel: Channel, actions):
@@ -195,25 +196,39 @@ class ActionKernel:
         self.lik = np.ascontiguousarray(np.moveaxis(q[:, x1, x2], 0, 1))
         noise = _column_entropies(q.reshape(q.shape[0], -1)).reshape(q.shape[1:])
         self.noise = noise[x1, x2]
-        enc1, self.enc1_of = _distinct_encoders(a.e1.table for a in self.actions)
-        enc2, self.enc2_of = _distinct_encoders(a.e2.table for a in self.actions)
-        self._same1 = _partition_masks(enc1)
-        self._same2 = _partition_masks(enc2)
+        self._enc1, self.enc1_of = _distinct_encoders(a.e1.table for a in self.actions)
+        self._enc2, self.enc2_of = _distinct_encoders(a.e2.table for a in self.actions)
+        self._same1 = _partition_masks(self._enc1)
+        self._same2 = _partition_masks(self._enc2)
+
+    @functools.cached_property
+    def _branches(self) -> tuple:
+        """(branch_pair, branch_of, branch_lik, branch_enc1, branch_enc2),
+        built on first access: only the finite-horizon programs read them."""
         n_actions, n_outputs = self.lik.shape[:2]
         # the refined tables depend on an encoder through its partition only
         keys = np.concatenate(
             [
                 self.lik.reshape(n_actions * n_outputs, -1).view(np.int64),
-                np.repeat(_partitions(enc1)[self.enc1_of], n_outputs)[:, None],
-                np.repeat(_partitions(enc2)[self.enc2_of], n_outputs)[:, None],
+                np.repeat(_partitions(self._enc1)[self.enc1_of], n_outputs)[:, None],
+                np.repeat(_partitions(self._enc2)[self.enc2_of], n_outputs)[:, None],
             ],
             axis=1,
         )
-        self.branch_pair, branch_of = first_rows(keys)
-        self.branch_of = branch_of.reshape(n_actions, n_outputs)
-        self.branch_lik = self.lik.reshape((-1,) + self.lik.shape[2:])[self.branch_pair]
-        self.branch_enc1 = self.enc1_of[self.branch_pair // n_outputs]
-        self.branch_enc2 = self.enc2_of[self.branch_pair // n_outputs]
+        pair, branch_of = first_rows(keys)
+        return (
+            pair,
+            branch_of.reshape(n_actions, n_outputs),
+            self.lik.reshape((-1,) + self.lik.shape[2:])[pair],
+            self.enc1_of[pair // n_outputs],
+            self.enc2_of[pair // n_outputs],
+        )
+
+    branch_pair = property(lambda self: self._branches[0])
+    branch_of = property(lambda self: self._branches[1])
+    branch_lik = property(lambda self: self._branches[2])
+    branch_enc1 = property(lambda self: self._branches[3])
+    branch_enc2 = property(lambda self: self._branches[4])
 
     def __len__(self) -> int:
         return len(self.actions)

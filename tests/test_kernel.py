@@ -26,6 +26,7 @@ from macfb.channel import MessageSpace, preset
 from macfb.encoding import enumerate_actions
 from macfb.kernel import ROW_MATCH_TOL as KERNEL_ROW_MATCH_TOL
 from macfb.kernel import ActionKernel, row_classes
+from macfb.reward import LambdaWeights
 
 # ---------------------------------------------------------------------------
 # reference: the per-cell formulas as they stood before the kernel, verbatim
@@ -413,6 +414,20 @@ def test_branch_counts_noisy_adder():
     for m, pairs, branches in ((2, 48, 14), (3, 192, 74)):
         kernel = ActionKernel(ch, enumerate_actions(MessageSpace(m, m), ch.alphabets))
         assert (kernel.branch_of.size, len(kernel.branch_lik)) == (pairs, branches)
+
+
+def test_branch_map_built_on_first_access():
+    # only the finite-horizon programs read the branches; the other users of
+    # a kernel never pay for them
+    ch = preset("noisy_adder", (0.1,))
+    space = MessageSpace(2, 2)
+    kernel = ActionKernel(ch, enumerate_actions(space, ch.alphabets))
+    pi = np.full((2, 2), 0.25)
+    kernel.weighted(LambdaWeights(0.3, 0.3, 0.4), pi, np.eye(2), np.eye(2), *kernel.joint(pi))
+    kernel.refined(np.eye(2), np.eye(2))
+    assert "_branches" not in vars(kernel)
+    assert kernel.branch_of is kernel.branch_of
+    assert "_branches" in vars(kernel)
 
 
 def test_branch_updates_bitwise_equal_every_member():
