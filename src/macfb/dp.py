@@ -69,15 +69,20 @@ DEFAULT_STATIONARY_ITERS = 500
 # states are told apart by their coordinates quantised to this granularity
 QUANT = 1e-9
 
-# the finite-horizon programs put at most this many kernel entries through
-# one batch: states x actions x outputs x message pairs in the horizon
-# program, whose rewards need every action's joint, and states x branches x
-# message pairs in DSAHT, which evaluates only the branches (146 states a
-# chunk at noisy_adder 2x2, where the per-action joint allowed 42). A 50 s
-# bench/run.py run at this value peaks at 41.0 MB RSS on horizon-wide and
-# 41.2 MB on dsaht-deep (seed 0, medians of 10 runs, 2 cores). 1 << 14 makes
-# horizon-wide solves about 20% faster but lifted the peak RSS of a run of
-# dsaht-deep solves by 0.2-0.3 MB, so the batch stays at this size.
+# the finite-horizon programs put CHUNK_ENTRIES // width states through one
+# batch, where width counts one state's entries in the branch joint
+# (branches x message pairs) in DSAHT, and in the horizon program in that or
+# the rewards' noise term (actions x message pairs), whichever is larger:
+# 146 states a chunk at noisy_adder 2x2 in DSAHT, 12 at 3x3 in the horizon
+# program, where the per-action joint allowed 4. The width counts those
+# arrays only; other temporaries of a batch are larger per state, such as
+# the rewards' margin products (96 entries at noisy_adder 2x2, against a
+# width of 64) and, with prune, the rows ``distinct`` compares (3136 at 3x3,
+# against 666). A 50 s bench/run.py run at this value peaks at 41.2 MB RSS
+# on horizon-wide and on dsaht-deep (seed 0, medians of 10 runs, 2 cores).
+# 1 << 14 makes horizon-wide solves about 13% faster but lifted the peak
+# RSS of a run of dsaht-deep solves by 0.2-0.3 MB, so the batch stays at
+# this size.
 CHUNK_ENTRIES = 1 << 13
 
 # totals this close to the optimum count as tied; the first one wins
@@ -86,6 +91,12 @@ TIE_TOL = 1e-12
 
 def _quantized(arr: np.ndarray) -> bytes:
     return np.rint(arr / QUANT).astype(np.int64).tobytes()
+
+
+def _quantized_rows(arrays) -> np.ndarray:
+    """One int row per state of a stack: its arrays flattened, quantised
+    to QUANT and concatenated."""
+    return np.concatenate([np.rint(x.reshape(len(x), -1) / QUANT).astype(np.int64) for x in arrays], axis=1)
 
 
 def _add_continuation(totals: np.ndarray, p: np.ndarray, cont: np.ndarray) -> np.ndarray:
@@ -223,20 +234,21 @@ def _best_guesses(channel: Channel, policy: PolicyTree, prior: np.ndarray) -> di
     return decoder
 
 
-def _expand_chunk(expand, members, met, t: int, states: tuple, last: bool, maximise: bool,
-                  index: dict) -> tuple:
+def _expand_chunk(expand, members, met, t: int, states: tuple, last: bool,
+                  maximise: bool) -> tuple:
     """One chunk of a level for ``_backward_induction``: returns what the
-    backward pass needs, the arrays of the successor states new to the
-    level, and the number of live (state, action, output) successors.
+    backward pass needs, the arrays of the chunk's distinct successor
+    states, in order of first occurrence, with their quantised rows, and
+    the number of live (state, action, output) successors. ``succ`` in the
+    first part numbers the successors within the chunk.
     ``members[a, b]`` counts the outputs of action a in branch b and
     ``met[a, b]`` is the first of those pairs in (action, output) order.
-    ``index`` maps the quantised bytes of each successor state of the level
-    to its number. At the last level the chunk is chosen at once, (values,
-    actions). Its temporaries are freed when this returns, before the next
-    chunk is evaluated."""
+    At the last level the chunk is chosen at once, (values, actions). Its
+    temporaries are freed when this returns, before the next chunk is
+    evaluated."""
     totals, p, cand, gather = expand(t, *states)
     if last:
-        return _choose(totals, cand, maximise), [], 0
+        return _choose(totals, cand, maximise), None, 0
     # the live (action, output) pairs of every (state, branch)
     pairs = (p > MASS_EPS) * (members.sum(axis=0) if cand is None else cand @ members)
     s, b = np.nonzero(pairs)
@@ -247,15 +259,54 @@ def _expand_chunk(expand, members, met, t: int, states: tuple, last: bool, maxim
         order = np.lexsort((first_met[s, b], s))
         s, b = s[order], b[order]
     nxt = gather(s, b)
-    q = np.concatenate([np.rint(x.reshape(len(s), -1) / QUANT).astype(np.int64) for x in nxt], axis=1)
-    first, inverse = first_rows(q)
-    # number the chunk's distinct successors across the level; the new ones
-    # get the next numbers in their order of first occurrence
-    known = len(index)
-    ids = np.array([index.setdefault(row.tobytes(), len(index)) for row in q[first]])
+    rows = _quantized_rows(nxt)
+    first, inverse = first_rows(rows)
     succ = np.full(p.shape, -1)
-    succ[s, b] = ids[inverse]
-    return (totals, p, cand, succ), [x[first[ids >= known]] for x in nxt], int(pairs.sum())
+    succ[s, b] = inverse
+    return (totals, p, cand, succ), (tuple(x[first] for x in nxt), rows[first]), int(pairs.sum())
+
+
+class _LevelIndex:
+    """Numbers the distinct quantised rows of a level across its chunks, in
+    order of first occurrence.
+
+    The rows numbered so far are kept as sorted runs of their bytes, each
+    run more than twice as long as the next, so a chunk is looked up with
+    one binary search in each of O(log) runs. Every row is held once, as
+    with a dict over the rows' bytes; the last chunk's rows are sorted only
+    when another chunk comes, so a level of one chunk sorts nothing.
+    """
+
+    def __init__(self):
+        self.runs = []  # (sorted row bytes, their numbers), longest first
+        self.pending = None
+        self.count = 0
+
+    def add(self, rows: np.ndarray) -> tuple:
+        """Number a chunk's distinct rows: (numbers, positions of the rows
+        new to the level)."""
+        keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+        if self.pending is not None:
+            self._push(*self.pending)
+        number = np.full(len(keys), -1)
+        for run, ids in self.runs:
+            pos = np.minimum(np.searchsorted(run, keys), len(run) - 1)
+            hit = run[pos] == keys
+            number[hit] = ids[pos[hit]]
+        # before any run every row is new, and is kept without a copy
+        new = np.flatnonzero(number < 0) if self.runs else slice(None)
+        fresh = keys[new]
+        number[new] = np.arange(self.count, self.count + len(fresh))
+        self.count += len(fresh)
+        self.pending = (fresh, number[new]) if len(fresh) else None
+        return number, new
+
+    def _push(self, run: np.ndarray, ids: np.ndarray) -> None:
+        while self.runs and len(self.runs[-1][0]) <= 2 * len(run):
+            old, old_ids = self.runs.pop()
+            run, ids = np.concatenate([old, run]), np.concatenate([old_ids, ids])
+        order = np.argsort(run, kind="stable")
+        self.runs.append((run[order], ids[order]))
 
 
 def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
@@ -291,8 +342,7 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
     successor (-1 where there is none), and the pair (a, y) reads it at
     ``branch_of[a, y]``. A level is built CHUNK_ENTRIES kernel entries at a
     time, ``width`` of them per state: ``np.unique`` dedupes a chunk's
-    successors, and a dict over their quantised bytes numbers them across
-    the level.
+    successors, and ``_LevelIndex`` numbers them across the level.
 
     Backward pass: each level adds its successors' values output by output,
     then takes the optimum and the first candidate within TIE_TOL of it;
@@ -325,20 +375,24 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
         last = t == depth
         if not last and n_states * n_actions * n_outputs > node_cap:
             raise LevelTooWide(t, n_states * n_actions * n_outputs, node_cap)
-        chunks, reps, index = [], [], {}
+        chunks, reps, index = [], [], _LevelIndex()
         level = states + derive(*states) if derive else states
         for lo in range(0, n_states, step):
             chunk = tuple(x[lo : lo + step] for x in level)
-            stored, new, n_live = _expand_chunk(
-                expand, members, met, t, chunk, last, maximise, index
-            )
+            stored, distinct, n_live = _expand_chunk(expand, members, met, t, chunk, last, maximise)
             chunks.append(stored)
-            reps.append(new)
             hits += n_live
-        levels.append(tuple(None if part[0] is None else np.concatenate(part) for part in zip(*chunks)))
+            if not last:
+                found, rows = distinct
+                number, new = index.add(rows)
+                succ = stored[3]
+                live = succ >= 0
+                succ[live] = number[succ[live]]
+                reps.append(tuple(x[new] for x in found))
         if not last:
-            states = tuple(np.concatenate(arrays) for arrays in zip(*reps))
-            hits -= len(index)
+            states = reps[0] if len(reps) == 1 else tuple(np.concatenate(arrays) for arrays in zip(*reps))
+            hits -= index.count
+        levels.append(tuple(None if part[0] is None else np.concatenate(part) for part in zip(*chunks)))
 
     value, last_best = levels[-1]
     best = [None] * (depth - 1) + [last_best]
@@ -393,22 +447,19 @@ def solve_horizon(
     if start is None:
         start = initial_state(space)
     kernel = ActionKernel(channel, enumerate_actions(space, channel.alphabets, cap=action_cap))
-    enc1, enc2, pair = kernel.branch_enc1, kernel.branch_enc2, kernel.branch_pair
+    enc1, enc2, branch_of = kernel.branch_enc1, kernel.branch_enc2, kernel.branch_of
 
     def expand(t, pis, rows1, rows2, cls1, cls2):
-        joint, p = kernel.joint(pis)
-        totals = kernel.weighted(weights, pis, rows1, rows2, joint, p, (cls1, cls2))
+        joint, p = kernel.branch_joint(pis)
+        # the members of a branch share its predictive mass bit for bit
+        totals = kernel.weighted(weights, pis, rows1, rows2, p[:, branch_of], (cls1, cls2))
         if t == n:
             return totals, None, None, None
-        # the rewards need every action's joint; the updates one per branch
-        lead = (len(pis), -1)
-        p = p.reshape(lead)[:, pair]
-        post = kernel.posteriors(joint.reshape(lead + joint.shape[-2:])[:, pair], p)
+        post = kernel.posteriors(joint, p)
         ref1, ref2 = kernel.refined(rows1, rows2)
         cand = None
         if prune:
-            cand = kernel.distinct(totals, p[:, kernel.branch_of], post[:, kernel.branch_of],
-                                   ref1, ref2, PRUNE_TOL)
+            cand = kernel.distinct(totals, p[:, branch_of], post[:, branch_of], ref1, ref2, PRUNE_TOL)
 
         def gather(s, b):
             return post[s, b], ref1[s, enc1[b]], ref2[s, enc2[b]]
@@ -420,7 +471,7 @@ def solve_horizon(
 
     root = (start.pi.table[None], start.beta1.rows[None], start.beta2.rows[None])
     total, policy, expanded, hits = _backward_induction(
-        kernel, n, root, expand, True, node_cap, kernel.lik.size, derive
+        kernel, n, root, expand, True, node_cap, max(kernel.branch_lik.size, kernel.noise.size), derive
     )
     return HorizonResult(total / n, total, policy, expanded, hits)
 
@@ -447,7 +498,7 @@ def evaluate_tree(
     walk = walk_policy(kernel, tree, start.pi.table, start.beta1.rows, start.beta2.rows)
     for t, hist, pi, rows1, rows2, a, mass in walk:
         if a is not None:
-            acc += mass * kernel.weighted(weights, pi, rows1, rows2, *kernel.joint(pi))[a]
+            acc += mass * kernel.weighted(weights, pi, rows1, rows2, kernel.joint(pi)[1])[a]
     return float(acc) / tree.depth
 
 
@@ -583,7 +634,7 @@ def _grid_tables(kernel: ActionKernel, weights: LambdaWeights, space: MessageSpa
     for lo in range(0, n_points, step):
         pis = grid[lo : lo + step]
         joint, p = kernel.joint(pis)
-        rewards[lo : lo + step] = kernel.weighted(weights, pis, eye1, eye2, joint, p)
+        rewards[lo : lo + step] = kernel.weighted(weights, pis, eye1, eye2, p)
         s, a, y = np.nonzero(p > MASS_EPS)
         post = kernel.posteriors(joint, p)[s, a, y].reshape(len(s), parts)
         which, index, w = interpolate(post)
@@ -647,7 +698,7 @@ def solve_stationary(
     if renewal == "per_use":
         pi = (initial_state(space).pi if prior is None else prior).table
         eye1, eye2 = np.eye(space.m1), np.eye(space.m2)
-        gain = float(kernel.weighted(weights, pi, eye1, eye2, *kernel.joint(pi)).max())
+        gain = float(kernel.weighted(weights, pi, eye1, eye2, kernel.joint(pi)[1]).max())
         return StationaryResult(gain, 0, 0.0, True, resolution, renewal)
 
     n_points = math.comb(resolution + space.pairs - 1, space.pairs - 1)
@@ -723,8 +774,7 @@ def reachability_diagnostic(
     def weighted_rewards(node) -> np.ndarray:
         _, hist, pi, rows1, rows2 = node
         if hist not in rewards:
-            joint, p = kernel.joint(pi)
-            rewards[hist] = kernel.weighted(weights, pi, rows1, rows2, joint, p)
+            rewards[hist] = kernel.weighted(weights, pi, rows1, rows2, kernel.joint(pi)[1])
         return rewards[hist]
 
     conflicts = []

@@ -212,6 +212,6 @@ def prune_actions(
     pi, rows1, rows2 = state.pi.table, state.beta1.rows, state.beta2.rows
     joint, p = kernel.joint(pi)
     ref1, ref2 = kernel.refined(rows1, rows2)
-    totals = kernel.weighted(weights, pi, rows1, rows2, joint, p)
+    totals = kernel.weighted(weights, pi, rows1, rows2, p)
     keep = kernel.distinct(totals, p, kernel.posteriors(joint, p), ref1, ref2, PRUNE_TOL)
     return [actions[a] for a in np.flatnonzero(keep)]

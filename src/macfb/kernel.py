@@ -13,23 +13,31 @@ actions in a few numpy operations:
 * every posterior J[a, y] / p[a, y];
 * i3 = H(p_a) - sum_m pi Hn[a];
 * i1 = H(Y | C2) - sum_m pi Hn[a], where C2 is sender 2's cell (its
-  private-row class times its current symbol); H(Y | C2) comes from
-  grouping the columns of J by cell;
+  private-row class times its current symbol). An action reaches the
+  terms of H(Y | C2) only through sender 1's distinct encoder and, per
+  cell, the cell's symbol and set of member messages, so the terms are
+  computed once per (encoder, symbol, member set) from the margins
+  sum_m1 Q(y | e1(m1), x2) pi(m1, m2) and gathered per action (at
+  noisy_adder 3x3, 8 encoders x 2 symbols x 8 member sets for the 64
+  actions' up to 6 cells);
 * i2, the mirror of i1;
 * the refined private tables, which depend on the action only, never on y.
 
-This is the common-information split of the state: the common belief
-carries the outputs, the private tables only the encoders' partitions.
+The rewards need the state and p only, not the joint. This is the
+common-information split of the state: the common belief carries the
+outputs, the private tables only the encoders' partitions.
 Every method also takes a batch of states, stacked on a leading axis of
 pi and the private tables, and then returns its results with that axis in
 front; each state's entries are bit-identical to evaluating it alone.
 The reward sums over the short axes (messages, outputs, sender cells) are
 slice additions in index order wherever numpy's own sum adds in that
-order, and numpy's sum where it regroups the terms (``_sum``), so the
-rewards carry the bits of plain numpy reductions at a fraction of their
-cost. A caller can compute the private-row classes of a whole stack of
-states once (``row_classes``) and pass slices of them in; the horizon
-program does so once per time step rather than once per batch.
+order, and numpy's sum where it regroups the terms (``_sum``); the margins
+carry the bits of the joint's message sums and a cell adds its members in
+message order, so the rewards carry the bits of plain numpy reductions
+over the joint at a fraction of their cost. A caller can compute the
+private-row classes of a whole stack of states once (``row_classes``) and
+pass slices of them in; the horizon program does so once per time step
+rather than once per batch.
 Everything here works on raw arrays and validates nothing; the validated
 belief and reward functions wrap it at the API boundary.
 
@@ -132,30 +140,71 @@ def _partition_masks(encoders: np.ndarray) -> np.ndarray:
     return (encoders[:, None, :] == encoders[:, :, None]).astype(float)
 
 
-def _cell_entropy(marginal: np.ndarray, classes: np.ndarray, symbols: np.ndarray,
-                  n_symbols: int) -> np.ndarray:
+def _cell_tables(own: np.ndarray, other_of: np.ndarray, n_symbols: int) -> tuple:
+    """The member sets and gather tables of one conditioning sender's cells.
+
+    ``own[a]`` is this sender's encoder table in action a and
+    ``other_of[a]`` the other sender's encoder index. Returns (bits, masks,
+    base): ``bits[m, u]`` is 1 when message m is in the member set u, a
+    bitmask; ``masks[x, a]`` is the bitmask of the messages action a sends
+    to symbol x; and action a reads its cell of symbol x in a row class of
+    messages v at ``base[x, a] + (v & masks[x, a])`` in one state's (other
+    encoder, symbol, member set) terms flattened.
+    """
+    n_msgs = own.shape[1]
+    msgs = np.arange(n_msgs)
+    bits = ((np.arange(1 << n_msgs) >> msgs[:, None]) & 1).astype(float)
+    masks = ((own.T[:, None, :] == np.arange(n_symbols)[:, None]) << msgs[:, None, None]).sum(axis=0)
+    base = (other_of * n_symbols + np.arange(n_symbols)[:, None]) << n_msgs
+    return bits, masks, base
+
+
+def _cell_sum(cells: np.ndarray) -> np.ndarray:
+    """cells[..., c, a] summed over c, bit for bit ``_sum`` of the
+    (..., a, c) transpose over its last axis."""
+    if cells.shape[-2] < 8:
+        return _sum(cells, -2)
+    return np.ascontiguousarray(np.swapaxes(cells, -1, -2)).sum(axis=-1)
+
+
+def _cell_entropy(margin: np.ndarray, classes: np.ndarray, bits: np.ndarray, masks: np.ndarray,
+                  base: np.ndarray) -> np.ndarray:
     """H(Y | C) in bits for every action.
 
-    marginal[..., a, y, m] is the joint of the output and the conditioning
-    sender's message m; C groups m by (private-row class, current symbol).
-    A batch of states shares one cell count, the largest; the cells a state
-    lacks hold no mass and add exact zeros, in index order below 8 cells.
-    From 8 on numpy sums the cells pairwise, so states with fewer cells
-    are evaluated apart, by count. Either way every state gets the bits it
-    gets alone.
+    margin[..., k, x, y, m] is the joint of the output and the conditioning
+    sender's message m when that sender sends x and the other sender uses
+    its distinct encoder k; C groups m by (private-row class, current
+    symbol). The terms of a cell depend on the action only through (k, x)
+    and the cell's member set, so they are computed once for every member
+    set u, its members summed in message order, and each action's cells
+    gather them (``_cell_tables``). The empty set gives exact zeros, which
+    is what a cell that a state lacks adds. A batch of states shares one
+    cell count, the largest: in index order, below 8 cells, the padding
+    keeps every bit; from 8 on numpy sums the cells pairwise, so states
+    with fewer cells are summed apart, by count. Either way every state
+    gets the bits it gets alone.
     """
-    counts = (classes.max(axis=-1) + 1) * n_symbols
-    n_cells = int(counts.max())
-    if n_cells >= 8 and counts.min() < n_cells:
-        out = np.empty(marginal.shape[:-2])
+    sub = margin @ bits  # (..., K, X, Y, sets)
+    terms = _xlogx(_sum(sub, -2)) - _sum(_xlogx(sub), -2)
+    lead = margin.shape[:-4]
+    n_symbols = len(masks)
+    n_classes = classes.max(axis=-1) + 1
+    n_cells = int(n_classes.max()) * n_symbols
+    # members[..., j]: the messages of row class j, as a bitmask
+    members = ((classes[..., None] == np.arange(n_cells // n_symbols))
+               << np.arange(classes.shape[-1])[:, None]).sum(axis=-2)
+    flat = terms.reshape(lead + (-1,))
+    offset = np.arange(flat[..., 0].size).reshape(lead) * flat.shape[-1]
+    index = base + (members[..., None, None] & masks) + offset[..., None, None, None]
+    cells = flat.reshape(-1)[index].reshape(lead + (n_cells, -1))  # (..., class x symbol, A)
+    if n_cells >= 8 and int(n_classes.min()) * n_symbols < n_cells:
+        counts = np.broadcast_to(n_classes * n_symbols, lead)
+        out = np.empty(cells.shape[:-2] + cells.shape[-1:])
         for count in np.unique(counts):
             part = counts == count
-            out[part] = _cell_entropy(marginal[part], classes[part], symbols, n_symbols)
-        return out
-    labels = classes[..., None, :] * n_symbols + symbols
-    onehot = (labels[..., None] == np.arange(n_cells)).astype(float)
-    cells = marginal @ onehot  # (..., A, Y, cells)
-    return _sum(_xlogx(_sum(cells, -2)) - _sum(_xlogx(cells), -2), -1) / _LN2
+            out[part] = _cell_sum(cells[part][..., :count, :])
+        return out / _LN2
+    return _cell_sum(cells) / _LN2
 
 
 def first_rows(rows: np.ndarray) -> tuple:
@@ -181,7 +230,8 @@ class ActionKernel:
     is the branch of a pair, ``branch_pair[b]`` the flat index a * Y + y of
     its first pair, ``branch_lik[b]`` its likelihood column and
     ``branch_enc1[b]``, ``branch_enc2[b]`` the encoder indices of its first
-    pair. They are built on first access.
+    pair. They are built on first access, and so are the tables the
+    rewards gather their cell terms with.
     """
 
     def __init__(self, channel: Channel, actions):
@@ -200,6 +250,7 @@ class ActionKernel:
         self._enc2, self.enc2_of = _distinct_encoders(a.e2.table for a in self.actions)
         self._same1 = _partition_masks(self._enc1)
         self._same2 = _partition_masks(self._enc2)
+        self._q = q
 
     @functools.cached_property
     def _branches(self) -> tuple:
@@ -254,20 +305,38 @@ class ActionKernel:
         safe = np.where(p > MASS_EPS, p, 1.0)
         return joint / safe[..., None, None]
 
-    def rewards(self, pi, rows1, rows2, joint, p, classes=None) -> tuple:
-        """(i1, i2, i3) in bits, one (..., A) array each. ``classes`` may
-        carry (row_classes(rows1), row_classes(rows2)) when the caller
-        has them already."""
+    @functools.cached_property
+    def _cells(self) -> tuple:
+        """(lik, bits, masks, base) of sender 2's cells (i1), then of
+        sender 1's (i2), built on first access: only the rewards read them.
+        lik[k, x, y, m] = Q(y | ...) with the other sender's distinct
+        encoder k on its message m and the conditioning sender on symbol x;
+        bits, masks and base as ``_cell_tables`` returns them."""
+        q = self._q
+        return (
+            (q[:, self._enc1].transpose(1, 3, 0, 2), *_cell_tables(self.e2, self.enc1_of, self.n_x2)),
+            (q[:, :, self._enc2].transpose(2, 1, 0, 3), *_cell_tables(self.e1, self.enc2_of, self.n_x1)),
+        )
+
+    def rewards(self, pi, rows1, rows2, p, classes=None) -> tuple:
+        """(i1, i2, i3) in bits, one (..., A) array each, from the
+        predictive p[..., a, y]. ``classes`` may carry (row_classes(rows1),
+        row_classes(rows2)) when the caller has them already."""
         cls1, cls2 = (row_classes(rows1), row_classes(rows2)) if classes is None else classes
         noise = (self.noise * pi[..., None, :, :]).reshape(p.shape[:-1] + (-1,)).sum(axis=-1)
         i3 = -_sum(_xlogx(p), -1) / _LN2 - noise
-        i1 = _cell_entropy(_sum(joint, -2), cls2, self.e2, self.n_x2) - noise
-        i2 = _cell_entropy(_sum(joint, -1), cls1, self.e1, self.n_x1) - noise
+        (lik1, *cells2), (lik2, *cells1) = self._cells
+        pi = pi[..., None, None, None, :, :]
+        # the products and message sums of ``joint``, per distinct encoder
+        margin2 = _sum(lik1[..., None] * pi, -2)
+        margin1 = _sum(lik2[..., None, :] * pi, -1)
+        i1 = _cell_entropy(margin2, cls2, *cells2) - noise
+        i2 = _cell_entropy(margin1, cls1, *cells1) - noise
         return i1, i2, i3
 
-    def weighted(self, weights, pi, rows1, rows2, joint, p, classes=None) -> np.ndarray:
+    def weighted(self, weights, pi, rows1, rows2, p, classes=None) -> np.ndarray:
         """l1 i1 + l2 i2 + l3 i3 for every action."""
-        i1, i2, i3 = self.rewards(pi, rows1, rows2, joint, p, classes)
+        i1, i2, i3 = self.rewards(pi, rows1, rows2, p, classes)
         return weights.l1 * i1 + weights.l2 * i2 + weights.l3 * i3
 
     def refined(self, rows1, rows2) -> tuple:

@@ -82,8 +82,7 @@ def _components(state: AugmentedState, action, channel: Channel) -> tuple:
     """(i1, i2, i3) of one action: the action kernel on a one-action list."""
     kernel = ActionKernel(channel, [action])
     pi = state.pi.table
-    joint, p = kernel.joint(pi)
-    i1, i2, i3 = kernel.rewards(pi, state.beta1.rows, state.beta2.rows, joint, p)
+    i1, i2, i3 = kernel.rewards(pi, state.beta1.rows, state.beta2.rows, kernel.joint(pi)[1])
     return float(i1[0]), float(i2[0]), float(i3[0])
 
 

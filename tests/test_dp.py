@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_rng, random_channel, random_prior, random_tree
+from macfb import dp
 from macfb.belief import JointBelief, initial_state, uniform_initial
 from macfb.channel import MessageSpace, preset, validate_channel
 from macfb.dp import (
@@ -333,6 +334,48 @@ def test_root_action_is_first_within_tie_tolerance():
 def test_memo_counters_pinned(name, params, m, weights, expanded, hits):
     res = solve_horizon(preset(name, params), MessageSpace(m, m), LambdaWeights(*weights), 2)
     assert (res.states_expanded, res.cache_hits) == (expanded, hits)
+
+
+def test_one_state_chunks_solve_the_same(monkeypatch):
+    # built one state at a time, a level numbers its successors through
+    # many lookups in the level index's sorted runs; the results must not move
+    ch = preset("noisy_adder", (0.1,))
+    space = MessageSpace(2, 3)
+    weights = LambdaWeights(0.3, 0.3, 0.4)
+    horizon = solve_horizon(ch, space, weights, 3)
+    dsaht = solve_dsaht(ch, space, 3)
+    monkeypatch.setattr(dp, "CHUNK_ENTRIES", 1)
+    assert solve_horizon(ch, space, weights, 3) == horizon
+    small = solve_dsaht(ch, space, 3)
+    assert (small.error_probability, small.policy) == (dsaht.error_probability, dsaht.policy)
+    assert (small.states_expanded, small.cache_hits) == (dsaht.states_expanded, dsaht.cache_hits)
+    assert horizon.states_expanded > 50 and dsaht.states_expanded > 50
+
+
+def test_level_index_numbers_rows_as_one_dedupe_of_the_level():
+    # chunk by chunk, the index gives every row the number that one
+    # first_rows over the level's rows in chunk order gives it
+    from macfb.kernel import first_rows
+
+    rng = make_rng(99)
+    for _ in range(20):
+        rows = rng.integers(-2, 3, size=(int(rng.integers(1, 400)), 3)).astype(np.int64)
+        _, expected = first_rows(rows)
+        cuts = np.sort(rng.integers(0, len(rows) + 1, size=int(rng.integers(0, 30))))
+        index, got = dp._LevelIndex(), []
+        for chunk in np.split(rows, cuts):
+            first, inverse = first_rows(chunk)
+            number, _ = index.add(chunk[first])
+            got.append(number[inverse])
+        np.testing.assert_array_equal(np.concatenate(got), expected)
+        assert index.count == expected.max() + 1
+
+
+def test_noisy_adder_four_steps_pinned():
+    # value bits and counters as the per-action joint and one-hot kernel gave them
+    res = solve_horizon(preset("noisy_adder", (0.1,)), MessageSpace(3, 3), LambdaWeights(0.3, 0.3, 0.4), 4)
+    assert res.value_per_step.hex() == "0x1.fb822824c4756p-2"
+    assert (res.states_expanded, res.cache_hits) == (31286, 382667)
 
 
 def test_result_values_are_plain_floats():

@@ -13,9 +13,11 @@ from conftest import (
     random_prior,
     random_state,
 )
+from macfb import dp, encoding
 from macfb.belief import (
     AugmentedState,
     JointBelief,
+    PrivateBeliefTable,
     initial_state,
     observation_distribution,
     predictive_distribution,
@@ -214,7 +216,7 @@ def test_kernel_rewards_match_per_cell_reference():
         kernel = ActionKernel(ch, actions)
         pi = state.pi.table
         joint, p = kernel.joint(pi)
-        i1, i2, i3 = kernel.rewards(pi, state.beta1.rows, state.beta2.rows, joint, p)
+        i1, i2, i3 = kernel.rewards(pi, state.beta1.rows, state.beta2.rows, p)
         for a, action in enumerate(actions):
             ref = (reward_i1(state, action, ch), reward_i2(state, action, ch),
                    reward_i3(state, action, ch))
@@ -256,7 +258,7 @@ def test_kernel_zero_mass_cells_contribute_nothing():
     actions = [random_action(rng, space, ch.alphabets) for _ in range(10)]
     kernel = ActionKernel(ch, actions)
     joint, p = kernel.joint(table)
-    for values in kernel.rewards(table, np.eye(3), np.eye(3), joint, p):
+    for values in kernel.rewards(table, np.eye(3), np.eye(3), p):
         np.testing.assert_allclose(values, 0.0, atol=1e-12)
 
 
@@ -287,7 +289,8 @@ def _state_batch(rng, space, alphabets, size) -> list:
 
 def _bitwise_instances(rng):
     """(channel, space, actions): the named channels at 2x2, 2x3 and 3x3
-    messages, a one-message sender, and an output alphabet of 9."""
+    messages, a one-message sender, an output alphabet of 9, and a
+    4-message sender on either side."""
     channels = [
         preset("adder"),
         preset("multiplier"),
@@ -305,6 +308,11 @@ def _bitwise_instances(rng):
     ch = preset("bsc_p2p", (0.1,))
     space = MessageSpace(2, 1)
     yield ch, space, enumerate_actions(space, ch.alphabets)
+    ch = random_channel(rng, 3, 2, 4, sparse=True)
+    for m1, m2 in ((4, 2), (2, 4)):
+        space = MessageSpace(m1, m2)
+        actions = enumerate_actions(space, ch.alphabets)
+        yield ch, space, [actions[int(i)] for i in rng.choice(len(actions), 64, replace=False)]
 
 
 @pytest.mark.parametrize("batch", [1, 4, 73])
@@ -315,8 +323,8 @@ def test_kernel_rewards_bitwise_equal_earlier_kernel_alone(batch):
         states = _state_batch(rng, space, ch.alphabets, batch)
         pis, rows1, rows2 = _stack(states)
         joint, p = kernel.joint(pis)
-        got = kernel.rewards(pis, rows1, rows2, joint, p)
-        carried = kernel.rewards(pis, rows1, rows2, joint, p, (row_classes(rows1), row_classes(rows2)))
+        got = kernel.rewards(pis, rows1, rows2, p)
+        carried = kernel.rewards(pis, rows1, rows2, p, (row_classes(rows1), row_classes(rows2)))
         for s, state in enumerate(states):
             pi = state.pi.table
             want = rewards(kernel, pi, state.beta1.rows, state.beta2.rows, *kernel.joint(pi))
@@ -338,12 +346,32 @@ def test_kernel_batch_equals_one_state_at_a_time_at_nine_cells():
     counts = {int(row_classes(r).max()) + 1 for r in rows2}
     assert 3 in counts and len(counts) > 1  # 9 cells and fewer, in one batch
     joint, p = kernel.joint(pis)
-    batched = kernel.rewards(pis, rows1, rows2, joint, p)
+    batched = kernel.rewards(pis, rows1, rows2, p)
     for s, state in enumerate(states):
         pi = state.pi.table
-        alone = kernel.rewards(pi, state.beta1.rows, state.beta2.rows, *kernel.joint(pi))
+        alone = kernel.rewards(pi, state.beta1.rows, state.beta2.rows, kernel.joint(pi)[1])
         for many, one in zip(batched, alone):
             np.testing.assert_array_equal(_bits(many[s]), _bits(one))
+
+
+def test_kernel_one_cell_sender_bitwise_equal_alone_and_in_a_mixed_batch():
+    # sender 1 has one input symbol and there are 12 outputs: a state whose
+    # sender-1 rows form one class has a single i2 cell, and its bits must
+    # not depend on a two-class state in its batch padding the cells to two
+    rng = make_rng(97)
+    space = MessageSpace(2, 3)
+    for _ in range(20):
+        ch = random_channel(rng, 1, 2, 12)
+        kernel = ActionKernel(ch, enumerate_actions(space, ch.alphabets))
+        one = initial_state(space, random_prior(rng, 2, 3))
+        two = AugmentedState(JointBelief(random_prior(rng, 2, 3)), PrivateBeliefTable(np.eye(2)), one.beta2)
+        assert row_classes(one.beta1.rows).tolist() == [0, 0]
+        pis, rows1, rows2 = _stack([one, two])
+        batched = kernel.rewards(pis, rows1, rows2, kernel.joint(pis)[1])
+        pi = one.pi.table
+        alone = kernel.rewards(pi, one.beta1.rows, one.beta2.rows, kernel.joint(pi)[1])
+        for many, single in zip(batched, alone):
+            np.testing.assert_array_equal(_bits(many[0]), _bits(single))
 
 
 def test_row_classes_do_not_chain_tolerance_matches():
@@ -423,11 +451,44 @@ def test_branch_map_built_on_first_access():
     space = MessageSpace(2, 2)
     kernel = ActionKernel(ch, enumerate_actions(space, ch.alphabets))
     pi = np.full((2, 2), 0.25)
-    kernel.weighted(LambdaWeights(0.3, 0.3, 0.4), pi, np.eye(2), np.eye(2), *kernel.joint(pi))
+    kernel.weighted(LambdaWeights(0.3, 0.3, 0.4), pi, np.eye(2), np.eye(2), kernel.joint(pi)[1])
     kernel.refined(np.eye(2), np.eye(2))
     assert "_branches" not in vars(kernel)
     assert kernel.branch_of is kernel.branch_of
     assert "_branches" in vars(kernel)
+
+
+def test_reward_tables_built_on_first_reward_call(monkeypatch):
+    # the cell tables are built by the first reward evaluation, so DSAHT and
+    # its decoder, which evaluate none, never build them; the gather tables
+    # are (symbols, actions), with no entry per member set or per pattern
+    # of row classes
+    built = []
+
+    class Recorded(ActionKernel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            assert "_cells" not in vars(self)
+            built.append(self)
+
+    monkeypatch.setattr(dp, "ActionKernel", Recorded)
+    monkeypatch.setattr(encoding, "ActionKernel", Recorded)
+    ch = preset("noisy_adder", (0.1,))
+    space = MessageSpace(3, 2)
+    weights = LambdaWeights(0.3, 0.3, 0.4)
+    assert dp.solve_dsaht(ch, space, 2).decoder
+    assert len(built) == 2 and not any("_cells" in vars(k) for k in built)
+    built.clear()
+    dp.solve_stationary(ch, space, weights, 3)
+    dp.solve_stationary(ch, space, weights, 3, renewal="none")
+    encoding.prune_actions(enumerate_actions(space, ch.alphabets), random_state(make_rng(98), space),
+                           ch, weights)
+    assert len(built) == 3
+    for kernel in built:
+        assert "_branches" not in vars(kernel)
+        (_, bits2, masks2, base2), (_, bits1, masks1, base1) = kernel._cells
+        assert bits1.shape == (3, 8) and masks1.shape == base1.shape == (2, len(kernel))
+        assert bits2.shape == (2, 4) and masks2.shape == base2.shape == (2, len(kernel))
 
 
 def test_branch_updates_bitwise_equal_every_member():

@@ -91,7 +91,7 @@ def recursive_horizon(channel, space, weights, n, start=None, prune=False):
             return hit[0]
         stats["expanded"] += 1
         joint, p = kernel.joint(pi)
-        totals = kernel.weighted(weights, pi, rows1, rows2, joint, p)
+        totals = kernel.weighted(weights, pi, rows1, rows2, p)
         candidates = np.arange(len(actions))
         if t < n:
             post = kernel.posteriors(joint, p)

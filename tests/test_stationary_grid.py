@@ -134,7 +134,7 @@ def reference_grid_tables(kernel, weights, space, resolution):
     for i, comp in enumerate(comps):
         pi = np.asarray(comp, dtype=float).reshape(space.m1, space.m2) / resolution
         joint, p = kernel.joint(pi)
-        rewards[i] = kernel.weighted(weights, pi, eye1, eye2, joint, p)
+        rewards[i] = kernel.weighted(weights, pi, eye1, eye2, p)
         post = kernel.posteriors(joint, p)
         for a_i in range(n_actions):
             for y in range(n_y):
