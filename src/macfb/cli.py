@@ -19,7 +19,7 @@ import numpy as np
 from . import dp, oracle, region as region_mod
 from ._io import atomic_write_text
 from .belief import JointBelief, initial_state
-from .config import RunConfig, _validate_section, load_config, parse_config
+from .config import SECTION_DEFAULTS, RunConfig, parse_config, read_document
 from .encoding import policy_to_csv
 from .errors import ConfigError, SolverError, ValidationError
 from .reward import LambdaWeights
@@ -36,21 +36,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError("usage", message)
 
 
-def _parse_floats(text: str, fieldname: str, count: int) -> tuple:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != count:
-        raise ValidationError(fieldname, f"expected {count} comma-separated values")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise ValidationError(fieldname, f"could not parse {text!r}") from None
-
-
-def _parse_ints(text: str, fieldname: str, count: int) -> tuple:
-    vals = _parse_floats(text, fieldname, count)
-    if any(v != int(v) for v in vals):
-        raise ValidationError(fieldname, f"expected integers, got {text!r}")
-    return tuple(int(v) for v in vals)
+# the config section each subcommand reads, where its name differs
+_SECTION_OF = {"oracle-check": "oracle_check", "diagnose-reduction": "diagnose"}
 
 
 def _build_parser() -> _Parser:
@@ -76,17 +63,17 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("horizon", parents=[common], help="finite-horizon optimal value")
     p.add_argument("--n", type=int, help="horizon length")
-    p.add_argument("--lambda", dest="lam", help="reward weights 'l1,l2,l3'")
-    p.add_argument("--prune", action="store_true", help="merge equivalent actions")
+    p.add_argument("--lambda", help="reward weights 'l1,l2,l3'")
+    p.add_argument("--prune", action="store_true", default=None, help="merge equivalent actions")
     p.add_argument("--emit-policy", action="store_true", help="write <out>_policy.csv")
     p.add_argument("--emit-beliefs", action="store_true", help="write <out>_beliefs.csv")
 
     p = sub.add_parser("dsaht", parents=[common], help="minimum error probability")
-    p.add_argument("--T", dest="big_t", type=int, help="number of channel uses")
+    p.add_argument("--T", type=int, help="number of channel uses")
     p.add_argument("--emit-policy", action="store_true", help="write <out>_policy.csv")
 
     p = sub.add_parser("stationary", parents=[common], help="average-reward gain")
-    p.add_argument("--lambda", dest="lam", help="reward weights 'l1,l2,l3'")
+    p.add_argument("--lambda", help="reward weights 'l1,l2,l3'")
     p.add_argument("--grid", type=int, help="belief grid resolution")
     p.add_argument("--epsilon", type=float, help="span stopping threshold")
     p.add_argument("--max-iters", type=int, help="iteration cap")
@@ -102,50 +89,62 @@ def _build_parser() -> _Parser:
         help="compare the dynamic programs against exhaustive search",
     )
     p.add_argument("--n", type=int, help="horizon length")
-    p.add_argument("--lambda", dest="lam", help="reward weights 'l1,l2,l3'")
+    p.add_argument("--lambda", help="reward weights 'l1,l2,l3'")
 
     p = sub.add_parser(
         "diagnose-reduction", parents=[common],
         help="check whether distinct histories reuse the same belief",
     )
     p.add_argument("--n", type=int, help="horizon length")
-    p.add_argument("--lambda", dest="lam", help="reward weights 'l1,l2,l3'")
+    p.add_argument("--lambda", help="reward weights 'l1,l2,l3'")
     return parser
 
 
+def _lay(doc: dict, key: str, flags: dict) -> None:
+    """Lay the given flags over the mapping ``doc[key]``; a value that is not
+    a mapping is left for ``parse_config`` to reject."""
+    flags = {name: value for name, value in flags.items() if value is not None}
+    raw = doc.get(key)
+    if flags and (raw is None or isinstance(raw, dict)):
+        doc[key] = {**(raw or {}), **flags}
+
+
 def _config_from_args(args) -> RunConfig:
+    """Validate the config document, or the one --preset and --messages
+    describe, with the given flags laid over its keys: the top-level ones and
+    those of the command's section."""
     if args.config:
-        cfg = load_config(args.config)
+        doc = read_document(args.config)
     else:
         if not args.preset or not args.messages:
             raise ValidationError(
                 "usage", "give --config, or both --preset and --messages"
             )
-        m1, m2 = _parse_ints(args.messages, "messages", 2)
+        sizes = args.messages.split(",")
+        if len(sizes) != 2:
+            raise ValidationError("messages", "expected 2 comma-separated values")
         doc = {
             "channel": {"preset": {"name": args.preset, "params": list(args.param or [])}},
-            "messages": {"m1": m1, "m2": m2},
+            "messages": dict(zip(("m1", "m2"), sizes)),
         }
-        cfg = parse_config(doc)
+    if not isinstance(doc, dict):
+        return parse_config(doc)  # rejects it
     if args.label:
-        cfg.label = args.label
-    if args.out:
-        cfg.output_prefix = args.out
+        doc["label"] = args.label
     if args.workers is not None:
-        if args.workers < 1:
-            raise ValidationError("workers", "must be >= 1")
-        cfg.workers = args.workers
+        doc["workers"] = args.workers
     elif os.environ.get("MACFB_WORKERS"):
         try:
-            cfg.workers = max(1, int(os.environ["MACFB_WORKERS"]))
+            doc["workers"] = max(1, int(os.environ["MACFB_WORKERS"]))
         except ValueError:
             raise ValidationError("MACFB_WORKERS", "must be an integer") from None
-    return cfg
-
-
-def _override(cfg: RunConfig, section: str, key: str, value) -> None:
-    if value is not None:
-        cfg.sections.setdefault(section, {})[key] = value
+    _lay(doc, "output", {"prefix": args.out or None})
+    section = _SECTION_OF.get(args.command, args.command)
+    flags = {key: getattr(args, key, None) for key in SECTION_DEFAULTS.get(section, ())}
+    if flags.get("lambda") is not None:
+        flags["lambda"] = flags["lambda"].split(",")
+    _lay(doc, section, flags)
+    return parse_config(doc)
 
 
 def _weights(section: dict) -> LambdaWeights:
@@ -336,6 +335,7 @@ def _cmd_oracle_check(cfg: RunConfig, args, result: dict) -> int:
     ex_h = oracle.exhaustive_Cn(
         cfg.channel, cfg.space, weights, n, prior=cfg.prior,
         tree_cap=cfg.limits["tree_cap"], action_cap=cfg.limits["action_cap"],
+        table_cap=cfg.limits["table_cap"],
     )
     dp_d = dp.solve_dsaht(
         cfg.channel, cfg.space, n, prior=_prior_joint(cfg),
@@ -344,6 +344,7 @@ def _cmd_oracle_check(cfg: RunConfig, args, result: dict) -> int:
     ex_d = oracle.exhaustive_min_error(
         cfg.channel, cfg.space, n, prior=cfg.prior,
         tree_cap=cfg.limits["tree_cap"], action_cap=cfg.limits["action_cap"],
+        table_cap=cfg.limits["table_cap"],
     )
     rows = [
         (f"{cfg.label}:horizon", dp_h.value_per_step, ex_h[0]),
@@ -400,29 +401,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _config_from_args(args)
-        overrides = {
-            "horizon": [("n", "n"), ("lam", "lambda"), ("prune", "prune")],
-            "dsaht": [("big_t", "T")],
-            "stationary": [
-                ("lam", "lambda"), ("grid", "grid"), ("epsilon", "epsilon"),
-                ("max_iters", "max_iters"), ("renewal", "renewal"),
-            ],
-            "region": [("n", "n"), ("sweep", "sweep"), ("solver", "solver")],
-            "oracle-check": [("n", "n"), ("lam", "lambda")],
-            "diagnose-reduction": [("n", "n"), ("lam", "lambda")],
-        }
-        section_of = {"oracle-check": "oracle_check", "diagnose-reduction": "diagnose"}
-        for attr, key in overrides.get(args.command, []):
-            value = getattr(args, attr, None)
-            if key == "lambda" and value is not None:
-                value = _parse_floats(value, "lambda", 3)
-            if key == "prune" and not value:
-                value = None
-            _override(cfg, section_of.get(args.command, args.command), key, value)
-        # re-run section validation so CLI overrides face the same checks
-        for name in list(cfg.sections):
-            cfg.sections[name] = _validate_section(name, cfg.sections[name])
-
         result = _base_result(args.command, cfg)
         code = _HANDLERS[args.command](cfg, args, result)
     except (ConfigError, ValueError, OSError) as exc:

@@ -23,8 +23,12 @@ Layout:
     output:     {prefix: out/run}
     workers: 1
 
-Unknown top-level keys are rejected so typos fail loudly instead of being
-silently ignored.
+Unknown keys are rejected, at the top level and inside every section, so
+typos fail loudly instead of being silently ignored; ``SECTION_DEFAULTS``
+lists every key a section has. Command-line flags are laid over the keys of
+the document before ``parse_config`` runs, so they face the same checks.
+``limits.table_cap`` caps the trajectory table of each tree the
+``oracle-check`` search evaluates.
 """
 
 from __future__ import annotations
@@ -36,12 +40,7 @@ import numpy as np
 import yaml
 
 from .channel import Channel, MessageSpace, preset, validate_channel, PRESET_NAMES
-from .errors import ConfigError, ParseError, ValidationError
-
-_TOP_KEYS = {
-    "label", "channel", "messages", "prior", "horizon", "dsaht", "stationary",
-    "region", "oracle_check", "diagnose", "limits", "output", "workers",
-}
+from .errors import ParseError, ValidationError
 
 _DEFAULT_LIMITS = {
     "action_cap": 1_000_000,
@@ -51,7 +50,7 @@ _DEFAULT_LIMITS = {
     "grid_cap": 500_000,
 }
 
-_SECTION_DEFAULTS = {
+SECTION_DEFAULTS = {
     "horizon": {"n": 1, "lambda": (0.0, 0.0, 1.0), "prune": False},
     "dsaht": {"T": 1},
     "stationary": {
@@ -64,6 +63,10 @@ _SECTION_DEFAULTS = {
     "region": {"n": 1, "sweep": 3, "solver": "horizon"},
     "oracle_check": {"n": 1, "lambda": (0.0, 0.0, 1.0)},
     "diagnose": {"n": 1, "lambda": (0.0, 0.0, 1.0)},
+}
+
+_TOP_KEYS = {
+    "label", "channel", "messages", "prior", *SECTION_DEFAULTS, "limits", "output", "workers",
 }
 
 
@@ -81,7 +84,7 @@ class RunConfig:
     workers: int = 1
 
     def section(self, name: str) -> dict:
-        merged = dict(_SECTION_DEFAULTS[name])
+        merged = dict(SECTION_DEFAULTS[name])
         merged.update(self.sections.get(name, {}))
         return merged
 
@@ -92,7 +95,7 @@ def _as_int(value, fieldname: str) -> int:
             as_float = float(value)
         except (TypeError, ValueError):
             raise ValidationError(fieldname, f"expected an integer, got {value!r}") from None
-        if as_float != int(as_float):
+        if not as_float.is_integer():
             raise ValidationError(fieldname, f"expected an integer, got {value!r}")
         return int(as_float)
     return value
@@ -178,15 +181,20 @@ def _validate_section(name: str, raw) -> dict:
         return {}
     if not isinstance(raw, dict):
         raise ValidationError(name, "expected a mapping")
+    unknown = set(raw) - set(SECTION_DEFAULTS[name])
+    if unknown:
+        raise ValidationError(f"{name}.{sorted(unknown)[0]}", "unknown key")
     out = dict(raw)
     if "lambda" in out:
         out["lambda"] = _as_lambda(out["lambda"], f"{name}.lambda")
     for key in ("n", "T", "grid", "sweep", "max_iters"):
         if key in out:
             out[key] = _as_int(out[key], f"{name}.{key}")
+            if out[key] < 0:
+                raise ValidationError(f"{name}.{key}", "must be non-negative")
     if "epsilon" in out:
         out["epsilon"] = _as_float(out["epsilon"], f"{name}.epsilon")
-        if out["epsilon"] <= 0.0:
+        if not out["epsilon"] > 0.0:  # NaN included
             raise ValidationError(f"{name}.epsilon", "must be positive")
     if "prune" in out:
         if not isinstance(out["prune"], bool):
@@ -195,13 +203,10 @@ def _validate_section(name: str, raw) -> dict:
         raise ValidationError(f"{name}.solver", f"unknown solver {out['solver']!r}")
     if "renewal" in out and out["renewal"] not in ("per_use", "none"):
         raise ValidationError(f"{name}.renewal", f"unknown renewal mode {out['renewal']!r}")
-    for key in ("n", "T", "grid", "sweep", "max_iters"):
-        if key in out and out[key] < 0:
-            raise ValidationError(f"{name}.{key}", "must be non-negative")
     return out
 
 
-def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
+def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ValidationError("document", "top level must be a mapping")
     unknown = set(doc) - _TOP_KEYS
@@ -217,12 +222,10 @@ def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
 
     prior = _prior_from(doc, space)
 
-    sections = {}
-    for name in ("horizon", "dsaht", "stationary", "region", "oracle_check", "diagnose"):
-        sections[name] = _validate_section(name, doc.get(name))
+    sections = {name: _validate_section(name, doc.get(name)) for name in SECTION_DEFAULTS}
 
     limits = dict(_DEFAULT_LIMITS)
-    raw_limits = doc.get("limits") or {}
+    raw_limits = {} if doc.get("limits") is None else doc["limits"]
     if not isinstance(raw_limits, dict):
         raise ValidationError("limits", "expected a mapping")
     for key, value in raw_limits.items():
@@ -232,7 +235,7 @@ def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
         if limits[key] < 1:
             raise ValidationError(f"limits.{key}", "must be positive")
 
-    output = doc.get("output") or {}
+    output = {} if doc.get("output") is None else doc["output"]
     if not isinstance(output, dict):
         raise ValidationError("output", "expected a mapping")
     prefix = output.get("prefix")
@@ -264,8 +267,8 @@ def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
     )
 
 
-def load_config(path) -> RunConfig:
-    """Read and validate a config document from disk."""
+def read_document(path):
+    """Read a config document from disk, unvalidated."""
     text = Path(path).read_text()
     try:
         doc = yaml.safe_load(text)
@@ -276,7 +279,9 @@ def load_config(path) -> RunConfig:
         raise ParseError(line, reason) from exc
     if doc is None:
         raise ValidationError("document", "config document is empty")
-    try:
-        return parse_config(doc, source=str(path))
-    except ConfigError:
-        raise
+    return doc
+
+
+def load_config(path) -> RunConfig:
+    """Read and validate a config document from disk."""
+    return parse_config(read_document(path))

@@ -235,12 +235,12 @@ def _best_guesses(channel: Channel, policy: PolicyTree, prior: np.ndarray) -> di
 
 
 def _expand_chunk(expand, members, met, t: int, states: tuple, last: bool,
-                  maximise: bool) -> tuple:
+                  maximise: bool, index) -> tuple:
     """One chunk of a level for ``_backward_induction``: returns what the
-    backward pass needs, the arrays of the chunk's distinct successor
-    states, in order of first occurrence, with their quantised rows, and
-    the number of live (state, action, output) successors. ``succ`` in the
-    first part numbers the successors within the chunk.
+    backward pass needs, the arrays of the successor states new to the
+    level, in order of first occurrence, and the number of live (state,
+    action, output) successors. ``succ`` in the first part numbers the
+    successors as ``index`` numbers the level's states.
     ``members[a, b]`` counts the outputs of action a in branch b and
     ``met[a, b]`` is the first of those pairs in (action, output) order.
     At the last level the chunk is chosen at once, (values, actions). Its
@@ -259,11 +259,10 @@ def _expand_chunk(expand, members, met, t: int, states: tuple, last: bool,
         order = np.lexsort((first_met[s, b], s))
         s, b = s[order], b[order]
     nxt = gather(s, b)
-    rows = _quantized_rows(nxt)
-    first, inverse = first_rows(rows)
+    number, new = index.add(_quantized_rows(nxt))
     succ = np.full(p.shape, -1)
-    succ[s, b] = inverse
-    return (totals, p, cand, succ), (tuple(x[first] for x in nxt), rows[first]), int(pairs.sum())
+    succ[s, b] = number
+    return (totals, p, cand, succ), tuple(x[new] for x in nxt), int(pairs.sum())
 
 
 class _LevelIndex:
@@ -283,22 +282,26 @@ class _LevelIndex:
         self.count = 0
 
     def add(self, rows: np.ndarray) -> tuple:
-        """Number a chunk's distinct rows: (numbers, positions of the rows
-        new to the level)."""
-        keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+        """Number a chunk's rows, repeats included: (the number of every
+        row, positions of the first occurrences of the rows new to the
+        level)."""
         if self.pending is not None:
-            self._push(*self.pending)
+            # the last chunk's new rows join the runs only now
+            keys, number, new = self.pending
+            self._push(keys[new], number[new])
+        keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
         number = np.full(len(keys), -1)
         for run, ids in self.runs:
             pos = np.minimum(np.searchsorted(run, keys), len(run) - 1)
             hit = run[pos] == keys
             number[hit] = ids[pos[hit]]
-        # before any run every row is new, and is kept without a copy
-        new = np.flatnonzero(number < 0) if self.runs else slice(None)
-        fresh = keys[new]
-        number[new] = np.arange(self.count, self.count + len(fresh))
-        self.count += len(fresh)
-        self.pending = (fresh, number[new]) if len(fresh) else None
+        # before any run every row is new, and is deduped without a copy
+        miss = np.flatnonzero(number < 0) if self.runs else slice(None)
+        first, inverse = first_rows(rows[miss])
+        number[miss] = self.count + inverse
+        new = miss[first] if self.runs else first
+        self.count += len(new)
+        self.pending = (keys, number, new) if len(new) else None
         return number, new
 
     def _push(self, run: np.ndarray, ids: np.ndarray) -> None:
@@ -341,8 +344,8 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
     without candidates is branch order. ``succ[s, b]`` indexes the
     successor (-1 where there is none), and the pair (a, y) reads it at
     ``branch_of[a, y]``. A level is built CHUNK_ENTRIES kernel entries at a
-    time, ``width`` of them per state: ``np.unique`` dedupes a chunk's
-    successors, and ``_LevelIndex`` numbers them across the level.
+    time, ``width`` of them per state, and ``_LevelIndex`` numbers each
+    chunk's successors as one dedupe of the level.
 
     Backward pass: each level adds its successors' values output by output,
     then takes the optimum and the first candidate within TIE_TOL of it;
@@ -379,16 +382,10 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
         level = states + derive(*states) if derive else states
         for lo in range(0, n_states, step):
             chunk = tuple(x[lo : lo + step] for x in level)
-            stored, distinct, n_live = _expand_chunk(expand, members, met, t, chunk, last, maximise)
+            stored, found, n_live = _expand_chunk(expand, members, met, t, chunk, last, maximise, index)
             chunks.append(stored)
+            reps.append(found)
             hits += n_live
-            if not last:
-                found, rows = distinct
-                number, new = index.add(rows)
-                succ = stored[3]
-                live = succ >= 0
-                succ[live] = number[succ[live]]
-                reps.append(tuple(x[new] for x in found))
         if not last:
             states = reps[0] if len(reps) == 1 else tuple(np.concatenate(arrays) for arrays in zip(*reps))
             hits -= index.count

@@ -179,18 +179,20 @@ def exhaustive_Cn(
     prior=None,
     tree_cap: int = DEFAULT_TREE_CAP,
     action_cap: int = 1_000_000,
+    table_cap: int = DEFAULT_TABLE_CAP,
 ):
     """Maximum of evaluate_policy_In over every depth-n policy tree.
 
     Returns (value, argmax tree); the first maximiser in enumeration order
-    wins, which makes repeated runs byte-stable.
+    wins, which makes repeated runs byte-stable. ``table_cap`` caps each
+    tree's trajectory table (see ``build_trajectories``).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     best_value = -math.inf
     best_tree = None
     for tree in _all_trees(channel, space, n, tree_cap, action_cap):
-        value = evaluate_policy_In(channel, space, tree, weights, prior)
+        value = evaluate_policy_In(channel, space, tree, weights, prior, table_cap)
         if value > best_value:
             best_value = value
             best_tree = tree
@@ -228,15 +230,17 @@ def exhaustive_min_error(
     prior=None,
     tree_cap: int = DEFAULT_TREE_CAP,
     action_cap: int = 1_000_000,
+    table_cap: int = DEFAULT_TABLE_CAP,
 ):
-    """Minimum decoding-error probability over every depth-T policy tree."""
+    """Minimum decoding-error probability over every depth-T policy tree;
+    ``table_cap`` as in ``exhaustive_Cn``."""
     if horizon == 0:
         prior = _check_prior(space, prior)
         return 1.0 - float(prior.max()), PolicyTree(0, channel.n_outputs, {})
     best_error = math.inf
     best_tree = None
     for tree in _all_trees(channel, space, horizon, tree_cap, action_cap):
-        err = evaluate_scheme_error(channel, space, tree, prior)
+        err = evaluate_scheme_error(channel, space, tree, prior, table_cap)
         if err < best_error:
             best_error = err
             best_tree = tree

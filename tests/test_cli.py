@@ -68,13 +68,58 @@ def test_config_errors_exit_one(argv, capsys):
 
 
 def test_solver_error_exits_two(tmp_path, capsys):
+    # the search has 16 trees at n = 1; at n = 2 a tree's trajectory table
+    # holds 4 message pairs x 3^2 output sequences = 36 entries
+    path = tmp_path / "run.yaml"
+    for limit, n in (("tree_cap: 1", "1"), ("table_cap: 1", "2")):
+        path.write_text(
+            "channel: {preset: {name: adder}}\n"
+            "messages: {m1: 2, m2: 2}\n"
+            f"limits: {{{limit}}}\n"
+        )
+        assert cli.main(["oracle-check", "--config", str(path), "--n", n]) == 2
+
+
+def test_unknown_section_key_exits_one(tmp_path, capsys):
+    # a typo'd weight key would otherwise leave the default weights in place
     path = tmp_path / "run.yaml"
     path.write_text(
         "channel: {preset: {name: adder}}\n"
         "messages: {m1: 2, m2: 2}\n"
-        "limits: {tree_cap: 1}\n"
+        "horizon: {n: 2, lamdba: [1, 0, 0]}\n"
     )
-    assert cli.main(["oracle-check", "--config", str(path), "--n", "1"]) == 2
+    assert cli.main(["horizon", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "horizon.lamdba" in err
+
+
+@pytest.mark.parametrize(
+    "text, flags",
+    [
+        ("[1, 2]\n", ["--n", "1", "--label", "x"]),
+        ("channel: {preset: {name: adder}}\nmessages: {m1: 2, m2: 2}\nhorizon: [1]\n", ["--n", "1"]),
+        ("channel: {preset: {name: adder}}\nmessages: {m1: 2, m2: 2}\noutput: [1]\n", ["--out", "x"]),
+    ],
+)
+def test_flags_on_a_non_mapping_exit_one(tmp_path, capsys, text, flags):
+    # flags are laid only onto mappings; the rest is rejected as invalid
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    assert cli.main(["horizon", "--config", str(path), *flags]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_flags_override_the_section(tmp_path, capsys):
+    path = tmp_path / "run.yaml"
+    path.write_text(
+        "channel: {preset: {name: adder}}\n"
+        "messages: {m1: 2, m2: 2}\n"
+        "horizon: {n: 2, lambda: [1, 0, 0]}\n"
+    )
+    code, doc = run_json(["horizon", "--config", str(path), "--lambda", "0, 0,1", "--prune"], capsys)
+    assert code == 0
+    assert doc["params"] == {"n": 2, "lambda": [0.0, 0.0, 1.0], "prune": True}
 
 
 def test_horizon_json_and_artifacts(tmp_path, capsys):
@@ -228,6 +273,9 @@ def test_worker_env_does_not_change_output(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MACFB_WORKERS", "2")
     _, with_env = run(argv, capsys)
     assert base == with_env
+    monkeypatch.setenv("MACFB_WORKERS", "0")
+    _, clamped = run(argv, capsys)
+    assert clamped == base
     monkeypatch.setenv("MACFB_WORKERS", "soon")
     assert cli.main(argv) == 1
 

@@ -1,7 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
-from macfb.config import load_config, parse_config
+from macfb.config import SECTION_DEFAULTS, load_config, parse_config
 from macfb.errors import ParseError, ValidationError
 
 
@@ -87,6 +91,10 @@ def test_numeric_strings_accepted():
         lambda d: d.update(workers=0),
         lambda d: d.update(label=7),
         lambda d: d.update(output={"prefix": 9}),
+        lambda d: d.update(horizon={"lamdba": [1, 0, 0]}),
+        lambda d: d.update(dsaht={"prune": True}),
+        lambda d: d.update(messages={"m1": float("inf"), "m2": 2}),
+        lambda d: d.update(stationary={"epsilon": float("nan")}),
     ],
 )
 def test_rejected_documents(mutate):
@@ -130,3 +138,14 @@ def test_empty_document_rejected(tmp_path):
     path.write_text("\n")
     with pytest.raises(ValidationError):
         load_config(path)
+
+
+def test_readme_config_example_covers_the_schema():
+    # the README's example document is valid and names every section key,
+    # so the docs cannot drift from the schema
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+    doc = yaml.safe_load(example)
+    parse_config(doc)
+    for name, defaults in SECTION_DEFAULTS.items():
+        assert set(doc[name]) == set(defaults), name

@@ -354,21 +354,30 @@ def test_one_state_chunks_solve_the_same(monkeypatch):
 
 def test_level_index_numbers_rows_as_one_dedupe_of_the_level():
     # chunk by chunk, the index gives every row the number that one
-    # first_rows over the level's rows in chunk order gives it
+    # first_rows over the level's rows in chunk order gives it, whether a
+    # chunk comes deduped or raw, with its repeats
     from macfb.kernel import first_rows
 
     rng = make_rng(99)
-    for _ in range(20):
-        rows = rng.integers(-2, 3, size=(int(rng.integers(1, 400)), 3)).astype(np.int64)
-        _, expected = first_rows(rows)
-        cuts = np.sort(rng.integers(0, len(rows) + 1, size=int(rng.integers(0, 30))))
-        index, got = dp._LevelIndex(), []
-        for chunk in np.split(rows, cuts):
-            first, inverse = first_rows(chunk)
-            number, _ = index.add(chunk[first])
-            got.append(number[inverse])
-        np.testing.assert_array_equal(np.concatenate(got), expected)
-        assert index.count == expected.max() + 1
+    for raw in (False, True):
+        for _ in range(20):
+            rows = rng.integers(-2, 3, size=(int(rng.integers(1, 400)), 3)).astype(np.int64)
+            level_first, expected = first_rows(rows)
+            cuts = np.sort(rng.integers(0, len(rows) + 1, size=int(rng.integers(0, 30))))
+            index, got, firsts = dp._LevelIndex(), [], []
+            for lo, chunk in zip(np.concatenate([[0], cuts]), np.split(rows, cuts)):
+                first, inverse = first_rows(chunk)
+                if raw:
+                    number, new = index.add(chunk)
+                    firsts.append(lo + new)
+                else:
+                    number, new = index.add(chunk[first])
+                    firsts.append(lo + first[new])
+                    number = number[inverse]
+                got.append(number)
+            np.testing.assert_array_equal(np.concatenate(got), expected)
+            np.testing.assert_array_equal(np.concatenate(firsts), level_first)
+            assert index.count == expected.max() + 1
 
 
 def test_noisy_adder_four_steps_pinned():
