@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -54,10 +53,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--messages", help="message set sizes as 'm1,m2'")
     common.add_argument("--out", help="output file prefix")
     common.add_argument("--label", help="instance label used in reports")
-    common.add_argument(
-        "--workers", type=int, default=None,
-        help="accepted for older configurations; changes nothing (default MACFB_WORKERS or 1)",
-    )
 
     p = sub.add_parser("validate", parents=[common], help="check a config document")
 
@@ -131,13 +126,6 @@ def _config_from_args(args) -> RunConfig:
         return parse_config(doc)  # rejects it
     if args.label:
         doc["label"] = args.label
-    if args.workers is not None:
-        doc["workers"] = args.workers
-    elif os.environ.get("MACFB_WORKERS"):
-        try:
-            doc["workers"] = max(1, int(os.environ["MACFB_WORKERS"]))
-        except ValueError:
-            raise ValidationError("MACFB_WORKERS", "must be an integer") from None
     _lay(doc, "output", {"prefix": args.out or None})
     section = _SECTION_OF.get(args.command, args.command)
     flags = {key: getattr(args, key, None) for key in SECTION_DEFAULTS.get(section, ())}
@@ -173,8 +161,7 @@ def _channel_doc(cfg: RunConfig) -> dict:
 
 def _base_result(command: str, cfg: RunConfig) -> dict:
     # the resolved configuration is echoed so result files are
-    # self-describing; the worker count is deliberately left out because it
-    # must never change any output
+    # self-describing
     prior = None if cfg.prior is None else [float(v) for v in cfg.prior.reshape(-1)]
     return {
         "command": command,
@@ -268,7 +255,7 @@ def _cmd_dsaht(cfg: RunConfig, args, result: dict) -> int:
         "cache_hits": res.cache_hits,
     }
     if cfg.output_prefix:
-        if args.emit_policy and res.policy is not None:
+        if args.emit_policy:
             path = f"{cfg.output_prefix}_policy.csv"
             atomic_write_text(path, policy_to_csv(res.policy))
             result["files"]["policy"] = path
@@ -303,7 +290,7 @@ def _cmd_region(cfg: RunConfig, args, result: dict) -> int:
     sec = cfg.section("region")
     est = region_mod.sweep(
         cfg.channel, cfg.space, sec["n"], sec["sweep"],
-        solver=sec["solver"], prior=cfg.prior, workers=cfg.workers,
+        solver=sec["solver"], prior=cfg.prior,
         node_cap=cfg.limits["node_cap"], action_cap=cfg.limits["action_cap"],
     )
     result["params"] = {"n": sec["n"], "sweep": sec["sweep"], "solver": sec["solver"]}
@@ -328,23 +315,25 @@ def _cmd_oracle_check(cfg: RunConfig, args, result: dict) -> int:
     sec = cfg.section("oracle_check")
     weights = _weights(sec)
     n = sec["n"]
-    dp_h = dp.solve_horizon(
-        cfg.channel, cfg.space, weights, n, start=_start(cfg),
-        node_cap=cfg.limits["node_cap"], action_cap=cfg.limits["action_cap"],
-    )
+    # each search runs before the solve it checks: a search over its
+    # tree_cap or table_cap stops on its first step, before any DP work
     ex_h = oracle.exhaustive_Cn(
         cfg.channel, cfg.space, weights, n, prior=cfg.prior,
         tree_cap=cfg.limits["tree_cap"], action_cap=cfg.limits["action_cap"],
         table_cap=cfg.limits["table_cap"],
     )
-    dp_d = dp.solve_dsaht(
-        cfg.channel, cfg.space, n, prior=_prior_joint(cfg),
+    dp_h = dp.solve_horizon(
+        cfg.channel, cfg.space, weights, n, start=_start(cfg),
         node_cap=cfg.limits["node_cap"], action_cap=cfg.limits["action_cap"],
     )
     ex_d = oracle.exhaustive_min_error(
         cfg.channel, cfg.space, n, prior=cfg.prior,
         tree_cap=cfg.limits["tree_cap"], action_cap=cfg.limits["action_cap"],
         table_cap=cfg.limits["table_cap"],
+    )
+    dp_d = dp.solve_dsaht(
+        cfg.channel, cfg.space, n, prior=_prior_joint(cfg),
+        node_cap=cfg.limits["node_cap"], action_cap=cfg.limits["action_cap"],
     )
     rows = [
         (f"{cfg.label}:horizon", dp_h.value_per_step, ex_h[0]),

@@ -21,7 +21,6 @@ Layout:
     limits:     {action_cap: ..., node_cap: ..., tree_cap: ...,
                  table_cap: ..., grid_cap: ...}
     output:     {prefix: out/run}
-    workers: 1
 
 Unknown keys are rejected, at the top level and inside every section, so
 typos fail loudly instead of being silently ignored; ``SECTION_DEFAULTS``
@@ -39,15 +38,17 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from . import dp, encoding, oracle
 from .channel import Channel, MessageSpace, preset, validate_channel, PRESET_NAMES
 from .errors import ParseError, ValidationError
 
+# every default is owned by the module whose solver reads it
 _DEFAULT_LIMITS = {
-    "action_cap": 1_000_000,
-    "node_cap": 1_000_000,
-    "tree_cap": 100_000,
-    "table_cap": 1_000_000,
-    "grid_cap": 500_000,
+    "action_cap": encoding.DEFAULT_ACTION_CAP,
+    "node_cap": dp.DEFAULT_NODE_CAP,
+    "tree_cap": oracle.DEFAULT_TREE_CAP,
+    "table_cap": oracle.DEFAULT_TABLE_CAP,
+    "grid_cap": dp.DEFAULT_GRID_CAP,
 }
 
 SECTION_DEFAULTS = {
@@ -56,8 +57,8 @@ SECTION_DEFAULTS = {
     "stationary": {
         "lambda": (0.0, 0.0, 1.0),
         "grid": 16,
-        "epsilon": 1e-6,
-        "max_iters": 500,
+        "epsilon": dp.DEFAULT_STATIONARY_EPSILON,
+        "max_iters": dp.DEFAULT_STATIONARY_ITERS,
         "renewal": "per_use",
     },
     "region": {"n": 1, "sweep": 3, "solver": "horizon"},
@@ -66,7 +67,7 @@ SECTION_DEFAULTS = {
 }
 
 _TOP_KEYS = {
-    "label", "channel", "messages", "prior", *SECTION_DEFAULTS, "limits", "output", "workers",
+    "label", "channel", "messages", "prior", *SECTION_DEFAULTS, "limits", "output",
 }
 
 
@@ -81,7 +82,6 @@ class RunConfig:
     sections: dict = field(default_factory=dict)
     limits: dict = field(default_factory=dict)
     output_prefix: str | None = None
-    workers: int = 1
 
     def section(self, name: str) -> dict:
         merged = dict(SECTION_DEFAULTS[name])
@@ -242,10 +242,6 @@ def parse_config(doc: dict) -> RunConfig:
     if prefix is not None and not isinstance(prefix, str):
         raise ValidationError("output.prefix", "expected a string path prefix")
 
-    workers = _as_int(doc.get("workers", 1), "workers")
-    if workers < 1:
-        raise ValidationError("workers", "must be >= 1")
-
     label = doc.get("label")
     if label is None:
         label = preset_name or "inline"
@@ -263,7 +259,6 @@ def parse_config(doc: dict) -> RunConfig:
         sections=sections,
         limits=limits,
         output_prefix=prefix,
-        workers=workers,
     )
 
 

@@ -65,6 +65,7 @@ from .reward import LambdaWeights
 DEFAULT_NODE_CAP = 1_000_000
 DEFAULT_GRID_CAP = 500_000
 DEFAULT_STATIONARY_ITERS = 500
+DEFAULT_STATIONARY_EPSILON = 1e-6
 
 # states are told apart by their coordinates quantised to this granularity
 QUANT = 1e-9
@@ -647,7 +648,7 @@ def solve_stationary(
     space: MessageSpace,
     weights: LambdaWeights,
     resolution: int,
-    epsilon: float = 1e-6,
+    epsilon: float = DEFAULT_STATIONARY_EPSILON,
     max_iters: int = DEFAULT_STATIONARY_ITERS,
     prior: JointBelief = None,
     renewal: str = "per_use",

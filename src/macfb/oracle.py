@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .channel import Channel, MessageSpace
-from .encoding import PolicyTree, enumerate_actions
+from .encoding import DEFAULT_ACTION_CAP, PolicyTree, enumerate_actions
 from .errors import NotConverged, SearchTooLarge, TableTooLarge
 
 DEFAULT_TABLE_CAP = 1_000_000
@@ -178,7 +178,7 @@ def exhaustive_Cn(
     n: int,
     prior=None,
     tree_cap: int = DEFAULT_TREE_CAP,
-    action_cap: int = 1_000_000,
+    action_cap: int = DEFAULT_ACTION_CAP,
     table_cap: int = DEFAULT_TABLE_CAP,
 ):
     """Maximum of evaluate_policy_In over every depth-n policy tree.
@@ -229,7 +229,7 @@ def exhaustive_min_error(
     horizon: int,
     prior=None,
     tree_cap: int = DEFAULT_TREE_CAP,
-    action_cap: int = 1_000_000,
+    action_cap: int = DEFAULT_ACTION_CAP,
     table_cap: int = DEFAULT_TABLE_CAP,
 ):
     """Minimum decoding-error probability over every depth-T policy tree;

@@ -20,7 +20,8 @@ import numpy as np
 
 from .belief import JointBelief, initial_state
 from .channel import Channel, MessageSpace
-from .dp import solve_horizon, solve_stationary
+from .dp import DEFAULT_NODE_CAP, solve_horizon, solve_stationary
+from .encoding import DEFAULT_ACTION_CAP
 from .reward import LambdaWeights
 from ._io import atomic_write_text
 
@@ -72,21 +73,14 @@ def sweep(
     samples: int,
     solver: str = "horizon",
     prior=None,
-    workers: int = 1,
-    action_cap: int = 1_000_000,
-    node_cap: int = 1_000_000,
+    action_cap: int = DEFAULT_ACTION_CAP,
+    node_cap: int = DEFAULT_NODE_CAP,
 ) -> RegionEstimate:
     """Evaluate the weighted bound on a simplex grid and intersect.
 
     ``solver="stationary"`` takes each bound from the per-use stationary
     gain, which is exact and needs no belief grid, so it has no grid or
     iteration settings.
-
-    ``workers`` is accepted for configurations that set it and changes
-    nothing: the weight vectors are solved one after another in sample
-    order. A thread pool made sweeps slower, because the solves hold the
-    interpreter lock for most of their time (15 weights at noisy_adder 3x3,
-    n=3: 4.25 s with one worker, 7.51 s with two).
     """
     if solver not in ("horizon", "stationary"):
         raise ValueError(f"unknown region solver {solver!r}")

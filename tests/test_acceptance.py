@@ -254,14 +254,10 @@ def test_criterion_5_homogeneity_and_determinism(announce, tmp_path, monkeypatch
             if abs(scaled - c * base) > 1e-9:
                 failures.append(f"{label}: scaling by {c} off by {abs(scaled - c * base):.2e}")
 
-    def corpus_run(tag: str, workers_env: str | None):
+    def corpus_run(tag: str):
         root = tmp_path / tag
         root.mkdir()
         monkeypatch.chdir(root)
-        if workers_env is None:
-            monkeypatch.delenv("MACFB_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("MACFB_WORKERS", workers_env)
         report = run_examples(CASES_DIR, Path("out"), Path("report"))
         files = {
             str(p.relative_to(root)): p.read_bytes()
@@ -270,19 +266,16 @@ def test_criterion_5_homogeneity_and_determinism(announce, tmp_path, monkeypatch
         }
         return report.stdouts, files
 
-    first = corpus_run("one", None)
-    second = corpus_run("two", None)
-    third = corpus_run("threaded", "2")
+    first = corpus_run("one")
+    second = corpus_run("two")
     if first != second:
         failures.append("re-run changed corpus outputs")
-    if first != third:
-        failures.append("worker count changed corpus outputs")
     n_files = len(first[1])
 
     ok = not failures
     announce(5, ok, f"weight scaling exact to 1e-9 for c in (0.5, 2, 10); corpus "
                     f"stdout and all {n_files} output files byte-identical across "
-                    f"re-runs and worker counts")
+                    f"re-runs")
     assert ok, failures
 
 

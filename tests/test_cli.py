@@ -80,6 +80,34 @@ def test_solver_error_exits_two(tmp_path, capsys):
         assert cli.main(["oracle-check", "--config", str(path), "--n", n]) == 2
 
 
+def test_oracle_check_refuses_before_any_solve(tmp_path, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a dynamic program ran before the search cap check")
+
+    monkeypatch.setattr(cli.dp, "solve_horizon", no_solve)
+    monkeypatch.setattr(cli.dp, "solve_dsaht", no_solve)
+    path = tmp_path / "run.yaml"
+    path.write_text(
+        "channel: {preset: {name: adder}}\n"
+        "messages: {m1: 2, m2: 2}\n"
+        "limits: {tree_cap: 1}\n"
+    )
+    assert cli.main(["oracle-check", "--config", str(path), "--n", "1"]) == 2
+
+
+def test_workers_setting_is_rejected(tmp_path, capsys):
+    argv = ["validate", "--preset", "adder", "--messages", "2,2"]
+    assert cli.main(argv + ["--workers", "2"]) == 1
+    path = tmp_path / "run.yaml"
+    path.write_text(
+        "channel: {preset: {name: adder}}\n"
+        "messages: {m1: 2, m2: 2}\n"
+        "workers: 2\n"
+    )
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert "'workers': unknown top-level key" in capsys.readouterr().err
+
+
 def test_unknown_section_key_exits_one(tmp_path, capsys):
     # a typo'd weight key would otherwise leave the default weights in place
     path = tmp_path / "run.yaml"
@@ -265,19 +293,6 @@ def test_repeat_runs_are_byte_identical(tmp_path, capsys):
     assert (tmp_path / "a" / "pin.json").read_bytes() == (
         tmp_path / "b" / "pin.json"
     ).read_bytes()
-
-
-def test_worker_env_does_not_change_output(tmp_path, monkeypatch, capsys):
-    argv = ["region", "--preset", "adder", "--messages", "2,2", "--n", "1", "--sweep", "6"]
-    _, base = run(argv, capsys)
-    monkeypatch.setenv("MACFB_WORKERS", "2")
-    _, with_env = run(argv, capsys)
-    assert base == with_env
-    monkeypatch.setenv("MACFB_WORKERS", "0")
-    _, clamped = run(argv, capsys)
-    assert clamped == base
-    monkeypatch.setenv("MACFB_WORKERS", "soon")
-    assert cli.main(argv) == 1
 
 
 def test_dsaht_json_reports_counters(capsys):

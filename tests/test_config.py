@@ -1,3 +1,4 @@
+import inspect
 import re
 from pathlib import Path
 
@@ -6,7 +7,9 @@ import pytest
 import yaml
 
 from macfb.config import SECTION_DEFAULTS, load_config, parse_config
+from macfb.dp import solve_horizon, solve_stationary
 from macfb.errors import ParseError, ValidationError
+from macfb.oracle import exhaustive_Cn
 
 
 def base_doc(**extra):
@@ -24,8 +27,29 @@ def test_minimal_preset_doc():
     assert cfg.space.pairs == 4
     assert cfg.prior is None
     assert cfg.preset_name == "adder"
-    assert cfg.workers == 1
     assert cfg.limits["tree_cap"] == 100_000
+
+
+def test_defaults_match_solver_signatures():
+    def defaults(fn):
+        return {
+            name: param.default
+            for name, param in inspect.signature(fn).parameters.items()
+            if param.default is not inspect.Parameter.empty
+        }
+
+    horizon, stationary, search = (
+        defaults(solve_horizon), defaults(solve_stationary), defaults(exhaustive_Cn)
+    )
+    assert parse_config(base_doc()).limits == {
+        "action_cap": horizon["action_cap"],
+        "node_cap": horizon["node_cap"],
+        "tree_cap": search["tree_cap"],
+        "table_cap": search["table_cap"],
+        "grid_cap": stationary["grid_cap"],
+    }
+    assert SECTION_DEFAULTS["stationary"]["epsilon"] == stationary["epsilon"]
+    assert SECTION_DEFAULTS["stationary"]["max_iters"] == stationary["max_iters"]
 
 
 def test_inline_kernel_doc():

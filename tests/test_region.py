@@ -73,15 +73,6 @@ def test_sweep_refinement_shrinks():
             assert _satisfies(v, hp)
 
 
-def test_sweep_worker_count_does_not_change_anything():
-    ch = preset("adder")
-    space = MessageSpace(2, 2)
-    one = sweep(ch, space, 1, 6, workers=1)
-    two = sweep(ch, space, 1, 6, workers=2)
-    assert [hp.bound for hp in one.halfplanes] == [hp.bound for hp in two.halfplanes]
-    assert one.vertices == two.vertices
-
-
 def test_sweep_stationary_solver():
     est = sweep(preset("bsc_p2p", (0.0,)), MessageSpace(2, 1), 1, 3, solver="stationary")
     assert est.solver == "stationary"
