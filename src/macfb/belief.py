@@ -7,11 +7,14 @@ Three objects track what is knowable mid-transmission:
   observer of that sender's past inputs would hold if the true message were
   m (rows from identical input histories coincide, rows from different
   histories have disjoint support);
-* the augmented state bundling all three, which is what the finite-horizon
-  program recurses on.
+* the augmented state bundling all three, the state of the finite-horizon
+  program.
 
 The common update is driven by the channel output, the private update only
 by the encoder's partition of the message set. Neither sees the policy.
+
+These are the validated objects at the package's boundary; the solvers
+carry each private table as its row classes, int labels (``macfb.kernel``).
 """
 
 from __future__ import annotations
@@ -112,6 +115,13 @@ def uniform_initial(space: MessageSpace) -> AugmentedState:
     return AugmentedState(pi, b1, b2)
 
 
+def check_prior(space: MessageSpace, prior: JointBelief) -> JointBelief:
+    """``prior``, if its shape is the message space's; else ValueError."""
+    if (prior.m1, prior.m2) != (space.m1, space.m2):
+        raise ValueError("prior shape disagrees with the message space")
+    return prior
+
+
 def initial_state(space: MessageSpace, prior=None) -> AugmentedState:
     """Initial augmented state for an arbitrary joint prior on message pairs.
 
@@ -122,9 +132,7 @@ def initial_state(space: MessageSpace, prior=None) -> AugmentedState:
     """
     if prior is None:
         return uniform_initial(space)
-    pi = JointBelief(np.asarray(prior, dtype=float))
-    if (pi.m1, pi.m2) != (space.m1, space.m2):
-        raise ValueError("prior shape disagrees with the message space")
+    pi = check_prior(space, JointBelief(np.asarray(prior, dtype=float)))
 
     def rows_from(marginal):
         n = marginal.shape[0]

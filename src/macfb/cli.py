@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dp, oracle, region as region_mod
 from ._io import atomic_write_text
-from .belief import JointBelief, initial_state
+from .belief import JointBelief, initial_state, update_private
 from .config import SECTION_DEFAULTS, RunConfig, parse_config, read_document
 from .encoding import policy_to_csv
 from .errors import ConfigError, SolverError, ValidationError
@@ -140,10 +140,6 @@ def _weights(section: dict) -> LambdaWeights:
     return LambdaWeights(lam[0], lam[1], lam[2])
 
 
-def _start(cfg: RunConfig):
-    return initial_state(cfg.space, cfg.prior)
-
-
 def _prior_joint(cfg: RunConfig):
     if cfg.prior is None:
         return None
@@ -176,15 +172,17 @@ def _base_result(command: str, cfg: RunConfig) -> dict:
 
 def _beliefs_csv(tree, cfg: RunConfig) -> str:
     root = initial_state(cfg.space, cfg.prior)
-    walk = dp.walk_policy(
-        dp.policy_kernel(cfg.channel, tree), tree,
-        root.pi.table, root.beta1.rows, root.beta2.rows,
-    )
-    # the walker counts channel uses from 1; the file counts outputs seen
-    seen = sorted(
-        ((t - 1, hist, pi, rows1, rows2) for t, hist, pi, rows1, rows2, _, _ in walk),
-        key=lambda node: node[:2],
-    )
+    kernel = dp.policy_kernel(cfg.channel, tree)
+    # after[hist]: the tables the action at hist refines, met before hist's children
+    after, seen = {}, []
+    for t, hist, pi, _, _, a, _ in dp.walk_policy(kernel, tree, root.pi.table):
+        beta1, beta2 = after[hist[:-1]] if hist else (root.beta1, root.beta2)
+        if a is not None:
+            action = kernel.actions[a]
+            after[hist] = (update_private(beta1, action.e1), update_private(beta2, action.e2))
+        # the walker counts channel uses from 1; the file counts outputs seen
+        seen.append((t - 1, hist, pi, beta1.rows, beta2.rows))
+    seen.sort(key=lambda node: node[:2])
     lines = []
     for t, hist, pi, rows1, rows2 in seen:
         hist_str = "".join(str(y) for y in hist)
@@ -220,7 +218,7 @@ def _cmd_horizon(cfg: RunConfig, args, result: dict) -> int:
     sec = cfg.section("horizon")
     res = dp.solve_horizon(
         cfg.channel, cfg.space, _weights(sec), sec["n"],
-        start=_start(cfg), prune=sec["prune"],
+        prior=_prior_joint(cfg), prune=sec["prune"],
         node_cap=cfg.limits["node_cap"], action_cap=cfg.limits["action_cap"],
     )
     result["params"] = {"n": sec["n"], "lambda": list(sec["lambda"]), "prune": sec["prune"]}
@@ -323,7 +321,7 @@ def _cmd_oracle_check(cfg: RunConfig, args, result: dict) -> int:
         table_cap=cfg.limits["table_cap"],
     )
     dp_h = dp.solve_horizon(
-        cfg.channel, cfg.space, weights, n, start=_start(cfg),
+        cfg.channel, cfg.space, weights, n, prior=_prior_joint(cfg),
         node_cap=cfg.limits["node_cap"], action_cap=cfg.limits["action_cap"],
     )
     ex_d = oracle.exhaustive_min_error(
@@ -360,7 +358,7 @@ def _cmd_oracle_check(cfg: RunConfig, args, result: dict) -> int:
 def _cmd_diagnose(cfg: RunConfig, args, result: dict) -> int:
     sec = cfg.section("diagnose")
     rep = dp.reachability_diagnostic(
-        cfg.channel, cfg.space, _weights(sec), sec["n"], start=_start(cfg),
+        cfg.channel, cfg.space, _weights(sec), sec["n"], prior=_prior_joint(cfg),
         node_cap=cfg.limits["node_cap"], action_cap=cfg.limits["action_cap"],
     )
     result["params"] = {"n": sec["n"], "lambda": list(sec["lambda"])}

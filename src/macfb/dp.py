@@ -4,7 +4,7 @@ Three solvers:
 
 * solve_horizon: finite-horizon maximisation of the per-step weighted
   information reward over augmented states (common belief and both
-  private tables), with an argmax policy tree.
+  senders' private classes as int labels), with an argmax policy tree.
 * solve_dsaht: finite-horizon minimisation of the terminal decoding-error
   probability; the state is the common belief alone.
 * solve_stationary: the long-run average reward with fully refined
@@ -20,18 +20,18 @@ The two finite-horizon programs share one level-synchronous engine,
 time, so a forward pass builds every time step's distinct states from the
 previous step's as one batch: the action kernel (``macfb.kernel``)
 evaluates a stack of states for every action at once (rewards,
-predictive distributions, posteriors, refined private tables). A Bayes
-update depends on an (action, output) pair only through the pair's
-branch, its likelihood column and encoder partitions, so the successors
-are built once per (state, branch) and deduplicated on their coordinates
-quantised to QUANT, each represented by its first occurrence in (state,
-action, output) order. A backward pass then takes the optimum level by
-level, reading each pair's mass and successor through its branch, and the
-policy follows the stored successor indices from the root. Validated
-belief objects exist only at the API boundary. Every walk over the
-beliefs a fixed policy reaches (the DSAHT decoder, ``evaluate_tree``, the
-diagnostic and the CLI's belief file) goes through one walker,
-``_reachable``.
+predictive distributions, posteriors, refined labels). A Bayes update
+depends on an (action, output) pair only through the pair's branch, its
+likelihood column and encoder partitions, so the successors are built
+once per (state, branch) and deduplicated on their common belief
+quantised to QUANT and their labels, each represented by its first
+occurrence in (state, action, output) order. A backward pass then takes
+the optimum level by level, reading each pair's mass and successor
+through its branch, and the policy follows the stored successor indices
+from the root. Validated belief objects exist only at the API boundary.
+Every walk over the beliefs a fixed policy reaches (the DSAHT decoder,
+``evaluate_tree``, the diagnostic and the CLI's belief file) goes through
+one walker, ``_reachable``.
 
 Ties: the policy takes the lexicographically smallest action whose total
 lies within TIE_TOL of the optimum (the maximum for the horizon program,
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belief import MASS_EPS, AugmentedState, JointBelief, initial_state
+from .belief import MASS_EPS, JointBelief, check_prior, initial_state
 from .channel import Channel, MessageSpace
 from .encoding import (
     DEFAULT_ACTION_CAP,
@@ -59,7 +59,7 @@ from .encoding import (
     history_index,
 )
 from .errors import GridTooLarge, HorizonTooDeep, LevelTooWide
-from .kernel import ActionKernel, first_rows, row_classes
+from .kernel import ActionKernel, first_rows, root_labels
 from .reward import LambdaWeights
 
 DEFAULT_NODE_CAP = 1_000_000
@@ -78,7 +78,7 @@ QUANT = 1e-9
 # program, where the per-action joint allowed 4. The width counts those
 # arrays only; other temporaries of a batch are larger per state, such as
 # the rewards' margin products (96 entries at noisy_adder 2x2, against a
-# width of 64) and, with prune, the rows ``distinct`` compares (3136 at 3x3,
+# width of 64) and, with prune, the rows ``distinct`` compares (2368 at 3x3,
 # against 666). A 50 s bench/run.py run at this value peaks at 41.2 MB RSS
 # on horizon-wide and on dsaht-deep (seed 0, medians of 10 runs, 2 cores).
 # 1 << 14 makes horizon-wide solves about 13% faster but lifted the peak
@@ -95,9 +95,11 @@ def _quantized(arr: np.ndarray) -> bytes:
 
 
 def _quantized_rows(arrays) -> np.ndarray:
-    """One int row per state of a stack: its arrays flattened, quantised
-    to QUANT and concatenated."""
-    return np.concatenate([np.rint(x.reshape(len(x), -1) / QUANT).astype(np.int64) for x in arrays], axis=1)
+    """One int row per state of a stack: its arrays flattened, the float
+    ones quantised to QUANT, and concatenated."""
+    rows = [x.reshape(len(x), -1) for x in arrays]
+    return np.concatenate([np.rint(x / QUANT).astype(np.int64) if x.dtype.kind == "f" else x
+                           for x in rows], axis=1)
 
 
 def _add_continuation(totals: np.ndarray, p: np.ndarray, cont: np.ndarray) -> np.ndarray:
@@ -172,33 +174,44 @@ def _estimated_nodes(n_outputs: int, depth: int) -> int:
     return sum(n_outputs**t for t in range(depth))
 
 
-def _reachable(kernel: ActionKernel, depth: int, pi, rows1, rows2, choose):
+def _prior_table(space: MessageSpace, prior: JointBelief) -> np.ndarray:
+    """The table of ``prior`` (uniform when None), checked against ``space``."""
+    return (initial_state(space).pi if prior is None else check_prior(space, prior)).table
+
+
+def _start(space: MessageSpace, prior: JointBelief) -> tuple:
+    """(pi, labels1, labels2) before the first channel use."""
+    pi = _prior_table(space, prior)
+    return pi, root_labels(pi.sum(axis=1)), root_labels(pi.sum(axis=0))
+
+
+def _reachable(kernel: ActionKernel, depth: int, pi, labels1, labels2, choose):
     """Depth-first walk over the beliefs reachable under a per-node choice.
 
-    ``choose(t, hist, pi, rows1, rows2)`` returns the index of the action
-    used at a node. Yields (t, hist, pi, rows1, rows2, a, mass) in history
-    order for t = 1..depth, then the beliefs at t = depth + 1 with a = None;
-    ``mass`` is the probability of the output history, the product of the
-    predictive masses along it. Branches with predictive mass at or below
-    MASS_EPS are not followed. Without private tables (rows1 = rows2 = None)
-    only the common belief is carried.
+    ``choose(t, hist, pi, labels1, labels2)`` returns the index of the
+    action used at a node. Yields (t, hist, pi, labels1, labels2, a, mass)
+    in history order for t = 1..depth, then the beliefs at t = depth + 1
+    with a = None; ``mass`` is the probability of the output history, the
+    product of the predictive masses along it. Branches with predictive
+    mass at or below MASS_EPS are not followed. Without labels (labels1 =
+    labels2 = None) only the common belief is carried.
     """
-    stack = [(1, (), pi, rows1, rows2, 1.0)]
+    stack = [(1, (), pi, labels1, labels2, 1.0)]
     while stack:
-        t, hist, pi, rows1, rows2, mass = stack.pop()
+        t, hist, pi, labels1, labels2, mass = stack.pop()
         if t > depth:
-            yield t, hist, pi, rows1, rows2, None, mass
+            yield t, hist, pi, labels1, labels2, None, mass
             continue
-        a = choose(t, hist, pi, rows1, rows2)
-        yield t, hist, pi, rows1, rows2, a, mass
+        a = choose(t, hist, pi, labels1, labels2)
+        yield t, hist, pi, labels1, labels2, a, mass
         joint, p = kernel.joint(pi)
         post = kernel.posteriors(joint, p)
-        if rows1 is not None:
-            ref1, ref2 = kernel.refined(rows1, rows2)
-            rows1, rows2 = ref1[kernel.enc1_of[a]], ref2[kernel.enc2_of[a]]
+        if labels1 is not None:
+            ref1, ref2 = kernel.refined(labels1, labels2)
+            labels1, labels2 = ref1[kernel.enc1_of[a]], ref2[kernel.enc2_of[a]]
         for y in reversed(range(p.shape[1])):
             if p[a, y] > MASS_EPS:
-                stack.append((t + 1, hist + (y,), post[a, y], rows1, rows2, mass * p[a, y]))
+                stack.append((t + 1, hist + (y,), post[a, y], labels1, labels2, mass * p[a, y]))
 
 
 def policy_kernel(channel: Channel, tree: PolicyTree) -> ActionKernel:
@@ -206,15 +219,15 @@ def policy_kernel(channel: Channel, tree: PolicyTree) -> ActionKernel:
     return ActionKernel(channel, dict.fromkeys(tree.nodes.values()))
 
 
-def walk_policy(kernel: ActionKernel, tree: PolicyTree, pi, rows1=None, rows2=None):
+def walk_policy(kernel: ActionKernel, tree: PolicyTree, pi, labels1=None, labels2=None):
     """``_reachable`` under a fixed policy tree; ``kernel`` must hold every
     action the tree uses, and the yielded action indices refer to it."""
     index = {action: a for a, action in enumerate(kernel.actions)}
 
-    def choose(t, hist, pi, rows1, rows2):
+    def choose(t, hist, pi, labels1, labels2):
         return index[tree.action_at(hist)]
 
-    return _reachable(kernel, tree.depth, pi, rows1, rows2, choose)
+    return _reachable(kernel, tree.depth, pi, labels1, labels2, choose)
 
 
 def _complete_tree(depth: int, n_outputs: int, reached: dict, default: EncoderAction) -> PolicyTree:
@@ -314,15 +327,12 @@ class _LevelIndex:
 
 
 def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
-                        maximise: bool, node_cap: int, width: int, derive=None) -> tuple:
+                        maximise: bool, node_cap: int, width: int) -> tuple:
     """Level-synchronous backward induction over the distinct states of each
     time step.
 
     ``root`` holds the start state's arrays, each with a leading axis of
-    length 1. ``derive(*arrays)``, when given, returns more per-state
-    arrays computed once per level from the states' own, such as the row
-    classes of the private tables; they take no part in the dedupe.
-    ``expand(t, *arrays, *derived)`` evaluates a batch of level-t states,
+    length 1. ``expand(t, *arrays)`` evaluates a batch of level-t states,
     stacked on that axis, and returns (totals, p, candidates, gather):
 
     * totals[s, a], what the action earns before any continuation: its
@@ -336,7 +346,8 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
 
     Forward pass: level t + 1 holds the successors of level t along every
     candidate action and every output with predictive mass above MASS_EPS,
-    deduplicated on their coordinates quantised to QUANT. The members of a
+    deduplicated on their float arrays quantised to QUANT and their int
+    arrays as they are (``_quantized_rows``). The members of a
     branch have bit-identical successors, so each live (state, branch) is
     gathered, quantised and deduplicated once. A new state is represented
     by its first occurrence in (state, action, output) order, so each level
@@ -380,9 +391,8 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
         if not last and n_states * n_actions * n_outputs > node_cap:
             raise LevelTooWide(t, n_states * n_actions * n_outputs, node_cap)
         chunks, reps, index = [], [], _LevelIndex()
-        level = states + derive(*states) if derive else states
         for lo in range(0, n_states, step):
-            chunk = tuple(x[lo : lo + step] for x in level)
+            chunk = tuple(x[lo : lo + step] for x in states)
             stored, found, n_live = _expand_chunk(expand, members, met, t, chunk, last, maximise, index)
             chunks.append(stored)
             reps.append(found)
@@ -417,12 +427,13 @@ def solve_horizon(
     space: MessageSpace,
     weights: LambdaWeights,
     n: int,
-    start: AugmentedState = None,
+    prior: JointBelief = None,
     prune: bool = False,
     action_cap: int = DEFAULT_ACTION_CAP,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> HorizonResult:
-    """Best n-step average weighted reward and an achieving policy tree.
+    """Best n-step average weighted reward and an achieving policy tree,
+    from ``prior`` (uniform when None).
 
     Level-synchronous backward induction over augmented states (see
     ``_backward_induction``): a forward pass builds the distinct states of
@@ -442,19 +453,18 @@ def solve_horizon(
     est = _estimated_nodes(channel.n_outputs, n)
     if est > node_cap:
         raise HorizonTooDeep(est, node_cap)
-    if start is None:
-        start = initial_state(space)
+    pi, labels1, labels2 = _start(space, prior)
     kernel = ActionKernel(channel, enumerate_actions(space, channel.alphabets, cap=action_cap))
     enc1, enc2, branch_of = kernel.branch_enc1, kernel.branch_enc2, kernel.branch_of
 
-    def expand(t, pis, rows1, rows2, cls1, cls2):
+    def expand(t, pis, labels1, labels2):
         joint, p = kernel.branch_joint(pis)
         # the members of a branch share its predictive mass bit for bit
-        totals = kernel.weighted(weights, pis, rows1, rows2, p[:, branch_of], (cls1, cls2))
+        totals = kernel.weighted(weights, pis, labels1, labels2, p[:, branch_of])
         if t == n:
             return totals, None, None, None
         post = kernel.posteriors(joint, p)
-        ref1, ref2 = kernel.refined(rows1, rows2)
+        ref1, ref2 = kernel.refined(labels1, labels2)
         cand = None
         if prune:
             cand = kernel.distinct(totals, p[:, branch_of], post[:, branch_of], ref1, ref2, PRUNE_TOL)
@@ -464,12 +474,9 @@ def solve_horizon(
 
         return totals, p, cand, gather
 
-    def derive(pis, rows1, rows2):
-        return row_classes(rows1), row_classes(rows2)
-
-    root = (start.pi.table[None], start.beta1.rows[None], start.beta2.rows[None])
+    root = (pi[None], labels1[None], labels2[None])
     total, policy, expanded, hits = _backward_induction(
-        kernel, n, root, expand, True, node_cap, max(kernel.branch_lik.size, kernel.noise.size), derive
+        kernel, n, root, expand, True, node_cap, max(kernel.branch_lik.size, kernel.noise.size)
     )
     return HorizonResult(total / n, total, policy, expanded, hits)
 
@@ -479,24 +486,22 @@ def evaluate_tree(
     space: MessageSpace,
     tree: PolicyTree,
     weights: LambdaWeights,
-    start: AugmentedState = None,
+    prior: JointBelief = None,
 ) -> float:
     """Per-step weighted reward of a fixed policy tree via the belief recursion.
 
     This is the solver-side counterpart of the trajectory oracle: it averages
-    the weighted reward over the reachable augmented states, weighted by the
-    probability of the output history that reaches them.
+    the weighted reward over the augmented states reachable from ``prior``
+    (uniform when None), weighted by the probability of the output history
+    that reaches them.
     """
     if tree.depth < 1:
         raise ValueError("policy tree must have depth >= 1")
-    if start is None:
-        start = initial_state(space)
     kernel = policy_kernel(channel, tree)
     acc = 0.0
-    walk = walk_policy(kernel, tree, start.pi.table, start.beta1.rows, start.beta2.rows)
-    for t, hist, pi, rows1, rows2, a, mass in walk:
+    for t, hist, pi, labels1, labels2, a, mass in walk_policy(kernel, tree, *_start(space, prior)):
         if a is not None:
-            acc += mass * kernel.weighted(weights, pi, rows1, rows2, kernel.joint(pi)[1])[a]
+            acc += mass * kernel.weighted(weights, pi, labels1, labels2, kernel.joint(pi)[1])[a]
     return float(acc) / tree.depth
 
 
@@ -518,11 +523,10 @@ def solve_dsaht(
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    if prior is None:
-        prior = initial_state(space).pi
+    pi = _prior_table(space, prior)
     if horizon == 0:
         policy = PolicyTree(0, channel.n_outputs, {})
-        return DsahtResult(1.0 - float(prior.table.max()), policy, 0, 0, channel, prior.table)
+        return DsahtResult(1.0 - float(pi.max()), policy, 0, 0, channel, pi)
     est = _estimated_nodes(channel.n_outputs, horizon)
     if est > node_cap:
         raise HorizonTooDeep(est, node_cap)
@@ -542,11 +546,10 @@ def solve_dsaht(
         post = kernel.posteriors(joint, p)
         return totals, p, None, lambda s, b: (post[s, b],)
 
-    root = (prior.table[None],)
     error, policy, expanded, hits = _backward_induction(
-        kernel, horizon, root, expand, False, node_cap, kernel.branch_lik.size
+        kernel, horizon, (pi[None],), expand, False, node_cap, kernel.branch_lik.size
     )
-    return DsahtResult(error, policy, expanded, hits, channel, prior.table)
+    return DsahtResult(error, policy, expanded, hits, channel, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -625,14 +628,15 @@ def _grid_tables(kernel: ActionKernel, weights: LambdaWeights, space: MessageSpa
         above = np.concatenate([np.full((len(verts), 1), d), verts[:, :-1]], axis=1)
         return which, (count[tail, above] - count[tail, verts]).sum(axis=1), w[which, k]
 
-    eye1, eye2 = np.eye(space.m1), np.eye(space.m2)
+    # fully refined: every message is a private class of its own
+    own1, own2 = np.arange(space.m1), np.arange(space.m2)
     rewards = np.empty((n_points, n_actions))
     rows, cols, vals = [], [], []
     step = max(1, CHUNK_ENTRIES // kernel.lik.size)
     for lo in range(0, n_points, step):
         pis = grid[lo : lo + step]
         joint, p = kernel.joint(pis)
-        rewards[lo : lo + step] = kernel.weighted(weights, pis, eye1, eye2, p)
+        rewards[lo : lo + step] = kernel.weighted(weights, pis, own1, own2, p)
         s, a, y = np.nonzero(p > MASS_EPS)
         post = kernel.posteriors(joint, p)[s, a, y].reshape(len(s), parts)
         which, index, w = interpolate(post)
@@ -690,13 +694,13 @@ def solve_stationary(
         raise ValueError(f"unknown renewal mode {renewal!r}")
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
+    pi = _prior_table(space, prior)
     actions = enumerate_actions(space, channel.alphabets, cap=action_cap)
     kernel = ActionKernel(channel, actions)
 
     if renewal == "per_use":
-        pi = (initial_state(space).pi if prior is None else prior).table
-        eye1, eye2 = np.eye(space.m1), np.eye(space.m2)
-        gain = float(kernel.weighted(weights, pi, eye1, eye2, kernel.joint(pi)[1]).max())
+        own1, own2 = np.arange(space.m1), np.arange(space.m2)
+        gain = float(kernel.weighted(weights, pi, own1, own2, kernel.joint(pi)[1]).max())
         return StationaryResult(gain, 0, 0.0, True, resolution, renewal)
 
     n_points = math.comb(resolution + space.pairs - 1, space.pairs - 1)
@@ -736,7 +740,7 @@ def reachability_diagnostic(
     space: MessageSpace,
     weights: LambdaWeights,
     n: int,
-    start: AugmentedState = None,
+    prior: JointBelief = None,
     action_cap: int = DEFAULT_ACTION_CAP,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> ReductionReport:
@@ -748,18 +752,14 @@ def reachability_diagnostic(
     across the group by more than 1e-9. Purely informational; conflicts are
     evidence that the private tables still matter on this instance.
     """
-    if start is None:
-        start = initial_state(space)
     result = solve_horizon(
-        channel, space, weights, n, start, action_cap=action_cap, node_cap=node_cap
+        channel, space, weights, n, prior, action_cap=action_cap, node_cap=node_cap
     )
     tree = result.policy
     kernel = ActionKernel(channel, enumerate_actions(space, channel.alphabets, cap=action_cap))
     reached = [
-        (t, hist, pi, rows1, rows2)
-        for t, hist, pi, rows1, rows2, a, _ in walk_policy(
-            kernel, tree, start.pi.table, start.beta1.rows, start.beta2.rows
-        )
+        (t, hist, pi, labels1, labels2)
+        for t, hist, pi, labels1, labels2, a, _ in walk_policy(kernel, tree, *_start(space, prior))
         if a is not None
     ]
 
@@ -770,9 +770,9 @@ def reachability_diagnostic(
     rewards = {}
 
     def weighted_rewards(node) -> np.ndarray:
-        _, hist, pi, rows1, rows2 = node
+        _, hist, pi, labels1, labels2 = node
         if hist not in rewards:
-            rewards[hist] = kernel.weighted(weights, pi, rows1, rows2, kernel.joint(pi)[1])
+            rewards[hist] = kernel.weighted(weights, pi, labels1, labels2, kernel.joint(pi)[1])
         return rewards[hist]
 
     conflicts = []

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import Alphabets, Channel, MessageSpace
 from .errors import ActionSpaceTooLarge
-from .kernel import ActionKernel
+from .kernel import ActionKernel, row_classes
 from .reward import LambdaWeights
 
 DEFAULT_ACTION_CAP = 1_000_000
@@ -202,16 +202,16 @@ def prune_actions(
     """Drop actions indistinguishable at ``state`` from an earlier action.
 
     The action kernel gives every action's row at once: weighted reward,
-    observation distribution, posteriors on the outputs with mass and both
-    refined private tables. Rows equal after rounding to multiples of
-    PRUNE_TOL (1e-12) merge into one class, and the lexicographically first
-    action of each class survives, so the result is an order-preserving
-    subsequence of ``actions``.
+    observation distribution and posteriors on the outputs with mass,
+    rounded to multiples of PRUNE_TOL (1e-12), and the row classes of both
+    refined private tables. Equal rows merge into one class, and the
+    lexicographically first action of each class survives, so the result is
+    an order-preserving subsequence of ``actions``.
     """
     kernel = ActionKernel(channel, actions)
-    pi, rows1, rows2 = state.pi.table, state.beta1.rows, state.beta2.rows
+    pi, labels1, labels2 = state.pi.table, row_classes(state.beta1.rows), row_classes(state.beta2.rows)
     joint, p = kernel.joint(pi)
-    ref1, ref2 = kernel.refined(rows1, rows2)
-    totals = kernel.weighted(weights, pi, rows1, rows2, p)
+    ref1, ref2 = kernel.refined(labels1, labels2)
+    totals = kernel.weighted(weights, pi, labels1, labels2, p)
     keep = kernel.distinct(totals, p, kernel.posteriors(joint, p), ref1, ref2, PRUNE_TOL)
     return [actions[a] for a in np.flatnonzero(keep)]

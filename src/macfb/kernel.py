@@ -6,14 +6,17 @@ tables are built once:
 * the likelihood L[a, y, m1, m2] = Q(y | e1_a(m1), e2_a(m2));
 * the noise entropies Hn[a, m1, m2] = H(Q(. | e1_a(m1), e2_a(m2))) in bits.
 
-At a state (pi, beta1, beta2) the joint J = L * pi then gives, for all
-actions in a few numpy operations:
+A state is the common belief pi and, per sender, one int label per
+message naming its private class, the messages with its input history,
+counted from 0 in order of first appearance (``root_labels`` before any
+channel use, ``row_classes`` from a validated float table). At a state
+(pi, labels1, labels2) the joint J = L * pi then gives, for all actions:
 
 * the predictive distribution p[a, y] = sum_m J[a, y, m];
 * every posterior J[a, y] / p[a, y];
 * i3 = H(p_a) - sum_m pi Hn[a];
 * i1 = H(Y | C2) - sum_m pi Hn[a], where C2 is sender 2's cell (its
-  private-row class times its current symbol). An action reaches the
+  private class times its current symbol). An action reaches the
   terms of H(Y | C2) only through sender 1's distinct encoder and, per
   cell, the cell's symbol and set of member messages, so the terms are
   computed once per (encoder, symbol, member set) from the margins
@@ -21,23 +24,20 @@ actions in a few numpy operations:
   noisy_adder 3x3, 8 encoders x 2 symbols x 8 member sets for the 64
   actions' up to 6 cells);
 * i2, the mirror of i1;
-* the refined private tables, which depend on the action only, never on y.
+* the refined labels, which depend on the action only, never on y.
 
 The rewards need the state and p only, not the joint. This is the
 common-information split of the state: the common belief carries the
-outputs, the private tables only the encoders' partitions.
+outputs, the labels only the encoders' partitions.
 Every method also takes a batch of states, stacked on a leading axis of
-pi and the private tables, and then returns its results with that axis in
+pi and the labels, and then returns its results with that axis in
 front; each state's entries are bit-identical to evaluating it alone.
 The reward sums over the short axes (messages, outputs, sender cells) are
 slice additions in index order wherever numpy's own sum adds in that
 order, and numpy's sum where it regroups the terms (``_sum``); the margins
 carry the bits of the joint's message sums and a cell adds its members in
 message order, so the rewards carry the bits of plain numpy reductions
-over the joint at a fraction of their cost. A caller can compute the
-private-row classes of a whole stack of states once (``row_classes``) and
-pass slices of them in; the horizon program does so once per time step
-rather than once per batch.
+over the joint at a fraction of their cost.
 Everything here works on raw arrays and validates nothing; the validated
 belief and reward functions wrap it at the API boundary.
 
@@ -46,10 +46,10 @@ L[a, y] and the two senders' encoder partitions, and many pairs share
 them. The kernel groups the pairs into branches once: pairs with the same
 column, compared by its bytes, and the same partition on each side. The
 members of a branch give bit-identical predictive masses, posteriors and
-refined tables from any state, because the same floating-point operations
-run on the same numbers, so a program needs one update per branch
-(``branch_joint``, and ``branch_of`` to read a pair's branch). At
-noisy_adder 2x2 the 48 pairs make 14 branches, at 3x3 the 192 make 74.
+refined labels from any state, because the same operations run on the
+same numbers, so a program needs one update per branch (``branch_joint``,
+and ``branch_of`` to read a pair's branch). At noisy_adder 2x2 the 48
+pairs make 14 branches, at 3x3 the 192 make 74.
 """
 
 from __future__ import annotations
@@ -99,8 +99,24 @@ def _column_entropies(cols: np.ndarray) -> np.ndarray:
     return -_xlogx(cols).sum(axis=0) / _LN2
 
 
+def _first_labels(codes: np.ndarray) -> np.ndarray:
+    """Relabel the last axis of an int array in order of first appearance:
+    equal codes get equal labels, counting up from 0."""
+    first = (codes[..., :, None] == codes[..., None, :]).argmax(axis=-1)
+    new = first == np.arange(codes.shape[-1])
+    return np.take_along_axis(np.cumsum(new, axis=-1) - 1, first, axis=-1)
+
+
+def root_labels(marginal: np.ndarray) -> np.ndarray:
+    """A sender's labels before any channel use: the messages with mass in
+    ``marginal`` share one class and each zero-mass message is a class of
+    its own, as its point-mass row in ``belief.initial_state`` is."""
+    return _first_labels(np.where(marginal > 0.0, -1, np.arange(marginal.shape[-1])))
+
+
 def row_classes(rows: np.ndarray) -> np.ndarray:
-    """Label each message by the class of private rows it belongs to.
+    """Label each message by the class of private rows it belongs to, for a
+    validated float table entering the kernel.
 
     A message joins the first class whose representative row matches its
     own entrywise within ROW_MATCH_TOL; labels count up from 0 in order of
@@ -125,21 +141,6 @@ def _distinct_encoders(tables) -> tuple:
     return np.array(list(index), dtype=np.intp), of
 
 
-def _partitions(encoders: np.ndarray) -> np.ndarray:
-    """Number the message partitions the encoders induce, in first-seen
-    order: each table relabelled by first appearance of its symbols."""
-    canonical = []
-    for table in encoders.tolist():
-        labels = {}
-        canonical.append(tuple(labels.setdefault(x, len(labels)) for x in table))
-    return _distinct_encoders(canonical)[1]
-
-
-def _partition_masks(encoders: np.ndarray) -> np.ndarray:
-    """same[k, m, m'] = 1 when encoder k sends m and m' to the same symbol."""
-    return (encoders[:, None, :] == encoders[:, :, None]).astype(float)
-
-
 def _cell_tables(own: np.ndarray, other_of: np.ndarray, n_symbols: int) -> tuple:
     """The member sets and gather tables of one conditioning sender's cells.
 
@@ -147,7 +148,7 @@ def _cell_tables(own: np.ndarray, other_of: np.ndarray, n_symbols: int) -> tuple
     ``other_of[a]`` the other sender's encoder index. Returns (bits, masks,
     base): ``bits[m, u]`` is 1 when message m is in the member set u, a
     bitmask; ``masks[x, a]`` is the bitmask of the messages action a sends
-    to symbol x; and action a reads its cell of symbol x in a row class of
+    to symbol x; and action a reads its cell of symbol x in a class of
     messages v at ``base[x, a] + (v & masks[x, a])`` in one state's (other
     encoder, symbol, member set) terms flattened.
     """
@@ -167,17 +168,17 @@ def _cell_sum(cells: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(cells, -1, -2)).sum(axis=-1)
 
 
-def _cell_entropy(margin: np.ndarray, classes: np.ndarray, bits: np.ndarray, masks: np.ndarray,
+def _cell_entropy(margin: np.ndarray, labels: np.ndarray, bits: np.ndarray, masks: np.ndarray,
                   base: np.ndarray) -> np.ndarray:
     """H(Y | C) in bits for every action.
 
     margin[..., k, x, y, m] is the joint of the output and the conditioning
     sender's message m when that sender sends x and the other sender uses
-    its distinct encoder k; C groups m by (private-row class, current
-    symbol). The terms of a cell depend on the action only through (k, x)
-    and the cell's member set, so they are computed once for every member
-    set u, its members summed in message order, and each action's cells
-    gather them (``_cell_tables``). The empty set gives exact zeros, which
+    its distinct encoder k; C groups m by (label, current symbol). The
+    terms of a cell depend on the action only through (k, x) and the
+    cell's member set, so they are computed once for every member set u,
+    its members summed in message order, and each action's cells gather
+    them (``_cell_tables``). The empty set gives exact zeros, which
     is what a cell that a state lacks adds. A batch of states shares one
     cell count, the largest: in index order, below 8 cells, the padding
     keeps every bit; from 8 on numpy sums the cells pairwise, so states
@@ -188,11 +189,11 @@ def _cell_entropy(margin: np.ndarray, classes: np.ndarray, bits: np.ndarray, mas
     terms = _xlogx(_sum(sub, -2)) - _sum(_xlogx(sub), -2)
     lead = margin.shape[:-4]
     n_symbols = len(masks)
-    n_classes = classes.max(axis=-1) + 1
+    n_classes = labels.max(axis=-1) + 1
     n_cells = int(n_classes.max()) * n_symbols
-    # members[..., j]: the messages of row class j, as a bitmask
-    members = ((classes[..., None] == np.arange(n_cells // n_symbols))
-               << np.arange(classes.shape[-1])[:, None]).sum(axis=-2)
+    # members[..., j]: the messages of class j, as a bitmask
+    members = ((labels[..., None] == np.arange(n_cells // n_symbols))
+               << np.arange(labels.shape[-1])[:, None]).sum(axis=-2)
     flat = terms.reshape(lead + (-1,))
     offset = np.arange(flat[..., 0].size).reshape(lead) * flat.shape[-1]
     index = base + (members[..., None, None] & masks) + offset[..., None, None, None]
@@ -224,7 +225,7 @@ class ActionKernel:
     """Likelihoods and noise entropies of a fixed action list on one channel.
 
     ``enc1_of[a]`` and ``enc2_of[a]`` index the distinct encoders of action
-    a, which is how the refined private tables are shared between actions.
+    a, which is how the refined labels are shared between actions.
 
     Branches, numbered in order of their first (a, y): ``branch_of[a, y]``
     is the branch of a pair, ``branch_pair[b]`` the flat index a * Y + y of
@@ -248,8 +249,6 @@ class ActionKernel:
         self.noise = noise[x1, x2]
         self._enc1, self.enc1_of = _distinct_encoders(a.e1.table for a in self.actions)
         self._enc2, self.enc2_of = _distinct_encoders(a.e2.table for a in self.actions)
-        self._same1 = _partition_masks(self._enc1)
-        self._same2 = _partition_masks(self._enc2)
         self._q = q
 
     @functools.cached_property
@@ -257,12 +256,13 @@ class ActionKernel:
         """(branch_pair, branch_of, branch_lik, branch_enc1, branch_enc2),
         built on first access: only the finite-horizon programs read them."""
         n_actions, n_outputs = self.lik.shape[:2]
-        # the refined tables depend on an encoder through its partition only
+        # the refined labels depend on an encoder through its partition
+        # only, which its symbols relabelled by first appearance name
         keys = np.concatenate(
             [
                 self.lik.reshape(n_actions * n_outputs, -1).view(np.int64),
-                np.repeat(_partitions(self._enc1)[self.enc1_of], n_outputs)[:, None],
-                np.repeat(_partitions(self._enc2)[self.enc2_of], n_outputs)[:, None],
+                np.repeat(_first_labels(self._enc1)[self.enc1_of], n_outputs, axis=0),
+                np.repeat(_first_labels(self._enc2)[self.enc2_of], n_outputs, axis=0),
             ],
             axis=1,
         )
@@ -318,11 +318,9 @@ class ActionKernel:
             (q[:, :, self._enc2].transpose(2, 1, 0, 3), *_cell_tables(self.e1, self.enc2_of, self.n_x1)),
         )
 
-    def rewards(self, pi, rows1, rows2, p, classes=None) -> tuple:
+    def rewards(self, pi, labels1, labels2, p) -> tuple:
         """(i1, i2, i3) in bits, one (..., A) array each, from the
-        predictive p[..., a, y]. ``classes`` may carry (row_classes(rows1),
-        row_classes(rows2)) when the caller has them already."""
-        cls1, cls2 = (row_classes(rows1), row_classes(rows2)) if classes is None else classes
+        predictive p[..., a, y]."""
         noise = (self.noise * pi[..., None, :, :]).reshape(p.shape[:-1] + (-1,)).sum(axis=-1)
         i3 = -_sum(_xlogx(p), -1) / _LN2 - noise
         (lik1, *cells2), (lik2, *cells1) = self._cells
@@ -330,51 +328,46 @@ class ActionKernel:
         # the products and message sums of ``joint``, per distinct encoder
         margin2 = _sum(lik1[..., None] * pi, -2)
         margin1 = _sum(lik2[..., None, :] * pi, -1)
-        i1 = _cell_entropy(margin2, cls2, *cells2) - noise
-        i2 = _cell_entropy(margin1, cls1, *cells1) - noise
+        i1 = _cell_entropy(margin2, labels2, *cells2) - noise
+        i2 = _cell_entropy(margin1, labels1, *cells1) - noise
         return i1, i2, i3
 
-    def weighted(self, weights, pi, rows1, rows2, p, classes=None) -> np.ndarray:
+    def weighted(self, weights, pi, labels1, labels2, p) -> np.ndarray:
         """l1 i1 + l2 i2 + l3 i3 for every action."""
-        i1, i2, i3 = self.rewards(pi, rows1, rows2, p, classes)
+        i1, i2, i3 = self.rewards(pi, labels1, labels2, p)
         return weights.l1 * i1 + weights.l2 * i2 + weights.l3 * i3
 
-    def refined(self, rows1, rows2) -> tuple:
-        """Both private tables refined by every distinct encoder; index the
-        results with ``enc1_of[a]`` and ``enc2_of[a]`` on the axis after
-        the state axes."""
-        return _refine(rows1, self._same1), _refine(rows2, self._same2)
+    def refined(self, labels1, labels2) -> tuple:
+        """Both senders' labels refined by every distinct encoder: the
+        (label, symbol) pairs relabelled in order of first appearance.
+        Index the results with ``enc1_of[a]`` and ``enc2_of[a]`` on the axis
+        after the state axes."""
+        return (_first_labels(labels1[..., None, :] * self.n_x1 + self._enc1),
+                _first_labels(labels2[..., None, :] * self.n_x2 + self._enc2))
 
     def distinct(self, totals, p, post, ref1, ref2, tol: float) -> np.ndarray:
-        """Mask (..., A) of the first action of each class whose rows agree
-        after rounding to multiples of ``tol``, separately for every state.
-        A row is the weighted reward, the predictive distribution, the
-        posteriors on outputs with mass and both refined private tables (as
+        """Mask (..., A) of the first action of each class whose rows agree,
+        separately for every state. A row is the weighted reward, the
+        predictive distribution and the posteriors on outputs with mass,
+        rounded to multiples of ``tol``, and both refined labels (as
         returned by ``refined``)."""
         lead, n_actions = p.shape[:-2], len(self)
         masked = np.where((p > MASS_EPS)[..., None, None], post, 0.0)
-        rows = np.concatenate(
+        rows = np.concatenate([totals[..., None], p, masked.reshape(lead + (n_actions, -1))], axis=-1)
+        keys = np.concatenate(
             [
-                totals[..., None],
-                p,
-                masked.reshape(lead + (n_actions, -1)),
-                ref1[..., self.enc1_of, :, :].reshape(lead + (n_actions, -1)),
-                ref2[..., self.enc2_of, :, :].reshape(lead + (n_actions, -1)),
+                np.rint(rows / tol) + 0.0,  # + 0.0 folds -0.0 into 0.0
+                ref1[..., self.enc1_of, :],
+                ref2[..., self.enc2_of, :],
             ],
             axis=-1,
         )
-        keys = np.rint(rows / tol) + 0.0  # + 0.0 folds -0.0 into 0.0
         # the state's position keeps the classes of different states apart
         state = np.broadcast_to(
             np.arange(keys[..., 0].size // n_actions, dtype=float).reshape(lead + (1, 1)),
             lead + (n_actions, 1),
         )
-        first, _ = first_rows(np.concatenate([state, keys], axis=-1).reshape(-1, rows.shape[-1] + 1))
+        first, _ = first_rows(np.concatenate([state, keys], axis=-1).reshape(-1, keys.shape[-1] + 1))
         mask = np.zeros(keys[..., 0].size, dtype=bool)
         mask[first] = True
         return mask.reshape(lead + (n_actions,))
-
-
-def _refine(rows: np.ndarray, same: np.ndarray) -> np.ndarray:
-    masked = rows[..., None, :, :] * same
-    return masked / masked.sum(axis=-1, keepdims=True)

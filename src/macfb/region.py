@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .belief import JointBelief, initial_state
+from .belief import JointBelief
 from .channel import Channel, MessageSpace
 from .dp import DEFAULT_NODE_CAP, solve_horizon, solve_stationary
 from .encoding import DEFAULT_ACTION_CAP
@@ -85,20 +85,19 @@ def sweep(
     if solver not in ("horizon", "stationary"):
         raise ValueError(f"unknown region solver {solver!r}")
     lams = lambda_samples(samples)
-    start = initial_state(space, prior)
-    start_pi = JointBelief(np.asarray(prior, dtype=float)) if prior is not None else None
+    pi = JointBelief(np.asarray(prior, dtype=float)) if prior is not None else None
 
     def bound_for(lam):
         weights = LambdaWeights(*lam)
         if solver == "horizon":
             res = solve_horizon(
-                channel, space, weights, n, start,
+                channel, space, weights, n, pi,
                 action_cap=action_cap, node_cap=node_cap,
             )
             return res.value_per_step
         # the per-use gain is read off the prior; the grid resolution is unused
         res = solve_stationary(
-            channel, space, weights, resolution=1, prior=start_pi,
+            channel, space, weights, resolution=1, prior=pi,
             renewal="per_use", action_cap=action_cap,
         )
         return res.gain

@@ -28,7 +28,7 @@ import numpy as np
 from .belief import AugmentedState, JointBelief, PrivateBeliefTable
 from .channel import Channel
 from .errors import NotNormalized
-from .kernel import ActionKernel
+from .kernel import ActionKernel, row_classes
 
 _LN2 = float(np.log(2.0))
 
@@ -82,7 +82,8 @@ def _components(state: AugmentedState, action, channel: Channel) -> tuple:
     """(i1, i2, i3) of one action: the action kernel on a one-action list."""
     kernel = ActionKernel(channel, [action])
     pi = state.pi.table
-    i1, i2, i3 = kernel.rewards(pi, state.beta1.rows, state.beta2.rows, kernel.joint(pi)[1])
+    labels1, labels2 = row_classes(state.beta1.rows), row_classes(state.beta2.rows)
+    i1, i2, i3 = kernel.rewards(pi, labels1, labels2, kernel.joint(pi)[1])
     return float(i1[0]), float(i2[0]), float(i3[0])
 
 

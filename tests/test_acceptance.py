@@ -181,7 +181,8 @@ def test_criterion_2_recursion_matches_trajectories(announce):
         tree = random_tree(rng, space, ch.alphabets, n)
         weights = LambdaWeights(*rng.random(3))
         prior = random_prior(rng, m1, m2) if rng.integers(2) else None
-        via_beliefs = evaluate_tree(ch, space, tree, weights, start=initial_state(space, prior))
+        pi0 = None if prior is None else JointBelief(prior)
+        via_beliefs = evaluate_tree(ch, space, tree, weights, prior=pi0)
         via_paths = evaluate_policy_In(ch, space, tree, weights, prior=prior)
         worst = max(worst, abs(via_beliefs - via_paths))
         count += 1
@@ -196,12 +197,11 @@ def test_criterion_3_dual_route_optima(announce):
     t0 = time.perf_counter()
     rows = []
     for label, ch, space, n, weights, prior in _instances():
-        start = initial_state(space, prior)
-        dp_value = solve_horizon(ch, space, weights, n, start=start).value_per_step
+        pi0 = None if prior is None else JointBelief(np.asarray(prior, dtype=float))
+        dp_value = solve_horizon(ch, space, weights, n, prior=pi0).value_per_step
         ex_value, _ = exhaustive_Cn(ch, space, weights, n, prior=prior)
         gap_h = abs(dp_value - ex_value)
 
-        pi0 = None if prior is None else JointBelief(np.asarray(prior, dtype=float))
         dp_err = solve_dsaht(ch, space, n, prior=pi0).error_probability
         ex_err, _ = exhaustive_min_error(ch, space, n, prior=prior)
         gap_d = abs(dp_err - ex_err)
@@ -284,9 +284,9 @@ def test_criterion_6_prune_preserves_values(announce):
     worst = 0.0
     count = 0
     for label, ch, space, n, weights, prior in _instances():
-        start = initial_state(space, prior)
-        plain = solve_horizon(ch, space, weights, n, start=start, prune=False).value_per_step
-        pruned = solve_horizon(ch, space, weights, n, start=start, prune=True).value_per_step
+        pi0 = None if prior is None else JointBelief(np.asarray(prior, dtype=float))
+        plain = solve_horizon(ch, space, weights, n, prior=pi0, prune=False).value_per_step
+        pruned = solve_horizon(ch, space, weights, n, prior=pi0, prune=True).value_per_step
         worst = max(worst, abs(plain - pruned))
         count += 1
     elapsed = time.perf_counter() - t0
@@ -336,9 +336,8 @@ def test_criterion_8_reachability_diagnostic(announce):
     injective = 0
     conflicted = []
     for label, ch, space, n, weights, prior in _instances():
-        rep = reachability_diagnostic(
-            ch, space, weights, n, start=initial_state(space, prior)
-        )
+        pi0 = None if prior is None else JointBelief(np.asarray(prior, dtype=float))
+        rep = reachability_diagnostic(ch, space, weights, n, prior=pi0)
         if rep.n_states < 1 or rep.n_groups < 1 or rep.n_groups > rep.n_states:
             failures.append(f"{label}: inconsistent state counts")
         if rep.root_action_injective:

@@ -1,10 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from macfb import cli
-from macfb.channel import preset
+from macfb.belief import initial_state, update_augmented
+from macfb.channel import MessageSpace, preset
 from macfb.encoding import policy_from_csv
+from macfb.errors import ImpossibleObservation
 
 FAITHFUL_YAML = """\
 label: faithful
@@ -175,6 +178,64 @@ def test_horizon_json_and_artifacts(tmp_path, capsys):
     assert beliefs[1] == "m1,m2,pi"
     assert beliefs[2] == "0,0,0.25"
     assert "i,m,mprime,beta" in beliefs
+
+
+def _belief_blocks(text: str) -> dict:
+    """(t, history) -> the lines of each sender's i,m,mprime,beta block."""
+    blocks, key = {}, None
+    for line in text.splitlines():
+        if line.startswith("# t="):
+            t, hist = line[len("# t="):].split(" history=")
+            key = (int(t), tuple(int(ch) for ch in hist))
+            blocks[key] = None
+        elif line == "i,m,mprime,beta":
+            blocks[key] = []
+        elif blocks[key] is not None:
+            blocks[key].append(line)
+    return blocks
+
+
+def test_belief_file_below_the_root_matches_update_augmented(tmp_path, capsys):
+    # a non-product prior with a zero-mass message of sender 2, at n = 2:
+    # every node's private tables, written below the root too, are the .17g
+    # text of the tables update_augmented gives along the node's history
+    prior = [0.3, 0.0, 0.2, 0.1, 0.0, 0.4]
+    path = tmp_path / "run.yaml"
+    path.write_text(
+        "channel: {preset: {name: noisy_adder, params: [0.1]}}\n"
+        "messages: {m1: 2, m2: 3}\n"
+        f"prior: {prior}\n"
+    )
+    prefix = tmp_path / "run"
+    code, _ = run(
+        ["horizon", "--config", str(path), "--n", "2", "--lambda", "0.3,0.3,0.4",
+         "--emit-policy", "--emit-beliefs", "--out", str(prefix)],
+        capsys,
+    )
+    assert code == 0
+    ch = preset("noisy_adder", (0.1,))
+    space = MessageSpace(2, 3)
+    tree = policy_from_csv((tmp_path / "run_policy.csv").read_text(), ch.alphabets)
+    blocks = _belief_blocks((tmp_path / "run_beliefs.csv").read_text())
+
+    want = {}
+    stack = [((), initial_state(space, np.reshape(prior, (2, 3))))]
+    while stack:
+        hist, state = stack.pop()
+        want[(len(hist), hist)] = [
+            f"{sender},{m},{mp},{table.rows[m, mp]:.17g}"
+            for sender, table in ((1, state.beta1), (2, state.beta2))
+            for m in range(table.n_messages)
+            for mp in range(table.n_messages)
+        ]
+        if len(hist) < tree.depth:
+            for y in range(ch.n_outputs):
+                try:
+                    stack.append((hist + (y,), update_augmented(state, tree.action_at(hist), y, ch)))
+                except ImpossibleObservation:
+                    pass
+    assert any(t == 2 for t, _ in want)
+    assert blocks == want
 
 
 def test_dsaht_decoder_artifact(tmp_path, capsys):

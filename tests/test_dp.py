@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_rng, random_channel, random_prior, random_tree
-from macfb import dp
+from macfb import dp, region
 from macfb.belief import JointBelief, initial_state, uniform_initial
 from macfb.channel import MessageSpace, preset, validate_channel
 from macfb.dp import (
@@ -132,7 +132,7 @@ def test_horizon_with_prior_start():
     ch = preset("adder")
     space = MessageSpace(2, 2)
     prior = np.array([[0.7, 0.1], [0.1, 0.1]])
-    res = solve_horizon(ch, space, L3, 1, start=initial_state(space, prior))
+    res = solve_horizon(ch, space, L3, 1, prior=JointBelief(prior))
     start = initial_state(space, prior)
     best = max(
         reward_weighted(start, a, ch, L3).weighted
@@ -258,8 +258,7 @@ def test_per_use_gain_is_exact_one_step_value():
         (preset("noisy_adder", (0.1,)), MessageSpace(3, 3), None, (4, 1, 7)),
         (random_channel(rng, 2, 2, 3), MessageSpace(2, 2), prior, (8, 1, 16)),
     ):
-        start = initial_state(space, None if pri is None else pri.table)
-        want = solve_horizon(ch, space, w, 1, start).value_per_step
+        want = solve_horizon(ch, space, w, 1, pri).value_per_step
         for resolution in resolutions:
             res = solve_stationary(ch, space, w, resolution, prior=pri)
             assert abs(res.gain - want) <= 1e-12
@@ -397,6 +396,33 @@ def test_result_values_are_plain_floats():
         assert type(solve_dsaht(ch, space, big_t).error_probability) is float
 
 
+_WRONG = JointBelief(np.full((3, 3), 1.0 / 9.0))
+_ADDER, _SPACE = preset("adder"), MessageSpace(2, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: solve_dsaht(_ADDER, _SPACE, 0, prior=_WRONG),
+        lambda: solve_dsaht(_ADDER, _SPACE, 2, prior=_WRONG),
+        lambda: solve_stationary(_ADDER, _SPACE, L3, 2, prior=_WRONG),
+        lambda: solve_stationary(_ADDER, _SPACE, L3, 2, prior=_WRONG, renewal="none"),
+        lambda: solve_horizon(_ADDER, _SPACE, L3, 2, prior=_WRONG),
+        lambda: evaluate_tree(_ADDER, _SPACE, solve_horizon(_ADDER, _SPACE, L3, 1).policy, L3, prior=_WRONG),
+        lambda: reachability_diagnostic(_ADDER, _SPACE, L3, 1, prior=_WRONG),
+        lambda: region.sweep(_ADDER, _SPACE, 1, 3, prior=_WRONG.table),
+        lambda: region.sweep(_ADDER, _SPACE, 1, 3, solver="stationary", prior=_WRONG.table),
+    ],
+    ids=["dsaht-T0", "dsaht-T2", "stationary-per-use", "stationary-none", "horizon",
+         "evaluate-tree", "diagnostic", "region-horizon", "region-stationary"],
+)
+def test_prior_of_another_shape_is_rejected(call):
+    # a 3x3 prior on a 2x2 message space: at T = 0 DSAHT used to return
+    # 0.8889, and elsewhere numpy failed to broadcast
+    with pytest.raises(ValueError, match="^prior shape disagrees with the message space$"):
+        call()
+
+
 def test_diagnostic_reports_private_table_conflicts():
     # output 0 is uninformative, so after it the common belief is the prior
     # again while the private tables have moved; from a correlated prior the
@@ -410,10 +436,11 @@ def test_diagnostic_reports_private_table_conflicts():
             q[1 + x1 + x2, x1, x2] = 0.5
     ch = validate_channel(q)
     space = MessageSpace(2, 2)
-    start = initial_state(space, np.array([[0.4, 0.1], [0.1, 0.4]]))
-    rep = reachability_diagnostic(ch, space, L_ALL, 2, start=start)
+    prior = np.array([[0.4, 0.1], [0.1, 0.4]])
+    start = initial_state(space, prior)
+    rep = reachability_diagnostic(ch, space, L_ALL, 2, prior=JointBelief(prior))
     assert rep.conflicts
-    root = solve_horizon(ch, space, L_ALL, 2, start=start).policy.action_at(())
+    root = solve_horizon(ch, space, L_ALL, 2, prior=JointBelief(prior)).policy.action_at(())
     after = update_augmented(start, root, 0, ch)
     actions = enumerate_actions(space, ch.alphabets)
     for c in rep.conflicts:

@@ -27,7 +27,7 @@ from macfb.belief import (
 from macfb.channel import MessageSpace, preset
 from macfb.encoding import enumerate_actions
 from macfb.kernel import ROW_MATCH_TOL as KERNEL_ROW_MATCH_TOL
-from macfb.kernel import ActionKernel, row_classes
+from macfb.kernel import ActionKernel, root_labels, row_classes
 from macfb.reward import LambdaWeights
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,7 @@ def test_kernel_rewards_match_per_cell_reference():
         kernel = ActionKernel(ch, actions)
         pi = state.pi.table
         joint, p = kernel.joint(pi)
-        i1, i2, i3 = kernel.rewards(pi, state.beta1.rows, state.beta2.rows, p)
+        i1, i2, i3 = kernel.rewards(pi, *_labels(state), p)
         for a, action in enumerate(actions):
             ref = (reward_i1(state, action, ch), reward_i2(state, action, ch),
                    reward_i3(state, action, ch))
@@ -231,7 +231,7 @@ def test_kernel_bayes_updates_match_public_functions():
         kernel = ActionKernel(ch, actions)
         joint, p = kernel.joint(state.pi.table)
         post = kernel.posteriors(joint, p)
-        ref1, ref2 = kernel.refined(state.beta1.rows, state.beta2.rows)
+        ref1, ref2 = kernel.refined(*_labels(state))
         for a, action in enumerate(actions):
             pred = predictive_distribution(state.pi, action, ch)
             np.testing.assert_allclose(p[a], pred, rtol=0.0, atol=1e-15)
@@ -240,12 +240,50 @@ def test_kernel_bayes_updates_match_public_functions():
                     np.testing.assert_allclose(
                         post[a, y], update_joint(state.pi, action, y, ch).table, rtol=0.0, atol=1e-15
                     )
-            np.testing.assert_array_equal(
-                ref1[kernel.enc1_of[a]], update_private(state.beta1, action.e1).rows
-            )
-            np.testing.assert_array_equal(
-                ref2[kernel.enc2_of[a]], update_private(state.beta2, action.e2).rows
-            )
+            for ref, of, table, enc in ((ref1, kernel.enc1_of, state.beta1, action.e1),
+                                        (ref2, kernel.enc2_of, state.beta2, action.e2)):
+                assert ref[of[a]].tolist() == row_classes(update_private(table, enc).rows).tolist()
+
+
+def _priors_with_zero_mass(rng, m1, m2) -> tuple:
+    """A product, a non-product and a prior with a zero-mass message on
+    each side that has more than one."""
+    product = np.outer(rng.dirichlet(np.ones(m1)), rng.dirichlet(np.ones(m2)))
+    zero = random_prior(rng, m1, m2)
+    if m1 > 1:
+        zero[int(rng.integers(m1)), :] = 0.0
+    if m2 > 1:
+        zero[:, int(rng.integers(m2))] = 0.0
+    return product / product.sum(), random_prior(rng, m1, m2), zero / zero.sum()
+
+
+def test_label_refinement_equals_row_classes_of_float_tables():
+    # from every start the solvers use, the labels the kernel refines along
+    # an encoder sequence are exactly the row classes of the tables
+    # update_private refines along it, and a zero-mass message stays a
+    # class of its own
+    rng = make_rng(73)
+    steps = 0
+    for _ in range(40):
+        space = MessageSpace(int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+        ch = random_channel(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)), 2)
+        for prior in (None,) + _priors_with_zero_mass(rng, space.m1, space.m2):
+            state = initial_state(space, prior)
+            pi = state.pi.table
+            marginals = (pi.sum(axis=1), pi.sum(axis=0))
+            tables = [state.beta1, state.beta2]
+            labels = [root_labels(m) for m in marginals]
+            assert [own.tolist() for own in labels] == [row_classes(t.rows).tolist() for t in tables]
+            for _ in range(int(rng.integers(1, 5))):
+                action = random_action(rng, space, ch.alphabets)
+                labels = [ref[0] for ref in ActionKernel(ch, [action]).refined(*labels)]
+                tables = [update_private(tables[0], action.e1), update_private(tables[1], action.e2)]
+                for marginal, own, table in zip(marginals, labels, tables):
+                    assert own.tolist() == row_classes(table.rows).tolist()
+                    for m in np.flatnonzero(marginal <= 0.0):
+                        assert (own == own[m]).sum() == 1
+                steps += 1
+    assert steps > 300
 
 
 def test_kernel_zero_mass_cells_contribute_nothing():
@@ -258,7 +296,7 @@ def test_kernel_zero_mass_cells_contribute_nothing():
     actions = [random_action(rng, space, ch.alphabets) for _ in range(10)]
     kernel = ActionKernel(ch, actions)
     joint, p = kernel.joint(table)
-    for values in kernel.rewards(table, np.eye(3), np.eye(3), p):
+    for values in kernel.rewards(table, np.arange(3), np.arange(3), p):
         np.testing.assert_allclose(values, 0.0, atol=1e-12)
 
 
@@ -271,11 +309,17 @@ def _bits(values) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
 
 
+def _labels(state) -> tuple:
+    """The row classes of a state's two private tables."""
+    return row_classes(state.beta1.rows), row_classes(state.beta2.rows)
+
+
 def _stack(states) -> tuple:
+    """pi and both senders' labels of a batch of states."""
     return (
         np.stack([s.pi.table for s in states]),
-        np.stack([s.beta1.rows for s in states]),
-        np.stack([s.beta2.rows for s in states]),
+        np.stack([row_classes(s.beta1.rows) for s in states]),
+        np.stack([row_classes(s.beta2.rows) for s in states]),
     )
 
 
@@ -321,16 +365,14 @@ def test_kernel_rewards_bitwise_equal_earlier_kernel_alone(batch):
     for ch, space, actions in _bitwise_instances(rng):
         kernel = ActionKernel(ch, actions)
         states = _state_batch(rng, space, ch.alphabets, batch)
-        pis, rows1, rows2 = _stack(states)
+        pis, labels1, labels2 = _stack(states)
         joint, p = kernel.joint(pis)
-        got = kernel.rewards(pis, rows1, rows2, p)
-        carried = kernel.rewards(pis, rows1, rows2, p, (row_classes(rows1), row_classes(rows2)))
+        got = kernel.rewards(pis, labels1, labels2, p)
         for s, state in enumerate(states):
             pi = state.pi.table
             want = rewards(kernel, pi, state.beta1.rows, state.beta2.rows, *kernel.joint(pi))
-            for new, old, via_classes in zip(got, want, carried):
+            for new, old in zip(got, want):
                 np.testing.assert_array_equal(_bits(new[s]), _bits(old))
-                np.testing.assert_array_equal(_bits(via_classes[s]), _bits(old))
 
 
 def test_kernel_batch_equals_one_state_at_a_time_at_nine_cells():
@@ -342,14 +384,14 @@ def test_kernel_batch_equals_one_state_at_a_time_at_nine_cells():
     actions = [random_action(rng, space, ch.alphabets) for _ in range(40)]
     kernel = ActionKernel(ch, actions)
     states = _state_batch(rng, space, ch.alphabets, 120)
-    pis, rows1, rows2 = _stack(states)
-    counts = {int(row_classes(r).max()) + 1 for r in rows2}
+    pis, labels1, labels2 = _stack(states)
+    counts = {int(labels.max()) + 1 for labels in labels2}
     assert 3 in counts and len(counts) > 1  # 9 cells and fewer, in one batch
     joint, p = kernel.joint(pis)
-    batched = kernel.rewards(pis, rows1, rows2, p)
+    batched = kernel.rewards(pis, labels1, labels2, p)
     for s, state in enumerate(states):
         pi = state.pi.table
-        alone = kernel.rewards(pi, state.beta1.rows, state.beta2.rows, kernel.joint(pi)[1])
+        alone = kernel.rewards(pi, *_labels(state), kernel.joint(pi)[1])
         for many, one in zip(batched, alone):
             np.testing.assert_array_equal(_bits(many[s]), _bits(one))
 
@@ -366,10 +408,10 @@ def test_kernel_one_cell_sender_bitwise_equal_alone_and_in_a_mixed_batch():
         one = initial_state(space, random_prior(rng, 2, 3))
         two = AugmentedState(JointBelief(random_prior(rng, 2, 3)), PrivateBeliefTable(np.eye(2)), one.beta2)
         assert row_classes(one.beta1.rows).tolist() == [0, 0]
-        pis, rows1, rows2 = _stack([one, two])
-        batched = kernel.rewards(pis, rows1, rows2, kernel.joint(pis)[1])
+        pis, labels1, labels2 = _stack([one, two])
+        batched = kernel.rewards(pis, labels1, labels2, kernel.joint(pis)[1])
         pi = one.pi.table
-        alone = kernel.rewards(pi, one.beta1.rows, one.beta2.rows, kernel.joint(pi)[1])
+        alone = kernel.rewards(pi, *_labels(one), kernel.joint(pi)[1])
         for many, single in zip(batched, alone):
             np.testing.assert_array_equal(_bits(many[0]), _bits(single))
 
@@ -451,8 +493,9 @@ def test_branch_map_built_on_first_access():
     space = MessageSpace(2, 2)
     kernel = ActionKernel(ch, enumerate_actions(space, ch.alphabets))
     pi = np.full((2, 2), 0.25)
-    kernel.weighted(LambdaWeights(0.3, 0.3, 0.4), pi, np.eye(2), np.eye(2), kernel.joint(pi)[1])
-    kernel.refined(np.eye(2), np.eye(2))
+    own = np.arange(2)
+    kernel.weighted(LambdaWeights(0.3, 0.3, 0.4), pi, own, own, kernel.joint(pi)[1])
+    kernel.refined(own, own)
     assert "_branches" not in vars(kernel)
     assert kernel.branch_of is kernel.branch_of
     assert "_branches" in vars(kernel)
@@ -495,20 +538,16 @@ def test_branch_updates_bitwise_equal_every_member():
     rng = make_rng(96)
     for ch, space, kernel in _branch_instances():
         states = _state_batch(rng, space, ch.alphabets, 6)
-        pis, rows1, rows2 = _stack(states)
+        pis, labels1, labels2 = _stack(states)
         joint, p = kernel.joint(pis)
         post = kernel.posteriors(joint, p)
         branch_joint, branch_p = kernel.branch_joint(pis)
         branch_post = kernel.posteriors(branch_joint, branch_p)
-        ref1, ref2 = kernel.refined(rows1, rows2)
+        ref1, ref2 = kernel.refined(labels1, labels2)
         for a in range(len(kernel)):
             b = kernel.branch_of[a]
             np.testing.assert_array_equal(_bits(p[:, a]), _bits(branch_p[:, b]))
             np.testing.assert_array_equal(_bits(post[:, a]), _bits(branch_post[:, b]))
             for y in range(ch.n_outputs):
-                np.testing.assert_array_equal(
-                    _bits(ref1[:, kernel.enc1_of[a]]), _bits(ref1[:, kernel.branch_enc1[b[y]]])
-                )
-                np.testing.assert_array_equal(
-                    _bits(ref2[:, kernel.enc2_of[a]]), _bits(ref2[:, kernel.branch_enc2[b[y]]])
-                )
+                np.testing.assert_array_equal(ref1[:, kernel.enc1_of[a]], ref1[:, kernel.branch_enc1[b[y]]])
+                np.testing.assert_array_equal(ref2[:, kernel.enc2_of[a]], ref2[:, kernel.branch_enc2[b[y]]])

@@ -1,6 +1,9 @@
 """The level-synchronous finite-horizon programs against the memoised
 recursions they replaced: values, policies, decoders and counters must be
-exactly equal, not merely close."""
+exactly equal, not merely close. The horizon recursion carries the float
+private tables the engine carried before it carried int labels, and reads
+their classes through ``row_classes``, so it shares no label code with the
+engine; neither recursion uses the engine's walker."""
 
 import numpy as np
 import pytest
@@ -14,19 +17,19 @@ from macfb.dp import (
     _backward_induction,
     _best_guesses,
     _complete_tree,
-    _reachable,
     solve_dsaht,
     solve_horizon,
 )
 from macfb.encoding import PRUNE_TOL, enumerate_actions
 from macfb.errors import LevelTooWide, SolverError
-from macfb.kernel import ActionKernel
+from macfb.kernel import ActionKernel, row_classes
 from macfb.reward import LambdaWeights
 
 # ---------------------------------------------------------------------------
 # reference: the memoised recursions as they stood before the level engine,
-# verbatim apart from the function headers, the returned tuples and the
-# counters in cost(), which counts like value()
+# verbatim apart from the function headers, the returned tuples, the
+# counters in cost(), which counts like value(), the float private tables'
+# refinement and classes (now outside the kernel) and the policy walk
 
 
 def _quantized(arr: np.ndarray) -> bytes:
@@ -74,12 +77,41 @@ def _distinct(kernel, totals, p, post, ref1, ref2, tol: float) -> list:
     return list(first.values())
 
 
-def recursive_horizon(channel, space, weights, n, start=None, prune=False):
-    if start is None:
-        start = initial_state(space)
+def _partition_masks(encoders: np.ndarray) -> np.ndarray:
+    """same[k, m, m'] = 1 when encoder k sends m and m' to the same symbol."""
+    return (encoders[:, None, :] == encoders[:, :, None]).astype(float)
+
+
+def _refine(rows: np.ndarray, same: np.ndarray) -> np.ndarray:
+    masked = rows[..., None, :, :] * same
+    return masked / masked.sum(axis=-1, keepdims=True)
+
+
+def _policy(kernel, depth, pi, tables, choose, refine=None):
+    """The tree of the actions ``choose(t, pi, tables)`` takes at every
+    node reachable from (pi, tables), following outputs with predictive
+    mass above MASS_EPS; ``refine(tables, a)`` gives a child's private
+    tables (unused when ``tables`` is None)."""
+    n_y = kernel.lik.shape[1]
+    nodes, stack = {}, [(1, (), pi, tables)]
+    while stack:
+        t, hist, pi, tables = stack.pop()
+        a = choose(t, pi, tables)
+        nodes[hist] = kernel.actions[a]
+        if t < depth:
+            joint, p = kernel.joint(pi)
+            post = kernel.posteriors(joint, p)
+            child = None if tables is None else refine(tables, a)
+            stack.extend((t + 1, hist + (y,), post[a, y], child) for y in range(n_y) if p[a, y] > MASS_EPS)
+    return _complete_tree(depth, n_y, nodes, kernel.actions[0])
+
+
+def recursive_horizon(channel, space, weights, n, prior=None, prune=False):
+    start = initial_state(space, None if prior is None else prior.table)
     actions = enumerate_actions(space, channel.alphabets)
     kernel = ActionKernel(channel, actions)
     enc1_of, enc2_of = kernel.enc1_of, kernel.enc2_of
+    same1, same2 = _partition_masks(kernel._enc1), _partition_masks(kernel._enc2)
     n_y = channel.n_outputs
     memo = {}
     stats = {"expanded": 0, "hits": 0}
@@ -91,11 +123,11 @@ def recursive_horizon(channel, space, weights, n, start=None, prune=False):
             return hit[0]
         stats["expanded"] += 1
         joint, p = kernel.joint(pi)
-        totals = kernel.weighted(weights, pi, rows1, rows2, p)
+        totals = kernel.weighted(weights, pi, row_classes(rows1), row_classes(rows2), p)
         candidates = np.arange(len(actions))
         if t < n:
             post = kernel.posteriors(joint, p)
-            ref1, ref2 = kernel.refined(rows1, rows2)
+            ref1, ref2 = _refine(rows1, same1), _refine(rows2, same2)
             if prune:
                 candidates = np.asarray(_distinct(kernel, totals, p, post, ref1, ref2, PRUNE_TOL))
             qpost = np.rint(post / QUANT).astype(np.int64)
@@ -119,15 +151,13 @@ def recursive_horizon(channel, space, weights, n, start=None, prune=False):
     pi0, rows1, rows2 = start.pi.table, start.beta1.rows, start.beta2.rows
     total = value(1, pi0, rows1, rows2, _state_key(1, pi0, rows1, rows2))
 
-    def choose(t, hist, pi, rows1, rows2):
-        return memo[_state_key(t, pi, rows1, rows2)][1]
+    def choose(t, pi, tables):
+        return memo[_state_key(t, pi, *tables)][1]
 
-    nodes = {
-        hist: actions[a]
-        for t, hist, _, _, _, a, _ in _reachable(kernel, n, pi0, rows1, rows2, choose)
-        if a is not None
-    }
-    policy = _complete_tree(n, n_y, nodes, actions[0])
+    def refine(tables, a):
+        return _refine(tables[0], same1)[enc1_of[a]], _refine(tables[1], same2)[enc2_of[a]]
+
+    policy = _policy(kernel, n, pi0, (rows1, rows2), choose, refine)
     return total, policy, stats["expanded"], stats["hits"]
 
 
@@ -164,15 +194,10 @@ def recursive_dsaht(channel, space, horizon, prior=None):
 
     error = cost(1, prior.table)
 
-    def choose(t, hist, pi, rows1, rows2):
+    def choose(t, pi, tables):
         return memo[(t, _quantized(pi))][1]
 
-    nodes = {
-        hist: actions[a]
-        for t, hist, _, _, _, a, _ in _reachable(kernel, horizon, prior.table, None, None, choose)
-        if a is not None
-    }
-    policy = _complete_tree(horizon, n_y, nodes, actions[0])
+    policy = _policy(kernel, horizon, prior.table, None, choose)
     return error, policy, stats["expanded"], stats["hits"]
 
 
@@ -215,9 +240,10 @@ def _horizon_cases():
 @pytest.mark.parametrize("name,m1,m2,n,weights,prior,prune", list(_horizon_cases()))
 def test_horizon_equals_recursion(name, m1, m2, n, weights, prior, prune):
     ch, space = CHANNELS[name], MessageSpace(m1, m2)
-    start = initial_state(space, _priors(space, 7 * m1 + m2)[prior])
-    total, policy, expanded, hits = recursive_horizon(ch, space, weights, n, start, prune)
-    res = solve_horizon(ch, space, weights, n, start, prune=prune)
+    table = _priors(space, 7 * m1 + m2)[prior]
+    pri = None if table is None else JointBelief(table)
+    total, policy, expanded, hits = recursive_horizon(ch, space, weights, n, pri, prune)
+    res = solve_horizon(ch, space, weights, n, pri, prune=prune)
     assert res.total_value == total
     assert res.value_per_step == total / n
     assert res.policy == policy
@@ -230,9 +256,9 @@ def test_horizon_equals_recursion_sparse_channel():
     space = MessageSpace(2, 3)
     for _ in range(3):
         ch = random_channel(rng, 2, 2, 3, sparse=True)
-        start = initial_state(space, random_prior(rng, 2, 3))
-        total, policy, expanded, hits = recursive_horizon(ch, space, W_MIX, 3, start)
-        res = solve_horizon(ch, space, W_MIX, 3, start)
+        pri = JointBelief(random_prior(rng, 2, 3))
+        total, policy, expanded, hits = recursive_horizon(ch, space, W_MIX, 3, pri)
+        res = solve_horizon(ch, space, W_MIX, 3, pri)
         assert (res.total_value, res.policy) == (total, policy)
         assert (res.states_expanded, res.cache_hits) == (expanded, hits)
 
@@ -244,9 +270,9 @@ def test_horizon_prune_equals_recursion_sparse_channel():
     space = MessageSpace(2, 3)
     for _ in range(3):
         ch = random_channel(rng, 2, 2, 3, sparse=True)
-        start = initial_state(space, random_prior(rng, 2, 3))
-        total, policy, expanded, hits = recursive_horizon(ch, space, W_MIX, 3, start, prune=True)
-        res = solve_horizon(ch, space, W_MIX, 3, start, prune=True)
+        pri = JointBelief(random_prior(rng, 2, 3))
+        total, policy, expanded, hits = recursive_horizon(ch, space, W_MIX, 3, pri, prune=True)
+        res = solve_horizon(ch, space, W_MIX, 3, pri, prune=True)
         assert (res.total_value, res.policy) == (total, policy)
         assert (res.states_expanded, res.cache_hits) == (expanded, hits)
 

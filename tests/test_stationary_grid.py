@@ -118,7 +118,8 @@ class _SimplexInterpolator:
 def reference_grid_tables(kernel, weights, space, resolution):
     actions = kernel.actions
     channel_n_outputs = kernel.lik.shape[1]
-    eye1, eye2 = np.eye(space.m1), np.eye(space.m2)
+    # fully refined private tables: every message a class of its own
+    own1, own2 = np.arange(space.m1), np.arange(space.m2)
     parts = space.pairs
     comps = _compositions(resolution, parts)
     n_points = len(comps)
@@ -134,7 +135,7 @@ def reference_grid_tables(kernel, weights, space, resolution):
     for i, comp in enumerate(comps):
         pi = np.asarray(comp, dtype=float).reshape(space.m1, space.m2) / resolution
         joint, p = kernel.joint(pi)
-        rewards[i] = kernel.weighted(weights, pi, eye1, eye2, p)
+        rewards[i] = kernel.weighted(weights, pi, own1, own2, p)
         post = kernel.posteriors(joint, p)
         for a_i in range(n_actions):
             for y in range(n_y):
