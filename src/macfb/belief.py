@@ -5,8 +5,11 @@ Three objects track what is knowable mid-transmission:
 * the common belief pi(m1, m2) held by anyone who has seen the outputs;
 * one private table per sender, whose row m is the belief an output-blind
   observer of that sender's past inputs would hold if the true message were
-  m (rows from identical input histories coincide, rows from different
-  histories have disjoint support);
+  m. In the tables ``initial_state`` and ``update_private`` build, rows
+  from identical input histories coincide and rows from different
+  histories have disjoint support; the validator does not check this, and
+  ``macfb.reward`` and ``prune_actions`` read any table through its
+  classes of identical rows (``kernel.row_classes``);
 * the augmented state bundling all three, the state of the finite-horizon
   program.
 
@@ -44,8 +47,9 @@ class JointBelief:
             raise ValueError("joint belief must be a 2d table indexed [m1][m2]")
         if (t < 0.0).any():
             raise ValueError("joint belief has a negative entry")
-        if abs(t.sum() - 1.0) > _SUM_TOL:
-            raise ValueError(f"joint belief sums to {t.sum()!r}, expected 1")
+        # written so that a NaN entry fails it too
+        if not abs(t.sum() - 1.0) <= _SUM_TOL:
+            raise ValueError(f"joint belief sums to {float(t.sum())!r}, expected 1")
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
 
@@ -71,7 +75,9 @@ class JointBelief:
 
 @dataclass(frozen=True, eq=False)
 class PrivateBeliefTable:
-    """Per-message conditional beliefs for one sender, rows[m][m']."""
+    """Per-message conditional beliefs for one sender, rows[m][m'], checked
+    only for stochastic rows with a positive diagonal (see the module
+    docstring for the structure of the tables the package builds)."""
 
     rows: np.ndarray
 
@@ -82,7 +88,7 @@ class PrivateBeliefTable:
         if (r < 0.0).any():
             raise ValueError("private belief table has a negative entry")
         sums = r.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > _SUM_TOL:
+        if not (np.abs(sums - 1.0) <= _SUM_TOL).all():  # NaN fails it too
             raise ValueError("private belief rows must each sum to 1")
         if (np.diagonal(r) <= 0.0).any():
             raise ValueError("row m must give its own message positive mass")

@@ -81,7 +81,8 @@ def validate_channel(kernel) -> Channel:
     sums = q.sum(axis=0)
     for x1 in range(q.shape[1]):
         for x2 in range(q.shape[2]):
-            if abs(sums[x1, x2] - 1.0) > ROW_SUM_TOL:
+            # written so that a NaN entry fails it too
+            if not abs(sums[x1, x2] - 1.0) <= ROW_SUM_TOL:
                 raise NonStochastic(x1, x2, sums[x1, x2])
     q.flags.writeable = False
     alph = Alphabets(x1=int(q.shape[1]), x2=int(q.shape[2]), y=int(q.shape[0]))

@@ -228,15 +228,15 @@ def _cmd_horizon(cfg: RunConfig, args, result: dict) -> int:
         "states_expanded": res.states_expanded,
         "cache_hits": res.cache_hits,
     }
-    if cfg.output_prefix:
-        if args.emit_policy:
-            path = f"{cfg.output_prefix}_policy.csv"
-            atomic_write_text(path, policy_to_csv(res.policy))
-            result["files"]["policy"] = path
-        if args.emit_beliefs:
-            path = f"{cfg.output_prefix}_beliefs.csv"
-            atomic_write_text(path, _beliefs_csv(res.policy, cfg))
-            result["files"]["beliefs"] = path
+    # main has checked that an emit flag comes with an output prefix
+    if args.emit_policy:
+        path = f"{cfg.output_prefix}_policy.csv"
+        atomic_write_text(path, policy_to_csv(res.policy))
+        result["files"]["policy"] = path
+    if args.emit_beliefs:
+        path = f"{cfg.output_prefix}_beliefs.csv"
+        atomic_write_text(path, _beliefs_csv(res.policy, cfg))
+        result["files"]["beliefs"] = path
     return EXIT_OK
 
 
@@ -388,6 +388,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _config_from_args(args)
+        emits = getattr(args, "emit_policy", False) or getattr(args, "emit_beliefs", False)
+        if emits and not cfg.output_prefix:
+            raise ValidationError("usage", "--emit-policy and --emit-beliefs need --out or output.prefix")
         result = _base_result(args.command, cfg)
         code = _HANDLERS[args.command](cfg, args, result)
     except (ConfigError, ValueError, OSError) as exc:

@@ -39,8 +39,10 @@ import numpy as np
 import yaml
 
 from . import dp, encoding, oracle
+from .belief import JointBelief
 from .channel import Channel, MessageSpace, preset, validate_channel, PRESET_NAMES
 from .errors import ParseError, ValidationError
+from .reward import LambdaWeights
 
 # every default is owned by the module whose solver reads it
 _DEFAULT_LIMITS = {
@@ -115,9 +117,10 @@ def _as_lambda(value, fieldname: str) -> tuple:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ValidationError(fieldname, "expected three weights [l1, l2, l3]")
     out = tuple(_as_float(v, fieldname) for v in value)
-    if any(v < 0.0 for v in out):
-        raise ValidationError(fieldname, "weights must be non-negative")
-    return out
+    try:
+        return LambdaWeights(*out).as_tuple()
+    except ValueError as exc:
+        raise ValidationError(fieldname, str(exc)) from None
 
 
 def _channel_from(doc: dict) -> tuple:
@@ -169,11 +172,10 @@ def _prior_from(doc: dict, space: MessageSpace) -> np.ndarray | None:
             "prior", f"expected {space.pairs} entries for [m1][m2], got {len(flat)}"
         )
     values = np.asarray([_as_float(v, "prior") for v in flat]).reshape(space.m1, space.m2)
-    if (values < 0.0).any():
-        raise ValidationError("prior", "entries must be non-negative")
-    if abs(float(values.sum()) - 1.0) > 1e-9:
-        raise ValidationError("prior", f"entries sum to {float(values.sum())!r}, expected 1")
-    return values
+    try:
+        return JointBelief(values).table
+    except ValueError as exc:
+        raise ValidationError("prior", str(exc)) from None
 
 
 def _validate_section(name: str, raw) -> dict:

@@ -31,7 +31,9 @@ through its branch, and the policy follows the stored successor indices
 from the root. Validated belief objects exist only at the API boundary.
 Every walk over the beliefs a fixed policy reaches (the DSAHT decoder,
 ``evaluate_tree``, the diagnostic and the CLI's belief file) goes through
-one walker, ``_reachable``.
+one walker, ``walk_policy``, which builds only the chosen action's update
+at each node; ``evaluate_tree`` and the diagnostic then evaluate every
+node they walked in one batched reward pass.
 
 Ties: the policy takes the lexicographically smallest action whose total
 lies within TIE_TOL of the optimum (the maximum for the horizon program,
@@ -88,10 +90,6 @@ CHUNK_ENTRIES = 1 << 13
 
 # totals this close to the optimum count as tied; the first one wins
 TIE_TOL = 1e-12
-
-
-def _quantized(arr: np.ndarray) -> bytes:
-    return np.rint(arr / QUANT).astype(np.int64).tobytes()
 
 
 def _quantized_rows(arrays) -> np.ndarray:
@@ -165,10 +163,6 @@ class ReductionReport:
     conflicts: list
     root_action_injective: bool
 
-    @property
-    def has_conflicts(self) -> bool:
-        return bool(self.conflicts)
-
 
 def _estimated_nodes(n_outputs: int, depth: int) -> int:
     return sum(n_outputs**t for t in range(depth))
@@ -185,49 +179,50 @@ def _start(space: MessageSpace, prior: JointBelief) -> tuple:
     return pi, root_labels(pi.sum(axis=1)), root_labels(pi.sum(axis=0))
 
 
-def _reachable(kernel: ActionKernel, depth: int, pi, labels1, labels2, choose):
-    """Depth-first walk over the beliefs reachable under a per-node choice.
-
-    ``choose(t, hist, pi, labels1, labels2)`` returns the index of the
-    action used at a node. Yields (t, hist, pi, labels1, labels2, a, mass)
-    in history order for t = 1..depth, then the beliefs at t = depth + 1
-    with a = None; ``mass`` is the probability of the output history, the
-    product of the predictive masses along it. Branches with predictive
-    mass at or below MASS_EPS are not followed. Without labels (labels1 =
-    labels2 = None) only the common belief is carried.
-    """
-    stack = [(1, (), pi, labels1, labels2, 1.0)]
-    while stack:
-        t, hist, pi, labels1, labels2, mass = stack.pop()
-        if t > depth:
-            yield t, hist, pi, labels1, labels2, None, mass
-            continue
-        a = choose(t, hist, pi, labels1, labels2)
-        yield t, hist, pi, labels1, labels2, a, mass
-        joint, p = kernel.joint(pi)
-        post = kernel.posteriors(joint, p)
-        if labels1 is not None:
-            ref1, ref2 = kernel.refined(labels1, labels2)
-            labels1, labels2 = ref1[kernel.enc1_of[a]], ref2[kernel.enc2_of[a]]
-        for y in reversed(range(p.shape[1])):
-            if p[a, y] > MASS_EPS:
-                stack.append((t + 1, hist + (y,), post[a, y], labels1, labels2, mass * p[a, y]))
-
-
 def policy_kernel(channel: Channel, tree: PolicyTree) -> ActionKernel:
     """Action kernel over the distinct actions of a policy tree."""
     return ActionKernel(channel, dict.fromkeys(tree.nodes.values()))
 
 
 def walk_policy(kernel: ActionKernel, tree: PolicyTree, pi, labels1=None, labels2=None):
-    """``_reachable`` under a fixed policy tree; ``kernel`` must hold every
-    action the tree uses, and the yielded action indices refer to it."""
+    """Depth-first walk over the beliefs a fixed policy tree reaches.
+
+    ``kernel`` must hold every action the tree uses. Yields (t, hist, pi,
+    labels1, labels2, a, mass) in history order for t = 1..depth, with a
+    the index in ``kernel`` of the action at hist, then the beliefs at
+    t = depth + 1 with a = None; ``mass`` is the probability of the output
+    history, the product of the predictive masses along it. Only the
+    chosen action's update is built: its joint, posteriors and refined
+    labels, bit for bit those of the kernel's all-action methods. Branches
+    with predictive mass at or below MASS_EPS are not followed. Without
+    labels (labels1 = labels2 = None) only the common belief is carried.
+    """
     index = {action: a for a, action in enumerate(kernel.actions)}
+    stack = [(1, (), pi, labels1, labels2, 1.0)]
+    while stack:
+        t, hist, pi, labels1, labels2, mass = stack.pop()
+        if t > tree.depth:
+            yield t, hist, pi, labels1, labels2, None, mass
+            continue
+        a = index[tree.action_at(hist)]
+        yield t, hist, pi, labels1, labels2, a, mass
+        joint = kernel.lik[a] * pi
+        p = joint.reshape(len(joint), -1).sum(axis=-1)
+        post = kernel.posteriors(joint, p)
+        if labels1 is not None:
+            labels1, labels2 = kernel.refined_by(a, labels1, labels2)
+        for y in reversed(range(len(p))):
+            if p[y] > MASS_EPS:
+                stack.append((t + 1, hist + (y,), post[y], labels1, labels2, mass * p[y]))
 
-    def choose(t, hist, pi, labels1, labels2):
-        return index[tree.action_at(hist)]
 
-    return _reachable(kernel, tree.depth, pi, labels1, labels2, choose)
+def _walked(kernel: ActionKernel, tree: PolicyTree, start: tuple) -> tuple:
+    """The columns (t, hist, pi, labels1, labels2, a, mass) of the nodes
+    ``walk_policy`` yields before the last step, in walk order, with the
+    beliefs and labels stacked for one batched kernel pass."""
+    walked = [node for node in walk_policy(kernel, tree, *start) if node[5] is not None]
+    t, hist, pis, labels1, labels2, a, mass = zip(*walked)
+    return t, hist, np.stack(pis), np.stack(labels1), np.stack(labels2), a, mass
 
 
 def _complete_tree(depth: int, n_outputs: int, reached: dict, default: EncoderAction) -> PolicyTree:
@@ -498,10 +493,11 @@ def evaluate_tree(
     if tree.depth < 1:
         raise ValueError("policy tree must have depth >= 1")
     kernel = policy_kernel(channel, tree)
+    _, _, pis, labels1, labels2, actions, masses = _walked(kernel, tree, _start(space, prior))
+    rewards = kernel.weighted(weights, pis, labels1, labels2, kernel.joint(pis)[1])
     acc = 0.0
-    for t, hist, pi, labels1, labels2, a, mass in walk_policy(kernel, tree, *_start(space, prior)):
-        if a is not None:
-            acc += mass * kernel.weighted(weights, pi, labels1, labels2, kernel.joint(pi)[1])[a]
+    for mass, reward in zip(masses, rewards[np.arange(len(actions)), actions]):
+        acc += mass * reward
     return float(acc) / tree.depth
 
 
@@ -752,52 +748,29 @@ def reachability_diagnostic(
     across the group by more than 1e-9. Purely informational; conflicts are
     evidence that the private tables still matter on this instance.
     """
-    result = solve_horizon(
-        channel, space, weights, n, prior, action_cap=action_cap, node_cap=node_cap
-    )
-    tree = result.policy
+    tree = solve_horizon(channel, space, weights, n, prior, action_cap=action_cap,
+                         node_cap=node_cap).policy
     kernel = ActionKernel(channel, enumerate_actions(space, channel.alphabets, cap=action_cap))
-    reached = [
-        (t, hist, pi, labels1, labels2)
-        for t, hist, pi, labels1, labels2, a, _ in walk_policy(kernel, tree, *_start(space, prior))
-        if a is not None
-    ]
-
-    groups = {}
-    for node in reached:
-        groups.setdefault(_quantized(node[2]), []).append(node)
-
-    rewards = {}
-
-    def weighted_rewards(node) -> np.ndarray:
-        _, hist, pi, labels1, labels2 = node
-        if hist not in rewards:
-            rewards[hist] = kernel.weighted(weights, pi, labels1, labels2, kernel.joint(pi)[1])
-        return rewards[hist]
-
+    ts, hists, pis, labels1, labels2, *_ = _walked(kernel, tree, _start(space, prior))
+    # groups in order of first appearance, each listing its states in walk order
+    first, group_of = first_rows(_quantized_rows((pis,)))
+    # only states that share a group are compared, so only they get rewards
+    shared = np.flatnonzero(np.bincount(group_of)[group_of] > 1)
+    rewards = np.empty((len(pis), len(kernel)))
+    if len(shared):
+        rewards[shared] = kernel.weighted(weights, pis[shared], labels1[shared], labels2[shared],
+                                          kernel.joint(pis[shared])[1])
     conflicts = []
-    for members in groups.values():
-        for node_a, node_b in itertools.combinations(members, 2):
-            if np.max(np.abs(node_a[2] - node_b[2])) > 1e-9:
+    for g in np.unique(group_of[shared]):
+        for i, j in itertools.combinations(np.flatnonzero(group_of == g), 2):
+            if np.max(np.abs(pis[i] - pis[j])) > 1e-9:
                 continue
-            gap = np.abs(weighted_rewards(node_a) - weighted_rewards(node_b))
-            for a_i in np.flatnonzero(gap > 1e-9):
-                conflicts.append(
-                    {
-                        "history_a": node_a[1],
-                        "history_b": node_b[1],
-                        "t_a": node_a[0],
-                        "t_b": node_b[0],
-                        "action_index": int(a_i),
-                        "reward_gap": float(gap[a_i]),
-                    }
-                )
-
+            gap = np.abs(rewards[i] - rewards[j])
+            conflicts.extend(
+                {"history_a": hists[i], "history_b": hists[j], "t_a": ts[i], "t_b": ts[j],
+                 "action_index": int(a_i), "reward_gap": float(gap[a_i])}
+                for a_i in np.flatnonzero(gap > 1e-9)
+            )
     root = tree.action_at(())
     injective = len(set(root.e1.table)) == space.m1 and len(set(root.e2.table)) == space.m2
-    return ReductionReport(
-        n_states=len(reached),
-        n_groups=len(groups),
-        conflicts=conflicts,
-        root_action_injective=injective,
-    )
+    return ReductionReport(len(pis), len(first), conflicts, injective)

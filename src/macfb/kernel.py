@@ -345,6 +345,12 @@ class ActionKernel:
         return (_first_labels(labels1[..., None, :] * self.n_x1 + self._enc1),
                 _first_labels(labels2[..., None, :] * self.n_x2 + self._enc2))
 
+    def refined_by(self, a: int, labels1, labels2) -> tuple:
+        """Both senders' labels refined by action a's encoders alone, as
+        ``refined`` gives them at ``enc1_of[a]`` and ``enc2_of[a]``."""
+        return (_first_labels(labels1 * self.n_x1 + self.e1[a]),
+                _first_labels(labels2 * self.n_x2 + self.e2[a]))
+
     def distinct(self, totals, p, post, ref1, ref2, tol: float) -> np.ndarray:
         """Mask (..., A) of the first action of each class whose rows agree,
         separately for every state. A row is the weighted reward, the

@@ -47,7 +47,7 @@ def _check_prior(space: MessageSpace, prior) -> np.ndarray:
     p = np.asarray(prior, dtype=float)
     if p.shape != (space.m1, space.m2):
         raise ValueError("prior shape disagrees with the message space")
-    if (p < 0.0).any() or abs(float(p.sum()) - 1.0) > 1e-9:
+    if (p < 0.0).any() or not abs(float(p.sum()) - 1.0) <= 1e-9:  # NaN fails it too
         raise ValueError("prior must be a probability table")
     return p
 

@@ -72,7 +72,7 @@ def entropy(p) -> float:
     """Shannon entropy in bits with the 0 log 0 = 0 convention."""
     arr = np.asarray(p, dtype=float)
     total = float(arr.sum())
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # NaN fails it too
         raise NotNormalized(total)
     pos = arr[arr > 0.0]
     return float(-np.sum(pos * np.log(pos)) / _LN2)

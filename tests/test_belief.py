@@ -162,3 +162,15 @@ def test_augmented_state_shape_guard():
     s = uniform_initial(MessageSpace(2, 2))
     with pytest.raises(ValueError):
         AugmentedState(s.pi, s.beta1, PrivateBeliefTable(np.eye(3)))
+
+
+def test_nan_entries_are_rejected():
+    with pytest.raises(ValueError, match="sums to nan"):
+        JointBelief(np.array([[np.nan, 0.5], [0.25, 0.25]]))
+    with pytest.raises(ValueError, match="sum to 1"):
+        PrivateBeliefTable(np.array([[np.nan, 0.5], [0.5, 0.5]]))
+
+
+def test_joint_belief_message_prints_a_plain_float():
+    with pytest.raises(ValueError, match=r"^joint belief sums to 1\.0000000005, expected 1$"):
+        JointBelief(np.array([[0.25, 0.25], [0.25, 0.2500000005]]))

@@ -102,3 +102,10 @@ def test_validate_accepts_tiny_slack():
     q = np.array([[[0.5]], [[0.5 + 2e-10]]])
     ch = validate_channel(q)
     assert ch.alphabets == Alphabets(1, 1, 2)
+
+
+def test_validate_rejects_nan_entry():
+    q = np.full((2, 1, 2), 0.5)
+    q[0, 0, 0] = np.nan
+    with pytest.raises(NonStochastic):
+        validate_channel(q)

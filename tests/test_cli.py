@@ -360,3 +360,56 @@ def test_dsaht_json_reports_counters(capsys):
     code, doc = run_json(["dsaht", "--preset", "adder", "--messages", "2,2", "--T", "2"], capsys)
     assert code == 0
     assert doc["values"] == {"error_probability": 0.0, "states_expanded": 12, "cache_hits": 21}
+
+
+@pytest.mark.parametrize(
+    "doc, commands",
+    [
+        # a NaN kernel column used to validate, and to solve to NaN or 0.25
+        ("channel:\n  alphabets: {x1: 2, x2: 1, y: 2}\n  kernel: [.nan, .5, .5, .5]\n"
+         "messages: {m1: 2, m2: 1}\n", ("validate", "horizon", "dsaht")),
+        # a NaN prior entry used to solve to NaN or 0.0
+        ("channel: {preset: {name: adder}}\nmessages: {m1: 2, m2: 2}\n"
+         "prior: [.nan, .5, .25, .25]\n", ("validate", "horizon", "dsaht")),
+    ],
+)
+def test_nan_in_a_config_exits_one(tmp_path, capsys, doc, commands):
+    path = tmp_path / "run.yaml"
+    path.write_text(doc)
+    for command in commands:
+        assert cli.main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["horizon", "--emit-policy"],
+        ["horizon", "--emit-beliefs"],
+        ["horizon", "--emit-policy", "--emit-beliefs"],
+        ["dsaht", "--emit-policy"],
+    ],
+)
+def test_emit_without_an_output_prefix_is_a_usage_error(argv, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the usage check")
+
+    monkeypatch.setattr(cli.dp, "solve_horizon", no_solve)
+    monkeypatch.setattr(cli.dp, "solve_dsaht", no_solve)
+    assert cli.main(argv + ["--preset", "adder", "--messages", "2,2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "need --out or output.prefix" in err
+
+
+def test_emit_under_the_config_output_prefix(tmp_path, capsys):
+    path = tmp_path / "run.yaml"
+    path.write_text(
+        "channel: {preset: {name: adder}}\n"
+        "messages: {m1: 2, m2: 2}\n"
+        f"output: {{prefix: {tmp_path / 'cfg'}}}\n"
+    )
+    code, doc = run_json(["dsaht", "--config", str(path), "--emit-policy"], capsys)
+    assert code == 0
+    assert doc["files"]["policy"] == f"{tmp_path / 'cfg'}_policy.csv"
+    assert (tmp_path / "cfg_policy.csv").exists()

@@ -119,6 +119,10 @@ def test_numeric_strings_accepted():
         lambda d: d.update(dsaht={"prune": True}),
         lambda d: d.update(messages={"m1": float("inf"), "m2": 2}),
         lambda d: d.update(stationary={"epsilon": float("nan")}),
+        # within config's old 1e-9 but off JointBelief's 1e-12, which every solver applies
+        lambda d: d.update(prior=[0.25, 0.25, 0.25, 0.2500000005]),
+        lambda d: d.update(horizon={"lambda": [float("inf"), 0, 1]}),
+        lambda d: d.update(horizon={"lambda": [float("nan"), 0, 1]}),
     ],
 )
 def test_rejected_documents(mutate):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -451,3 +452,88 @@ def test_diagnostic_reports_private_table_conflicts():
             - reward_weighted(after, action, ch, L_ALL).weighted
         )
         assert c["reward_gap"] == pytest.approx(gap, abs=1e-12)
+
+
+def _half_silent_channel(seed: int, m: tuple) -> tuple:
+    # output 0 carries nothing half the time, so histories through it meet
+    # again on a common belief while their private labels differ
+    rng = make_rng(seed)
+    raw = random_channel(rng, 2, 2, 3, sparse=True).kernel
+    ch = validate_channel(np.concatenate([np.full((1, 2, 2), 0.5), 0.5 * raw]))
+    for size in ((2, 2), (3, 2)):
+        prior = random_prior(rng, *size)
+        if size == m:
+            return ch, MessageSpace(*m), JointBelief(prior)
+
+
+@pytest.mark.parametrize(
+    "seed, m, n_states, n_groups, n_conflicts, digest, pairs",
+    [
+        (3, (3, 2), 21, 7, 88, "592e6189681b9be790cf0954f32ac54aec4b505e745d5314e911a3f1fdf6e84d",
+         [((), (0,)), ((), (0, 0)), ((0, 2), (2, 0)), ((0, 2), (3, 0)), ((0, 3), (2, 0)),
+          ((0, 3), (3, 0)), ((2,), (2, 0)), ((2,), (3, 0)), ((2, 0), (3,)), ((3,), (3, 0))]),
+        (10, (2, 2), 18, 9, 16, "0b054413fabcf26c63c14a571cfbedef771492c1a57a0232516cb0e2935fbfe2",
+         [((), (0,)), ((), (0, 0)), ((0,), (0, 0))]),
+        (1, (3, 2), 21, 13, 64, "716d20553367f92923e264836e572e32f98f96db35b1605fe394f6bad235f014",
+         [((), (0,)), ((), (0, 0)), ((0, 1), (1, 0)), ((1,), (1, 0))]),
+    ],
+)
+def test_diagnostic_report_pinned(seed, m, n_states, n_groups, n_conflicts, digest, pairs):
+    # every conflict, in order and with the bits of its gap
+    ch, space, prior = _half_silent_channel(seed, m)
+    rep = reachability_diagnostic(ch, space, L_ALL, 3, prior=prior)
+    assert (rep.n_states, rep.n_groups, rep.root_action_injective) == (n_states, n_groups, False)
+    assert len(rep.conflicts) == n_conflicts
+    assert list(dict.fromkeys((c["history_a"], c["history_b"]) for c in rep.conflicts)) == pairs
+    text = "\n".join(
+        f"{c['history_a']} {c['history_b']} {c['t_a']} {c['t_b']} {c['action_index']} "
+        f"{c['reward_gap'].hex()}"
+        for c in rep.conflicts
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_evaluate_tree_bits_pinned():
+    rng = make_rng(5)
+    cases = [
+        (preset("noisy_adder", (0.1,)), MessageSpace(3, 3), "0x1.a5209b15a30e8p-2"),
+        (random_channel(make_rng(6), 2, 2, 3), MessageSpace(2, 2), "0x1.c59b18ba846d1p-5"),
+        (preset("adder"), MessageSpace(2, 3), "0x1.22e2c2d5b48cbp-1"),
+    ]
+    for ch, space, expected in cases:
+        prior = JointBelief(random_prior(rng, space.m1, space.m2))
+        tree = random_tree(rng, space, ch.alphabets, 3)
+        assert evaluate_tree(ch, space, tree, LambdaWeights(0.3, 0.3, 0.4), prior).hex() == expected
+
+
+
+def test_walk_updates_the_chosen_action_only_and_rewards_come_in_one_pass(monkeypatch):
+    from macfb.kernel import ActionKernel
+
+    ch, space = preset("noisy_adder", (0.1,)), MessageSpace(2, 2)
+    res = solve_horizon(ch, space, L_ALL, 3)
+    value = evaluate_tree(ch, space, res.policy, L_ALL)
+    report = reachability_diagnostic(ch, space, L_ALL, 3)
+    weighted, calls = ActionKernel.weighted, []
+
+    def all_actions(*args):
+        raise AssertionError("the walk built every action's update")
+
+    def counted(self, *args):
+        calls.append(len(args[1]))
+        return weighted(self, *args)
+
+    kernel = dp.policy_kernel(ch, res.policy)
+    monkeypatch.setattr(ActionKernel, "joint", all_actions)
+    monkeypatch.setattr(ActionKernel, "refined", all_actions)
+    start = dp._start(space, None)
+    assert len(list(dp.walk_policy(kernel, res.policy, *start))) == 1 + 3 + 9 + 27
+    monkeypatch.undo()
+
+    monkeypatch.setattr(ActionKernel, "weighted", counted)
+    assert evaluate_tree(ch, space, res.policy, L_ALL) == value
+    assert calls == [1 + 3 + 9]
+    monkeypatch.setattr(dp, "solve_horizon", lambda *args, **kwargs: res)
+    calls.clear()
+    assert reachability_diagnostic(ch, space, L_ALL, 3) == report
+    assert len(calls) <= 1

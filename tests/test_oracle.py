@@ -136,3 +136,11 @@ def test_blahut_arimoto_matches_closed_form(p):
 def test_blahut_arimoto_useless_row():
     cap = blahut_arimoto(np.array([[0.5, 0.5], [0.5, 0.5]]))
     assert cap == pytest.approx(0.0, abs=1e-9)
+
+
+def test_oracle_prior_check_rejects_nan():
+    # the oracle keeps its own prior check, apart from the solvers'
+    tree = identity_tree(1, 3)
+    prior = np.array([[np.nan, 0.5], [0.25, 0.25]])
+    with pytest.raises(ValueError, match="prior must be a probability table"):
+        build_trajectories(preset("adder"), MessageSpace(2, 2), tree, prior)

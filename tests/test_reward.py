@@ -132,3 +132,8 @@ def test_one_sided_depends_only_on_row_partition():
         ta = AugmentedState(pi, merged_a, eye)
         tb = AugmentedState(pi, merged_b, eye)
         assert reward_i2(ta, action, ch) == pytest.approx(reward_i2(tb, action, ch), abs=1e-12)
+
+
+def test_entropy_rejects_nan():
+    with pytest.raises(NotNormalized):
+        entropy([float("nan"), 0.5])
