@@ -25,10 +25,15 @@ depends on an (action, output) pair only through the pair's branch, its
 likelihood column and encoder partitions, so the successors are built
 once per (state, branch) and deduplicated on their common belief
 quantised to QUANT and their labels, each represented by its first
-occurrence in (state, action, output) order. A backward pass then takes
-the optimum level by level, reading each pair's mass and successor
-through its branch, and the policy follows the stored successor indices
-from the root. Validated belief objects exist only at the API boundary.
+occurrence in (state, action, output) order. The dedupe numbers rows by
+a 64-bit hash of their words and checks each row against the first row
+with its hash, so a hash collision costs time, never a number. A
+backward pass then takes the optimum level by level, forming each
+(state, branch)'s mass times continuation once and reading it per
+(action, output), and the policy is extracted level by level, one
+gather of the chosen actions and one of their successors per level,
+into an array of action indices. Validated belief objects exist only at
+the API boundary.
 Every walk over the beliefs a fixed policy reaches (the DSAHT decoder,
 ``evaluate_tree``, the diagnostic and the CLI's belief file) goes through
 one walker, ``walk_policy``, which builds only the chosen action's update
@@ -50,18 +55,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belief import MASS_EPS, JointBelief, check_prior, initial_state
+from .belief import MASS_EPS, JointBelief, check_prior
 from .channel import Channel, MessageSpace
 from .encoding import (
     DEFAULT_ACTION_CAP,
     PRUNE_TOL,
-    EncoderAction,
     PolicyTree,
     enumerate_actions,
-    history_index,
 )
 from .errors import GridTooLarge, HorizonTooDeep, LevelTooWide
-from .kernel import ActionKernel, first_rows, root_labels
+from .kernel import ActionKernel, first_hashed, first_rows, hashed_rows, root_labels
 from .reward import LambdaWeights
 
 DEFAULT_NODE_CAP = 1_000_000
@@ -100,11 +103,14 @@ def _quantized_rows(arrays) -> np.ndarray:
                            for x in rows], axis=1)
 
 
-def _add_continuation(totals: np.ndarray, p: np.ndarray, cont: np.ndarray) -> np.ndarray:
-    """totals + sum_y p[..., y] cont[..., y] over outputs with mass, added
-    one output at a time in y order."""
-    for y in range(p.shape[-1]):
-        totals = totals + np.where(p[..., y] > MASS_EPS, p[..., y] * cont[..., y], 0.0)
+def _add_continuation(totals: np.ndarray, p: np.ndarray, cont: np.ndarray,
+                      branch_of: np.ndarray) -> np.ndarray:
+    """totals[s, a] + sum_y p cont over the outputs with mass, added one
+    output at a time in y order, from p[s, b] and cont[s, b] per branch:
+    the pair (a, y) reads its product at ``branch_of[a, y]``."""
+    paid = np.where(p > MASS_EPS, p * cont, 0.0)
+    for y in range(branch_of.shape[1]):
+        totals = totals + paid[:, branch_of[:, y]]
     return totals
 
 
@@ -170,7 +176,9 @@ def _estimated_nodes(n_outputs: int, depth: int) -> int:
 
 def _prior_table(space: MessageSpace, prior: JointBelief) -> np.ndarray:
     """The table of ``prior`` (uniform when None), checked against ``space``."""
-    return (initial_state(space).pi if prior is None else check_prior(space, prior)).table
+    if prior is None:
+        return JointBelief(np.full((space.m1, space.m2), 1.0 / space.pairs)).table
+    return check_prior(space, prior).table
 
 
 def _start(space: MessageSpace, prior: JointBelief) -> tuple:
@@ -225,12 +233,6 @@ def _walked(kernel: ActionKernel, tree: PolicyTree, start: tuple) -> tuple:
     return t, hist, np.stack(pis), np.stack(labels1), np.stack(labels2), a, mass
 
 
-def _complete_tree(depth: int, n_outputs: int, reached: dict, default: EncoderAction) -> PolicyTree:
-    # unreachable histories never execute; they get the default action
-    nodes = {hist: reached.get(hist, default) for hist in history_index(depth, n_outputs)}
-    return PolicyTree(depth, n_outputs, nodes)
-
-
 def _best_guesses(channel: Channel, policy: PolicyTree, prior: np.ndarray) -> dict:
     """Best-guess message pair at every terminal history the policy reaches."""
     # row-major argmax: the smallest (m1, m2) among tied maximisers
@@ -278,15 +280,18 @@ class _LevelIndex:
     """Numbers the distinct quantised rows of a level across its chunks, in
     order of first occurrence.
 
-    The rows numbered so far are kept as sorted runs of their bytes, each
-    run more than twice as long as the next, so a chunk is looked up with
-    one binary search in each of O(log) runs. Every row is held once, as
-    with a dict over the rows' bytes; the last chunk's rows are sorted only
-    when another chunk comes, so a level of one chunk sorts nothing.
+    A row is looked up by a 64-bit hash of its words
+    (``kernel.hashed_rows``) and then checked word by word, so a hash
+    collision costs time but never changes a number. The rows numbered so
+    far are kept as sorted runs of their hashes, each run more than twice
+    as long as the next, so a chunk is looked up with one binary search in
+    each of O(log) runs. Every row is held once, as with a dict over the
+    rows' bytes; the last chunk's rows join the runs only when another
+    chunk comes, so a level of one chunk sorts nothing.
     """
 
     def __init__(self):
-        self.runs = []  # (sorted row bytes, their numbers), longest first
+        self.runs = []  # (sorted hashes, their rows' words, their numbers), longest first
         self.pending = None
         self.count = 0
 
@@ -296,29 +301,53 @@ class _LevelIndex:
         level)."""
         if self.pending is not None:
             # the last chunk's new rows join the runs only now
-            keys, number, new = self.pending
-            self._push(keys[new], number[new])
-        keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
-        number = np.full(len(keys), -1)
-        for run, ids in self.runs:
-            pos = np.minimum(np.searchsorted(run, keys), len(run) - 1)
-            hit = run[pos] == keys
-            number[hit] = ids[pos[hit]]
+            *run, new = self.pending
+            self._push(tuple(np.take(x, new, axis=0) for x in run))
+        words, hashes = hashed_rows(rows)
+        number = np.full(len(hashes), -1)
+        for run in self.runs:
+            _look_up(run, words, hashes, number)
         # before any run every row is new, and is deduped without a copy
         miss = np.flatnonzero(number < 0) if self.runs else slice(None)
-        first, inverse = first_rows(rows[miss])
+        first, inverse = first_hashed(words[miss], hashes[miss])
         number[miss] = self.count + inverse
         new = miss[first] if self.runs else first
         self.count += len(new)
-        self.pending = (keys, number, new) if len(new) else None
+        self.pending = (hashes, words, number, new) if len(new) else None
         return number, new
 
-    def _push(self, run: np.ndarray, ids: np.ndarray) -> None:
-        while self.runs and len(self.runs[-1][0]) <= 2 * len(run):
-            old, old_ids = self.runs.pop()
-            run, ids = np.concatenate([old, run]), np.concatenate([old_ids, ids])
-        order = np.argsort(run, kind="stable")
-        self.runs.append((run[order], ids[order]))
+    def _push(self, run: tuple) -> None:
+        """Add a run (hashes, words, numbers), merged with the runs not
+        more than twice as long, sorted by hash."""
+        while self.runs and len(self.runs[-1][0]) <= 2 * len(run[0]):
+            run = tuple(np.concatenate(parts) for parts in zip(self.runs.pop(), run))
+        order = np.argsort(run[0])
+        self.runs.append(tuple(np.take(x, order, axis=0) for x in run))
+
+
+def _differing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the rows where two (rows, width) arrays, or an array and
+    one row, differ in some entry; ``any(axis=1)`` over short rows costs
+    several times more."""
+    differ = a != b
+    mask = np.zeros(len(differ), dtype=bool)
+    mask[np.flatnonzero(differ) // differ.shape[1]] = True
+    return mask
+
+
+def _look_up(run: tuple, words: np.ndarray, hashes: np.ndarray, number: np.ndarray) -> None:
+    """Set ``number`` at the rows not numbered yet that a run of
+    ``_LevelIndex`` holds."""
+    run_hashes, run_words, ids = run
+    pos = np.minimum(np.searchsorted(run_hashes, hashes), len(run_hashes) - 1)
+    hit = np.flatnonzero((run_hashes[pos] == hashes) & (number < 0))
+    number[hit] = ids[pos[hit]]
+    clash = _differing(np.take(run_words, pos[hit], axis=0), np.take(words, hit, axis=0))
+    for i in hit[clash]:
+        # a hash collision: the row may lie further along its hash's stretch
+        stop = np.searchsorted(run_hashes, hashes[i : i + 1], side="right")[0]
+        same = np.flatnonzero(~_differing(run_words[pos[i] : stop], words[i : i + 1]))
+        number[i] = ids[pos[i] + same[0]] if len(same) else -1
 
 
 def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
@@ -352,12 +381,19 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
     successor (-1 where there is none), and the pair (a, y) reads it at
     ``branch_of[a, y]``. A level is built CHUNK_ENTRIES kernel entries at a
     time, ``width`` of them per state, and ``_LevelIndex`` numbers each
-    chunk's successors as one dedupe of the level.
+    chunk's successors as one dedupe of the level, by a hash of their
+    rows checked row by row against the first row with that hash, which
+    gives exactly the numbering of a dedupe by the rows' bytes.
 
-    Backward pass: each level adds its successors' values output by output,
-    then takes the optimum and the first candidate within TIE_TOL of it;
-    the last level, which has no successors, does so chunk by chunk during
-    the forward pass.
+    Backward pass: each level forms p * cont over the outputs with mass
+    once per (state, branch), adds it to every pair's total output by
+    output, then takes the optimum and the first candidate within TIE_TOL
+    of it; the last level, which has no successors, does so chunk by chunk
+    during the forward pass. The policy is then read off level by level:
+    the chosen actions at the reached states (``best[t][states]``) and
+    their successors along ``branch_of[a]`` give the next level's reached
+    states and histories, numbered in base n_outputs, and the action
+    indices go into ``PolicyTree.from_indices``.
 
     Returns (value, policy, expanded, hits): the root's value, the policy
     tree (the chosen action at every history it reaches, actions[0]
@@ -402,18 +438,23 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
     for t in reversed(range(depth - 1)):
         totals, p, cand, succ = levels[t]
         cont = np.append(value, 0.0)[succ]
-        totals = _add_continuation(totals, p[:, branch_of], cont[:, branch_of])
+        totals = _add_continuation(totals, p, cont, branch_of)
         value, best[t] = _choose(totals, cand, maximise)
 
-    nodes, stack = {}, [(0, (), 0)]
-    while stack:
-        t, hist, s = stack.pop()
-        a = best[t][s]
-        nodes[hist] = kernel.actions[a]
+    # the policy, level by level: hist numbers the reached histories of
+    # length t in base n_outputs, states holds their states, and the
+    # histories of length t follow the shorter ones in the tree's order
+    at = np.zeros(_estimated_nodes(n_outputs, depth), dtype=np.intp)
+    hist, states = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    for t in range(depth):
+        a = best[t][states]
+        at[_estimated_nodes(n_outputs, t) + hist] = a
         if t + 1 < depth:
-            succ = levels[t][3][s, branch_of[a]]
-            stack.extend((t + 1, hist + (y,), j) for y, j in enumerate(succ) if j >= 0)
-    policy = _complete_tree(depth, n_outputs, nodes, kernel.actions[0])
+            succ = levels[t][3][states[:, None], branch_of[a]]
+            live = succ >= 0
+            hist = (hist[:, None] * n_outputs + np.arange(n_outputs))[live]
+            states = succ[live]
+    policy = PolicyTree.from_indices(depth, n_outputs, kernel.actions, at)
     return float(value[0]), policy, expanded, hits
 
 
@@ -534,10 +575,14 @@ def solve_dsaht(
         totals = np.zeros((len(pis), len(kernel)))
         if t == horizon:
             # 1 - max(posterior) without the posteriors: dividing by a
-            # positive mass keeps the order, and the rounding too
-            largest = joint.reshape(p.shape + (-1,)).max(axis=-1)
+            # positive mass keeps the order, and the rounding too. The max
+            # is taken in slices, a fraction of numpy's over a short axis
+            cells = joint.reshape(p.shape + (-1,))
+            largest = cells[..., 0]
+            for k in range(1, cells.shape[-1]):
+                largest = np.maximum(largest, cells[..., k])
             terminal = 1.0 - largest / np.where(p > MASS_EPS, p, 1.0)
-            totals = _add_continuation(totals, p[:, branch_of], terminal[:, branch_of])
+            totals = _add_continuation(totals, p, terminal, branch_of)
             return totals, None, None, None
         post = kernel.posteriors(joint, p)
         return totals, p, None, lambda s, b: (post[s, b],)

@@ -83,15 +83,7 @@ class PolicyTree:
     __slots__ = ("depth", "n_outputs", "_distinct", "_at")
 
     def __init__(self, depth: int, n_outputs: int, nodes: dict):
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
-        if n_outputs < 1:
-            raise ValueError("n_outputs must be >= 1")
-        self.depth = int(depth)
-        self.n_outputs = int(n_outputs)
-        index = history_index(self.depth, self.n_outputs)
-        if len(nodes) != len(index):
-            raise ValueError(f"expected {len(index)} nodes for depth {depth}, got {len(nodes)}")
+        index = self._shape(depth, n_outputs, len(nodes))
         for hist in nodes:
             if hist not in index:
                 raise ValueError(f"history {hist!r} invalid for depth {depth}")
@@ -100,8 +92,39 @@ class PolicyTree:
         actions = [nodes[hist] for hist in index]
         slot = {}
         at = [slot.setdefault(id(action), len(slot)) for action in actions]
-        self._distinct = tuple({id(action): action for action in actions}.values())
-        self._at = bytes(at) if len(slot) <= 256 else array("I", at)
+        self._store(tuple({id(action): action for action in actions}.values()), at)
+
+    @classmethod
+    def from_indices(cls, depth: int, n_outputs: int, actions: Sequence, at) -> "PolicyTree":
+        """The tree whose node at position i of ``history_index`` is
+        ``actions[at[i]]``: the tree that the dict of those nodes gives,
+        built from the index array alone."""
+        tree = cls.__new__(cls)
+        at = np.asarray(at).tolist()
+        tree._shape(depth, n_outputs, len(at))
+        # slots in order of first appearance, as the dict constructor numbers them
+        slot = {}
+        at = [slot.setdefault(i, len(slot)) for i in at]
+        tree._store(tuple(actions[i] for i in slot), at)
+        return tree
+
+    def _shape(self, depth: int, n_outputs: int, n_nodes: int) -> dict:
+        """Check and set the shape for ``n_nodes`` nodes; its history index."""
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
+        if n_outputs < 1:
+            raise ValueError("n_outputs must be >= 1")
+        self.depth = int(depth)
+        self.n_outputs = int(n_outputs)
+        index = history_index(self.depth, self.n_outputs)
+        if n_nodes != len(index):
+            raise ValueError(f"expected {len(index)} nodes for depth {depth}, got {n_nodes}")
+        return index
+
+    def _store(self, distinct: tuple, at: list) -> None:
+        """Keep the distinct actions and each node's slot among them."""
+        self._distinct = distinct
+        self._at = bytes(at) if len(distinct) <= 256 else array("I", at)
 
     @property
     def nodes(self) -> dict:

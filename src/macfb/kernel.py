@@ -208,17 +208,81 @@ def _cell_entropy(margin: np.ndarray, labels: np.ndarray, bits: np.ndarray, mask
     return _cell_sum(cells) / _LN2
 
 
+@functools.lru_cache(maxsize=64)
+def _multipliers(width: int) -> np.ndarray:
+    """Fixed odd 64-bit multipliers, one per word of a row ``width`` words
+    wide: the splitmix64 outputs of 1..width, made odd. Read-only, as
+    every caller shares them."""
+    x = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> 27)) * np.uint64(0x94D049BB133111EB)
+    x = x ^ (x >> 31) | 1
+    x.flags.writeable = False
+    return x
+
+
+def _hash(words: np.ndarray) -> np.ndarray:
+    """A 64-bit multiplicative hash of every row of a (rows, width) uint64
+    array, wrapping around in array arithmetic. Each word is first folded
+    onto its low half, since floats of round values differ in high bits
+    only."""
+    return (words ^ (words >> 32)) @ _multipliers(words.shape[1])
+
+
+def hashed_rows(rows: np.ndarray) -> tuple:
+    """(words, hashes) of a 2-D array: each row's bytes as 64-bit words,
+    zero-padded, and their hash. Rows with equal bytes get equal words and
+    hashes, so -0.0 and 0.0 stay apart."""
+    words = np.ascontiguousarray(rows)
+    if words.dtype.itemsize != 8:
+        raw = words.view(np.uint8)
+        pad = np.zeros((len(raw), -raw.shape[1] % 8), dtype=np.uint8)
+        words = np.concatenate([raw, pad], axis=1)
+    words = words.view(np.uint64)
+    return words, _hash(words)
+
+
+def first_hashed(words: np.ndarray, hashes: np.ndarray) -> tuple:
+    """``first_rows`` of the rows that ``hashed_rows`` gave (words, hashes).
+
+    A quicksort groups the rows by hash and the first row of each group is
+    its smallest index; every row is then checked word by word against its
+    group's first row. The rows of a group with a mismatch, a hash
+    collision, are told apart by their bytes, so a collision costs time
+    but never changes a number.
+    """
+    n = len(hashes)
+    if n == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    order = np.argsort(hashes)
+    ordered = hashes[order]
+    start = np.empty(n, dtype=bool)
+    start[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=start[1:])
+    # rep[i]: the first row with row i's bytes
+    rep = np.empty(n, dtype=np.intp)
+    rep[order] = np.minimum.reduceat(order, np.flatnonzero(start))[np.cumsum(start) - 1]
+    clash = np.take(words, rep, axis=0) != words
+    if clash.any():
+        shared = np.flatnonzero(np.isin(rep, rep[np.flatnonzero(clash) // words.shape[1]]))
+        keys = words[shared].view(np.dtype((np.void, 8 * words.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        rep[shared] = shared[first[inverse.ravel()]]
+    is_first = rep == np.arange(n)
+    return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[rep]
+
+
 def first_rows(rows: np.ndarray) -> tuple:
     """Distinct rows of a 2-D array, compared by their bytes, in order of
     first appearance: (first, inverse) with ``rows[first]`` the distinct
-    rows and ``rows[i]`` equal to ``rows[first[inverse[i]]]``."""
-    rows = np.ascontiguousarray(rows)
-    flat = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse.ravel()]
+    rows and ``rows[i]`` equal to ``rows[first[inverse[i]]]``.
+
+    The rows are grouped by a 64-bit hash of their words (``hashed_rows``)
+    and checked against their group's first row (``first_hashed``): a
+    quicksort of integers where ``np.unique`` over the rows' bytes would
+    mergesort them with a generic byte comparison, about a quarter of its
+    time on a 1890 x 4 level of int64 rows."""
+    return first_hashed(*hashed_rows(rows))
 
 
 class ActionKernel:
@@ -294,8 +358,7 @@ class ActionKernel:
         """J[..., b, m1, m2] = L_b * pi and the predictive p[..., b] of every
         branch, bit for bit those of each of its pairs in ``joint``."""
         joint = self.branch_lik * pi[..., None, :, :]
-        p = joint.reshape(joint.shape[:-2] + (-1,)).sum(axis=-1)
-        return joint, p
+        return joint, _sum(joint.reshape(joint.shape[:-2] + (-1,)), -1)
 
     @staticmethod
     def posteriors(joint: np.ndarray, p: np.ndarray) -> np.ndarray:

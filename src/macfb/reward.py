@@ -71,6 +71,8 @@ class RewardBreakdown:
 def entropy(p) -> float:
     """Shannon entropy in bits with the 0 log 0 = 0 convention."""
     arr = np.asarray(p, dtype=float)
+    if (arr < 0.0).any():
+        raise ValueError("probability vector has a negative entry")
     total = float(arr.sum())
     if not abs(total - 1.0) <= 1e-9:  # NaN fails it too
         raise NotNormalized(total)

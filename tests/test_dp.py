@@ -352,32 +352,118 @@ def test_one_state_chunks_solve_the_same(monkeypatch):
     assert horizon.states_expanded > 50 and dsaht.states_expanded > 50
 
 
-def test_level_index_numbers_rows_as_one_dedupe_of_the_level():
-    # chunk by chunk, the index gives every row the number that one
-    # first_rows over the level's rows in chunk order gives it, whether a
-    # chunk comes deduped or raw, with its repeats
-    from macfb.kernel import first_rows
+def _numbered_by_bytes(rows: np.ndarray) -> tuple:
+    """(first, inverse) of the rows in order of first appearance, numbered
+    through a dict over each row's bytes."""
+    number, first = {}, []
+    inverse = [number.setdefault(row.tobytes(), len(number)) for row in rows]
+    for i, j in enumerate(inverse):
+        if j == len(first):
+            first.append(i)
+    return np.array(first, dtype=np.intp), np.array(inverse, dtype=np.intp)
 
+
+def _random_rows(rng, floats: bool) -> np.ndarray:
+    rows = rng.integers(-2, 3, size=(int(rng.integers(1, 400)), int(rng.integers(1, 6))))
+    if not floats:
+        return rows.astype(np.int64)
+    rows = rows * 0.5
+    # -0.0 and 0.0 differ in their bytes, so they must stay apart
+    rows[rng.random(rows.shape) < 0.3] = -0.0
+    return rows
+
+
+def _level_numbers(rows: np.ndarray, cuts: np.ndarray, raw: bool) -> tuple:
+    """The numbers and first occurrences ``_LevelIndex`` gives the rows fed
+    in chunks split at ``cuts``, each chunk raw, with its repeats, or
+    deduped first."""
+    index, got, firsts = dp._LevelIndex(), [], []
+    for lo, chunk in zip(np.concatenate([[0], cuts]), np.split(rows, cuts)):
+        if raw:
+            number, new = index.add(chunk)
+            firsts.append(lo + new)
+        else:
+            first, inverse = _numbered_by_bytes(chunk)
+            number, new = index.add(chunk[first])
+            firsts.append(lo + first[new])
+            number = number[inverse]
+        got.append(number)
+    number = np.concatenate(got)
+    assert index.count == number.max() + 1
+    return number, np.concatenate(firsts)
+
+
+def test_level_index_numbers_rows_as_one_dedupe_of_the_level():
+    # chunk by chunk, the index gives every row the number that one dedupe
+    # of the level's rows in chunk order gives it, whether a chunk comes
+    # deduped or raw, with its repeats
     rng = make_rng(99)
     for raw in (False, True):
         for _ in range(20):
-            rows = rng.integers(-2, 3, size=(int(rng.integers(1, 400)), 3)).astype(np.int64)
-            level_first, expected = first_rows(rows)
+            rows = _random_rows(rng, floats=False)[:, :3]
             cuts = np.sort(rng.integers(0, len(rows) + 1, size=int(rng.integers(0, 30))))
-            index, got, firsts = dp._LevelIndex(), [], []
-            for lo, chunk in zip(np.concatenate([[0], cuts]), np.split(rows, cuts)):
-                first, inverse = first_rows(chunk)
-                if raw:
-                    number, new = index.add(chunk)
-                    firsts.append(lo + new)
-                else:
-                    number, new = index.add(chunk[first])
-                    firsts.append(lo + first[new])
-                    number = number[inverse]
-                got.append(number)
-            np.testing.assert_array_equal(np.concatenate(got), expected)
-            np.testing.assert_array_equal(np.concatenate(firsts), level_first)
-            assert index.count == expected.max() + 1
+            number, first = _level_numbers(rows, cuts, raw)
+            level_first, expected = _numbered_by_bytes(rows)
+            np.testing.assert_array_equal(number, expected)
+            np.testing.assert_array_equal(first, level_first)
+
+
+def test_first_rows_numbers_rows_by_their_bytes():
+    from macfb.kernel import first_rows
+
+    rng = make_rng(98)
+    for floats in (False, True):
+        for _ in range(30):
+            rows = _random_rows(rng, floats)
+            for got, expected in zip(first_rows(rows), _numbered_by_bytes(rows)):
+                np.testing.assert_array_equal(got, expected)
+    first, inverse = first_rows(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]))
+    assert first.tolist() == [0, 1] and inverse.tolist() == [0, 1, 0]
+    # rows of any byte width, not only whole 64-bit words
+    first, inverse = first_rows(np.array([[1, 2, 3], [1, 2, 3], [1, 2, 4]], dtype=np.int8))
+    assert first.tolist() == [0, 2] and inverse.tolist() == [0, 0, 1]
+
+
+@pytest.mark.parametrize("collide", ["all", "some"])
+def test_hash_collisions_never_change_a_number(monkeypatch, collide):
+    # rows are numbered by a 64-bit hash of their words and then checked
+    # word by word, so forcing hash collisions (every row in one group, or
+    # mixed groups) must leave every number and every solve as it was
+    from macfb import kernel
+
+    rng = make_rng(97)
+    cases = []
+    for floats in (False, True):
+        for raw in (False, True):
+            for _ in range(5):
+                rows = _random_rows(rng, floats)
+                cuts = np.sort(rng.integers(0, len(rows) + 1, size=int(rng.integers(0, 12))))
+                cases.append((rows, cuts, raw))
+    ch = preset("noisy_adder", (0.1,))
+    space, weights = MessageSpace(2, 3), LambdaWeights(0.3, 0.3, 0.4)
+    prior = JointBelief(random_prior(make_rng(96), 2, 3))
+    monkeypatch.setattr(dp, "CHUNK_ENTRIES", 1)
+
+    def outputs():
+        numbered = [kernel.first_rows(rows) for rows, _, _ in cases]
+        levels = [_level_numbers(rows, cuts, raw) for rows, cuts, raw in cases]
+        horizon = solve_horizon(ch, space, weights, 3, prior)
+        pruned = solve_horizon(ch, space, weights, 2, prior, prune=True)
+        dsaht = solve_dsaht(ch, space, 3, prior)
+        solves = [(r.total_value, r.policy, r.states_expanded, r.cache_hits) for r in (horizon, pruned)]
+        solves.append((dsaht.error_probability, dsaht.policy, dsaht.states_expanded, dsaht.cache_hits))
+        return numbered, levels, solves
+
+    numbered, levels, solves = outputs()
+    if collide == "all":
+        monkeypatch.setattr(kernel, "_hash", lambda words: np.zeros(len(words), dtype=np.uint64))
+    else:
+        monkeypatch.setattr(kernel, "_hash", lambda words: words[:, 0] % np.uint64(3))
+    collided = outputs()
+    for got, expected in zip(collided[0] + collided[1], numbered + levels):
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
+    assert collided[2] == solves
 
 
 def test_noisy_adder_four_steps_pinned():
@@ -385,6 +471,27 @@ def test_noisy_adder_four_steps_pinned():
     res = solve_horizon(preset("noisy_adder", (0.1,)), MessageSpace(3, 3), LambdaWeights(0.3, 0.3, 0.4), 4)
     assert res.value_per_step.hex() == "0x1.fb822824c4756p-2"
     assert (res.states_expanded, res.cache_hits) == (31286, 382667)
+
+
+def test_uniform_start_table_is_the_initial_state_table():
+    for m1, m2 in ((1, 1), (2, 2), (2, 3), (3, 3), (4, 3)):
+        space = MessageSpace(m1, m2)
+        assert dp._prior_table(space, None).tobytes() == initial_state(space).pi.table.tobytes()
+
+
+def test_dsaht_deep_first_instance_pinned():
+    # the dsaht-deep benchmark's first instance at seed 0 (noisy_adder 2x2,
+    # T = 5, product prior), as the per-node policy walk gave it
+    rng = np.random.default_rng(0)
+    eps = float(rng.uniform(0.05, 0.2))
+    prior = np.outer(rng.dirichlet([2.0, 2.0]), rng.dirichlet([2.0, 2.0]))
+    res = solve_dsaht(preset("noisy_adder", (eps,)), MessageSpace(2, 2), 5, JointBelief(prior / prior.sum()))
+    assert res.error_probability.hex() == "0x1.a6325192d909dp-6"
+    assert (res.states_expanded, res.cache_hits) == (485, 8924)
+    csv = policy_to_csv(res.policy)
+    assert hashlib.sha256(csv.encode()).hexdigest() == (
+        "ecaf7cffc0644e530bb000d9e282c0bee64b7253b68b891a280c07724c5a6399"
+    )
 
 
 def test_result_values_are_plain_floats():

@@ -1,3 +1,6 @@
+from array import array
+
+import numpy as np
 import pytest
 
 from conftest import make_rng, random_tree
@@ -8,6 +11,7 @@ from macfb.encoding import (
     EncoderFunction,
     PolicyTree,
     enumerate_actions,
+    history_index,
     policy_from_csv,
     policy_to_csv,
     prune_actions,
@@ -60,6 +64,32 @@ def test_policy_tree_with_many_distinct_actions():
     assert all(tree.action_at(hist) == action for hist, action in nodes.items())
     assert tree.nodes == nodes
     assert tree != PolicyTree(2, 400, {**nodes, (399,): actions[0]})
+
+
+@pytest.mark.parametrize("depth,n_outputs", [(0, 3), (1, 3), (3, 2), (4, 3), (2, 400)])
+def test_policy_tree_from_indices_equals_dict_tree(depth, n_outputs):
+    # an index array builds the tree that the dict of its nodes builds; the
+    # first histories stay at index 0, as the solvers leave unreached ones,
+    # and at 400 outputs the 401 nodes hold more distinct actions than one
+    # byte can index
+    rng = make_rng(depth * 1000 + n_outputs)
+    actions = enumerate_actions(MessageSpace(3, 3), Alphabets(3, 3, n_outputs))
+    histories = list(history_index(depth, n_outputs))
+    at = rng.permutation(len(actions))[: len(histories)] if n_outputs > 256 else rng.integers(0, 5, len(histories))
+    at[: len(at) // 3] = 0
+    tree = PolicyTree.from_indices(depth, n_outputs, actions, at)
+    nodes = {hist: actions[i] for hist, i in zip(histories, at)}
+    expected = PolicyTree(depth, n_outputs, nodes)
+    assert tree == expected and tree.depth == depth and tree.n_outputs == n_outputs
+    assert tree.items() == expected.items() and tree.nodes == nodes
+    assert all(tree.action_at(hist) == actions[0] for hist in histories[: len(at) // 3])
+    # the same compact storage, slots numbered in order of first appearance
+    assert (tree._distinct, tree._at) == (expected._distinct, expected._at)
+    assert type(tree._at) is (array if len(set(at.tolist())) > 256 else bytes)
+    if n_outputs <= 10:
+        assert policy_to_csv(tree) == policy_to_csv(expected)
+    with pytest.raises(ValueError):
+        PolicyTree.from_indices(depth, n_outputs, actions, np.append(at, 0))
 
 
 def test_policy_csv_round_trip():

@@ -3,7 +3,10 @@ recursions they replaced: values, policies, decoders and counters must be
 exactly equal, not merely close. The horizon recursion carries the float
 private tables the engine carried before it carried int labels, and reads
 their classes through ``row_classes``, so it shares no label code with the
-engine; neither recursion uses the engine's walker."""
+engine; neither recursion uses the engine's walker, and their policies
+are completed here, not by engine code."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -16,11 +19,10 @@ from macfb.dp import (
     TIE_TOL,
     _backward_induction,
     _best_guesses,
-    _complete_tree,
     solve_dsaht,
     solve_horizon,
 )
-from macfb.encoding import PRUNE_TOL, enumerate_actions
+from macfb.encoding import PRUNE_TOL, PolicyTree, enumerate_actions
 from macfb.errors import LevelTooWide, SolverError
 from macfb.kernel import ActionKernel, row_classes
 from macfb.reward import LambdaWeights
@@ -29,7 +31,8 @@ from macfb.reward import LambdaWeights
 # reference: the memoised recursions as they stood before the level engine,
 # verbatim apart from the function headers, the returned tuples, the
 # counters in cost(), which counts like value(), the float private tables'
-# refinement and classes (now outside the kernel) and the policy walk
+# refinement and classes (now outside the kernel), the policy walk and
+# its completion
 
 
 def _quantized(arr: np.ndarray) -> bytes:
@@ -87,6 +90,13 @@ def _refine(rows: np.ndarray, same: np.ndarray) -> np.ndarray:
     return masked / masked.sum(axis=-1, keepdims=True)
 
 
+def _complete(depth, n_y, reached, default):
+    """The tree of the nodes ``reached``, with ``default`` at every history
+    they leave out; unreached histories never execute."""
+    histories = (hist for t in range(depth) for hist in itertools.product(range(n_y), repeat=t))
+    return PolicyTree(depth, n_y, {hist: reached.get(hist, default) for hist in histories})
+
+
 def _policy(kernel, depth, pi, tables, choose, refine=None):
     """The tree of the actions ``choose(t, pi, tables)`` takes at every
     node reachable from (pi, tables), following outputs with predictive
@@ -103,7 +113,7 @@ def _policy(kernel, depth, pi, tables, choose, refine=None):
             post = kernel.posteriors(joint, p)
             child = None if tables is None else refine(tables, a)
             stack.extend((t + 1, hist + (y,), post[a, y], child) for y in range(n_y) if p[a, y] > MASS_EPS)
-    return _complete_tree(depth, n_y, nodes, kernel.actions[0])
+    return _complete(depth, n_y, nodes, kernel.actions[0])
 
 
 def recursive_horizon(channel, space, weights, n, prior=None, prune=False):

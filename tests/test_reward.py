@@ -137,3 +137,12 @@ def test_one_sided_depends_only_on_row_partition():
 def test_entropy_rejects_nan():
     with pytest.raises(NotNormalized):
         entropy([float("nan"), 0.5])
+
+
+def test_entropy_rejects_negative_entries():
+    # the entries sum to 1, so only the sign check can catch them
+    with pytest.raises(ValueError, match="negative"):
+        entropy([1.5, -0.5])
+    with pytest.raises(ValueError, match="negative"):
+        entropy([0.5, 0.5, -1e-300])
+    assert entropy([-0.0, 1.0]) == 0.0
