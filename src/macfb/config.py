@@ -92,7 +92,9 @@ class RunConfig:
 
 
 def _as_int(value, fieldname: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool):
+        raise ValidationError(fieldname, f"expected an integer, got {value!r}")
+    if not isinstance(value, int):
         try:
             as_float = float(value)
         except (TypeError, ValueError):
@@ -194,6 +196,8 @@ def _validate_section(name: str, raw) -> dict:
             out[key] = _as_int(out[key], f"{name}.{key}")
             if out[key] < 0:
                 raise ValidationError(f"{name}.{key}", "must be non-negative")
+    if out.get("max_iters") == 0:
+        raise ValidationError(f"{name}.max_iters", "must be positive")
     if "epsilon" in out:
         out["epsilon"] = _as_float(out["epsilon"], f"{name}.epsilon")
         if not out["epsilon"] > 0.0:  # NaN included

@@ -28,7 +28,7 @@ quantised to QUANT and their labels, each represented by its first
 occurrence in (state, action, output) order. The dedupe numbers rows by
 a 64-bit hash of their words and checks each row against the first row
 with its hash, so a hash collision costs time, never a number. A
-backward pass then takes the optimum level by level, forming each
+backward pass then takes the maximum level by level, forming each
 (state, branch)'s mass times continuation once and reading it per
 (action, output), and the policy is extracted level by level, one
 gather of the chosen actions and one of their successors per level,
@@ -40,10 +40,12 @@ one walker, ``walk_policy``, which builds only the chosen action's update
 at each node; ``evaluate_tree`` and the diagnostic then evaluate every
 node they walked in one batched reward pass.
 
-Ties: the policy takes the lexicographically smallest action whose total
-lies within TIE_TOL of the optimum (the maximum for the horizon program,
-the minimum for DSAHT), so rounding noise in the last bits never decides
-between tied actions. The reported value is the optimum itself.
+The engine maximises the totals it is given: an action that ``prune``
+rules out has the total -inf, and DSAHT passes minus its error, an exact
+negation. Ties: the policy takes the lexicographically smallest action
+whose total lies within TIE_TOL of the maximum, so rounding noise in the
+last bits never decides between tied actions. The reported value is the
+optimum itself.
 """
 
 from __future__ import annotations
@@ -114,14 +116,11 @@ def _add_continuation(totals: np.ndarray, p: np.ndarray, cont: np.ndarray,
     return totals
 
 
-def _choose(totals: np.ndarray, candidates, maximise: bool) -> tuple:
-    """Optimum of every row of ``totals`` (states x actions) over its
-    candidate actions (all when ``candidates`` is None), and the first
-    candidate within TIE_TOL of it."""
-    worst = -np.inf if maximise else np.inf
-    if candidates is not None:
-        totals = np.where(candidates, totals, worst)
-    best = totals.max(axis=1) if maximise else totals.min(axis=1)
+def _choose(totals: np.ndarray) -> tuple:
+    """Maximum of every row of ``totals`` (states x actions) and the first
+    action within TIE_TOL of it; a total of -inf is never chosen while any
+    action of its row has a finite one."""
+    best = totals.max(axis=1)
     return best, (np.abs(totals - best[:, None]) <= TIE_TOL).argmax(axis=1)
 
 
@@ -187,6 +186,22 @@ def _start(space: MessageSpace, prior: JointBelief) -> tuple:
     return pi, root_labels(pi.sum(axis=1)), root_labels(pi.sum(axis=0))
 
 
+def _check_fits(channel: Channel, space: MessageSpace, tree: PolicyTree) -> None:
+    """Raise ValueError naming the first way ``tree`` does not fit the
+    channel's outputs and alphabets or the message space."""
+    if tree.n_outputs != channel.n_outputs:
+        raise ValueError(f"policy tree branches on {tree.n_outputs} outputs, "
+                         f"the channel has {channel.n_outputs}")
+    for hist, action in tree.items():
+        for sender, enc, m, x in ((1, action.e1, space.m1, channel.alphabets.x1),
+                                  (2, action.e2, space.m2, channel.alphabets.x2)):
+            if (enc.n_messages, enc.n_symbols) != (m, x):
+                raise ValueError(
+                    f"sender {sender}'s encoder at history {hist} maps {enc.n_messages} messages "
+                    f"to {enc.n_symbols} symbols; the space has {m} messages and the channel "
+                    f"{x} symbols")
+
+
 def policy_kernel(channel: Channel, tree: PolicyTree) -> ActionKernel:
     """Action kernel over the distinct actions of a policy tree."""
     return ActionKernel(channel, dict.fromkeys(tree.nodes.values()))
@@ -245,35 +260,31 @@ def _best_guesses(channel: Channel, policy: PolicyTree, prior: np.ndarray) -> di
     return decoder
 
 
-def _expand_chunk(expand, members, met, t: int, states: tuple, last: bool,
-                  maximise: bool, index) -> tuple:
+def _expand_chunk(expand, members, t: int, states: tuple, last: bool, index) -> tuple:
     """One chunk of a level for ``_backward_induction``: returns what the
     backward pass needs, the arrays of the successor states new to the
     level, in order of first occurrence, and the number of live (state,
-    action, output) successors. ``succ`` in the first part numbers the
-    successors as ``index`` numbers the level's states.
-    ``members[a, b]`` counts the outputs of action a in branch b and
-    ``met[a, b]`` is the first of those pairs in (action, output) order.
-    At the last level the chunk is chosen at once, (values, actions). Its
-    temporaries are freed when this returns, before the next chunk is
-    evaluated."""
-    totals, p, cand, gather = expand(t, *states)
+    action, output) successors of actions with a finite total.
+    ``succ`` in the first part numbers the successors as ``index`` numbers
+    the level's states, and ``members[a, b]`` counts the outputs of action
+    a in branch b. At the last level the chunk is chosen at once, (values,
+    actions). Its temporaries are freed when this returns, before the next
+    chunk is evaluated."""
+    totals, p, gather = expand(t, *states)
     if last:
-        return _choose(totals, cand, maximise), None, 0
-    # the live (action, output) pairs of every (state, branch)
-    pairs = (p > MASS_EPS) * (members.sum(axis=0) if cand is None else cand @ members)
-    s, b = np.nonzero(pairs)
-    if cand is not None:
-        # (state, action, output) order meets a state's branches at their
-        # first candidate pairs; without pruning that is branch order
-        first_met = np.where(cand[..., None], met, np.iinfo(met.dtype).max).min(axis=1)
-        order = np.lexsort((first_met[s, b], s))
-        s, b = s[order], b[order]
+        return _choose(totals), None, 0
+    # every live (state, branch) is built, whatever its actions' totals
+    live = p > MASS_EPS
+    s, b = np.nonzero(live)
     nxt = gather(s, b)
     number, new = index.add(_quantized_rows(nxt))
     succ = np.full(p.shape, -1)
     succ[s, b] = number
-    return (totals, p, cand, succ), tuple(x[new] for x in nxt), int(pairs.sum())
+    pairs = live * members.sum(axis=0)
+    ruled_out = totals == -np.inf
+    if ruled_out.any():
+        pairs -= live * (ruled_out @ members)
+    return (totals, p, succ), tuple(x[new] for x in nxt), int(pairs.sum())
 
 
 class _LevelIndex:
@@ -351,44 +362,45 @@ def _look_up(run: tuple, words: np.ndarray, hashes: np.ndarray, number: np.ndarr
 
 
 def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
-                        maximise: bool, node_cap: int, width: int) -> tuple:
+                        node_cap: int, width: int) -> tuple:
     """Level-synchronous backward induction over the distinct states of each
-    time step.
+    time step: the maximum over actions of what they earn now plus the
+    expected value of what follows.
 
     ``root`` holds the start state's arrays, each with a leading axis of
     length 1. ``expand(t, *arrays)`` evaluates a batch of level-t states,
-    stacked on that axis, and returns (totals, p, candidates, gather):
+    stacked on that axis, and returns (totals, p, gather):
 
     * totals[s, a], what the action earns before any continuation: its
-      reward, or in DSAHT the expected terminal error at the last level;
+      reward, or in DSAHT minus the expected terminal error at the last
+      level; -inf rules the action out, and some action of every state
+      must keep a finite total;
     * p[s, b], the predictive mass of every branch of the kernel (see
       ``macfb.kernel``), which is that of each of its (action, output)
       pairs; unused at the last level;
-    * candidates[s, a], a mask of the actions to consider, or None for all;
     * gather(s, b), the successor states' arrays for index vectors s and b;
       unused at the last level.
 
     Forward pass: level t + 1 holds the successors of level t along every
-    candidate action and every output with predictive mass above MASS_EPS,
-    deduplicated on their float arrays quantised to QUANT and their int
-    arrays as they are (``_quantized_rows``). The members of a
+    branch with predictive mass above MASS_EPS, whatever the totals of its
+    actions, deduplicated on their float arrays quantised to QUANT and
+    their int arrays as they are (``_quantized_rows``). The members of a
     branch have bit-identical successors, so each live (state, branch) is
     gathered, quantised and deduplicated once. A new state is represented
-    by its first occurrence in (state, action, output) order, so each level
-    lists its states in depth-first first-visit order: a state's live
-    branches are taken in the order of their first candidate pair, which
-    without candidates is branch order. ``succ[s, b]`` indexes the
-    successor (-1 where there is none), and the pair (a, y) reads it at
-    ``branch_of[a, y]``. A level is built CHUNK_ENTRIES kernel entries at a
-    time, ``width`` of them per state, and ``_LevelIndex`` numbers each
-    chunk's successors as one dedupe of the level, by a hash of their
-    rows checked row by row against the first row with that hash, which
-    gives exactly the numbering of a dedupe by the rows' bytes.
+    by its first occurrence in (state, action, output) order, which is
+    (state, branch) order, so each level lists its states in depth-first
+    first-visit order. ``succ[s, b]`` indexes the successor (-1 where there
+    is none), and the pair (a, y) reads it at ``branch_of[a, y]``. A level
+    is built CHUNK_ENTRIES kernel entries at a time, ``width`` of them per
+    state, and ``_LevelIndex`` numbers each chunk's successors as one
+    dedupe of the level, by a hash of their rows checked row by row
+    against the first row with that hash, which gives exactly the
+    numbering of a dedupe by the rows' bytes.
 
     Backward pass: each level forms p * cont over the outputs with mass
     once per (state, branch), adds it to every pair's total output by
-    output, then takes the optimum and the first candidate within TIE_TOL
-    of it; the last level, which has no successors, does so chunk by chunk
+    output, then takes the maximum and the first action within TIE_TOL of
+    it; the last level, which has no successors, does so chunk by chunk
     during the forward pass. The policy is then read off level by level:
     the chosen actions at the reached states (``best[t][states]``) and
     their successors along ``branch_of[a]`` give the next level's reached
@@ -399,20 +411,16 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
     tree (the chosen action at every history it reaches, actions[0]
     elsewhere), the number of distinct states over all levels, and the
     number of successor visits that found an existing state (live
-    successors minus distinct states).
+    successors of actions with a finite total, minus distinct states).
     Raises LevelTooWide before building the successors of a level with more
     (state, action, output) triples than ``node_cap``.
     """
     branch_of = kernel.branch_of
     n_actions, n_outputs = branch_of.shape
     step = max(1, CHUNK_ENTRIES // width)
-    # members[a, b]: the outputs of action a in branch b; met[a, b]: the
-    # first of those pairs, as a flat index a * Y + y (A * Y for none)
-    action = np.repeat(np.arange(n_actions), n_outputs)
+    # members[a, b]: the outputs of action a in branch b
     members = np.zeros((n_actions, len(kernel.branch_lik)), dtype=np.intp)
-    np.add.at(members, (action, branch_of.ravel()), 1)
-    met = np.full(members.shape, branch_of.size)
-    np.minimum.at(met, (action, branch_of.ravel()), np.arange(branch_of.size))
+    np.add.at(members, (np.repeat(np.arange(n_actions), n_outputs), branch_of.ravel()), 1)
     levels, states = [], root
     expanded = hits = 0
     for t in range(1, depth + 1):
@@ -424,22 +432,22 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
         chunks, reps, index = [], [], _LevelIndex()
         for lo in range(0, n_states, step):
             chunk = tuple(x[lo : lo + step] for x in states)
-            stored, found, n_live = _expand_chunk(expand, members, met, t, chunk, last, maximise, index)
+            stored, found, n_live = _expand_chunk(expand, members, t, chunk, last, index)
             chunks.append(stored)
             reps.append(found)
             hits += n_live
         if not last:
             states = reps[0] if len(reps) == 1 else tuple(np.concatenate(arrays) for arrays in zip(*reps))
             hits -= index.count
-        levels.append(tuple(None if part[0] is None else np.concatenate(part) for part in zip(*chunks)))
+        levels.append(tuple(np.concatenate(part) for part in zip(*chunks)))
 
     value, last_best = levels[-1]
     best = [None] * (depth - 1) + [last_best]
     for t in reversed(range(depth - 1)):
-        totals, p, cand, succ = levels[t]
+        totals, p, succ = levels[t]
         cont = np.append(value, 0.0)[succ]
         totals = _add_continuation(totals, p, cont, branch_of)
-        value, best[t] = _choose(totals, cand, maximise)
+        value, best[t] = _choose(totals)
 
     # the policy, level by level: hist numbers the reached histories of
     # length t in base n_outputs, states holds their states, and the
@@ -450,7 +458,7 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
         a = best[t][states]
         at[_estimated_nodes(n_outputs, t) + hist] = a
         if t + 1 < depth:
-            succ = levels[t][3][states[:, None], branch_of[a]]
+            succ = levels[t][2][states[:, None], branch_of[a]]
             live = succ >= 0
             hist = (hist[:, None] * n_outputs + np.arange(n_outputs))[live]
             states = succ[live]
@@ -477,12 +485,13 @@ def solve_horizon(
     1e-15, and a backward pass adds the continuation values and takes the
     maximum. ``states_expanded`` counts the distinct states over all steps
     and ``cache_hits`` the successor visits that found a state already
-    built (live successors minus distinct states). With ``prune`` the
-    actions of a state whose successors get built are first collapsed to
-    the first representative of each class with equal (reward, predictive,
-    successor) rows, which never changes the value. Raises HorizonTooDeep
-    when the full tree estimate exceeds ``node_cap``, and LevelTooWide
-    before a step whose states x actions x outputs exceed it.
+    built (live successors minus distinct states). With ``prune`` every
+    action of a state whose successors get built, apart from the first of
+    each class with equal (reward, predictive, successor) rows, gets the
+    total -inf, so it is never chosen and its successors count no cache
+    hits; the same states are built, and the value never changes. Raises
+    HorizonTooDeep when the full tree estimate exceeds ``node_cap``, and
+    LevelTooWide before a step whose states x actions x outputs exceed it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -498,21 +507,21 @@ def solve_horizon(
         # the members of a branch share its predictive mass bit for bit
         totals = kernel.weighted(weights, pis, labels1, labels2, p[:, branch_of])
         if t == n:
-            return totals, None, None, None
+            return totals, None, None
         post = kernel.posteriors(joint, p)
         ref1, ref2 = kernel.refined(labels1, labels2)
-        cand = None
         if prune:
-            cand = kernel.distinct(totals, p[:, branch_of], post[:, branch_of], ref1, ref2, PRUNE_TOL)
+            keep = kernel.distinct(totals, p[:, branch_of], post[:, branch_of], ref1, ref2, PRUNE_TOL)
+            totals = np.where(keep, totals, -np.inf)
 
         def gather(s, b):
             return post[s, b], ref1[s, enc1[b]], ref2[s, enc2[b]]
 
-        return totals, p, cand, gather
+        return totals, p, gather
 
     root = (pi[None], labels1[None], labels2[None])
     total, policy, expanded, hits = _backward_induction(
-        kernel, n, root, expand, True, node_cap, max(kernel.branch_lik.size, kernel.noise.size)
+        kernel, n, root, expand, node_cap, max(kernel.branch_lik.size, kernel.noise.size)
     )
     return HorizonResult(total / n, total, policy, expanded, hits)
 
@@ -529,10 +538,12 @@ def evaluate_tree(
     This is the solver-side counterpart of the trajectory oracle: it averages
     the weighted reward over the augmented states reachable from ``prior``
     (uniform when None), weighted by the probability of the output history
-    that reaches them.
+    that reaches them. Raises ValueError when the tree's outputs or
+    encoders do not fit the channel and message space.
     """
     if tree.depth < 1:
         raise ValueError("policy tree must have depth >= 1")
+    _check_fits(channel, space, tree)
     kernel = policy_kernel(channel, tree)
     _, _, pis, labels1, labels2, actions, masses = _walked(kernel, tree, _start(space, prior))
     rewards = kernel.weighted(weights, pis, labels1, labels2, kernel.joint(pis)[1])
@@ -555,8 +566,10 @@ def solve_dsaht(
     Only the common belief matters here; the cost-to-go of a terminal belief
     is one minus its largest entry and interior steps average it under the
     predictive output distribution. The same level-synchronous engine as
-    ``solve_horizon`` solves it, with the same guards and the same two
-    counters over common beliefs (both 0 at T = 0).
+    ``solve_horizon`` solves it by maximising minus the error (the terminal
+    total is max(posterior) - 1, the exact negation of 1 - max), with the
+    same guards and the same two counters over common beliefs (both 0 at
+    T = 0).
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -574,23 +587,26 @@ def solve_dsaht(
         joint, p = kernel.branch_joint(pis)
         totals = np.zeros((len(pis), len(kernel)))
         if t == horizon:
-            # 1 - max(posterior) without the posteriors: dividing by a
-            # positive mass keeps the order, and the rounding too. The max
-            # is taken in slices, a fraction of numpy's over a short axis
+            # minus the terminal error, max(posterior) - 1, without the
+            # posteriors: dividing by a positive mass keeps the order, and
+            # the rounding too. The max is taken in slices, a fraction of
+            # numpy's over a short axis
             cells = joint.reshape(p.shape + (-1,))
             largest = cells[..., 0]
             for k in range(1, cells.shape[-1]):
                 largest = np.maximum(largest, cells[..., k])
-            terminal = 1.0 - largest / np.where(p > MASS_EPS, p, 1.0)
-            totals = _add_continuation(totals, p, terminal, branch_of)
-            return totals, None, None, None
+            minus_error = largest / np.where(p > MASS_EPS, p, 1.0) - 1.0
+            totals = _add_continuation(totals, p, minus_error, branch_of)
+            return totals, None, None
         post = kernel.posteriors(joint, p)
-        return totals, p, None, lambda s, b: (post[s, b],)
+        return totals, p, lambda s, b: (post[s, b],)
 
-    error, policy, expanded, hits = _backward_induction(
-        kernel, horizon, (pi[None],), expand, False, node_cap, kernel.branch_lik.size
+    # the engine maximises minus the error; negation is exact in every sum
+    # and product, so 0.0 - value has the bits of the minimised error
+    value, policy, expanded, hits = _backward_induction(
+        kernel, horizon, (pi[None],), expand, node_cap, kernel.branch_lik.size
     )
-    return DsahtResult(error, policy, expanded, hits, channel, pi)
+    return DsahtResult(0.0 - value, policy, expanded, hits, channel, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -730,11 +746,16 @@ def solve_stationary(
     exception, with the partial result kept. The total extractable
     information is bounded by the initial entropy, so the gain is 0 for
     every channel; this mode exists to make that degeneracy observable.
+
+    Both modes raise ValueError when ``resolution`` or ``max_iters`` is
+    below 1.
     """
     if renewal not in ("per_use", "none"):
         raise ValueError(f"unknown renewal mode {renewal!r}")
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     pi = _prior_table(space, prior)
     actions = enumerate_actions(space, channel.alphabets, cap=action_cap)
     kernel = ActionKernel(channel, actions)

@@ -52,6 +52,23 @@ def _check_prior(space: MessageSpace, prior) -> np.ndarray:
     return p
 
 
+def _check_tree(channel: Channel, space: MessageSpace, tree: PolicyTree) -> None:
+    if tree.n_outputs != channel.n_outputs:
+        raise ValueError(
+            f"tree has {tree.n_outputs} outputs per node but the channel has {channel.n_outputs}"
+        )
+    # (messages, symbols) of sender 1's encoder, then of sender 2's
+    wanted = (space.m1, channel.alphabets.x1, space.m2, channel.alphabets.x2)
+    for hist, action in tree.items():
+        e1, e2 = action.e1, action.e2
+        shape = (len(e1.table), e1.n_symbols, len(e2.table), e2.n_symbols)
+        if shape != wanted:
+            raise ValueError(
+                f"action at history {hist} has encoders of (messages, symbols) "
+                f"{shape[:2]} and {shape[2:]}, expected {wanted[:2]} and {wanted[2:]}"
+            )
+
+
 def build_trajectories(
     channel: Channel,
     space: MessageSpace,
@@ -64,8 +81,10 @@ def build_trajectories(
     Returns a list of records (m1, m2, ys, x1s, x2s, probability); exact-zero
     branches are dropped. The input sequences are recorded because they are
     deterministic along each record and every conditional information needs
-    them.
+    them. Raises ValueError when the tree does not fit the channel or the
+    message space.
     """
+    _check_tree(channel, space, tree)
     n = tree.depth
     entries = space.pairs * channel.n_outputs**n
     if entries > cap:

@@ -64,6 +64,9 @@ def test_validate_config_with_prior(tmp_path, capsys):
         ["validate", "--preset", "bsc_p2p", "--param", "1.5", "--messages", "2,1"],
         ["region", "--preset", "adder", "--messages", "2,2", "--sweep", "2"],
         ["validate", "--preset", "adder", "--messages", "2,2", "--workers", "0"],
+        # zero sweeps used to print "span_at_stop": Infinity, which is not JSON
+        ["stationary", "--preset", "adder", "--messages", "2,2", "--renewal", "none",
+         "--grid", "2", "--max-iters", "0"],
     ],
 )
 def test_config_errors_exit_one(argv, capsys):

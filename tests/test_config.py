@@ -123,6 +123,12 @@ def test_numeric_strings_accepted():
         lambda d: d.update(prior=[0.25, 0.25, 0.25, 0.2500000005]),
         lambda d: d.update(horizon={"lambda": [float("inf"), 0, 1]}),
         lambda d: d.update(horizon={"lambda": [float("nan"), 0, 1]}),
+        # YAML true is not the integer 1
+        lambda d: d.update(messages={"m1": True, "m2": 2}),
+        lambda d: d.update(horizon={"n": True}),
+        lambda d: d.update(limits={"node_cap": True}),
+        # zero sweeps would stop with no span to report
+        lambda d: d.update(stationary={"max_iters": 0}),
     ],
 )
 def test_rejected_documents(mutate):
@@ -130,6 +136,22 @@ def test_rejected_documents(mutate):
     mutate(doc)
     with pytest.raises(ValidationError):
         parse_config(doc)
+
+
+@pytest.mark.parametrize(
+    "doc,field,reason",
+    [
+        (base_doc(messages={"m1": True, "m2": 2}), "messages.m1", "expected an integer"),
+        (base_doc(horizon={"n": True}), "horizon.n", "expected an integer"),
+        (base_doc(limits={"node_cap": False}), "limits.node_cap", "expected an integer"),
+        (base_doc(stationary={"max_iters": 0}), "stationary.max_iters", "must be positive"),
+    ],
+)
+def test_rejection_names_field_and_reason(doc, field, reason):
+    with pytest.raises(ValidationError) as info:
+        parse_config(doc)
+    assert info.value.field == field
+    assert info.value.reason.startswith(reason)
 
 
 def test_kernel_length_check():

@@ -7,7 +7,7 @@ import pytest
 from conftest import make_rng, random_channel, random_prior, random_tree
 from macfb import dp, region
 from macfb.belief import JointBelief, initial_state, uniform_initial
-from macfb.channel import MessageSpace, preset, validate_channel
+from macfb.channel import Alphabets, MessageSpace, preset, validate_channel
 from macfb.dp import (
     evaluate_tree,
     reachability_diagnostic,
@@ -101,6 +101,21 @@ def test_evaluate_tree_matches_trajectory_oracle():
         assert a == pytest.approx(b, abs=1e-9)
 
 
+def test_evaluate_tree_rejects_a_tree_that_does_not_fit():
+    # adder has 3 outputs and binary inputs; each tree below used to end
+    # in a bare KeyError, a matmul ValueError or an IndexError
+    ch, space = preset("adder"), MessageSpace(2, 2)
+    rng = make_rng(47)
+    cases = [
+        (random_tree(rng, space, Alphabets(2, 2, 2), 2), "2 outputs"),
+        (solve_horizon(ch, MessageSpace(1, 1), L3, 2).policy, "maps 1 messages"),
+        (random_tree(rng, space, Alphabets(2, 3, 3), 2), "sender 2's encoder .* to 3 symbols"),
+    ]
+    for tree, message in cases:
+        with pytest.raises(ValueError, match=message):
+            evaluate_tree(ch, space, tree, L3)
+
+
 def test_lambda_homogeneity():
     ch = preset("adder")
     space = MessageSpace(2, 2)
@@ -117,6 +132,19 @@ def test_prune_matches_full_enumeration():
         full = solve_horizon(ch, space, L_ALL, 2, prune=False)
         pruned = solve_horizon(ch, space, L_ALL, 2, prune=True)
         assert pruned.total_value == pytest.approx(full.total_value, abs=1e-9)
+
+
+def test_prune_builds_the_states_it_builds_without():
+    # prune only rules actions out of the choice; the forward pass builds
+    # every live branch, so the levels are those of the unpruned program
+    from test_acceptance import _instances
+
+    for label, ch, space, n, weights, prior in _instances():
+        pi0 = None if prior is None else JointBelief(np.asarray(prior, dtype=float))
+        plain = solve_horizon(ch, space, weights, n, prior=pi0)
+        pruned = solve_horizon(ch, space, weights, n, prior=pi0, prune=True)
+        assert pruned.states_expanded == plain.states_expanded, label
+        assert pruned.cache_hits <= plain.cache_hits, label
 
 
 def test_horizon_deterministic_re_run():
@@ -229,6 +257,8 @@ def test_stationary_guards():
     for renewal in ("per_use", "none"):
         with pytest.raises(ValueError):
             solve_stationary(ch, space, L3, resolution=0, renewal=renewal)
+        with pytest.raises(ValueError, match="max_iters"):
+            solve_stationary(ch, space, L3, resolution=4, max_iters=0, renewal=renewal)
     with pytest.raises(ValueError):
         solve_stationary(ch, space, L3, resolution=4, renewal="sometimes")
     # only renewal: none builds a grid

@@ -3,8 +3,9 @@ recursions they replaced: values, policies, decoders and counters must be
 exactly equal, not merely close. The horizon recursion carries the float
 private tables the engine carried before it carried int labels, and reads
 their classes through ``row_classes``, so it shares no label code with the
-engine; neither recursion uses the engine's walker, and their policies
-are completed here, not by engine code."""
+engine; neither recursion uses the engine's walker, their policies are
+completed here, not by engine code, and the reference decoder walks the
+validated belief objects."""
 
 import itertools
 
@@ -12,13 +13,12 @@ import numpy as np
 import pytest
 
 from conftest import make_rng, random_channel, random_prior
-from macfb.belief import MASS_EPS, JointBelief, initial_state
+from macfb.belief import MASS_EPS, JointBelief, initial_state, predictive_distribution, update_joint
 from macfb.channel import MessageSpace, preset
 from macfb.dp import (
     QUANT,
     TIE_TOL,
     _backward_induction,
-    _best_guesses,
     solve_dsaht,
     solve_horizon,
 )
@@ -171,6 +171,24 @@ def recursive_horizon(channel, space, weights, n, prior=None, prune=False):
     return total, policy, stats["expanded"], stats["hits"]
 
 
+def reference_decoder(channel, policy, prior):
+    """Best-guess message pair at every terminal history the policy
+    reaches, through the validated beliefs: ``update_joint`` along the
+    policy, outputs at or below MASS_EPS skipped, ``argmax_pair`` at the
+    end."""
+    decoder, stack = {}, [((), prior)]
+    while stack:
+        hist, pi = stack.pop()
+        if len(hist) == policy.depth:
+            decoder[hist] = pi.argmax_pair()
+            continue
+        action = policy.action_at(hist)
+        p = predictive_distribution(pi, action, channel)
+        stack.extend((hist + (y,), update_joint(pi, action, y, channel))
+                     for y in range(len(p)) if p[y] > MASS_EPS)
+    return decoder
+
+
 def recursive_dsaht(channel, space, horizon, prior=None):
     if prior is None:
         prior = initial_state(space).pi
@@ -274,8 +292,9 @@ def test_horizon_equals_recursion_sparse_channel():
 
 
 def test_horizon_prune_equals_recursion_sparse_channel():
-    # pruning leaves some pairs of a branch without a candidate action, so a
-    # state meets its branches in the order of their first candidate pair
+    # pruning leaves some branches without a kept pair: the recursion skips
+    # them, the engine builds them, and each reaches a state that a kept
+    # pair reaches first, so both build the same states in the same order
     rng = make_rng(62)
     space = MessageSpace(2, 3)
     for _ in range(3):
@@ -298,36 +317,100 @@ def test_dsaht_equals_recursion_sparse_channel():
             error, policy, expanded, hits = recursive_dsaht(ch, space, 3, pri)
             res = solve_dsaht(ch, space, 3, pri)
             assert (res.error_probability, res.policy) == (error, policy)
-            assert res.decoder == _best_guesses(ch, policy, pri.table)
+            assert res.decoder == reference_decoder(ch, policy, pri)
             assert (res.states_expanded, res.cache_hits) == (expanded, hits)
 
 
-@pytest.mark.parametrize("prune", [False, True])
-def test_first_candidate_pair_represents_a_state(prune):
-    # every branch leads to one state, with bits that name the branch; the
-    # representative must come from the first candidate (action, output)
-    # pair, which skips action 0 when it is pruned
+def test_engine_maximises_the_totals_it_is_given():
+    # a synthetic program on adder 2x2's branches, depth 3: a successor adds
+    # its branch's tag to the state, and the tags of the branches in one
+    # residue class mod 3 fall in one quantisation cell, so a state's
+    # representative carries the bits of the first branch that reaches it;
+    # a branch is dead (mass 0) where branch + 100 x state is 3 mod 4, and
+    # the last level's value of a state is 100 x state, rounded
     ch = preset("adder")
     kernel = ActionKernel(ch, enumerate_actions(MessageSpace(2, 2), ch.alphabets))
-    n_actions, n_outputs = kernel.branch_of.shape
-    n_branches = len(kernel.branch_lik)
-    cand = np.ones((1, n_actions), dtype=bool)
-    cand[0, 0] = not prune
+    branch_of = kernel.branch_of
+    n_actions, n_branches = len(branch_of), len(kernel.branch_lik)
+    cls = np.arange(n_branches) % 3
+    tags = 0.01 * cls + 1e-13 * np.arange(n_branches)
 
-    def expand(t, x):
-        if t == 2:
-            return np.repeat(x, n_actions, axis=1), None, None, None
-        tags = 0.5 + 1e-13 * np.arange(n_branches)[:, None]
-        return np.zeros((1, n_actions)), np.ones((1, n_branches)), cand, lambda s, b: (tags[b],)
+    def live(r):
+        return (np.arange(n_branches) + r) % 4 != 3
 
-    value, _, expanded, hits = _backward_induction(
-        kernel, 2, (np.zeros((1, 1)),), expand, True, 10**6, kernel.branch_lik.size
-    )
-    first = kernel.branch_of[1, 0] if prune else 0
-    assert kernel.branch_of[1, 0] != 0
-    tag = 0.5 + 1e-13 * first
-    assert value == ((0.0 + tag) + tag) + tag
-    assert (expanded, hits) == (2, int(cand.sum()) * n_outputs - 1)
+    def run(rule):
+        seen = []
+
+        def expand(t, x):
+            seen.append((t, x.tobytes()))
+            r = np.rint(x[:, 0] * 100).astype(int)
+            if t == 3:
+                return np.repeat(r[:, None].astype(float), n_actions, axis=1), None, None
+            totals = np.where(rule(t, r), -np.inf, 0.0)
+            p = np.stack([live(ri) for ri in r]).astype(float)
+            return totals, p, lambda s, b: (x[s] + tags[b][:, None],)
+
+        result = _backward_induction(kernel, 3, (np.zeros((1, 1)),), expand, 10**6, n_branches)
+        return result, seen
+
+    def totals_at(t, r, rule):
+        # the program without dedupe, on a state's residue sum r: every
+        # total is a whole number, so the sums are exact in any order
+        if t == 3:
+            return np.full(n_actions, float(r))
+        totals = np.array([
+            sum(totals_at(t + 1, r + cls[b], rule).max() for b in branch_of[a] if live(r)[b])
+            for a in range(n_actions)
+        ])
+        totals[rule(t, np.array([r]))[0]] = -np.inf
+        return totals
+
+    def no_rule(t, r):
+        return np.zeros((len(r), n_actions), dtype=bool)
+
+    # rule out action 0 and every action with the best root total
+    free = totals_at(1, 0, no_rule)
+    top = (free == free.max()) | (np.arange(n_actions) == 0)
+    assert not top.all()
+
+    def root_rule(t, r):
+        return np.broadcast_to(top & (t == 1), (len(r), n_actions))
+
+    def mixed_rule(t, r):
+        # action 0 everywhere, and at each state the actions a with a + r = 0 mod 3
+        return ((np.arange(n_actions) + r[:, None]) % 3 == 0) | (np.arange(n_actions) == 0)
+
+    # the levels by an independent dedupe, in (state, branch) order
+    levels = [[np.zeros(1)]]
+    for _ in range(2):
+        first = {}
+        for x in levels[-1]:
+            for b in np.flatnonzero(live(int(np.rint(x[0] * 100)))):
+                first.setdefault(np.rint((x + tags[b]) / QUANT).astype(np.int64).tobytes(), x + tags[b])
+        levels.append(list(first.values()))
+    expected_seen = [(t + 1, np.stack(level).tobytes()) for t, level in enumerate(levels)]
+
+    for rule in (no_rule, root_rule, mixed_rule):
+        (total, policy, expanded, hits), seen = run(rule)
+        # the same levels, states, representatives and numbering, whatever is ruled out
+        assert seen == expected_seen
+        assert expanded == sum(len(level) for level in levels)
+        # cache hits count the live pairs of actions with a finite total only
+        pairs = 0
+        for t, level in enumerate(levels[:2]):
+            for x in level:
+                r = int(np.rint(x[0] * 100))
+                kept = ~rule(t + 1, np.array([r]))[0]
+                pairs += int(live(r)[branch_of[kept]].sum())
+        assert hits == pairs - len(levels[1]) - len(levels[2])
+        # the first best action is chosen, never a ruled-out one
+        root = totals_at(1, 0, rule)
+        a = int(np.argmax(root))
+        assert total == root[a]
+        assert policy.action_at(()) == kernel.actions[a]
+        assert not rule(1, np.zeros(1, dtype=int))[0, a]
+    # the ruled-out actions had the best continuation
+    assert totals_at(1, 0, root_rule).max() < free.max()
 
 
 def test_horizon_counters_noisy_adder_3x3_n3():
@@ -350,7 +433,7 @@ def test_dsaht_equals_recursion(name, m1, m2, prior):
         res = solve_dsaht(ch, space, horizon, pri)
         assert res.error_probability == error
         assert res.policy == policy
-        assert res.decoder == _best_guesses(ch, policy, (pri or initial_state(space).pi).table)
+        assert res.decoder == reference_decoder(ch, policy, pri or initial_state(space).pi)
         assert (res.states_expanded, res.cache_hits) == (expanded, hits)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_rng, random_channel, random_prior, random_tree
 from macfb.belief import uniform_initial
-from macfb.channel import MessageSpace, preset
+from macfb.channel import Alphabets, MessageSpace, preset
 from macfb.encoding import EncoderAction, EncoderFunction, PolicyTree
 from macfb.errors import SearchTooLarge, TableTooLarge
 from macfb.oracle import (
@@ -33,6 +33,27 @@ def identity_tree(depth: int, n_outputs: int) -> PolicyTree:
         nodes[hist] = IDENTITY
         stack.extend(hist + (y,) for y in range(n_outputs))
     return PolicyTree(depth, n_outputs, nodes)
+
+
+@pytest.mark.parametrize("walk", [
+    build_trajectories,
+    evaluate_scheme_error,
+    lambda ch, space, tree: evaluate_policy_In(ch, space, tree, L3),
+])
+def test_trees_that_do_not_fit_are_rejected(walk):
+    # adder has 3 outputs and binary inputs; each tree below used to end
+    # in a bare KeyError or an IndexError
+    ch, space = preset("adder"), MessageSpace(2, 2)
+    rng = make_rng(48)
+    one_by_one = EncoderAction(EncoderFunction((0,), 2), EncoderFunction((1,), 2))
+    cases = [
+        (random_tree(rng, space, Alphabets(2, 2, 2), 2), "2 outputs"),
+        (PolicyTree(1, 3, {(): one_by_one}), r"\(1, 2\) and \(1, 2\), expected \(2, 2\)"),
+        (random_tree(rng, space, Alphabets(3, 2, 3), 2), r"\(2, 3\) and \(2, 2\), expected \(2, 2\)"),
+    ]
+    for tree, message in cases:
+        with pytest.raises(ValueError, match=message):
+            walk(ch, space, tree)
 
 
 def test_trajectories_form_a_distribution():
