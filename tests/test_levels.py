@@ -321,6 +321,37 @@ def test_dsaht_equals_recursion_sparse_channel():
             assert (res.states_expanded, res.cache_hits) == (expanded, hits)
 
 
+@pytest.mark.parametrize("prune", [False, True])
+def test_first_candidate_pair_represents_a_state(prune):
+    # every branch leads to one state, with bits that name the branch; the
+    # representative comes from the first live (action, output) pair whatever
+    # the totals, so it is branch 0, which only action 0 reaches first, even
+    # when prune rules action 0 out with a total of -inf
+    ch = preset("adder")
+    kernel = ActionKernel(ch, enumerate_actions(MessageSpace(2, 2), ch.alphabets))
+    n_actions, n_outputs = kernel.branch_of.shape
+    n_branches = len(kernel.branch_lik)
+    totals = np.zeros((1, n_actions))
+    totals[0, 0] = -np.inf if prune else 0.0
+
+    def expand(t, x):
+        if t == 2:
+            return np.repeat(x, n_actions, axis=1), None, None
+        tags = 0.5 + 1e-13 * np.arange(n_branches)[:, None]
+        return totals, np.ones((1, n_branches)), lambda s, b: (tags[b],)
+
+    value, policy, expanded, hits = _backward_induction(
+        kernel, 2, (np.zeros((1, 1)),), expand, 10**6, kernel.branch_lik.size
+    )
+    assert kernel.branch_of[0, 0] == 0 and kernel.branch_of[1, 0] != 0
+    tag = 0.5
+    assert value == ((0.0 + tag) + tag) + tag
+    assert policy.action_at(()) == kernel.actions[1 if prune else 0]
+    # cache hits count the successors of actions with a finite total only
+    kept = int(np.isfinite(totals).sum())
+    assert (expanded, hits) == (2, kept * n_outputs - 1)
+
+
 def test_engine_maximises_the_totals_it_is_given():
     # a synthetic program on adder 2x2's branches, depth 3: a successor adds
     # its branch's tag to the state, and the tags of the branches in one
