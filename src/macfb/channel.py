@@ -8,6 +8,7 @@ renormalise away.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,20 @@ from .errors import NegativeEntry, NonStochastic, ParamOutOfRange, UnknownPreset
 ROW_SUM_TOL = 1e-9
 
 PRESET_NAMES = ("adder", "noisy_adder", "multiplier", "bsc_p2p", "useless")
+
+
+def _set_size(obj, name: str, what: str) -> None:
+    """Store field ``name`` of a frozen size record as a plain int: any
+    integer ``operator.index`` accepts (numpy's too), at least 1, and not a
+    bool."""
+    size = getattr(obj, name)
+    try:
+        value = None if isinstance(size, bool) else operator.index(size)
+    except TypeError:
+        value = None
+    if value is None or value < 1:
+        raise ValueError(f"{what} {name} must be a positive integer, got {size!r}")
+    object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -29,9 +44,7 @@ class Alphabets:
 
     def __post_init__(self):
         for name in ("x1", "x2", "y"):
-            size = getattr(self, name)
-            if not isinstance(size, int) or size < 1:
-                raise ValueError(f"alphabet size {name} must be a positive integer, got {size!r}")
+            _set_size(self, name, "alphabet size")
 
 
 @dataclass(frozen=True)
@@ -43,9 +56,7 @@ class MessageSpace:
 
     def __post_init__(self):
         for name in ("m1", "m2"):
-            size = getattr(self, name)
-            if not isinstance(size, int) or size < 1:
-                raise ValueError(f"message count {name} must be a positive integer, got {size!r}")
+            _set_size(self, name, "message count")
 
     @property
     def pairs(self) -> int:

@@ -288,7 +288,7 @@ def _cmd_region(cfg: RunConfig, args, result: dict) -> int:
     sec = cfg.section("region")
     est = region_mod.sweep(
         cfg.channel, cfg.space, sec["n"], sec["sweep"],
-        solver=sec["solver"], prior=cfg.prior,
+        solver=sec["solver"], prior=_prior_joint(cfg),
         node_cap=cfg.limits["node_cap"], action_cap=cfg.limits["action_cap"],
     )
     result["params"] = {"n": sec["n"], "sweep": sec["sweep"], "solver": sec["solver"]}

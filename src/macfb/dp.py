@@ -16,24 +16,26 @@ Three solvers:
   fallback).
 
 The two finite-horizon programs share one level-synchronous engine,
-``_backward_induction``. The state moves forward one channel use at a
-time, so a forward pass builds every time step's distinct states from the
-previous step's as one batch: the action kernel (``macfb.kernel``)
-evaluates a stack of states for every action at once (rewards,
-predictive distributions, posteriors, refined labels). A Bayes update
-depends on an (action, output) pair only through the pair's branch, its
-likelihood column and encoder partitions, so the successors are built
-once per (state, branch) and deduplicated on their common belief
-quantised to QUANT and their labels, each represented by its first
-occurrence in (state, action, output) order. The dedupe numbers rows by
-a 64-bit hash of their words and checks each row against the first row
-with its hash, so a hash collision costs time, never a number. A
-backward pass then takes the maximum level by level, forming each
-(state, branch)'s mass times continuation once and reading it per
-(action, output), and the policy is extracted level by level, one
-gather of the chosen actions and one of their successors per level,
-into an array of action indices. Validated belief objects exist only at
-the API boundary.
+``_backward_induction``, in three passes. The state moves forward one
+channel use at a time, so a forward pass builds every time step's
+distinct states from the previous step's as one batch, with no weights
+in it: the action kernel (``macfb.kernel``) gives a stack of states'
+predictive distributions, posteriors and refined labels for every action
+at once. A Bayes update depends on an (action, output) pair only through
+the pair's branch, its likelihood column and encoder partitions, so the
+successors are built once per (state, branch) and deduplicated on their
+common belief quantised to QUANT and their labels, each represented by
+its first occurrence in (state, action, output) order. The dedupe
+numbers rows by a 64-bit hash of their words and checks each row against
+the first row with its hash, so a hash collision costs time, never a
+number. A reward pass then evaluates what every action earns at every
+level's states, stacked in level order into batches that may span
+levels, and a backward pass takes the maximum level by level, forming
+each (state, branch)'s mass times continuation once and reading it per
+(action, output). The policy is extracted level by level, one gather of
+the chosen actions and one of their successors per level, into an array
+of action indices. Validated belief objects exist only at the API
+boundary.
 Every walk over the beliefs a fixed policy reaches (the DSAHT decoder,
 ``evaluate_tree``, the diagnostic and the CLI's belief file) goes through
 one walker, ``walk_policy``, which builds only the chosen action's update
@@ -66,7 +68,14 @@ from .encoding import (
     enumerate_actions,
 )
 from .errors import GridTooLarge, HorizonTooDeep, LevelTooWide
-from .kernel import ActionKernel, first_hashed, first_rows, hashed_rows, root_labels
+from .kernel import (
+    ActionKernel,
+    first_hashed,
+    first_per_class,
+    first_rows,
+    hashed_rows,
+    root_labels,
+)
 from .reward import LambdaWeights
 
 DEFAULT_NODE_CAP = 1_000_000
@@ -78,20 +87,20 @@ DEFAULT_STATIONARY_EPSILON = 1e-6
 QUANT = 1e-9
 
 # the finite-horizon programs put CHUNK_ENTRIES // width states through one
-# batch, where width counts one state's entries in the branch joint
-# (branches x message pairs) in DSAHT, and in the horizon program in that or
-# the rewards' noise term (actions x message pairs), whichever is larger:
-# 146 states a chunk at noisy_adder 2x2 in DSAHT, 12 at 3x3 in the horizon
-# program, where the per-action joint allowed 4. The width counts those
-# arrays only; other temporaries of a batch are larger per state, such as
-# the rewards' margin products (96 entries at noisy_adder 2x2, against a
-# width of 64) and, with prune, the rows ``distinct`` compares (2368 at 3x3,
-# against 666). A 50 s bench/run.py run at this value peaks at 41.2 MB RSS
-# on horizon-wide and on dsaht-deep (seed 0, medians of 10 runs, 2 cores).
-# 1 << 14 makes horizon-wide solves about 13% faster but lifted the peak
-# RSS of a run of dsaht-deep solves by 0.2-0.3 MB, so the batch stays at
-# this size.
-CHUNK_ENTRIES = 1 << 13
+# chunk of the forward pass and one batch of the reward pass, where width
+# counts one state's entries in the branch joint (branches x message pairs)
+# in DSAHT, and in the horizon program in that or the rewards' noise term
+# (actions x message pairs), whichever is larger: 1170 states at noisy_adder
+# 2x2 in DSAHT, 98 at 3x3 in the horizon program, so horizon-wide rates its
+# 1 + 73 states in one reward call. Other temporaries are larger per state
+# than the width, such as the rewards' margin products (96 entries at
+# noisy_adder 2x2, against a width of 64). 10 s bench/run.py runs peak at
+# 41.2 MB RSS on horizon-wide and 40.6 MB on dsaht-deep, against 40.5 and
+# 40.1 MB for the engine before this one, which batched 1 << 13 entries and
+# rated each chunk inside the forward pass (medians of 10 runs, seed 0, 2
+# cores); one noisy_adder 3x3 n=3 solve in a fresh process peaks at 33.8
+# against 31.5 MB, and n=4 at 48.7 against 51.6 MB.
+CHUNK_ENTRIES = 1 << 16
 
 # totals this close to the optimum count as tied; the first one wins
 TIE_TOL = 1e-12
@@ -260,33 +269,6 @@ def _best_guesses(channel: Channel, policy: PolicyTree, prior: np.ndarray) -> di
     return decoder
 
 
-def _expand_chunk(expand, members, t: int, states: tuple, last: bool, index) -> tuple:
-    """One chunk of a level for ``_backward_induction``: returns what the
-    backward pass needs, the arrays of the successor states new to the
-    level, in order of first occurrence, and the number of live (state,
-    action, output) successors of actions with a finite total.
-    ``succ`` in the first part numbers the successors as ``index`` numbers
-    the level's states, and ``members[a, b]`` counts the outputs of action
-    a in branch b. At the last level the chunk is chosen at once, (values,
-    actions). Its temporaries are freed when this returns, before the next
-    chunk is evaluated."""
-    totals, p, gather = expand(t, *states)
-    if last:
-        return _choose(totals), None, 0
-    # every live (state, branch) is built, whatever its actions' totals
-    live = p > MASS_EPS
-    s, b = np.nonzero(live)
-    nxt = gather(s, b)
-    number, new = index.add(_quantized_rows(nxt))
-    succ = np.full(p.shape, -1)
-    succ[s, b] = number
-    pairs = live * members.sum(axis=0)
-    ruled_out = totals == -np.inf
-    if ruled_out.any():
-        pairs -= live * (ruled_out @ members)
-    return (totals, p, succ), tuple(x[new] for x in nxt), int(pairs.sum())
-
-
 class _LevelIndex:
     """Numbers the distinct quantised rows of a level across its chunks, in
     order of first occurrence.
@@ -361,29 +343,72 @@ def _look_up(run: tuple, words: np.ndarray, hashes: np.ndarray, number: np.ndarr
         number[i] = ids[pos[i] + same[0]] if len(same) else -1
 
 
-def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
+def _expand_level(expand, t: int, states: tuple, step: int) -> tuple:
+    """One level of the forward pass of ``_backward_induction``, ``step``
+    states at a time: (p, succ, the next level's states). ``succ`` numbers
+    the successors in the next level's order, which is their order of
+    first occurrence. The level's temporaries, its index among them, are
+    freed when this returns."""
+    ps, succs, reps, index = [], [], [], _LevelIndex()
+    for lo in range(0, len(states[0]), step):
+        p, gather = expand(t, *(x[lo : lo + step] for x in states))
+        s, b = np.nonzero(p > MASS_EPS)
+        nxt = gather(s, b)
+        number, new = index.add(_quantized_rows(nxt))
+        succ = np.full(p.shape, -1)
+        succ[s, b] = number
+        ps.append(p)
+        succs.append(succ)
+        reps.append(tuple(x[new] for x in nxt))
+        # the chunk's temporaries go before the next chunk is expanded
+        del gather, nxt
+    return np.concatenate(ps), np.concatenate(succs), _stacked(reps)
+
+
+def _stacked(parts: list) -> tuple:
+    """Tuples of state arrays joined along the state axis."""
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def _batches(levels: list, step: int):
+    """The states of ``levels`` (a list of tuples of state arrays) stacked
+    in level order, as (lo, arrays) of consecutive runs of ``step`` states
+    from row lo on, the last run shorter. A run may span levels; only a run
+    that does is copied."""
+    starts = np.cumsum([0] + [len(states[0]) for states in levels])
+    for lo in range(0, starts[-1], step):
+        hi = lo + step
+        yield lo, _stacked([tuple(x[max(lo - a, 0) : hi - a] for x in states)
+                            for states, a, b in zip(levels, starts, starts[1:]) if a < hi and lo < b])
+
+
+def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand, totals,
                         node_cap: int, width: int) -> tuple:
     """Level-synchronous backward induction over the distinct states of each
     time step: the maximum over actions of what they earn now plus the
     expected value of what follows.
 
     ``root`` holds the start state's arrays, each with a leading axis of
-    length 1. ``expand(t, *arrays)`` evaluates a batch of level-t states,
-    stacked on that axis, and returns (totals, p, gather):
+    length 1. The program supplies two functions of a batch of states,
+    stacked on that axis:
 
-    * totals[s, a], what the action earns before any continuation: its
-      reward, or in DSAHT minus the expected terminal error at the last
-      level; -inf rules the action out, and some action of every state
-      must keep a finite total;
-    * p[s, b], the predictive mass of every branch of the kernel (see
-      ``macfb.kernel``), which is that of each of its (action, output)
-      pairs; unused at the last level;
-    * gather(s, b), the successor states' arrays for index vectors s and b;
-      unused at the last level.
+    * ``expand(t, *arrays)``, for levels t = 1..depth - 1, returns
+      (p, gather): p[s, b], the predictive mass of every branch of the
+      kernel (see ``macfb.kernel``), which is that of each of its (action,
+      output) pairs, and gather(s, b), the successor states' arrays for
+      index vectors s and b;
+    * ``totals(t, at, *arrays)`` returns totals[s, a], what each action
+      earns before any continuation: its reward, or in DSAHT minus the
+      expected terminal error at the last level. The batch may span
+      levels: ``t[s]`` is the level of state s, and ``at``, a slice, the
+      batch's rows in every level's states stacked in level order, so
+      rows below the last level's follow the states ``expand`` was given,
+      in the order it was given them. -inf rules an action out, and some
+      action of every state must keep a finite total.
 
-    Forward pass: level t + 1 holds the successors of level t along every
-    branch with predictive mass above MASS_EPS, whatever the totals of its
-    actions, deduplicated on their float arrays quantised to QUANT and
+    Forward pass, which the totals do not enter: level t + 1 holds the
+    successors of level t along every branch with predictive mass above
+    MASS_EPS, deduplicated on their float arrays quantised to QUANT and
     their int arrays as they are (``_quantized_rows``). The members of a
     branch have bit-identical successors, so each live (state, branch) is
     gathered, quantised and deduplicated once. A new state is represented
@@ -391,21 +416,27 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
     (state, branch) order, so each level lists its states in depth-first
     first-visit order. ``succ[s, b]`` indexes the successor (-1 where there
     is none), and the pair (a, y) reads it at ``branch_of[a, y]``. A level
-    is built CHUNK_ENTRIES kernel entries at a time, ``width`` of them per
-    state, and ``_LevelIndex`` numbers each chunk's successors as one
+    is expanded CHUNK_ENTRIES kernel entries at a time, ``width`` of them
+    per state, and ``_LevelIndex`` numbers each chunk's successors as one
     dedupe of the level, by a hash of their rows checked row by row
     against the first row with that hash, which gives exactly the
-    numbering of a dedupe by the rows' bytes.
+    numbering of a dedupe by the rows' bytes. The last level is the
+    deduplicated successors of level depth - 1.
+
+    Reward pass: ``totals`` evaluates every level's states, stacked in
+    level order, CHUNK_ENTRIES // width states at a time (``_batches``).
+    The last level's rows are chosen at once, the others kept for the
+    backward pass; the live pairs of ruled-out actions leave the cache
+    hits here.
 
     Backward pass: each level forms p * cont over the outputs with mass
     once per (state, branch), adds it to every pair's total output by
     output, then takes the maximum and the first action within TIE_TOL of
-    it; the last level, which has no successors, does so chunk by chunk
-    during the forward pass. The policy is then read off level by level:
-    the chosen actions at the reached states (``best[t][states]``) and
-    their successors along ``branch_of[a]`` give the next level's reached
-    states and histories, numbered in base n_outputs, and the action
-    indices go into ``PolicyTree.from_indices``.
+    it. The policy is then read off level by level: the chosen actions at
+    the reached states (``best[t][states]``) and their successors along
+    ``branch_of[a]`` give the next level's reached states and histories,
+    numbered in base n_outputs, and the action indices go into
+    ``PolicyTree.from_indices``.
 
     Returns (value, policy, expanded, hits): the root's value, the policy
     tree (the chosen action at every history it reaches, actions[0]
@@ -421,33 +452,45 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
     # members[a, b]: the outputs of action a in branch b
     members = np.zeros((n_actions, len(kernel.branch_lik)), dtype=np.intp)
     np.add.at(members, (np.repeat(np.arange(n_actions), n_outputs), branch_of.ravel()), 1)
-    levels, states = [], root
-    expanded = hits = 0
-    for t in range(1, depth + 1):
+    pairs = members.sum(axis=0)
+    # every level's states, and (p, succ) of every level but the last
+    level_states, levels, states, hits = [], [], root, 0
+    for t in range(1, depth):
         n_states = len(states[0])
-        expanded += n_states
-        last = t == depth
-        if not last and n_states * n_actions * n_outputs > node_cap:
+        if n_states * n_actions * n_outputs > node_cap:
             raise LevelTooWide(t, n_states * n_actions * n_outputs, node_cap)
-        chunks, reps, index = [], [], _LevelIndex()
-        for lo in range(0, n_states, step):
-            chunk = tuple(x[lo : lo + step] for x in states)
-            stored, found, n_live = _expand_chunk(expand, members, t, chunk, last, index)
-            chunks.append(stored)
-            reps.append(found)
-            hits += n_live
-        if not last:
-            states = reps[0] if len(reps) == 1 else tuple(np.concatenate(arrays) for arrays in zip(*reps))
-            hits -= index.count
-        levels.append(tuple(np.concatenate(part) for part in zip(*chunks)))
+        p, succ, nxt = _expand_level(expand, t, states, step)
+        # live successors, minus those that are new to the level
+        hits += int(((p > MASS_EPS) * pairs).sum()) - len(nxt[0])
+        level_states.append(states)
+        levels.append((p, succ))
+        states = nxt
+    level_states.append(states)
+    sizes = [len(states[0]) for states in level_states]
+    starts = np.cumsum([0] + sizes)
 
-    value, last_best = levels[-1]
+    level_of = np.repeat(np.arange(1, depth + 1), sizes)
+    head = starts[-2]
+    earned, last = np.empty((head, n_actions)), []
+    for lo, batch in _batches(level_states, step):
+        hi = lo + len(batch[0])
+        out = totals(level_of[lo:hi], slice(lo, hi), *batch)
+        inner = max(0, min(hi, head) - lo)
+        earned[lo : lo + inner] = out[:inner]
+        if hi > head:
+            last.append(_choose(out[inner:]))
+    value, last_best = (np.concatenate(x) for x in zip(*last))
+    earned = [earned[starts[t] : starts[t + 1]] for t in range(depth - 1)]
+    for (p, _), level in zip(levels, earned):
+        ruled_out = level == -np.inf
+        if ruled_out.any():
+            hits -= int(((p > MASS_EPS) * (ruled_out @ members)).sum())
+
     best = [None] * (depth - 1) + [last_best]
     for t in reversed(range(depth - 1)):
-        totals, p, succ = levels[t]
+        p, succ = levels[t]
         cont = np.append(value, 0.0)[succ]
-        totals = _add_continuation(totals, p, cont, branch_of)
-        value, best[t] = _choose(totals)
+        value, best[t] = _choose(_add_continuation(earned[t], p, cont, branch_of))
 
     # the policy, level by level: hist numbers the reached histories of
     # length t in base n_outputs, states holds their states, and the
@@ -458,12 +501,12 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand,
         a = best[t][states]
         at[_estimated_nodes(n_outputs, t) + hist] = a
         if t + 1 < depth:
-            succ = levels[t][2][states[:, None], branch_of[a]]
+            succ = levels[t][1][states[:, None], branch_of[a]]
             live = succ >= 0
             hist = (hist[:, None] * n_outputs + np.arange(n_outputs))[live]
             states = succ[live]
     policy = PolicyTree.from_indices(depth, n_outputs, kernel.actions, at)
-    return float(value[0]), policy, expanded, hits
+    return float(value[0]), policy, sum(sizes), hits
 
 
 def solve_horizon(
@@ -480,16 +523,19 @@ def solve_horizon(
     from ``prior`` (uniform when None).
 
     Level-synchronous backward induction over augmented states (see
-    ``_backward_induction``): a forward pass builds the distinct states of
-    steps 1..n, skipping branches whose predictive mass is at or below
-    1e-15, and a backward pass adds the continuation values and takes the
-    maximum. ``states_expanded`` counts the distinct states over all steps
-    and ``cache_hits`` the successor visits that found a state already
-    built (live successors minus distinct states). With ``prune`` every
-    action of a state whose successors get built, apart from the first of
-    each class with equal (reward, predictive, successor) rows, gets the
-    total -inf, so it is never chosen and its successors count no cache
-    hits; the same states are built, and the value never changes. Raises
+    ``_backward_induction``): a forward pass, which the weights do not
+    enter, builds the distinct states of steps 1..n, skipping branches
+    whose predictive mass is at or below 1e-15; a reward pass evaluates
+    every state's actions; and a backward pass adds the continuation
+    values and takes the maximum. ``states_expanded`` counts the distinct
+    states over all steps and ``cache_hits`` the successor visits that
+    found a state already built (live successors minus distinct states).
+    With ``prune`` the forward pass numbers the classes of each state's
+    actions with equal (predictive, successor) rows, and every action of a
+    state whose successors get built, apart from the first of each class
+    and rounded reward, gets the total -inf, so it is never chosen and its
+    successors count no cache hits; the same states are built, and the
+    value never changes. Raises
     HorizonTooDeep when the full tree estimate exceeds ``node_cap``, and
     LevelTooWide before a step whose states x actions x outputs exceed it.
     """
@@ -501,27 +547,38 @@ def solve_horizon(
     pi, labels1, labels2 = _start(space, prior)
     kernel = ActionKernel(channel, enumerate_actions(space, channel.alphabets, cap=action_cap))
     enc1, enc2, branch_of = kernel.branch_enc1, kernel.branch_enc2, kernel.branch_of
+    # prune's classes of actions with equal updates, one (states, actions)
+    # array per expanded chunk, in the order the engine expands them
+    classes = []
 
     def expand(t, pis, labels1, labels2):
         joint, p = kernel.branch_joint(pis)
-        # the members of a branch share its predictive mass bit for bit
-        totals = kernel.weighted(weights, pis, labels1, labels2, p[:, branch_of])
-        if t == n:
-            return totals, None, None
         post = kernel.posteriors(joint, p)
         ref1, ref2 = kernel.refined(labels1, labels2)
         if prune:
-            keep = kernel.distinct(totals, p[:, branch_of], post[:, branch_of], ref1, ref2, PRUNE_TOL)
-            totals = np.where(keep, totals, -np.inf)
+            classes.append(kernel.update_classes(p, post, branch_of, ref1, ref2, PRUNE_TOL))
 
         def gather(s, b):
             return post[s, b], ref1[s, enc1[b]], ref2[s, enc2[b]]
 
-        return totals, p, gather
+        return p, gather
+
+    def totals(t, at, pis, labels1, labels2):
+        # the members of a branch share its predictive mass bit for bit
+        rewards = kernel.weighted(weights, pis, labels1, labels2, kernel.branch_joint(pis)[1][:, branch_of])
+        if prune and t[0] < n:
+            if len(classes) > 1:
+                # the forward pass is over: its chunks are joined once
+                classes[:] = [np.concatenate(classes)]
+            # the rows below the last level lead the batch
+            inner = classes[0][at]
+            k = len(inner)
+            rewards[:k] = np.where(first_per_class(inner, rewards[:k], PRUNE_TOL), rewards[:k], -np.inf)
+        return rewards
 
     root = (pi[None], labels1[None], labels2[None])
     total, policy, expanded, hits = _backward_induction(
-        kernel, n, root, expand, node_cap, max(kernel.branch_lik.size, kernel.noise.size)
+        kernel, n, root, expand, totals, node_cap, max(kernel.branch_lik.size, kernel.noise.size)
     )
     return HorizonResult(total / n, total, policy, expanded, hits)
 
@@ -585,26 +642,30 @@ def solve_dsaht(
 
     def expand(t, pis):
         joint, p = kernel.branch_joint(pis)
-        totals = np.zeros((len(pis), len(kernel)))
-        if t == horizon:
+        post = kernel.posteriors(joint, p)
+        return p, lambda s, b: (post[s, b],)
+
+    def totals(t, at, pis):
+        out = np.zeros((len(pis), len(kernel)))
+        last = t == horizon
+        if last.any():
             # minus the terminal error, max(posterior) - 1, without the
             # posteriors: dividing by a positive mass keeps the order, and
             # the rounding too. The max is taken in slices, a fraction of
             # numpy's over a short axis
+            joint, p = kernel.branch_joint(pis[last])
             cells = joint.reshape(p.shape + (-1,))
             largest = cells[..., 0]
             for k in range(1, cells.shape[-1]):
                 largest = np.maximum(largest, cells[..., k])
             minus_error = largest / np.where(p > MASS_EPS, p, 1.0) - 1.0
-            totals = _add_continuation(totals, p, minus_error, branch_of)
-            return totals, None, None
-        post = kernel.posteriors(joint, p)
-        return totals, p, lambda s, b: (post[s, b],)
+            out[last] = _add_continuation(out[last], p, minus_error, branch_of)
+        return out
 
     # the engine maximises minus the error; negation is exact in every sum
     # and product, so 0.0 - value has the bits of the minimised error
     value, policy, expanded, hits = _backward_induction(
-        kernel, horizon, (pi[None],), expand, node_cap, kernel.branch_lik.size
+        kernel, horizon, (pi[None],), expand, totals, node_cap, kernel.branch_lik.size
     )
     return DsahtResult(0.0 - value, policy, expanded, hits, channel, pi)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import Alphabets, Channel, MessageSpace
 from .errors import ActionSpaceTooLarge
-from .kernel import ActionKernel, row_classes
+from .kernel import ActionKernel, first_per_class, row_classes
 from .reward import LambdaWeights
 
 DEFAULT_ACTION_CAP = 1_000_000
@@ -235,6 +235,8 @@ def prune_actions(
     pi, labels1, labels2 = state.pi.table, row_classes(state.beta1.rows), row_classes(state.beta2.rows)
     joint, p = kernel.joint(pi)
     ref1, ref2 = kernel.refined(labels1, labels2)
-    totals = kernel.weighted(weights, pi, labels1, labels2, p)
-    keep = kernel.distinct(totals, p, kernel.posteriors(joint, p), ref1, ref2, PRUNE_TOL)
+    post = kernel.posteriors(joint, p).reshape((p.size,) + pi.shape)
+    classes = kernel.update_classes(p.reshape(-1), post, np.arange(p.size).reshape(p.shape),
+                                    ref1, ref2, PRUNE_TOL)
+    keep = first_per_class(classes, kernel.weighted(weights, pi, labels1, labels2, p), PRUNE_TOL)
     return [actions[a] for a in np.flatnonzero(keep)]

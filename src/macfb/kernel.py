@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +70,12 @@ ROW_MATCH_TOL = 1e-12
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
-    """Elementwise x ln x of a non-negative array, with 0 ln 0 = +0.0."""
-    return x * np.log(np.where(x > 0.0, x, 1.0))
+    """Elementwise x ln x of a non-negative array, with 0 ln 0 = +0.0, in
+    one new array."""
+    out = np.where(x > 0.0, x, 1.0)
+    np.log(out, out=out)
+    out *= x
+    return out
 
 
 def _sum(x: np.ndarray, axis: int) -> np.ndarray:
@@ -285,11 +290,76 @@ def first_rows(rows: np.ndarray) -> tuple:
     return first_hashed(*hashed_rows(rows))
 
 
+class _ActionTables(NamedTuple):
+    """The tables of an action list that the channel does not enter: the
+    encoder tables ``e1`` (A, M1) and ``e2`` (A, M2), the distinct
+    encoders ``enc1``, ``enc2`` with each action's index into them
+    (``enc1_of``, ``enc2_of``), ``partition_of[a]`` numbering the pair of
+    encoder partitions of action a in order of first appearance, and the
+    cell tables of the rewards, ``cells2`` for sender 2's cells (i1) and
+    ``cells1`` for sender 1's (i2), as ``_cell_tables`` returns them.
+    Every array is read-only, since kernels of one shape share them."""
+
+    actions: tuple
+    e1: np.ndarray
+    e2: np.ndarray
+    enc1: np.ndarray
+    enc1_of: np.ndarray
+    enc2: np.ndarray
+    enc2_of: np.ndarray
+    partition_of: np.ndarray
+    cells2: tuple
+    cells1: tuple
+
+
+def _action_tables(actions, n_x1: int, n_x2: int) -> _ActionTables:
+    """Build the channel-free tables of an action list on input alphabets
+    of sizes ``n_x1`` and ``n_x2``."""
+    actions = tuple(actions)
+    e1 = np.array([a.e1.table for a in actions], dtype=np.intp)
+    e2 = np.array([a.e2.table for a in actions], dtype=np.intp)
+    enc1, enc1_of = _distinct_encoders(a.e1.table for a in actions)
+    enc2, enc2_of = _distinct_encoders(a.e2.table for a in actions)
+    # the refined labels depend on an encoder through its partition only,
+    # which its symbols relabelled by first appearance name
+    _, partition_of = first_rows(
+        np.concatenate([_first_labels(enc1)[enc1_of], _first_labels(enc2)[enc2_of]], axis=1))
+    tables = _ActionTables(actions, e1, e2, enc1, enc1_of, enc2, enc2_of, partition_of,
+                          _cell_tables(e2, enc1_of, n_x2), _cell_tables(e1, enc2_of, n_x1))
+    for x in tables[1:8] + tables.cells2 + tables.cells1:
+        x.flags.writeable = False
+    return tables
+
+
+@functools.lru_cache(maxsize=4)
+def _enumerated_tables(m1: int, m2: int, x1: int, x2: int) -> _ActionTables:
+    """``_action_tables`` of the enumerated action set of one shape, built
+    once per shape."""
+    from .encoding import _all_actions  # encoding imports this module
+
+    return _action_tables(_all_actions(m1, m2, x1, x2), x1, x2)
+
+
+def _tables_of(actions: list, x1: int, x2: int) -> _ActionTables:
+    """The shared tables of the enumerated action set when ``actions`` is
+    that set, in its order; otherwise tables built for ``actions``."""
+    m1, m2 = actions[0].e1.n_messages, actions[0].e2.n_messages
+    if len(actions) == x1**m1 * x2**m2:
+        tables = _enumerated_tables(m1, m2, x1, x2)
+        # the enumerated list holds the cached action objects, so this
+        # compares identities
+        if tables.actions == tuple(actions):
+            return tables
+    return _action_tables(actions, x1, x2)
+
+
 class ActionKernel:
     """Likelihoods and noise entropies of a fixed action list on one channel.
 
     ``enc1_of[a]`` and ``enc2_of[a]`` index the distinct encoders of action
-    a, which is how the refined labels are shared between actions.
+    a, which is how the refined labels are shared between actions. The
+    tables that do not depend on the channel (``_ActionTables``) are shared
+    by every kernel of the enumerated action set of one shape.
 
     Branches, numbered in order of their first (a, y): ``branch_of[a, y]``
     is the branch of a pair, ``branch_pair[b]`` the flat index a * Y + y of
@@ -303,16 +373,17 @@ class ActionKernel:
         self.actions = list(actions)
         self.n_x1 = channel.alphabets.x1
         self.n_x2 = channel.alphabets.x2
-        self.e1 = np.array([a.e1.table for a in self.actions], dtype=np.intp)
-        self.e2 = np.array([a.e2.table for a in self.actions], dtype=np.intp)
+        tables = _tables_of(self.actions, self.n_x1, self.n_x2)
+        self.e1, self.e2 = tables.e1, tables.e2
+        self._enc1, self.enc1_of = tables.enc1, tables.enc1_of
+        self._enc2, self.enc2_of = tables.enc2, tables.enc2_of
+        self._tables = tables
         q = channel.kernel
         x1 = self.e1[:, :, None]
         x2 = self.e2[:, None, :]
         self.lik = np.ascontiguousarray(np.moveaxis(q[:, x1, x2], 0, 1))
         noise = _column_entropies(q.reshape(q.shape[0], -1)).reshape(q.shape[1:])
         self.noise = noise[x1, x2]
-        self._enc1, self.enc1_of = _distinct_encoders(a.e1.table for a in self.actions)
-        self._enc2, self.enc2_of = _distinct_encoders(a.e2.table for a in self.actions)
         self._q = q
 
     @functools.cached_property
@@ -320,13 +391,10 @@ class ActionKernel:
         """(branch_pair, branch_of, branch_lik, branch_enc1, branch_enc2),
         built on first access: only the finite-horizon programs read them."""
         n_actions, n_outputs = self.lik.shape[:2]
-        # the refined labels depend on an encoder through its partition
-        # only, which its symbols relabelled by first appearance name
         keys = np.concatenate(
             [
                 self.lik.reshape(n_actions * n_outputs, -1).view(np.int64),
-                np.repeat(_first_labels(self._enc1)[self.enc1_of], n_outputs, axis=0),
-                np.repeat(_first_labels(self._enc2)[self.enc2_of], n_outputs, axis=0),
+                np.repeat(self._tables.partition_of, n_outputs)[:, None],
             ],
             axis=1,
         )
@@ -377,8 +445,8 @@ class ActionKernel:
         bits, masks and base as ``_cell_tables`` returns them."""
         q = self._q
         return (
-            (q[:, self._enc1].transpose(1, 3, 0, 2), *_cell_tables(self.e2, self.enc1_of, self.n_x2)),
-            (q[:, :, self._enc2].transpose(2, 1, 0, 3), *_cell_tables(self.e1, self.enc2_of, self.n_x1)),
+            (q[:, self._enc1].transpose(1, 3, 0, 2), *self._tables.cells2),
+            (q[:, :, self._enc2].transpose(2, 1, 0, 3), *self._tables.cells1),
         )
 
     def rewards(self, pi, labels1, labels2, p) -> tuple:
@@ -388,11 +456,13 @@ class ActionKernel:
         i3 = -_sum(_xlogx(p), -1) / _LN2 - noise
         (lik1, *cells2), (lik2, *cells1) = self._cells
         pi = pi[..., None, None, None, :, :]
-        # the products and message sums of ``joint``, per distinct encoder
-        margin2 = _sum(lik1[..., None] * pi, -2)
-        margin1 = _sum(lik2[..., None, :] * pi, -1)
-        i1 = _cell_entropy(margin2, labels2, *cells2) - noise
-        i2 = _cell_entropy(margin1, labels1, *cells1) - noise
+        # the products and message sums of ``joint``, per distinct encoder,
+        # one sender's at a time: with fewer temporaries alive at once (and
+        # ``_xlogx`` in one array), glibc keeps the freed heap between
+        # solves, where a horizon-wide solve at CHUNK_ENTRIES = 1 << 16
+        # faulted about 190 fresh pages in every time (ru_minflt)
+        i1 = _cell_entropy(_sum(lik1[..., None] * pi, -2), labels2, *cells2) - noise
+        i2 = _cell_entropy(_sum(lik2[..., None, :] * pi, -1), labels1, *cells1) - noise
         return i1, i2, i3
 
     def weighted(self, weights, pi, labels1, labels2, p) -> np.ndarray:
@@ -414,29 +484,50 @@ class ActionKernel:
         return (_first_labels(labels1 * self.n_x1 + self.e1[a]),
                 _first_labels(labels2 * self.n_x2 + self.e2[a]))
 
-    def distinct(self, totals, p, post, ref1, ref2, tol: float) -> np.ndarray:
-        """Mask (..., A) of the first action of each class whose rows agree,
-        separately for every state. A row is the weighted reward, the
-        predictive distribution and the posteriors on outputs with mass,
-        rounded to multiples of ``tol``, and both refined labels (as
-        returned by ``refined``)."""
-        lead, n_actions = p.shape[:-2], len(self)
+    def update_classes(self, p, post, pair_of, ref1, ref2, tol: float) -> np.ndarray:
+        """Number (..., A) the classes of actions whose Bayes updates agree,
+        separately for every state; the numbers are unique within a state.
+        Action a's update is its predictive distribution and its posteriors
+        on outputs with mass, rounded to multiples of ``tol``, read at rows
+        ``pair_of[a, y]`` of p (..., P) and post (..., P, M1, M2), and both
+        refined labels (as returned by ``refined``). The weights do not
+        enter: ``first_per_class`` takes the first action of each class and
+        rounded reward."""
+        lead = p.shape[:-1]
+        n_states = math.prod(lead)
         masked = np.where((p > MASS_EPS)[..., None, None], post, 0.0)
-        rows = np.concatenate([totals[..., None], p, masked.reshape(lead + (n_actions, -1))], axis=-1)
+        rows = np.concatenate([p[..., None], masked.reshape(p.shape + (-1,))], axis=-1)
+        # + 0.0 folds -0.0 into 0.0
+        _, row_of = first_rows((np.rint(rows / tol) + 0.0).reshape(-1, rows.shape[-1]))
+        _, lab1 = first_rows(ref1.reshape(-1, ref1.shape[-1]))
+        _, lab2 = first_rows(ref2.reshape(-1, ref2.shape[-1]))
         keys = np.concatenate(
             [
-                np.rint(rows / tol) + 0.0,  # + 0.0 folds -0.0 into 0.0
-                ref1[..., self.enc1_of, :],
-                ref2[..., self.enc2_of, :],
+                np.broadcast_to(np.arange(n_states)[:, None, None], (n_states, len(self), 1)),
+                row_of.reshape(n_states, -1)[:, pair_of],
+                lab1.reshape(n_states, -1)[:, self.enc1_of, None],
+                lab2.reshape(n_states, -1)[:, self.enc2_of, None],
             ],
             axis=-1,
         )
-        # the state's position keeps the classes of different states apart
-        state = np.broadcast_to(
-            np.arange(keys[..., 0].size // n_actions, dtype=float).reshape(lead + (1, 1)),
-            lead + (n_actions, 1),
-        )
-        first, _ = first_rows(np.concatenate([state, keys], axis=-1).reshape(-1, keys.shape[-1] + 1))
-        mask = np.zeros(keys[..., 0].size, dtype=bool)
-        mask[first] = True
-        return mask.reshape(lead + (n_actions,))
+        _, classes = first_rows(keys.reshape(n_states * len(self), -1))
+        return classes.reshape(lead + (len(self),))
+
+
+def first_per_class(classes: np.ndarray, totals: np.ndarray, tol: float) -> np.ndarray:
+    """Mask (..., A) of the first action of each state's class of equal
+    ``classes`` (from ``ActionKernel.update_classes``) and equal totals
+    rounded to multiples of ``tol``."""
+    n_states = classes[..., 0].size
+    keys = np.stack(
+        [
+            np.broadcast_to(np.arange(n_states)[:, None], (n_states, classes.shape[-1])),
+            classes.reshape(n_states, -1),
+            (np.rint(totals / tol) + 0.0).reshape(n_states, -1).view(np.int64),
+        ],
+        axis=-1,
+    )
+    first, _ = first_rows(keys.reshape(-1, 3))
+    mask = np.zeros(classes.size, dtype=bool)
+    mask[first] = True
+    return mask.reshape(classes.shape)

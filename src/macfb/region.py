@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .belief import JointBelief
 from .channel import Channel, MessageSpace
 from .dp import DEFAULT_NODE_CAP, solve_horizon, solve_stationary
@@ -72,12 +70,13 @@ def sweep(
     n: int,
     samples: int,
     solver: str = "horizon",
-    prior=None,
+    prior: JointBelief = None,
     action_cap: int = DEFAULT_ACTION_CAP,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> RegionEstimate:
     """Evaluate the weighted bound on a simplex grid and intersect.
 
+    ``prior`` (uniform when None) is handed to every solve as it is.
     ``solver="stationary"`` takes each bound from the per-use stationary
     gain, which is exact and needs no belief grid, so it has no grid or
     iteration settings.
@@ -85,19 +84,18 @@ def sweep(
     if solver not in ("horizon", "stationary"):
         raise ValueError(f"unknown region solver {solver!r}")
     lams = lambda_samples(samples)
-    pi = JointBelief(np.asarray(prior, dtype=float)) if prior is not None else None
 
     def bound_for(lam):
         weights = LambdaWeights(*lam)
         if solver == "horizon":
             res = solve_horizon(
-                channel, space, weights, n, pi,
+                channel, space, weights, n, prior,
                 action_cap=action_cap, node_cap=node_cap,
             )
             return res.value_per_step
         # the per-use gain is read off the prior; the grid resolution is unused
         res = solve_stationary(
-            channel, space, weights, resolution=1, prior=pi,
+            channel, space, weights, resolution=1, prior=prior,
             renewal="per_use", action_cap=action_cap,
         )
         return res.gain

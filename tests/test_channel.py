@@ -9,6 +9,20 @@ def test_message_space_pairs():
     assert MessageSpace(3, 4).pairs == 12
 
 
+@pytest.mark.parametrize("make", [lambda v: MessageSpace(v, 2), lambda v: MessageSpace(2, v),
+                                  lambda v: Alphabets(v, 2, 3), lambda v: Alphabets(2, 2, v)],
+                         ids=["m1", "m2", "x1", "y"])
+def test_sizes_take_integers_not_booleans(make):
+    # a numpy integer is stored as a plain int, equal and hashed as one
+    sized = make(np.int64(2))
+    assert sized == make(2) and hash(sized) == hash(make(2))
+    assert all(type(v) is int for v in vars(sized).values())
+    # True used to build a one-message sender; a float or a string is no size
+    for bad in (True, False, np.True_, 0, -1, 2.0, "2", None):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            make(bad)
+
+
 def test_adder_kernel_is_deterministic_sum():
     ch = preset("adder")
     assert ch.kernel.shape == (3, 2, 2)

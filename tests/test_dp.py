@@ -368,18 +368,41 @@ def test_memo_counters_pinned(name, params, m, weights, expanded, hits):
 
 def test_one_state_chunks_solve_the_same(monkeypatch):
     # built one state at a time, a level numbers its successors through
-    # many lookups in the level index's sorted runs; the results must not move
+    # many lookups in the level index's sorted runs, and the reward pass
+    # rates one state per batch; at 1 << 22 every level of a solve goes
+    # through one reward batch. The results must not move
     ch = preset("noisy_adder", (0.1,))
     space = MessageSpace(2, 3)
     weights = LambdaWeights(0.3, 0.3, 0.4)
-    horizon = solve_horizon(ch, space, weights, 3)
-    dsaht = solve_dsaht(ch, space, 3)
-    monkeypatch.setattr(dp, "CHUNK_ENTRIES", 1)
-    assert solve_horizon(ch, space, weights, 3) == horizon
-    small = solve_dsaht(ch, space, 3)
-    assert (small.error_probability, small.policy) == (dsaht.error_probability, dsaht.policy)
-    assert (small.states_expanded, small.cache_hits) == (dsaht.states_expanded, dsaht.cache_hits)
-    assert horizon.states_expanded > 50 and dsaht.states_expanded > 50
+    batches = []
+
+    def counted(levels, step):
+        for lo, batch in engine_batches(levels, step):
+            batches.append(len(batch[0]))
+            yield lo, batch
+
+    engine_batches = dp._batches
+    monkeypatch.setattr(dp, "_batches", counted)
+
+    def solves(chunk):
+        monkeypatch.setattr(dp, "CHUNK_ENTRIES", chunk)
+        batches.clear()
+        out = []
+        for prune in (False, True):
+            res = solve_horizon(ch, space, weights, 3, prune=prune)
+            out.append((res.total_value.hex(), res.policy, res.states_expanded, res.cache_hits))
+        res = solve_dsaht(ch, space, 3)
+        out.append((res.error_probability.hex(), res.policy, res.states_expanded, res.cache_hits))
+        return out, list(batches)
+
+    default, default_batches = solves(dp.CHUNK_ENTRIES)
+    small, small_batches = solves(1)
+    whole, whole_batches = solves(1 << 22)
+    assert small == default == whole
+    expanded = [solve[2] for solve in default]
+    assert min(expanded) > 50
+    assert small_batches == [1] * sum(expanded)
+    assert whole_batches == expanded
 
 
 def _numbered_by_bytes(rows: np.ndarray) -> tuple:
@@ -548,8 +571,8 @@ _ADDER, _SPACE = preset("adder"), MessageSpace(2, 2)
         lambda: solve_horizon(_ADDER, _SPACE, L3, 2, prior=_WRONG),
         lambda: evaluate_tree(_ADDER, _SPACE, solve_horizon(_ADDER, _SPACE, L3, 1).policy, L3, prior=_WRONG),
         lambda: reachability_diagnostic(_ADDER, _SPACE, L3, 1, prior=_WRONG),
-        lambda: region.sweep(_ADDER, _SPACE, 1, 3, prior=_WRONG.table),
-        lambda: region.sweep(_ADDER, _SPACE, 1, 3, solver="stationary", prior=_WRONG.table),
+        lambda: region.sweep(_ADDER, _SPACE, 1, 3, prior=_WRONG),
+        lambda: region.sweep(_ADDER, _SPACE, 1, 3, solver="stationary", prior=_WRONG),
     ],
     ids=["dsaht-T0", "dsaht-T2", "stationary-per-use", "stationary-none", "horizon",
          "evaluate-tree", "diagnostic", "region-horizon", "region-stationary"],

@@ -12,8 +12,10 @@ from conftest import (
     random_encoder,
     random_prior,
     random_state,
+    random_tree,
 )
 from macfb import dp, encoding
+from macfb import kernel as kernel_module
 from macfb.belief import (
     AugmentedState,
     JointBelief,
@@ -551,3 +553,67 @@ def test_branch_updates_bitwise_equal_every_member():
             for y in range(ch.n_outputs):
                 np.testing.assert_array_equal(ref1[:, kernel.enc1_of[a]], ref1[:, kernel.branch_enc1[b[y]]])
                 np.testing.assert_array_equal(ref2[:, kernel.enc2_of[a]], ref2[:, kernel.branch_enc2[b[y]]])
+
+
+def _kernel_outputs(kernel, pis, labels1, labels2) -> tuple:
+    """What a program reads from a kernel: the branch map, every action's
+    weighted reward (as bits) and both refined labels per action."""
+    ref1, ref2 = kernel.refined(labels1, labels2)
+    rewards = kernel.weighted(LambdaWeights(0.3, 0.3, 0.4), pis, labels1, labels2, kernel.joint(pis)[1])
+    return (kernel.branch_of.tolist(), _bits(rewards).tolist(),
+            ref1[:, kernel.enc1_of].tolist(), ref2[:, kernel.enc2_of].tolist())
+
+
+def test_enumerated_tables_shared_per_shape():
+    # the channel-free tables of the enumerated action set are built once
+    # per (m1, m2, x1, x2) and shared, read-only, by every kernel of that shape
+    rng = make_rng(97)
+    space = MessageSpace(3, 2)
+    first, second = preset("noisy_adder", (0.1,)), random_channel(rng, 2, 2, 3, sparse=True)
+    actions = enumerate_actions(space, first.alphabets)
+    a, b = ActionKernel(first, actions), ActionKernel(second, enumerate_actions(space, second.alphabets))
+    assert a._tables is b._tables
+
+    def tables(k):
+        return (k.e1, k.e2, k._enc1, k.enc1_of, k._enc2, k.enc2_of, *k._cells[0][1:], *k._cells[1][1:])
+
+    for x, y in zip(tables(a), tables(b), strict=True):
+        assert x is y
+        with pytest.raises(ValueError, match="read-only"):
+            x.flat[0] = 0
+    # another shape gets tables of its own
+    assert ActionKernel(first, enumerate_actions(MessageSpace(2, 3), first.alphabets))._tables is not a._tables
+    # the shared tables give the second channel what tables built afresh give it
+    pis, labels1, labels2 = _stack(_state_batch(rng, space, second.alphabets, 8))
+    shared = _kernel_outputs(b, pis, labels1, labels2)
+    kernel_module._enumerated_tables.cache_clear()
+    fresh = ActionKernel(second, actions)
+    assert fresh._tables is not b._tables
+    assert _kernel_outputs(fresh, pis, labels1, labels2) == shared
+
+
+def test_subset_kernel_builds_its_own_tables():
+    # a policy's distinct actions, and the enumerated actions in another
+    # order, are not the enumerated set: their kernels build tables that
+    # agree with the full kernel's at the same actions
+    rng = make_rng(99)
+    ch, space = preset("noisy_adder", (0.1,)), MessageSpace(3, 3)
+    full = ActionKernel(ch, enumerate_actions(space, ch.alphabets))
+    tree = random_tree(rng, space, ch.alphabets, 2)
+    pis, labels1, labels2 = _stack(_state_batch(rng, space, ch.alphabets, 6))
+    weights = LambdaWeights(0.3, 0.3, 0.4)
+    rewards = full.weighted(weights, pis, labels1, labels2, full.joint(pis)[1])
+    ref1, ref2 = full.refined(labels1, labels2)
+    index = {action: a for a, action in enumerate(full.actions)}
+    for sub in (dp.policy_kernel(ch, tree), ActionKernel(ch, full.actions[::-1])):
+        assert sub._tables is not full._tables
+        idx = np.array([index[action] for action in sub.actions])
+        np.testing.assert_array_equal(sub.e1, full.e1[idx])
+        np.testing.assert_array_equal(sub.e2, full.e2[idx])
+        np.testing.assert_array_equal(sub._enc1[sub.enc1_of], full._enc1[full.enc1_of[idx]])
+        np.testing.assert_array_equal(sub._enc2[sub.enc2_of], full._enc2[full.enc2_of[idx]])
+        np.testing.assert_array_equal(
+            _bits(sub.weighted(weights, pis, labels1, labels2, sub.joint(pis)[1])), _bits(rewards[:, idx]))
+        sub1, sub2 = sub.refined(labels1, labels2)
+        np.testing.assert_array_equal(sub1[:, sub.enc1_of], ref1[:, full.enc1_of[idx]])
+        np.testing.assert_array_equal(sub2[:, sub.enc2_of], ref2[:, full.enc2_of[idx]])

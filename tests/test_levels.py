@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import make_rng, random_channel, random_prior
+from macfb import dp
 from macfb.belief import MASS_EPS, JointBelief, initial_state, predictive_distribution, update_joint
 from macfb.channel import MessageSpace, preset
 from macfb.dp import (
@@ -335,13 +336,15 @@ def test_first_candidate_pair_represents_a_state(prune):
     totals[0, 0] = -np.inf if prune else 0.0
 
     def expand(t, x):
-        if t == 2:
-            return np.repeat(x, n_actions, axis=1), None, None
         tags = 0.5 + 1e-13 * np.arange(n_branches)[:, None]
-        return totals, np.ones((1, n_branches)), lambda s, b: (tags[b],)
+        return np.ones((1, n_branches)), lambda s, b: (tags[b],)
+
+    def totals_at(t, at, x):
+        # the root's totals at level 1, the state itself at level 2
+        return np.where((t == 1)[:, None], totals, np.repeat(x, n_actions, axis=1))
 
     value, policy, expanded, hits = _backward_induction(
-        kernel, 2, (np.zeros((1, 1)),), expand, 10**6, kernel.branch_lik.size
+        kernel, 2, (np.zeros((1, 1)),), expand, totals_at, 10**6, kernel.branch_lik.size
     )
     assert kernel.branch_of[0, 0] == 0 and kernel.branch_of[1, 0] != 0
     tag = 0.5
@@ -370,19 +373,27 @@ def test_engine_maximises_the_totals_it_is_given():
         return (np.arange(n_branches) + r) % 4 != 3
 
     def run(rule):
-        seen = []
+        seen, rated = [], []
 
         def expand(t, x):
             seen.append((t, x.tobytes()))
             r = np.rint(x[:, 0] * 100).astype(int)
-            if t == 3:
-                return np.repeat(r[:, None].astype(float), n_actions, axis=1), None, None
-            totals = np.where(rule(t, r), -np.inf, 0.0)
             p = np.stack([live(ri) for ri in r]).astype(float)
-            return totals, p, lambda s, b: (x[s] + tags[b][:, None],)
+            return p, lambda s, b: (x[s] + tags[b][:, None],)
 
-        result = _backward_induction(kernel, 3, (np.zeros((1, 1)),), expand, 10**6, n_branches)
-        return result, seen
+        def totals(t, at, x):
+            rated.append((t, x))
+            r = np.rint(x[:, 0] * 100).astype(int)
+            out = np.empty((len(x), n_actions))
+            for level in np.unique(t):
+                rows = t == level
+                out[rows] = (np.repeat(r[rows][:, None].astype(float), n_actions, axis=1) if level == 3
+                             else np.where(rule(level, r[rows]), -np.inf, 0.0))
+            return out
+
+        result = _backward_induction(kernel, 3, (np.zeros((1, 1)),), expand, totals, 10**6, n_branches)
+        t, x = (np.concatenate(parts) for parts in zip(*rated))
+        return result, seen, (t.tobytes(), x.tobytes())
 
     def totals_at(t, r, rule):
         # the program without dedupe, on a state's residue sum r: every
@@ -419,12 +430,16 @@ def test_engine_maximises_the_totals_it_is_given():
             for b in np.flatnonzero(live(int(np.rint(x[0] * 100)))):
                 first.setdefault(np.rint((x + tags[b]) / QUANT).astype(np.int64).tobytes(), x + tags[b])
         levels.append(list(first.values()))
-    expected_seen = [(t + 1, np.stack(level).tobytes()) for t, level in enumerate(levels)]
+    expected_seen = [(t + 1, np.stack(level).tobytes()) for t, level in enumerate(levels[:2])]
+    # the reward pass rates every level's states once, in level order
+    expected_rated = (np.repeat(np.arange(1, 4), [len(level) for level in levels]).tobytes(),
+                      np.concatenate([np.stack(level) for level in levels]).tobytes())
 
     for rule in (no_rule, root_rule, mixed_rule):
-        (total, policy, expanded, hits), seen = run(rule)
+        (total, policy, expanded, hits), seen, rated = run(rule)
         # the same levels, states, representatives and numbering, whatever is ruled out
         assert seen == expected_seen
+        assert rated == expected_rated
         assert expanded == sum(len(level) for level in levels)
         # cache hits count the live pairs of actions with a finite total only
         pairs = 0
@@ -442,6 +457,32 @@ def test_engine_maximises_the_totals_it_is_given():
         assert not rule(1, np.zeros(1, dtype=int))[0, a]
     # the ruled-out actions had the best continuation
     assert totals_at(1, 0, root_rule).max() < free.max()
+
+
+def test_forward_pass_is_free_of_the_weights(monkeypatch):
+    # the weights and prune enter the reward pass only: every run hands
+    # expand the same states, level by level, bit for bit
+    def spied(kernel, depth, root, expand, totals, node_cap, width):
+        def recorded(t, *arrays):
+            seen.append((t,) + tuple(x.tobytes() for x in arrays))
+            return expand(t, *arrays)
+
+        return engine(kernel, depth, root, recorded, totals, node_cap, width)
+
+    engine = dp._backward_induction
+    monkeypatch.setattr(dp, "_backward_induction", spied)
+    rng = make_rng(64)
+    space = MessageSpace(2, 3)
+    for ch in (CHANNELS["noisy_adder"], random_channel(rng, 2, 2, 3, sparse=True)):
+        pri = JointBelief(random_prior(rng, 2, 3))
+        runs = []
+        for weights in (W_ALL, W_MIX):
+            for prune in (False, True):
+                seen = []
+                solve_horizon(ch, space, weights, 3, pri, prune=prune)
+                runs.append(seen)
+        assert [t for t, *_ in runs[0]] == [1, 2]
+        assert all(run == runs[0] for run in runs)
 
 
 def test_horizon_counters_noisy_adder_3x3_n3():

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from macfb.belief import JointBelief
 from macfb.channel import MessageSpace, preset
 from macfb.dp import solve_stationary
 from macfb.region import HalfPlane, export_region, lambda_samples, sweep
@@ -84,6 +86,15 @@ def test_sweep_stationary_solver():
     assert len(est.halfplanes) == 6
     for hp in est.halfplanes:
         assert hp.bound == solve_stationary(ch, space, hp.weights, 16).gain
+
+
+@pytest.mark.parametrize("solver", ["horizon", "stationary"])
+def test_sweep_takes_a_joint_belief_prior(solver):
+    # the solvers it calls take a JointBelief; the sweep used to float() it
+    ch, space = preset("adder"), MessageSpace(2, 2)
+    uniform = JointBelief(np.full((2, 2), 0.25))
+    est = sweep(ch, space, 1, 6, solver=solver, prior=uniform)
+    assert est.halfplanes == sweep(ch, space, 1, 6, solver=solver).halfplanes
 
 
 def test_sweep_rejects_unknown_solver():
