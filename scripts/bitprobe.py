@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Print the exact results of a fixed set of finite-horizon solves.
+"""Print the exact results of a fixed set of solves and evaluations.
 
-One line per solve: the instance, the value as ``float.hex``,
-``states_expanded``, ``cache_hits``, and the sha1 of the policy CSV and (for
-DSAHT) of the decoder CSV. A change that must leave every result bit for
-bit as it was is checked by running this on both trees and diffing:
+One line per call: the instance and its result, floats as ``float.hex``
+and policies, decoders and longer lists as sha1s. A finite-horizon solve
+prints its value, ``states_expanded``, ``cache_hits`` and the sha1 of the
+policy CSV and (for DSAHT) of the decoder CSV. A change that must leave
+every result bit for bit as it was is checked by running this on both
+trees and diffing:
 
     python3 scripts/bitprobe.py > after.txt
     (cd ../parent && python3 scripts/bitprobe.py) > before.txt
@@ -14,8 +16,16 @@ The instances are seeded and fixed: the horizon program with and without
 prune and DSAHT, on adder, noisy_adder(0.1), multiplier and two random
 channels (one with zero entries), message spaces 1x2 to 3x3, uniform,
 product, non-product and zero-mass priors, n and T from 1 to 3, and
-noisy_adder(0.1) 3x3 at n = 4 with and without prune. The output is not
-pinned by any test: the last bits may differ between numpy builds.
+noisy_adder(0.1) 3x3 at n = 4 with and without prune. On the same
+channels, spaces and priors it prints ``evaluate_tree`` of the solved
+policy and of a random tree, the reachability diagnostic, the actions
+``prune_actions`` keeps at the start state and at two states it reaches,
+and ``solve_stationary`` with per-use renewal (and without renewal on a
+grid, up to 2x2); then the bounds and vertices of a 2x2 ``sweep`` with
+either solver, per channel, from the uniform and the non-product prior.
+Only the public API is called, so the script runs unchanged on an older
+tree. The output is not pinned by any test: the last bits may differ
+between numpy builds.
 """
 
 from __future__ import annotations
@@ -28,10 +38,28 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from macfb import JointBelief, MessageSpace, preset, validate_channel  # noqa: E402
-from macfb.dp import solve_dsaht, solve_horizon  # noqa: E402
-from macfb.encoding import policy_to_csv  # noqa: E402
-from macfb.reward import LambdaWeights  # noqa: E402
+from macfb import (  # noqa: E402
+    EncoderAction,
+    EncoderFunction,
+    JointBelief,
+    LambdaWeights,
+    MessageSpace,
+    PolicyTree,
+    enumerate_actions,
+    evaluate_tree,
+    initial_state,
+    observation_distribution,
+    policy_to_csv,
+    preset,
+    prune_actions,
+    reachability_diagnostic,
+    solve_dsaht,
+    solve_horizon,
+    solve_stationary,
+    sweep,
+    update_augmented,
+    validate_channel,
+)
 
 WEIGHTS = LambdaWeights(0.3, 0.3, 0.4)
 SPACES = ((1, 2), (2, 2), (2, 3), (3, 3))
@@ -94,6 +122,72 @@ def dsaht_line(name, channel, space, prior_name, prior, horizon) -> str:
             f"{_sha1(policy_to_csv(res.policy))} {_sha1(_decoder_csv(res.decoder))}")
 
 
+def _random_tree(rng, space, channel, depth: int) -> PolicyTree:
+    """A tree of uniformly drawn actions at every history."""
+    a = channel.alphabets
+
+    def encoder(n_messages, n_symbols):
+        return EncoderFunction(tuple(int(x) for x in rng.integers(0, n_symbols, n_messages)), n_symbols)
+
+    histories = (h for t in range(depth) for h in np.ndindex(*(a.y,) * t))
+    return PolicyTree(depth, a.y, {tuple(h): EncoderAction(encoder(space.m1, a.x1), encoder(space.m2, a.x2))
+                                   for h in histories})
+
+
+def tree_lines(name, channel, space, prior_name, prior, seed: int):
+    """``evaluate_tree`` of the solved n = 2 policy and of a random depth-3
+    tree, and the reachability diagnostic at n = 2."""
+    head = f"{name} {space.m1}x{space.m2} {prior_name}"
+    solved = solve_horizon(channel, space, WEIGHTS, 2, prior).policy
+    for label, tree in (("solved", solved), ("random", _random_tree(np.random.default_rng(seed), space,
+                                                                     channel, 3))):
+        yield f"evaluate {head} {label} {evaluate_tree(channel, space, tree, WEIGHTS, prior).hex()}"
+    rep = reachability_diagnostic(channel, space, WEIGHTS, 2, prior)
+    conflicts = "".join(f"{c['history_a']},{c['history_b']},{c['t_a']},{c['t_b']},{c['action_index']},"
+                        f"{c['reward_gap'].hex()}\n" for c in rep.conflicts)
+    yield (f"diagnostic {head} n=2 {rep.n_states} {rep.n_groups} {len(rep.conflicts)} "
+           f"{_sha1(conflicts)} {int(rep.root_action_injective)}")
+
+
+def prune_lines(name, channel, space, prior_name, prior, seed: int):
+    """The indices ``prune_actions`` keeps at the start state and at the
+    states that two random actions reach along outputs with mass."""
+    rng = np.random.default_rng(seed)
+    actions = enumerate_actions(space, channel.alphabets)
+    state = initial_state(space, None if prior is None else prior.table)
+    for step in range(3):
+        kept = [actions.index(a) for a in prune_actions(actions, state, channel, WEIGHTS)]
+        yield (f"prune {name} {space.m1}x{space.m2} {prior_name} step={step} {len(kept)} "
+               f"{_sha1(','.join(map(str, kept)))}")
+        action = actions[int(rng.integers(len(actions)))]
+        live = np.flatnonzero(observation_distribution(state, action, channel) > 1e-15)
+        state = update_augmented(state, action, int(live[rng.integers(len(live))]), channel)
+
+
+def stationary_lines(name, channel, space, prior_name, prior):
+    """The per-use gain, and up to 2x2 the renewal-free grid solve."""
+    head = f"stationary {name} {space.m1}x{space.m2} {prior_name}"
+    yield f"{head} per_use {solve_stationary(channel, space, WEIGHTS, 1, prior=prior).gain.hex()}"
+    if space.pairs <= 4:
+        res = solve_stationary(channel, space, WEIGHTS, 4, prior=prior, renewal="none", max_iters=50)
+        yield (f"{head} none {res.gain.hex()} {res.iterations} {res.span_at_stop.hex()} "
+               f"{int(res.converged)}")
+
+
+def region_lines(name, channel):
+    """Bounds and vertices of a 2x2 sweep with either solver."""
+    space = MessageSpace(2, 2)
+    for prior_name, prior in priors(2, 2, 22).items():
+        if prior_name not in ("uniform", "joint"):
+            continue
+        for solver in ("horizon", "stationary"):
+            est = sweep(channel, space, 2, 6, solver=solver, prior=prior)
+            bounds = ",".join(hp.bound.hex() for hp in est.halfplanes)
+            vertices = ",".join(f"{x.hex()}/{y.hex()}" for x, y in est.vertices)
+            yield (f"region {name} 2x2 {prior_name} {solver} {len(est.halfplanes)} {_sha1(bounds)} "
+                   f"{len(est.vertices)} {_sha1(vertices)} {int(est.degenerate)}")
+
+
 def main() -> int:
     for name, channel in channels().items():
         for m1, m2 in SPACES:
@@ -106,6 +200,17 @@ def main() -> int:
     for prune in (False, True):
         print(horizon_line("noisy_adder", preset("noisy_adder", (0.1,)), MessageSpace(3, 3),
                            "uniform", None, 4, prune))
+    for name, channel in channels().items():
+        for m1, m2 in SPACES:
+            space = MessageSpace(m1, m2)
+            for prior_name, prior in priors(m1, m2, 10 * m1 + m2).items():
+                seed = 100 * m1 + 10 * m2
+                for line in (*tree_lines(name, channel, space, prior_name, prior, seed),
+                             *prune_lines(name, channel, space, prior_name, prior, seed),
+                             *stationary_lines(name, channel, space, prior_name, prior)):
+                    print(line)
+        for line in region_lines(name, channel):
+            print(line)
     return 0
 
 

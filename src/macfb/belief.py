@@ -122,7 +122,10 @@ def uniform_initial(space: MessageSpace) -> AugmentedState:
 
 
 def check_prior(space: MessageSpace, prior: JointBelief) -> JointBelief:
-    """``prior``, if its shape is the message space's; else ValueError."""
+    """``prior``, if it is a JointBelief (else TypeError) of the message
+    space's shape (else ValueError)."""
+    if not isinstance(prior, JointBelief):
+        raise TypeError(f"prior must be a JointBelief, not {type(prior).__name__}")
     if (prior.m1, prior.m2) != (space.m1, space.m2):
         raise ValueError("prior shape disagrees with the message space")
     return prior

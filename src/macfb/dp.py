@@ -44,7 +44,10 @@ node they walked in one batched reward pass.
 
 The engine maximises the totals it is given: an action that ``prune``
 rules out has the total -inf, and DSAHT passes minus its error, an exact
-negation. Ties: the policy takes the lexicographically smallest action
+negation. Prune is one branch of the horizon program's ``totals``, which
+finds the first action of each class of equal update and rounded reward
+in the batch of states it rates; the forward pass is the same with and
+without it. Ties: the policy takes the lexicographically smallest action
 whose total lies within TIE_TOL of the maximum, so rounding noise in the
 last bits never decides between tied actions. The reported value is the
 optimum itself.
@@ -68,14 +71,7 @@ from .encoding import (
     enumerate_actions,
 )
 from .errors import GridTooLarge, HorizonTooDeep, LevelTooWide
-from .kernel import (
-    ActionKernel,
-    first_hashed,
-    first_per_class,
-    first_rows,
-    hashed_rows,
-    root_labels,
-)
+from .kernel import ActionKernel, first_hashed, first_rows, hashed_rows, root_labels
 from .reward import LambdaWeights
 
 DEFAULT_NODE_CAP = 1_000_000
@@ -397,14 +393,13 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand, t
       kernel (see ``macfb.kernel``), which is that of each of its (action,
       output) pairs, and gather(s, b), the successor states' arrays for
       index vectors s and b;
-    * ``totals(t, at, *arrays)`` returns totals[s, a], what each action
+    * ``totals(t, *arrays)`` returns totals[s, a], what each action
       earns before any continuation: its reward, or in DSAHT minus the
       expected terminal error at the last level. The batch may span
-      levels: ``t[s]`` is the level of state s, and ``at``, a slice, the
-      batch's rows in every level's states stacked in level order, so
-      rows below the last level's follow the states ``expand`` was given,
-      in the order it was given them. -inf rules an action out, and some
-      action of every state must keep a finite total.
+      levels: ``t[s]`` is the level of state s, and the states come in
+      level order, so those below the last level lead the batch. -inf
+      rules an action out, and some action of every state must keep a
+      finite total.
 
     Forward pass, which the totals do not enter: level t + 1 holds the
     successors of level t along every branch with predictive mass above
@@ -474,7 +469,7 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand, t
     earned, last = np.empty((head, n_actions)), []
     for lo, batch in _batches(level_states, step):
         hi = lo + len(batch[0])
-        out = totals(level_of[lo:hi], slice(lo, hi), *batch)
+        out = totals(level_of[lo:hi], *batch)
         inner = max(0, min(hi, head) - lo)
         earned[lo : lo + inner] = out[:inner]
         if hi > head:
@@ -530,12 +525,13 @@ def solve_horizon(
     values and takes the maximum. ``states_expanded`` counts the distinct
     states over all steps and ``cache_hits`` the successor visits that
     found a state already built (live successors minus distinct states).
-    With ``prune`` the forward pass numbers the classes of each state's
-    actions with equal (predictive, successor) rows, and every action of a
-    state whose successors get built, apart from the first of each class
-    and rounded reward, gets the total -inf, so it is never chosen and its
-    successors count no cache hits; the same states are built, and the
-    value never changes. Raises
+    With ``prune`` the reward pass recomputes the Bayes updates of the
+    states whose successors get built and keeps, at each, the first action
+    of every class of equal update and reward rounded to PRUNE_TOL
+    (``ActionKernel.prune_mask``); every other action gets the total -inf,
+    so it is never chosen and its successors count no cache hits. The
+    forward pass is the same code either way, so the same states are
+    built, and the value never changes. Raises
     HorizonTooDeep when the full tree estimate exceeds ``node_cap``, and
     LevelTooWide before a step whose states x actions x outputs exceed it.
     """
@@ -547,33 +543,28 @@ def solve_horizon(
     pi, labels1, labels2 = _start(space, prior)
     kernel = ActionKernel(channel, enumerate_actions(space, channel.alphabets, cap=action_cap))
     enc1, enc2, branch_of = kernel.branch_enc1, kernel.branch_enc2, kernel.branch_of
-    # prune's classes of actions with equal updates, one (states, actions)
-    # array per expanded chunk, in the order the engine expands them
-    classes = []
 
     def expand(t, pis, labels1, labels2):
         joint, p = kernel.branch_joint(pis)
         post = kernel.posteriors(joint, p)
         ref1, ref2 = kernel.refined(labels1, labels2)
-        if prune:
-            classes.append(kernel.update_classes(p, post, branch_of, ref1, ref2, PRUNE_TOL))
 
         def gather(s, b):
             return post[s, b], ref1[s, enc1[b]], ref2[s, enc2[b]]
 
         return p, gather
 
-    def totals(t, at, pis, labels1, labels2):
+    def totals(t, pis, labels1, labels2):
         # the members of a branch share its predictive mass bit for bit
         rewards = kernel.weighted(weights, pis, labels1, labels2, kernel.branch_joint(pis)[1][:, branch_of])
         if prune and t[0] < n:
-            if len(classes) > 1:
-                # the forward pass is over: its chunks are joined once
-                classes[:] = [np.concatenate(classes)]
-            # the rows below the last level lead the batch
-            inner = classes[0][at]
-            k = len(inner)
-            rewards[:k] = np.where(first_per_class(inner, rewards[:k], PRUNE_TOL), rewards[:k], -np.inf)
+            # prune leaves the last level alone; the levels below it lead the batch
+            k = int(np.count_nonzero(t < n))
+            joint, p = kernel.branch_joint(pis[:k])
+            ref1, ref2 = kernel.refined(labels1[:k], labels2[:k])
+            keep = kernel.prune_mask(p, kernel.posteriors(joint, p), ref1, ref2, branch_of,
+                                     rewards[:k], PRUNE_TOL)
+            rewards[:k] = np.where(keep, rewards[:k], -np.inf)
         return rewards
 
     root = (pi[None], labels1[None], labels2[None])
@@ -645,7 +636,7 @@ def solve_dsaht(
         post = kernel.posteriors(joint, p)
         return p, lambda s, b: (post[s, b],)
 
-    def totals(t, at, pis):
+    def totals(t, pis):
         out = np.zeros((len(pis), len(kernel)))
         last = t == horizon
         if last.any():

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import Alphabets, Channel, MessageSpace
 from .errors import ActionSpaceTooLarge
-from .kernel import ActionKernel, first_per_class, row_classes
+from .kernel import ActionKernel, row_classes
 from .reward import LambdaWeights
 
 DEFAULT_ACTION_CAP = 1_000_000
@@ -228,15 +228,16 @@ def prune_actions(
     observation distribution and posteriors on the outputs with mass,
     rounded to multiples of PRUNE_TOL (1e-12), and the row classes of both
     refined private tables. Equal rows merge into one class, and the
-    lexicographically first action of each class survives, so the result is
-    an order-preserving subsequence of ``actions``.
+    lexicographically first action of each class survives
+    (``ActionKernel.prune_mask``, the dedupe of the horizon program's
+    prune), so the result is an order-preserving subsequence of
+    ``actions``.
     """
     kernel = ActionKernel(channel, actions)
     pi, labels1, labels2 = state.pi.table, row_classes(state.beta1.rows), row_classes(state.beta2.rows)
     joint, p = kernel.joint(pi)
     ref1, ref2 = kernel.refined(labels1, labels2)
     post = kernel.posteriors(joint, p).reshape((p.size,) + pi.shape)
-    classes = kernel.update_classes(p.reshape(-1), post, np.arange(p.size).reshape(p.shape),
-                                    ref1, ref2, PRUNE_TOL)
-    keep = first_per_class(classes, kernel.weighted(weights, pi, labels1, labels2, p), PRUNE_TOL)
+    keep = kernel.prune_mask(p.reshape(-1), post, ref1, ref2, np.arange(p.size).reshape(p.shape),
+                             kernel.weighted(weights, pi, labels1, labels2, p), PRUNE_TOL)
     return [actions[a] for a in np.flatnonzero(keep)]

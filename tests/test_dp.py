@@ -559,29 +559,40 @@ def test_result_values_are_plain_floats():
 
 _WRONG = JointBelief(np.full((3, 3), 1.0 / 9.0))
 _ADDER, _SPACE = preset("adder"), MessageSpace(2, 2)
-
-
-@pytest.mark.parametrize(
+# every entry that takes a prior, as a function of it
+_PRIOR_ENTRIES = pytest.mark.parametrize(
     "call",
     [
-        lambda: solve_dsaht(_ADDER, _SPACE, 0, prior=_WRONG),
-        lambda: solve_dsaht(_ADDER, _SPACE, 2, prior=_WRONG),
-        lambda: solve_stationary(_ADDER, _SPACE, L3, 2, prior=_WRONG),
-        lambda: solve_stationary(_ADDER, _SPACE, L3, 2, prior=_WRONG, renewal="none"),
-        lambda: solve_horizon(_ADDER, _SPACE, L3, 2, prior=_WRONG),
-        lambda: evaluate_tree(_ADDER, _SPACE, solve_horizon(_ADDER, _SPACE, L3, 1).policy, L3, prior=_WRONG),
-        lambda: reachability_diagnostic(_ADDER, _SPACE, L3, 1, prior=_WRONG),
-        lambda: region.sweep(_ADDER, _SPACE, 1, 3, prior=_WRONG),
-        lambda: region.sweep(_ADDER, _SPACE, 1, 3, solver="stationary", prior=_WRONG),
+        lambda prior: solve_dsaht(_ADDER, _SPACE, 0, prior=prior),
+        lambda prior: solve_dsaht(_ADDER, _SPACE, 2, prior=prior),
+        lambda prior: solve_stationary(_ADDER, _SPACE, L3, 2, prior=prior),
+        lambda prior: solve_stationary(_ADDER, _SPACE, L3, 2, prior=prior, renewal="none"),
+        lambda prior: solve_horizon(_ADDER, _SPACE, L3, 2, prior=prior),
+        lambda prior: evaluate_tree(_ADDER, _SPACE, solve_horizon(_ADDER, _SPACE, L3, 1).policy, L3,
+                                    prior=prior),
+        lambda prior: reachability_diagnostic(_ADDER, _SPACE, L3, 1, prior=prior),
+        lambda prior: region.sweep(_ADDER, _SPACE, 1, 3, prior=prior),
+        lambda prior: region.sweep(_ADDER, _SPACE, 1, 3, solver="stationary", prior=prior),
     ],
     ids=["dsaht-T0", "dsaht-T2", "stationary-per-use", "stationary-none", "horizon",
          "evaluate-tree", "diagnostic", "region-horizon", "region-stationary"],
 )
+
+
+@_PRIOR_ENTRIES
 def test_prior_of_another_shape_is_rejected(call):
     # a 3x3 prior on a 2x2 message space: at T = 0 DSAHT used to return
     # 0.8889, and elsewhere numpy failed to broadcast
     with pytest.raises(ValueError, match="^prior shape disagrees with the message space$"):
-        call()
+        call(_WRONG)
+
+
+@_PRIOR_ENTRIES
+def test_raw_table_prior_is_rejected(call):
+    # a plain array of the right shape used to fail with AttributeError
+    # on its missing m1
+    with pytest.raises(TypeError, match="^prior must be a JointBelief, not ndarray$"):
+        call(np.full((2, 2), 0.25))
 
 
 def test_diagnostic_reports_private_table_conflicts():

@@ -17,6 +17,7 @@ from conftest import (
 from macfb import dp, encoding
 from macfb import kernel as kernel_module
 from macfb.belief import (
+    MASS_EPS,
     AugmentedState,
     JointBelief,
     PrivateBeliefTable,
@@ -27,7 +28,7 @@ from macfb.belief import (
     update_private,
 )
 from macfb.channel import MessageSpace, preset
-from macfb.encoding import enumerate_actions
+from macfb.encoding import PRUNE_TOL, enumerate_actions
 from macfb.kernel import ROW_MATCH_TOL as KERNEL_ROW_MATCH_TOL
 from macfb.kernel import ActionKernel, root_labels, row_classes
 from macfb.reward import LambdaWeights
@@ -617,3 +618,73 @@ def test_subset_kernel_builds_its_own_tables():
         sub1, sub2 = sub.refined(labels1, labels2)
         np.testing.assert_array_equal(sub1[:, sub.enc1_of], ref1[:, full.enc1_of[idx]])
         np.testing.assert_array_equal(sub2[:, sub.enc2_of], ref2[:, full.enc2_of[idx]])
+
+
+def _first_per_update(kernel, pi, labels1, labels2, totals) -> list:
+    """Indices, ascending, of the first action of each group of equal
+    update and equal total at one state, grouped in plain Python: an
+    action's key is its predictive mass and posteriors (zeros where the
+    mass is at or below MASS_EPS) on every output, rounded to multiples
+    of PRUNE_TOL, both refined labels and its rounded total."""
+    joint, p = kernel.joint(pi)
+    post = kernel.posteriors(joint, p)
+    ref1, ref2 = kernel.refined(labels1, labels2)
+    first = {}
+    for a in range(len(kernel)):
+        update = []
+        for y in range(p.shape[1]):
+            cell = post[a, y] if p[a, y] > MASS_EPS else np.zeros_like(post[a, y])
+            update.extend(np.rint(np.append(p[a, y], cell) / PRUNE_TOL) + 0.0)
+        key = (tuple(update), tuple(ref1[kernel.enc1_of[a]]), tuple(ref2[kernel.enc2_of[a]]),
+               float(np.rint(totals[a] / PRUNE_TOL) + 0.0))
+        first.setdefault(key, a)
+    return sorted(first.values())
+
+
+def _merged_class_states(rng, space) -> list:
+    """States where a message without mass shares its private class with
+    one that has mass, on either side: encoders that part the two give the
+    same Bayes update and differ only in their refined labels."""
+    states = []
+    for side in (1, 2):
+        pi = random_prior(rng, space.m1, space.m2)
+        if side == 1:
+            pi[-1, :] = 0.0
+        else:
+            pi[:, -1] = 0.0
+        one = PrivateBeliefTable(np.full((space.m1,) * 2, 1.0 / space.m1))
+        two = PrivateBeliefTable(np.full((space.m2,) * 2, 1.0 / space.m2))
+        states.append(AugmentedState(JointBelief(pi / pi.sum()), one, two))
+    return states
+
+
+def test_prune_mask_keeps_the_first_action_of_each_update_and_total():
+    # the pair form (prune_actions, one state) and the branch form (a batch
+    # of states, read through branch_of as the horizon program does) keep
+    # the first action of each group; sparse channels give zero-mass
+    # branches, and the states include non-product and zero-mass priors
+    rng = make_rng(100)
+    weights = LambdaWeights(0.3, 0.3, 0.4)
+    merged = kept = 0
+    for ch, space, kernel in _branch_instances():
+        states = _state_batch(rng, space, ch.alphabets, 5) + _merged_class_states(rng, space)
+        pis, labels1, labels2 = _stack(states)
+        rewards = kernel.weighted(weights, pis, labels1, labels2, kernel.joint(pis)[1])
+        joint, p = kernel.branch_joint(pis)
+        ref1, ref2 = kernel.refined(labels1, labels2)
+        # where every total is equal the update alone decides; totals of 0
+        # and 1, off by less than half of PRUNE_TOL, split the updates
+        coarse = rng.integers(0, 2, rewards.shape) + 1e-14 * rng.random(rewards.shape)
+        for totals in (rewards, np.zeros_like(rewards), coarse):
+            mask = kernel.prune_mask(p, kernel.posteriors(joint, p), ref1, ref2, kernel.branch_of,
+                                     totals, PRUNE_TOL)
+            for s in range(len(states)):
+                expected = _first_per_update(kernel, pis[s], labels1[s], labels2[s], totals[s])
+                assert np.flatnonzero(mask[s]).tolist() == expected
+                merged += len(kernel) - len(expected)
+                kept += len(expected)
+        for s, state in enumerate(states):
+            expected = _first_per_update(kernel, pis[s], labels1[s], labels2[s], rewards[s])
+            assert encoding.prune_actions(kernel.actions, state, ch, weights) == \
+                [kernel.actions[a] for a in expected]
+    assert merged and kept

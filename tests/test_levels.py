@@ -339,7 +339,7 @@ def test_first_candidate_pair_represents_a_state(prune):
         tags = 0.5 + 1e-13 * np.arange(n_branches)[:, None]
         return np.ones((1, n_branches)), lambda s, b: (tags[b],)
 
-    def totals_at(t, at, x):
+    def totals_at(t, x):
         # the root's totals at level 1, the state itself at level 2
         return np.where((t == 1)[:, None], totals, np.repeat(x, n_actions, axis=1))
 
@@ -381,7 +381,7 @@ def test_engine_maximises_the_totals_it_is_given():
             p = np.stack([live(ri) for ri in r]).astype(float)
             return p, lambda s, b: (x[s] + tags[b][:, None],)
 
-        def totals(t, at, x):
+        def totals(t, x):
             rated.append((t, x))
             r = np.rint(x[:, 0] * 100).astype(int)
             out = np.empty((len(x), n_actions))
