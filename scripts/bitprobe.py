@@ -16,7 +16,9 @@ The instances are seeded and fixed: the horizon program with and without
 prune and DSAHT, on adder, noisy_adder(0.1), multiplier and two random
 channels (one with zero entries), message spaces 1x2 to 3x3, uniform,
 product, non-product and zero-mass priors, n and T from 1 to 3, and
-noisy_adder(0.1) 3x3 at n = 4 with and without prune. On the same
+noisy_adder(0.1) 3x3 at n = 4 with and without prune, and adder 2x2 with
+lambda = (0, 0, 1) at n = T = 13, whose policy trees have 797,161 nodes,
+with ``evaluate_tree`` of the horizon policy. On the same
 channels, spaces and priors it prints ``evaluate_tree`` of the solved
 policy and of a random tree, the reachability diagnostic, the actions
 ``prune_actions`` keeps at the start state and at two states it reaches,
@@ -108,8 +110,8 @@ def _decoder_csv(decoder: dict) -> str:
     return "".join(f"{''.join(map(str, hist))},{m1},{m2}\n" for hist, (m1, m2) in sorted(decoder.items()))
 
 
-def horizon_line(name, channel, space, prior_name, prior, n, prune) -> str:
-    res = solve_horizon(channel, space, WEIGHTS, n, prior, prune=prune)
+def horizon_line(name, channel, space, prior_name, prior, n, prune, weights=WEIGHTS) -> str:
+    res = solve_horizon(channel, space, weights, n, prior, prune=prune)
     return (f"horizon {name} {space.m1}x{space.m2} {prior_name} n={n} prune={int(prune)} "
             f"{res.total_value.hex()} {res.states_expanded} {res.cache_hits} "
             f"{_sha1(policy_to_csv(res.policy))}")
@@ -120,6 +122,16 @@ def dsaht_line(name, channel, space, prior_name, prior, horizon) -> str:
     return (f"dsaht {name} {space.m1}x{space.m2} {prior_name} T={horizon} "
             f"{res.error_probability.hex()} {res.states_expanded} {res.cache_hits} "
             f"{_sha1(policy_to_csv(res.policy))} {_sha1(_decoder_csv(res.decoder))}")
+
+
+def deep_lines():
+    """adder 2x2, lambda = (0, 0, 1), uniform prior: the horizon program at
+    n = 13 and ``evaluate_tree`` of its policy, and DSAHT at T = 13."""
+    channel, space, weights = preset("adder"), MessageSpace(2, 2), LambdaWeights(0.0, 0.0, 1.0)
+    yield horizon_line("adder", channel, space, "uniform", None, 13, False, weights)
+    policy = solve_horizon(channel, space, weights, 13).policy
+    yield f"evaluate adder 2x2 uniform n=13 {evaluate_tree(channel, space, policy, weights).hex()}"
+    yield dsaht_line("adder", channel, space, "uniform", None, 13)
 
 
 def _random_tree(rng, space, channel, depth: int) -> PolicyTree:
@@ -200,6 +212,8 @@ def main() -> int:
     for prune in (False, True):
         print(horizon_line("noisy_adder", preset("noisy_adder", (0.1,)), MessageSpace(3, 3),
                            "uniform", None, 4, prune))
+    for line in deep_lines():
+        print(line)
     for name, channel in channels().items():
         for m1, m2 in SPACES:
             space = MessageSpace(m1, m2)

@@ -8,6 +8,7 @@ renormalise away.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -101,7 +102,7 @@ def validate_channel(kernel) -> Channel:
 
 
 def _as_size(preset: str, value: float, what: str) -> int:
-    if float(value) != int(value) or int(value) < 1:
+    if not math.isfinite(value) or value != int(value) or value < 1:
         raise ParamOutOfRange(preset, f"{what} must be a positive integer, got {value!r}")
     return int(value)
 
@@ -109,13 +110,19 @@ def _as_size(preset: str, value: float, what: str) -> int:
 def preset(name: str, params=()) -> Channel:
     """Construct one of the named example channels.
 
-    adder        y = x1 + x2 over binary inputs (ternary output).
+    adder        y = x1 + x2 over binary inputs (ternary output); no params.
     noisy_adder  adder followed by a symmetric ternary crossover; params (eps,).
-    multiplier   y = x1 * x2 over binary inputs.
+    multiplier   y = x1 * x2 over binary inputs; no params.
     bsc_p2p      point-to-point binary symmetric embedding, sender 2 mute; params (p,).
-    useless      uniform output regardless of inputs; params optionally (x1, x2, y).
+    useless      uniform output regardless of inputs; params optionally (x1, x2, y),
+                 finite positive integers.
+
+    A parameter list that does not fit the preset raises ParamOutOfRange.
     """
     params = tuple(float(v) for v in params)
+
+    if name in ("adder", "multiplier") and params:
+        raise ParamOutOfRange(name, f"takes no parameters, got {len(params)}")
 
     if name == "adder":
         q = np.zeros((3, 2, 2))

@@ -69,6 +69,7 @@ from .encoding import (
     PRUNE_TOL,
     PolicyTree,
     enumerate_actions,
+    tree_size,
 )
 from .errors import GridTooLarge, HorizonTooDeep, LevelTooWide
 from .kernel import ActionKernel, first_hashed, first_rows, hashed_rows, root_labels
@@ -174,10 +175,6 @@ class ReductionReport:
     root_action_injective: bool
 
 
-def _estimated_nodes(n_outputs: int, depth: int) -> int:
-    return sum(n_outputs**t for t in range(depth))
-
-
 def _prior_table(space: MessageSpace, prior: JointBelief) -> np.ndarray:
     """The table of ``prior`` (uniform when None), checked against ``space``."""
     if prior is None:
@@ -191,25 +188,36 @@ def _start(space: MessageSpace, prior: JointBelief) -> tuple:
     return pi, root_labels(pi.sum(axis=1)), root_labels(pi.sum(axis=0))
 
 
+def _check_tree_size(channel: Channel, depth: int, node_cap: int) -> None:
+    """Raise HorizonTooDeep when the policy tree of ``depth`` steps has more
+    nodes than ``node_cap``. Counting stops once past the cap, so every
+    depth is refused at once, before anything is built."""
+    nodes = tree_size(channel.n_outputs, depth, node_cap)
+    if nodes > node_cap:
+        raise HorizonTooDeep(nodes, node_cap)
+
+
 def _check_fits(channel: Channel, space: MessageSpace, tree: PolicyTree) -> None:
     """Raise ValueError naming the first way ``tree`` does not fit the
     channel's outputs and alphabets or the message space."""
     if tree.n_outputs != channel.n_outputs:
         raise ValueError(f"policy tree branches on {tree.n_outputs} outputs, "
                          f"the channel has {channel.n_outputs}")
-    for hist, action in tree.items():
+    # the actions in order of their first node, so the first node that
+    # does not fit is named
+    for action in tree.actions:
         for sender, enc, m, x in ((1, action.e1, space.m1, channel.alphabets.x1),
                                   (2, action.e2, space.m2, channel.alphabets.x2)):
             if (enc.n_messages, enc.n_symbols) != (m, x):
                 raise ValueError(
-                    f"sender {sender}'s encoder at history {hist} maps {enc.n_messages} messages "
-                    f"to {enc.n_symbols} symbols; the space has {m} messages and the channel "
-                    f"{x} symbols")
+                    f"sender {sender}'s encoder at history {tree.first_history(action)} maps "
+                    f"{enc.n_messages} messages to {enc.n_symbols} symbols; the space has {m} "
+                    f"messages and the channel {x} symbols")
 
 
 def policy_kernel(channel: Channel, tree: PolicyTree) -> ActionKernel:
     """Action kernel over the distinct actions of a policy tree."""
-    return ActionKernel(channel, dict.fromkeys(tree.nodes.values()))
+    return ActionKernel(channel, dict.fromkeys(tree.actions))
 
 
 def walk_policy(kernel: ActionKernel, tree: PolicyTree, pi, labels1=None, labels2=None):
@@ -490,11 +498,11 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand, t
     # the policy, level by level: hist numbers the reached histories of
     # length t in base n_outputs, states holds their states, and the
     # histories of length t follow the shorter ones in the tree's order
-    at = np.zeros(_estimated_nodes(n_outputs, depth), dtype=np.intp)
+    at = np.zeros(tree_size(n_outputs, depth), dtype=np.intp)
     hist, states = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
     for t in range(depth):
         a = best[t][states]
-        at[_estimated_nodes(n_outputs, t) + hist] = a
+        at[tree_size(n_outputs, t) + hist] = a
         if t + 1 < depth:
             succ = levels[t][1][states[:, None], branch_of[a]]
             live = succ >= 0
@@ -532,14 +540,13 @@ def solve_horizon(
     so it is never chosen and its successors count no cache hits. The
     forward pass is the same code either way, so the same states are
     built, and the value never changes. Raises
-    HorizonTooDeep when the full tree estimate exceeds ``node_cap``, and
-    LevelTooWide before a step whose states x actions x outputs exceed it.
+    HorizonTooDeep when the policy tree has more nodes than ``node_cap``
+    (``_check_tree_size``), and LevelTooWide before a step whose states x
+    actions x outputs exceed it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    est = _estimated_nodes(channel.n_outputs, n)
-    if est > node_cap:
-        raise HorizonTooDeep(est, node_cap)
+    _check_tree_size(channel, n, node_cap)
     pi, labels1, labels2 = _start(space, prior)
     kernel = ActionKernel(channel, enumerate_actions(space, channel.alphabets, cap=action_cap))
     enc1, enc2, branch_of = kernel.branch_enc1, kernel.branch_enc2, kernel.branch_of
@@ -625,9 +632,7 @@ def solve_dsaht(
     if horizon == 0:
         policy = PolicyTree(0, channel.n_outputs, {})
         return DsahtResult(1.0 - float(pi.max()), policy, 0, 0, channel, pi)
-    est = _estimated_nodes(channel.n_outputs, horizon)
-    if est > node_cap:
-        raise HorizonTooDeep(est, node_cap)
+    _check_tree_size(channel, horizon, node_cap)
     kernel = ActionKernel(channel, enumerate_actions(space, channel.alphabets, cap=action_cap))
     branch_of = kernel.branch_of
 

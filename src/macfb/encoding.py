@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -57,46 +58,68 @@ class EncoderAction:
     e2: EncoderFunction
 
 
-@functools.lru_cache(maxsize=8)
-def history_index(depth: int, n_outputs: int) -> dict:
-    """Position of every history shorter than ``depth`` in (t, history)
-    order. Trees of one shape share this table and its key tuples, so
-    callers must not modify it."""
-    histories = (
-        hist for t in range(depth) for hist in itertools.product(range(n_outputs), repeat=t)
-    )
-    return {hist: i for i, hist in enumerate(histories)}
+def tree_size(n_outputs: int, depth: int, cap: int = None) -> int:
+    """Nodes of a complete ``n_outputs``-ary tree of ``depth`` levels,
+    sum_{t<depth} n_outputs^t, which is also the position of the first
+    history of length ``depth`` in (t, history) order.
+
+    With ``cap`` the count stops at the first level that takes it past
+    ``cap``, so a result over ``cap`` is a lower bound, at most
+    n_outputs * cap + 1, and no deep tree's size is ever computed.
+    """
+    if n_outputs == 1:
+        return depth
+    count, level = 0, 1
+    for _ in range(depth):
+        count += level
+        if cap is not None and count > cap:
+            break
+        level *= n_outputs
+    return count
+
+
+def histories(n_outputs: int, depth: int):
+    """Every history shorter than ``depth``, as tuples in (t, history)
+    order: the history at position i is the i-th one yielded."""
+    return itertools.chain.from_iterable(
+        itertools.product(range(n_outputs), repeat=t) for t in range(depth))
 
 
 class PolicyTree:
     """Complete assignment of encoder actions to output histories.
 
     ``nodes`` maps a history tuple (y_1, ..., y_{t-1}) to the action used at
-    step t; depth n therefore needs sum_{t=0}^{n-1} |Y|^t nodes. Depth 0 is
-    the empty tree (no channel uses). The tree stores each action object
-    once and, for every position of ``history_index``, the index of its
-    action in a compact array, so trees of one shape share their keys and
-    a tree whose nodes share their action objects (as the solvers' do)
-    costs about a byte per node.
+    step t; depth n therefore needs ``tree_size(|Y|, n)`` =
+    sum_{t=0}^{n-1} |Y|^t nodes. Depth 0 is the empty tree (no channel
+    uses). A history's position in (t, history) order is arithmetic: it is
+    y_1 .. y_{t-1} read as a bijective base-|Y| numeral, each digit y + 1.
+    The tree stores each action object once (``actions``) and, for every
+    position, the index of its action in a compact array, so a tree whose
+    nodes share their action objects (as the solvers' do) costs about a
+    byte per node and no history is stored.
     """
 
     __slots__ = ("depth", "n_outputs", "_distinct", "_at")
 
     def __init__(self, depth: int, n_outputs: int, nodes: dict):
-        index = self._shape(depth, n_outputs, len(nodes))
-        for hist in nodes:
-            if hist not in index:
-                raise ValueError(f"history {hist!r} invalid for depth {depth}")
+        self._shape(depth, n_outputs, len(nodes))
+        # distinct histories have distinct positions, so as many valid keys
+        # as nodes fill every position
+        actions = [None] * len(nodes)
+        for hist, action in nodes.items():
+            try:
+                actions[self._position(hist)] = action
+            except KeyError:
+                raise ValueError(f"history {hist!r} invalid for depth {depth}") from None
         # slots by identity: hashing actions by value is slow, and equal
         # actions in separate slots still compare equal below
-        actions = [nodes[hist] for hist in index]
         slot = {}
         at = [slot.setdefault(id(action), len(slot)) for action in actions]
         self._store(tuple({id(action): action for action in actions}.values()), at)
 
     @classmethod
     def from_indices(cls, depth: int, n_outputs: int, actions: Sequence, at) -> "PolicyTree":
-        """The tree whose node at position i of ``history_index`` is
+        """The tree whose node at position i in (t, history) order is
         ``actions[at[i]]``: the tree that the dict of those nodes gives,
         built from the index array alone."""
         tree = cls.__new__(cls)
@@ -108,18 +131,17 @@ class PolicyTree:
         tree._store(tuple(actions[i] for i in slot), at)
         return tree
 
-    def _shape(self, depth: int, n_outputs: int, n_nodes: int) -> dict:
-        """Check and set the shape for ``n_nodes`` nodes; its history index."""
+    def _shape(self, depth: int, n_outputs: int, n_nodes: int) -> None:
+        """Check and set the shape for ``n_nodes`` nodes."""
         if depth < 0:
             raise ValueError("depth must be >= 0")
         if n_outputs < 1:
             raise ValueError("n_outputs must be >= 1")
         self.depth = int(depth)
         self.n_outputs = int(n_outputs)
-        index = history_index(self.depth, self.n_outputs)
-        if n_nodes != len(index):
-            raise ValueError(f"expected {len(index)} nodes for depth {depth}, got {n_nodes}")
-        return index
+        if tree_size(self.n_outputs, self.depth, n_nodes) != n_nodes:
+            raise ValueError(f"{n_nodes} nodes do not make a complete tree of depth {depth} "
+                             f"over {n_outputs} outputs")
 
     def _store(self, distinct: tuple, at: list) -> None:
         """Keep the distinct actions and each node's slot among them."""
@@ -127,18 +149,51 @@ class PolicyTree:
         self._at = bytes(at) if len(distinct) <= 256 else array("I", at)
 
     @property
+    def actions(self) -> tuple:
+        """The action objects the nodes hold, each once, in order of their
+        first node."""
+        return self._distinct
+
+    @property
     def nodes(self) -> dict:
         return dict(self.items())
 
+    def _position(self, history: Sequence[int]) -> int:
+        """The position of ``history`` in (t, history) order; KeyError when
+        the tree has no such node."""
+        try:
+            if len(history) >= self.depth:
+                raise KeyError(history)
+            position = 0
+            for y in history:
+                if not 0 <= y < self.n_outputs:
+                    raise KeyError(history)
+                position = position * self.n_outputs + y + 1
+            return operator.index(position)
+        except TypeError:
+            # no length, or an output that is no integer
+            raise KeyError(history) from None
+
     def action_at(self, history: Sequence[int]) -> EncoderAction:
-        return self._distinct[self._at[history_index(self.depth, self.n_outputs)[tuple(history)]]]
+        """The action at ``history``; KeyError when the tree has no such node."""
+        return self._distinct[self._at[self._position(history)]]
+
+    def first_history(self, action: EncoderAction) -> tuple:
+        """The first history, in (t, history) order, whose node holds the
+        object ``action``, one of ``actions``."""
+        position = self._at.index(next(i for i, a in enumerate(self._distinct) if a is action))
+        history = []
+        while position:
+            position, y = divmod(position - 1, self.n_outputs)
+            history.append(y)
+        return tuple(reversed(history))
 
     def _actions(self) -> list:
         return [self._distinct[i] for i in self._at]
 
     def items(self):
         """Nodes in deterministic (t, history) order."""
-        return list(zip(history_index(self.depth, self.n_outputs), self._actions()))
+        return list(zip(histories(self.n_outputs, self.depth), self._actions()))
 
     def __eq__(self, other):
         return (

@@ -8,6 +8,17 @@ caps or hit an impossible branch, and maps to exit code 2.
 
 from __future__ import annotations
 
+import math
+
+
+def count_text(count: int) -> str:
+    """A count for an error message: in digits when it has at most 18, else
+    its order of magnitude, ``about 10^k``. Python refuses to print an int
+    of more than 4300 digits, and a cap can be passed by far more."""
+    if count < 10**18:
+        return str(count)
+    return f"about 10^{math.floor(math.log10(count))}"
+
 
 class ConfigError(Exception):
     """Invalid user-supplied input."""
@@ -68,7 +79,8 @@ class ValidationError(ConfigError):
 class ActionSpaceTooLarge(SolverError):
     def __init__(self, count, cap):
         self.count, self.cap = int(count), int(cap)
-        super().__init__(f"{self.count} encoder actions exceed the cap of {self.cap}")
+        super().__init__(f"{count_text(self.count)} encoder actions exceed the cap of "
+                         f"{count_text(self.cap)}")
 
 
 class ImpossibleObservation(SolverError):
@@ -82,36 +94,46 @@ class ImpossibleObservation(SolverError):
 
 
 class HorizonTooDeep(SolverError):
+    """The policy tree has more nodes than the cap; ``estimate`` is the
+    count at which counting stopped, a lower bound on the tree's size."""
+
     def __init__(self, estimate, cap):
         self.estimate, self.cap = int(estimate), int(cap)
-        super().__init__(f"estimated {self.estimate} tree nodes exceed the cap of {self.cap}")
+        super().__init__(f"{count_text(self.estimate)} or more policy tree nodes exceed the cap "
+                         f"of {count_text(self.cap)}")
 
 
 class LevelTooWide(SolverError):
     def __init__(self, level, count, cap):
         self.level, self.count, self.cap = int(level), int(count), int(cap)
         super().__init__(
-            f"level {self.level} has {self.count} (state, action, output) successors "
-            f"to build, over the cap of {self.cap}"
+            f"level {self.level} has {count_text(self.count)} (state, action, output) successors "
+            f"to build, over the cap of {count_text(self.cap)}"
         )
 
 
 class GridTooLarge(SolverError):
     def __init__(self, points, cap):
         self.points, self.cap = int(points), int(cap)
-        super().__init__(f"{self.points} simplex grid points exceed the cap of {self.cap}")
+        super().__init__(f"{count_text(self.points)} simplex grid points exceed the cap of "
+                         f"{count_text(self.cap)}")
 
 
 class TableTooLarge(SolverError):
     def __init__(self, entries, cap):
         self.entries, self.cap = int(entries), int(cap)
-        super().__init__(f"{self.entries} trajectory entries exceed the cap of {self.cap}")
+        super().__init__(f"{count_text(self.entries)} trajectory entries exceed the cap of "
+                         f"{count_text(self.cap)}")
 
 
 class SearchTooLarge(SolverError):
+    """More policy trees than the cap; ``trees`` is the count at which
+    counting stopped, a lower bound on the number of trees."""
+
     def __init__(self, trees, cap):
         self.trees, self.cap = int(trees), int(cap)
-        super().__init__(f"{self.trees} policy trees exceed the search cap of {self.cap}")
+        super().__init__(f"{count_text(self.trees)} or more policy trees exceed the search cap of "
+                         f"{count_text(self.cap)}")
 
 
 class NotConverged(SolverError):

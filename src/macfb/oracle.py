@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .channel import Channel, MessageSpace
-from .encoding import DEFAULT_ACTION_CAP, PolicyTree, enumerate_actions
+from .encoding import DEFAULT_ACTION_CAP, PolicyTree, enumerate_actions, histories, tree_size
 from .errors import NotConverged, SearchTooLarge, TableTooLarge
 
 DEFAULT_TABLE_CAP = 1_000_000
@@ -59,13 +59,16 @@ def _check_tree(channel: Channel, space: MessageSpace, tree: PolicyTree) -> None
         )
     # (messages, symbols) of sender 1's encoder, then of sender 2's
     wanted = (space.m1, channel.alphabets.x1, space.m2, channel.alphabets.x2)
-    for hist, action in tree.items():
+    # the actions in order of their first node, so the first node that
+    # does not fit is named
+    for action in tree.actions:
         e1, e2 = action.e1, action.e2
         shape = (len(e1.table), e1.n_symbols, len(e2.table), e2.n_symbols)
         if shape != wanted:
             raise ValueError(
-                f"action at history {hist} has encoders of (messages, symbols) "
-                f"{shape[:2]} and {shape[2:]}, expected {wanted[:2]} and {wanted[2:]}"
+                f"action at history {tree.first_history(action)} has encoders of "
+                f"(messages, symbols) {shape[:2]} and {shape[2:]}, expected {wanted[:2]} "
+                f"and {wanted[2:]}"
             )
 
 
@@ -178,16 +181,14 @@ def evaluate_policy_In(
 def _all_trees(channel: Channel, space: MessageSpace, depth: int, tree_cap: int,
                action_cap: int):
     actions = enumerate_actions(space, channel.alphabets, cap=action_cap)
-    histories = [
-        hist
-        for t in range(depth)
-        for hist in itertools.product(range(channel.n_outputs), repeat=t)
-    ]
-    count = len(actions) ** len(histories)
+    # len(actions) ** nodes trees; with two or more actions more than
+    # tree_cap.bit_length() nodes are over the cap, so counting stops there
+    count = len(actions) ** tree_size(channel.n_outputs, depth, tree_cap.bit_length())
     if count > tree_cap:
         raise SearchTooLarge(count, tree_cap)
-    for choice in itertools.product(actions, repeat=len(histories)):
-        yield PolicyTree(depth, channel.n_outputs, dict(zip(histories, choice)))
+    nodes = list(histories(channel.n_outputs, depth))
+    for choice in itertools.product(actions, repeat=len(nodes)):
+        yield PolicyTree(depth, channel.n_outputs, dict(zip(nodes, choice)))
 
 
 def exhaustive_Cn(

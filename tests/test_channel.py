@@ -91,6 +91,10 @@ def test_unknown_preset():
         ("bsc_p2p", ()),
         ("noisy_adder", (-0.1,)),
         ("useless", (2, 2)),
+        ("useless", (float("inf"), 2, 2)),
+        ("useless", (2, float("nan"), 2)),
+        ("adder", (0.3,)),
+        ("multiplier", (5.0, 1.0)),
     ],
 )
 def test_param_out_of_range(name, params):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -67,6 +68,11 @@ def test_validate_config_with_prior(tmp_path, capsys):
         # zero sweeps used to print "span_at_stop": Infinity, which is not JSON
         ["stationary", "--preset", "adder", "--messages", "2,2", "--renewal", "none",
          "--grid", "2", "--max-iters", "0"],
+        # adder takes no parameters; it used to drop them and echo them back
+        ["validate", "--preset", "adder", "--param", "0.3", "--messages", "2,2"],
+        # an infinite size used to end in an OverflowError traceback
+        ["validate", "--preset", "useless", "--param", "inf", "--param", "2", "--param", "2",
+         "--messages", "2,2"],
     ],
 )
 def test_config_errors_exit_one(argv, capsys):
@@ -84,6 +90,29 @@ def test_solver_error_exits_two(tmp_path, capsys):
             f"limits: {{{limit}}}\n"
         )
         assert cli.main(["oracle-check", "--config", str(path), "--n", n]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["horizon", "--n", "20000"],
+        ["horizon", "--n", "100000"],
+        ["dsaht", "--T", "30000"],
+        ["dsaht", "--T", "100000"],
+        ["oracle-check", "--n", "9"],
+        ["oracle-check", "--n", "17"],
+        # about 10^4499 grid points
+        ["stationary", "--renewal", "none", "--grid", "1" + "0" * 1500],
+    ],
+)
+def test_cap_errors_print_any_count(argv, capsys):
+    # counts of more than 4300 digits used to fail to print, exit 1; the
+    # tree guards stop counting past the cap, so no count is that long
+    start = time.perf_counter()
+    assert cli.main(argv + ["--preset", "adder", "--messages", "2,2"]) == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert "exceed the" in err and len(err) < 200
 
 
 def test_oracle_check_refuses_before_any_solve(tmp_path, monkeypatch, capsys):

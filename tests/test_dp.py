@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +16,13 @@ from macfb.dp import (
     solve_horizon,
     solve_stationary,
 )
-from macfb.encoding import enumerate_actions, policy_to_csv
+from macfb.encoding import (
+    EncoderAction,
+    EncoderFunction,
+    PolicyTree,
+    enumerate_actions,
+    policy_to_csv,
+)
 from macfb.errors import GridTooLarge, HorizonTooDeep
 from macfb.oracle import evaluate_policy_In
 from macfb.reward import LambdaWeights, reward_weighted
@@ -77,6 +84,21 @@ def test_horizon_argument_guards():
         solve_horizon(ch, MessageSpace(2, 2), L3, 2, node_cap=2)
 
 
+def test_deep_horizons_are_refused_before_anything_is_built():
+    # a depth-100,000 tree over 3 outputs has about 10^47712 nodes; the
+    # guard stops counting past the cap
+    ch, space = preset("adder"), MessageSpace(2, 2)
+    for solve in (lambda n: solve_horizon(ch, space, L3, n), lambda n: solve_dsaht(ch, space, n)):
+        start = time.perf_counter()
+        with pytest.raises(HorizonTooDeep, match="2391484 or more policy tree nodes") as info:
+            solve(100_000)
+        assert time.perf_counter() - start < 1.0
+        assert info.value.cap == dp.DEFAULT_NODE_CAP
+        # 13 steps make 797,161 nodes, under the cap; 14 make 2,391,484
+        with pytest.raises(HorizonTooDeep, match="2391484 or more policy tree nodes"):
+            solve(14)
+
+
 def test_returned_policy_achieves_value():
     rng = make_rng(42)
     space = MessageSpace(2, 2)
@@ -111,6 +133,12 @@ def test_evaluate_tree_rejects_a_tree_that_does_not_fit():
         (solve_horizon(ch, MessageSpace(1, 1), L3, 2).policy, "maps 1 messages"),
         (random_tree(rng, space, Alphabets(2, 3, 3), 2), "sender 2's encoder .* to 3 symbols"),
     ]
+    # the first node that does not fit is named, though a later node fails
+    # on sender 1, whose encoder is checked first
+    fits, wide1, wide2 = (EncoderAction(EncoderFunction((0, 1), x1), EncoderFunction((0, 1), x2))
+                          for x1, x2 in ((2, 2), (3, 2), (2, 3)))
+    tree = PolicyTree(2, 3, {(): fits, (0,): fits, (1,): wide2, (2,): wide1})
+    cases.append((tree, r"sender 2's encoder at history \(1,\)"))
     for tree, message in cases:
         with pytest.raises(ValueError, match=message):
             evaluate_tree(ch, space, tree, L3)

@@ -1,3 +1,5 @@
+import itertools
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -11,10 +13,11 @@ from macfb.encoding import (
     EncoderFunction,
     PolicyTree,
     enumerate_actions,
-    history_index,
+    histories,
     policy_from_csv,
     policy_to_csv,
     prune_actions,
+    tree_size,
 )
 from macfb.errors import ActionSpaceTooLarge
 from macfb.reward import LambdaWeights
@@ -47,11 +50,85 @@ def test_enumerate_order_and_cap():
         enumerate_actions(MessageSpace(2, 2), adder.alphabets, cap=15)
 
 
+def _histories(depth, n_outputs):
+    """The histories shorter than ``depth``, shortest first, each length in
+    lexicographic order."""
+    return [hist for t in range(depth) for hist in itertools.product(range(n_outputs), repeat=t)]
+
+
+@pytest.mark.parametrize("depth,n_outputs", [(0, 3), (1, 1), (4, 1), (1, 3), (3, 2), (5, 3), (2, 400)])
+def test_histories_and_tree_size_count_the_tree(depth, n_outputs):
+    hists = _histories(depth, n_outputs)
+    assert list(histories(n_outputs, depth)) == hists
+    assert tree_size(n_outputs, depth) == len(hists)
+    # a cap at or over the size leaves it exact
+    assert tree_size(n_outputs, depth, len(hists)) == len(hists)
+    # the position of a history is the size of the shorter ones plus its
+    # base-|Y| reading
+    for position, hist in enumerate(hists):
+        reading = sum(y * n_outputs ** (len(hist) - 1 - i) for i, y in enumerate(hist))
+        assert position == tree_size(n_outputs, len(hist)) + reading
+
+
+def test_capped_tree_size_stops_past_the_cap():
+    # a size over the cap is a lower bound, and a deep tree's size is never computed
+    for n_outputs, depth, cap in ((3, 13, 10**6), (3, 14, 10**6), (2, 10**9, 100), (3, 10**18, 1)):
+        size = tree_size(n_outputs, depth, cap)
+        exact = tree_size(n_outputs, depth) if depth < 100 else None
+        assert (size > cap) == (exact is None or exact > cap)
+        assert exact is None or size <= exact
+        assert size.bit_length() < 64
+    assert tree_size(3, 13, 10**6) == 797_161
+    assert tree_size(1, 10**18, 5) == 10**18
+
+
 def test_policy_tree_shape_checks():
     with pytest.raises(ValueError):
         PolicyTree(1, 2, {})  # missing the root node
     empty = PolicyTree(0, 3, {})
     assert empty.depth == 0 and empty.items() == []
+    # a key that is no history is named, the first one in the dict's order
+    action = enumerate_actions(MessageSpace(1, 1), Alphabets(2, 2, 3))[0]
+    for nodes, bad in (({(): action, (0,): action, (3,): action, (1,): action}, r"\(3,\)"),
+                       ({(): action, (0,): action, (1,): action, "2": action}, "'2'"),
+                       ({5: action}, "5")):
+        with pytest.raises(ValueError, match=f"history {bad} invalid"):
+            PolicyTree(2 if len(nodes) > 1 else 1, 3, nodes)
+
+
+def test_action_at_refuses_histories_outside_the_tree():
+    actions = enumerate_actions(MessageSpace(2, 2), preset("adder").alphabets)
+    tree = PolicyTree.from_indices(3, 3, actions, np.arange(13))
+    assert tree.action_at((2, 2)) is actions[12] and tree.action_at(np.array([1, 0])) is actions[7]
+    for hist in ((0, 0, 0), (0, 1, 2, 0), (-1,), (0, -1), (3,), (1, 3), (0.5,), (1.0, 0), ("0",), (None,)):
+        with pytest.raises(KeyError):
+            tree.action_at(hist)
+    with pytest.raises(KeyError):
+        PolicyTree(0, 3, {}).action_at(())
+
+
+def test_deep_tree_stores_no_histories():
+    # 797,161 nodes: a dict of every history took 160 MB
+    actions = enumerate_actions(MessageSpace(2, 2), preset("adder").alphabets)
+    at = np.arange(tree_size(3, 13)) % len(actions)
+    tracemalloc.start()
+    try:
+        tree = PolicyTree.from_indices(13, 3, actions, at)
+        last = tree.action_at((2,) * 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert last is actions[(len(at) - 1) % len(actions)]
+    # the same action first sits at position 797,160 mod 16 = 8
+    assert tree.first_history(last) == (1, 1)
+    assert peak < 20e6
+
+
+def test_policy_csv_refuses_a_deep_row_at_once():
+    # one row at t = 30 names a tree of about 1e14 nodes
+    text = "t,history,e1,e2\n30," + "0" * 29 + ",01,01\n"
+    with pytest.raises(ValueError, match="1 nodes do not make a complete tree of depth 30"):
+        policy_from_csv(text, preset("adder").alphabets)
 
 
 def test_policy_tree_with_many_distinct_actions():
@@ -74,15 +151,15 @@ def test_policy_tree_from_indices_equals_dict_tree(depth, n_outputs):
     # byte can index
     rng = make_rng(depth * 1000 + n_outputs)
     actions = enumerate_actions(MessageSpace(3, 3), Alphabets(3, 3, n_outputs))
-    histories = list(history_index(depth, n_outputs))
-    at = rng.permutation(len(actions))[: len(histories)] if n_outputs > 256 else rng.integers(0, 5, len(histories))
+    hists = _histories(depth, n_outputs)
+    at = rng.permutation(len(actions))[: len(hists)] if n_outputs > 256 else rng.integers(0, 5, len(hists))
     at[: len(at) // 3] = 0
     tree = PolicyTree.from_indices(depth, n_outputs, actions, at)
-    nodes = {hist: actions[i] for hist, i in zip(histories, at)}
+    nodes = {hist: actions[i] for hist, i in zip(hists, at)}
     expected = PolicyTree(depth, n_outputs, nodes)
     assert tree == expected and tree.depth == depth and tree.n_outputs == n_outputs
     assert tree.items() == expected.items() and tree.nodes == nodes
-    assert all(tree.action_at(hist) == actions[0] for hist in histories[: len(at) // 3])
+    assert all(tree.action_at(hist) == actions[0] for hist in hists[: len(at) // 3])
     # the same compact storage, slots numbered in order of first appearance
     assert (tree._distinct, tree._at) == (expected._distinct, expected._at)
     assert type(tree._at) is (array if len(set(at.tolist())) > 256 else bytes)

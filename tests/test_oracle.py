@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -99,6 +100,16 @@ def test_exhaustive_cn_multiplier_two_steps():
 def test_exhaustive_search_cap():
     with pytest.raises(SearchTooLarge):
         exhaustive_Cn(preset("adder"), MessageSpace(2, 2), L3, 1, tree_cap=15)
+
+
+def test_deep_searches_are_refused_before_any_history_is_listed():
+    # about 64.6M histories at n = 17; counting stops once past the cap
+    ch, space = preset("adder"), MessageSpace(2, 2)
+    for search in (lambda: exhaustive_Cn(ch, space, L3, 17), lambda: exhaustive_min_error(ch, space, 17)):
+        start = time.perf_counter()
+        with pytest.raises(SearchTooLarge, match="policy trees exceed the search cap of 100000"):
+            search()
+        assert time.perf_counter() - start < 1.0
 
 
 def test_scheme_error_adder_one_step():
