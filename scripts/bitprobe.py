@@ -16,7 +16,8 @@ The instances are seeded and fixed: the horizon program with and without
 prune and DSAHT, on adder, noisy_adder(0.1), multiplier and two random
 channels (one with zero entries), message spaces 1x2 to 3x3, uniform,
 product, non-product and zero-mass priors, n and T from 1 to 3, and
-noisy_adder(0.1) 3x3 at n = 4 with and without prune, and adder 2x2 with
+noisy_adder(0.1) 3x3 at n = 4 with and without prune and DSAHT at T = 4
+(27,886 states over levels of many chunks), and adder 2x2 with
 lambda = (0, 0, 1) at n = T = 13, whose policy trees have 797,161 nodes,
 with ``evaluate_tree`` of the horizon policy. On the same
 channels, spaces and priors it prints ``evaluate_tree`` of the solved
@@ -212,6 +213,7 @@ def main() -> int:
     for prune in (False, True):
         print(horizon_line("noisy_adder", preset("noisy_adder", (0.1,)), MessageSpace(3, 3),
                            "uniform", None, 4, prune))
+    print(dsaht_line("noisy_adder", preset("noisy_adder", (0.1,)), MessageSpace(3, 3), "uniform", None, 4))
     for line in deep_lines():
         print(line)
     for name, channel in channels().items():

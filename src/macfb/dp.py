@@ -26,8 +26,8 @@ the pair's branch, its likelihood column and encoder partitions, so the
 successors are built once per (state, branch) and deduplicated on their
 common belief quantised to QUANT and their labels, each represented by
 its first occurrence in (state, action, output) order. The dedupe
-numbers rows by a 64-bit hash of their words and checks each row against
-the first row with its hash, so a hash collision costs time, never a
+numbers keys by a 64-bit hash of their words and checks each key against
+the first key with its hash, so a hash collision costs time, never a
 number. A reward pass then evaluates what every action earns at every
 level's states, stacked in level order into batches that may span
 levels, and a backward pass takes the maximum level by level, forming
@@ -36,6 +36,19 @@ each (state, branch)'s mass times continuation once and reading it per
 the chosen actions and one of their successors per level, into an array
 of action indices. Validated belief objects exist only at the API
 boundary.
+
+Layout: wherever the engine, the programs or the grid process a stack
+of states, the states lie on the last axis, as in the kernel (see
+``macfb.kernel``): a level's beliefs are (M1, M2, states) and its labels
+(M, states), the predictive masses and successors (branches, states),
+the totals (actions, states), and a dedupe key is a column of words
+(words, keys). A level holds tens to thousands of states and every other
+axis is 2-74 long, so numpy's inner loops run the length of the level
+and the hash is one multiply-add per word over all keys. The
+single-state code, ``walk_policy`` and the validated API, keeps a state's
+own shape, and the grid's interpolation (``_freudenthal``) takes one
+belief per row, into which ``_grid_tables`` gathers the posteriors it
+interpolates.
 Every walk over the beliefs a fixed policy reaches (the DSAHT decoder,
 ``evaluate_tree``, the diagnostic and the CLI's belief file) goes through
 one walker, ``walk_policy``, which builds only the chosen action's update
@@ -92,11 +105,9 @@ QUANT = 1e-9
 # 1 + 73 states in one reward call. Other temporaries are larger per state
 # than the width, such as the rewards' margin products (96 entries at
 # noisy_adder 2x2, against a width of 64). 10 s bench/run.py runs peak at
-# 41.2 MB RSS on horizon-wide and 40.6 MB on dsaht-deep, against 40.5 and
-# 40.1 MB for the engine before this one, which batched 1 << 13 entries and
-# rated each chunk inside the forward pass (medians of 10 runs, seed 0, 2
-# cores); one noisy_adder 3x3 n=3 solve in a fresh process peaks at 33.8
-# against 31.5 MB, and n=4 at 48.7 against 51.6 MB.
+# about 41.7 MB RSS on horizon-wide and 41.0 MB on dsaht-deep (seed 0, 2
+# cores), and one noisy_adder 3x3 solve in a fresh process at 33.9 MB at
+# n=3 and 49.7 MB at n=4.
 CHUNK_ENTRIES = 1 << 16
 
 # totals this close to the optimum count as tied; the first one wins
@@ -104,30 +115,32 @@ TIE_TOL = 1e-12
 
 
 def _quantized_rows(arrays) -> np.ndarray:
-    """One int row per state of a stack: its arrays flattened, the float
-    ones quantised to QUANT, and concatenated."""
-    rows = [x.reshape(len(x), -1) for x in arrays]
-    return np.concatenate([np.rint(x / QUANT).astype(np.int64) if x.dtype.kind == "f" else x
-                           for x in rows], axis=1)
+    """One int key per state of a stack, as a column: its arrays flattened
+    over all but the batch axis, the float ones quantised to QUANT, and
+    concatenated, (words, states)."""
+    rows = [x.reshape(-1, x.shape[-1]) for x in arrays]
+    rows = [np.rint(x / QUANT).astype(np.int64) if x.dtype.kind == "f" else x for x in rows]
+    return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
 def _add_continuation(totals: np.ndarray, p: np.ndarray, cont: np.ndarray,
                       branch_of: np.ndarray) -> np.ndarray:
-    """totals[s, a] + sum_y p cont over the outputs with mass, added one
-    output at a time in y order, from p[s, b] and cont[s, b] per branch:
+    """totals[a, s] + sum_y p cont over the outputs with mass, added one
+    output at a time in y order, from p[b, s] and cont[b, s] per branch:
     the pair (a, y) reads its product at ``branch_of[a, y]``."""
-    paid = np.where(p > MASS_EPS, p * cont, 0.0)
-    for y in range(branch_of.shape[1]):
-        totals = totals + paid[:, branch_of[:, y]]
+    paid = np.where(p > MASS_EPS, p * cont, 0.0)[branch_of.T]  # (outputs, actions, states)
+    totals = totals + paid[0]
+    for part in paid[1:]:
+        totals += part
     return totals
 
 
 def _choose(totals: np.ndarray) -> tuple:
-    """Maximum of every row of ``totals`` (states x actions) and the first
-    action within TIE_TOL of it; a total of -inf is never chosen while any
-    action of its row has a finite one."""
-    best = totals.max(axis=1)
-    return best, (np.abs(totals - best[:, None]) <= TIE_TOL).argmax(axis=1)
+    """Maximum of every column of ``totals`` (actions x states) and the
+    first action within TIE_TOL of it; a total of -inf is never chosen
+    while any action of its column has a finite one."""
+    best = totals.max(axis=0)
+    return best, (np.abs(totals - best) <= TIE_TOL).argmax(axis=0)
 
 
 @dataclass
@@ -242,23 +255,24 @@ def walk_policy(kernel: ActionKernel, tree: PolicyTree, pi, labels1=None, labels
             continue
         a = index[tree.action_at(hist)]
         yield t, hist, pi, labels1, labels2, a, mass
-        joint = kernel.lik[a] * pi
-        p = joint.reshape(len(joint), -1).sum(axis=-1)
+        joint, p = kernel.joint_of(a, pi)
         post = kernel.posteriors(joint, p)
         if labels1 is not None:
             labels1, labels2 = kernel.refined_by(a, labels1, labels2)
         for y in reversed(range(len(p))):
             if p[y] > MASS_EPS:
-                stack.append((t + 1, hist + (y,), post[y], labels1, labels2, mass * p[y]))
+                stack.append((t + 1, hist + (y,), post[..., y], labels1, labels2, mass * p[y]))
 
 
 def _walked(kernel: ActionKernel, tree: PolicyTree, start: tuple) -> tuple:
     """The columns (t, hist, pi, labels1, labels2, a, mass) of the nodes
     ``walk_policy`` yields before the last step, in walk order, with the
-    beliefs and labels stacked for one batched kernel pass."""
+    beliefs and labels stacked on a last axis for one batched kernel
+    pass."""
     walked = [node for node in walk_policy(kernel, tree, *start) if node[5] is not None]
     t, hist, pis, labels1, labels2, a, mass = zip(*walked)
-    return t, hist, np.stack(pis), np.stack(labels1), np.stack(labels2), a, mass
+    return (t, hist, np.stack(pis, axis=-1), np.stack(labels1, axis=-1), np.stack(labels2, axis=-1),
+            a, mass)
 
 
 def _best_guesses(channel: Channel, policy: PolicyTree, prior: np.ndarray) -> dict:
@@ -274,39 +288,39 @@ def _best_guesses(channel: Channel, policy: PolicyTree, prior: np.ndarray) -> di
 
 
 class _LevelIndex:
-    """Numbers the distinct quantised rows of a level across its chunks, in
+    """Numbers the distinct quantised keys of a level across its chunks, in
     order of first occurrence.
 
-    A row is looked up by a 64-bit hash of its words
+    A key, one column of words, is looked up by a 64-bit hash of its words
     (``kernel.hashed_rows``) and then checked word by word, so a hash
-    collision costs time but never changes a number. The rows numbered so
+    collision costs time but never changes a number. The keys numbered so
     far are kept as sorted runs of their hashes, each run more than twice
     as long as the next, so a chunk is looked up with one binary search in
-    each of O(log) runs. Every row is held once, as with a dict over the
-    rows' bytes; the last chunk's rows join the runs only when another
+    each of O(log) runs. Every key is held once, as with a dict over the
+    keys' bytes; the last chunk's keys join the runs only when another
     chunk comes, so a level of one chunk sorts nothing.
     """
 
     def __init__(self):
-        self.runs = []  # (sorted hashes, their rows' words, their numbers), longest first
+        self.runs = []  # (sorted hashes, their keys' words, their numbers), longest first
         self.pending = None
         self.count = 0
 
-    def add(self, rows: np.ndarray) -> tuple:
-        """Number a chunk's rows, repeats included: (the number of every
-        row, positions of the first occurrences of the rows new to the
-        level)."""
+    def add(self, keys: np.ndarray) -> tuple:
+        """Number a chunk's keys (words, keys), repeats included: (the
+        number of every key, positions of the first occurrences of the keys
+        new to the level)."""
         if self.pending is not None:
-            # the last chunk's new rows join the runs only now
+            # the last chunk's new keys join the runs only now
             *run, new = self.pending
-            self._push(tuple(np.take(x, new, axis=0) for x in run))
-        words, hashes = hashed_rows(rows)
+            self._push(tuple(np.take(x, new, axis=-1) for x in run))
+        words, hashes = hashed_rows(keys)
         number = np.full(len(hashes), -1)
         for run in self.runs:
             _look_up(run, words, hashes, number)
-        # before any run every row is new, and is deduped without a copy
+        # before any run every key is new, and is deduped without a copy
         miss = np.flatnonzero(number < 0) if self.runs else slice(None)
-        first, inverse = first_hashed(words[miss], hashes[miss])
+        first, inverse = first_hashed(words[:, miss], hashes[miss])
         number[miss] = self.count + inverse
         new = miss[first] if self.runs else first
         self.count += len(new)
@@ -317,33 +331,23 @@ class _LevelIndex:
         """Add a run (hashes, words, numbers), merged with the runs not
         more than twice as long, sorted by hash."""
         while self.runs and len(self.runs[-1][0]) <= 2 * len(run[0]):
-            run = tuple(np.concatenate(parts) for parts in zip(self.runs.pop(), run))
+            run = tuple(np.concatenate(parts, axis=-1) for parts in zip(self.runs.pop(), run))
         order = np.argsort(run[0])
-        self.runs.append(tuple(np.take(x, order, axis=0) for x in run))
-
-
-def _differing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mask of the rows where two (rows, width) arrays, or an array and
-    one row, differ in some entry; ``any(axis=1)`` over short rows costs
-    several times more."""
-    differ = a != b
-    mask = np.zeros(len(differ), dtype=bool)
-    mask[np.flatnonzero(differ) // differ.shape[1]] = True
-    return mask
+        self.runs.append(tuple(np.take(x, order, axis=-1) for x in run))
 
 
 def _look_up(run: tuple, words: np.ndarray, hashes: np.ndarray, number: np.ndarray) -> None:
-    """Set ``number`` at the rows not numbered yet that a run of
+    """Set ``number`` at the keys not numbered yet that a run of
     ``_LevelIndex`` holds."""
     run_hashes, run_words, ids = run
     pos = np.minimum(np.searchsorted(run_hashes, hashes), len(run_hashes) - 1)
     hit = np.flatnonzero((run_hashes[pos] == hashes) & (number < 0))
     number[hit] = ids[pos[hit]]
-    clash = _differing(np.take(run_words, pos[hit], axis=0), np.take(words, hit, axis=0))
+    clash = (np.take(run_words, pos[hit], axis=1) != np.take(words, hit, axis=1)).any(axis=0)
     for i in hit[clash]:
-        # a hash collision: the row may lie further along its hash's stretch
+        # a hash collision: the key may lie further along its hash's stretch
         stop = np.searchsorted(run_hashes, hashes[i : i + 1], side="right")[0]
-        same = np.flatnonzero(~_differing(run_words[pos[i] : stop], words[i : i + 1]))
+        same = np.flatnonzero(~(run_words[:, pos[i] : stop] != words[:, i : i + 1]).any(axis=0))
         number[i] = ids[pos[i] + same[0]] if len(same) else -1
 
 
@@ -354,36 +358,52 @@ def _expand_level(expand, t: int, states: tuple, step: int) -> tuple:
     first occurrence. The level's temporaries, its index among them, are
     freed when this returns."""
     ps, succs, reps, index = [], [], [], _LevelIndex()
-    for lo in range(0, len(states[0]), step):
-        p, gather = expand(t, *(x[lo : lo + step] for x in states))
-        s, b = np.nonzero(p > MASS_EPS)
-        nxt = gather(s, b)
+    for lo in range(0, states[0].shape[-1], step):
+        p, gather = expand(t, *(x[..., lo : lo + step] for x in states))
+        # the live (state, branch) pairs in (state, branch) order, as flat
+        # indices of p (branches x states)
+        live = np.arange(p.size).reshape(p.shape).T[(p > MASS_EPS).T]
+        nxt = gather(live)
         number, new = index.add(_quantized_rows(nxt))
         succ = np.full(p.shape, -1)
-        succ[s, b] = number
+        succ.reshape(-1)[live] = number
         ps.append(p)
         succs.append(succ)
-        reps.append(tuple(x[new] for x in nxt))
+        reps.append(tuple(np.take(x, new, axis=-1) for x in nxt))
         # the chunk's temporaries go before the next chunk is expanded
         del gather, nxt
-    return np.concatenate(ps), np.concatenate(succs), _stacked(reps)
+    return _joined(ps), _joined(succs), _stacked(reps)
+
+
+def _joined(parts: list) -> np.ndarray:
+    """Arrays joined along the batch axis; one array is returned as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
 def _stacked(parts: list) -> tuple:
-    """Tuples of state arrays joined along the state axis."""
-    return parts[0] if len(parts) == 1 else tuple(np.concatenate(x) for x in zip(*parts))
+    """Tuples of state arrays joined along the batch axis."""
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(x, axis=-1) for x in zip(*parts))
 
 
 def _batches(levels: list, step: int):
     """The states of ``levels`` (a list of tuples of state arrays) stacked
     in level order, as (lo, arrays) of consecutive runs of ``step`` states
-    from row lo on, the last run shorter. A run may span levels; only a run
-    that does is copied."""
-    starts = np.cumsum([0] + [len(states[0]) for states in levels])
+    from state lo on, the last run shorter. A run may span levels; only a
+    run that does is copied."""
+    starts = np.cumsum([0] + [states[0].shape[-1] for states in levels])
     for lo in range(0, starts[-1], step):
         hi = lo + step
-        yield lo, _stacked([tuple(x[max(lo - a, 0) : hi - a] for x in states)
+        yield lo, _stacked([tuple(x[..., max(lo - a, 0) : hi - a] for x in states)
                             for states, a, b in zip(levels, starts, starts[1:]) if a < hi and lo < b])
+
+
+def _live_posteriors(joint: np.ndarray, p: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """The posteriors J / p of a branch joint J[m1, m2, b, s] at the flat
+    indices ``live`` of p[b, s], all with mass, batch last: each entry is
+    the one ``ActionKernel.posteriors`` gives there, computed only where it
+    is read."""
+    cells = np.take(joint.reshape(-1, p.size), live, axis=1)
+    return (cells / np.take(p, live)).reshape(joint.shape[:2] + (-1,))
 
 
 def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand, totals,
@@ -392,16 +412,16 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand, t
     time step: the maximum over actions of what they earn now plus the
     expected value of what follows.
 
-    ``root`` holds the start state's arrays, each with a leading axis of
-    length 1. The program supplies two functions of a batch of states,
+    ``root`` holds the start state's arrays, each with a last (batch) axis
+    of length 1. The program supplies two functions of a batch of states,
     stacked on that axis:
 
     * ``expand(t, *arrays)``, for levels t = 1..depth - 1, returns
-      (p, gather): p[s, b], the predictive mass of every branch of the
+      (p, gather): p[b, s], the predictive mass of every branch of the
       kernel (see ``macfb.kernel``), which is that of each of its (action,
-      output) pairs, and gather(s, b), the successor states' arrays for
-      index vectors s and b;
-    * ``totals(t, *arrays)`` returns totals[s, a], what each action
+      output) pairs, and gather(i), the successor states' arrays, batch
+      last, for a vector i of flat indices b * states + s of p;
+    * ``totals(t, *arrays)`` returns totals[a, s], what each action
       earns before any continuation: its reward, or in DSAHT minus the
       expected terminal error at the last level. The batch may span
       levels: ``t[s]`` is the level of state s, and the states come in
@@ -417,7 +437,7 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand, t
     gathered, quantised and deduplicated once. A new state is represented
     by its first occurrence in (state, action, output) order, which is
     (state, branch) order, so each level lists its states in depth-first
-    first-visit order. ``succ[s, b]`` indexes the successor (-1 where there
+    first-visit order. ``succ[b, s]`` indexes the successor (-1 where there
     is none), and the pair (a, y) reads it at ``branch_of[a, y]``. A level
     is expanded CHUNK_ENTRIES kernel entries at a time, ``width`` of them
     per state, and ``_LevelIndex`` numbers each chunk's successors as one
@@ -459,35 +479,35 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand, t
     # every level's states, and (p, succ) of every level but the last
     level_states, levels, states, hits = [], [], root, 0
     for t in range(1, depth):
-        n_states = len(states[0])
+        n_states = states[0].shape[-1]
         if n_states * n_actions * n_outputs > node_cap:
             raise LevelTooWide(t, n_states * n_actions * n_outputs, node_cap)
         p, succ, nxt = _expand_level(expand, t, states, step)
         # live successors, minus those that are new to the level
-        hits += int(((p > MASS_EPS) * pairs).sum()) - len(nxt[0])
+        hits += int(pairs @ (p > MASS_EPS).sum(axis=1)) - nxt[0].shape[-1]
         level_states.append(states)
         levels.append((p, succ))
         states = nxt
     level_states.append(states)
-    sizes = [len(states[0]) for states in level_states]
+    sizes = [states[0].shape[-1] for states in level_states]
     starts = np.cumsum([0] + sizes)
 
     level_of = np.repeat(np.arange(1, depth + 1), sizes)
     head = starts[-2]
-    earned, last = np.empty((head, n_actions)), []
+    earned, last = np.empty((n_actions, head)), []
     for lo, batch in _batches(level_states, step):
-        hi = lo + len(batch[0])
+        hi = lo + batch[0].shape[-1]
         out = totals(level_of[lo:hi], *batch)
         inner = max(0, min(hi, head) - lo)
-        earned[lo : lo + inner] = out[:inner]
+        earned[:, lo : lo + inner] = out[:, :inner]
         if hi > head:
-            last.append(_choose(out[inner:]))
+            last.append(_choose(out[:, inner:]))
     value, last_best = (np.concatenate(x) for x in zip(*last))
-    earned = [earned[starts[t] : starts[t + 1]] for t in range(depth - 1)]
+    earned = [earned[:, starts[t] : starts[t + 1]] for t in range(depth - 1)]
     for (p, _), level in zip(levels, earned):
         ruled_out = level == -np.inf
         if ruled_out.any():
-            hits -= int(((p > MASS_EPS) * (ruled_out @ members)).sum())
+            hits -= int(((p > MASS_EPS) * (members.T @ ruled_out)).sum())
 
     best = [None] * (depth - 1) + [last_best]
     for t in reversed(range(depth - 1)):
@@ -504,9 +524,9 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand, t
         a = best[t][states]
         at[tree_size(n_outputs, t) + hist] = a
         if t + 1 < depth:
-            succ = levels[t][1][states[:, None], branch_of[a]]
+            succ = levels[t][1][branch_of[a].T, states]
             live = succ >= 0
-            hist = (hist[:, None] * n_outputs + np.arange(n_outputs))[live]
+            hist = (hist * n_outputs + np.arange(n_outputs)[:, None])[live]
             states = succ[live]
     policy = PolicyTree.from_indices(depth, n_outputs, kernel.actions, at)
     return float(value[0]), policy, sum(sizes), hits
@@ -553,28 +573,30 @@ def solve_horizon(
 
     def expand(t, pis, labels1, labels2):
         joint, p = kernel.branch_joint(pis)
-        post = kernel.posteriors(joint, p)
         ref1, ref2 = kernel.refined(labels1, labels2)
 
-        def gather(s, b):
-            return post[s, b], ref1[s, enc1[b]], ref2[s, enc2[b]]
+        def gather(live):
+            b, s = np.divmod(live, p.shape[1])
+            return (_live_posteriors(joint, p, live),
+                    np.take(ref1.reshape(len(ref1), -1), enc1[b] * p.shape[1] + s, axis=1),
+                    np.take(ref2.reshape(len(ref2), -1), enc2[b] * p.shape[1] + s, axis=1))
 
         return p, gather
 
     def totals(t, pis, labels1, labels2):
         # the members of a branch share its predictive mass bit for bit
-        rewards = kernel.weighted(weights, pis, labels1, labels2, kernel.branch_joint(pis)[1][:, branch_of])
+        rewards = kernel.weighted(weights, pis, labels1, labels2, kernel.branch_joint(pis)[1][branch_of])
         if prune and t[0] < n:
             # prune leaves the last level alone; the levels below it lead the batch
             k = int(np.count_nonzero(t < n))
-            joint, p = kernel.branch_joint(pis[:k])
-            ref1, ref2 = kernel.refined(labels1[:k], labels2[:k])
+            joint, p = kernel.branch_joint(pis[..., :k])
+            ref1, ref2 = kernel.refined(labels1[:, :k], labels2[:, :k])
             keep = kernel.prune_mask(p, kernel.posteriors(joint, p), ref1, ref2, branch_of,
-                                     rewards[:k], PRUNE_TOL)
-            rewards[:k] = np.where(keep, rewards[:k], -np.inf)
+                                     rewards[:, :k], PRUNE_TOL)
+            rewards[:, :k] = np.where(keep, rewards[:, :k], -np.inf)
         return rewards
 
-    root = (pi[None], labels1[None], labels2[None])
+    root = (pi[..., None], labels1[:, None], labels2[:, None])
     total, policy, expanded, hits = _backward_induction(
         kernel, n, root, expand, totals, node_cap, max(kernel.branch_lik.size, kernel.noise.size)
     )
@@ -603,7 +625,7 @@ def evaluate_tree(
     _, _, pis, labels1, labels2, actions, masses = _walked(kernel, tree, _start(space, prior))
     rewards = kernel.weighted(weights, pis, labels1, labels2, kernel.joint(pis)[1])
     acc = 0.0
-    for mass, reward in zip(masses, rewards[np.arange(len(actions)), actions]):
+    for mass, reward in zip(masses, rewards[actions, np.arange(len(actions))]):
         acc += mass * reward
     return float(acc) / tree.depth
 
@@ -638,30 +660,30 @@ def solve_dsaht(
 
     def expand(t, pis):
         joint, p = kernel.branch_joint(pis)
-        post = kernel.posteriors(joint, p)
-        return p, lambda s, b: (post[s, b],)
+        return p, lambda live: (_live_posteriors(joint, p, live),)
 
     def totals(t, pis):
-        out = np.zeros((len(pis), len(kernel)))
-        last = t == horizon
-        if last.any():
+        out = np.zeros((len(kernel), pis.shape[-1]))
+        # the last level's states close the batch
+        k = int(np.count_nonzero(t < horizon))
+        if k < len(t):
             # minus the terminal error, max(posterior) - 1, without the
             # posteriors: dividing by a positive mass keeps the order, and
-            # the rounding too. The max is taken in slices, a fraction of
-            # numpy's over a short axis
-            joint, p = kernel.branch_joint(pis[last])
-            cells = joint.reshape(p.shape + (-1,))
-            largest = cells[..., 0]
-            for k in range(1, cells.shape[-1]):
-                largest = np.maximum(largest, cells[..., k])
+            # the rounding too. The max is taken in slices over the
+            # message pairs
+            joint, p = kernel.branch_joint(pis[..., k:])
+            cells = joint.reshape((-1,) + p.shape)
+            largest = cells[0]
+            for cell in cells[1:]:
+                largest = np.maximum(largest, cell)
             minus_error = largest / np.where(p > MASS_EPS, p, 1.0) - 1.0
-            out[last] = _add_continuation(out[last], p, minus_error, branch_of)
+            out[:, k:] = _add_continuation(out[:, k:], p, minus_error, branch_of)
         return out
 
     # the engine maximises minus the error; negation is exact in every sum
     # and product, so 0.0 - value has the bits of the minimised error
     value, policy, expanded, hits = _backward_induction(
-        kernel, horizon, (pi[None],), expand, totals, node_cap, kernel.branch_lik.size
+        kernel, horizon, (pi[..., None],), expand, totals, node_cap, kernel.branch_lik.size
     )
     return DsahtResult(0.0 - value, policy, expanded, hits, channel, pi)
 
@@ -705,9 +727,9 @@ def _grid_tables(kernel: ActionKernel, weights: LambdaWeights, space: MessageSpa
     """Everything relative value iteration reads, built in one pass over the
     grid of every belief with coordinates k/resolution.
 
-    Returns (rewards, rows, cols, vals, ref_idx, ref_w): the (points,
-    actions) reward table with fully refined private tables, the successor
-    structure as COO triples over the flattened (point, action) axis in
+    Returns (rewards, rows, cols, vals, ref_idx, ref_w): the (actions,
+    points) reward table with fully refined private tables, the successor
+    structure as COO triples over the flattened (action, point) axis in
     (point, action, output, vertex) order, and the interpolation of the
     uniform belief. Each successor with predictive mass above MASS_EPS is
     spread over the vertices of its Freudenthal simplex whose weight
@@ -722,9 +744,9 @@ def _grid_tables(kernel: ActionKernel, weights: LambdaWeights, space: MessageSpa
     cum = np.array(
         list(itertools.combinations_with_replacement(range(d, -1, -1), parts - 1)), dtype=np.int64
     ).reshape(n_points, parts - 1)
-    ends = np.full((n_points, 1), d)
-    grid = -np.diff(np.concatenate([ends, cum, np.zeros_like(ends)], axis=1), axis=1) / d
-    grid = grid.reshape(n_points, space.m1, space.m2)
+    ends = np.full((1, n_points), d)
+    grid = -np.diff(np.concatenate([ends, cum.T, np.zeros_like(ends)]), axis=0) / d
+    grid = grid.reshape(space.m1, space.m2, n_points)
     # count[q, r]: the compositions of r into q + 1 parts. The points listed
     # before v are, by the first j where they differ from it (v_{-1} = d),
     # count[parts - j - 1, v_{j-1}] - count[parts - j - 1, v_j] in number
@@ -744,19 +766,22 @@ def _grid_tables(kernel: ActionKernel, weights: LambdaWeights, space: MessageSpa
 
     # fully refined: every message is a private class of its own
     own1, own2 = np.arange(space.m1), np.arange(space.m2)
-    rewards = np.empty((n_points, n_actions))
+    rewards = np.empty((n_actions, n_points))
     rows, cols, vals = [], [], []
     step = max(1, CHUNK_ENTRIES // kernel.lik.size)
     for lo in range(0, n_points, step):
-        pis = grid[lo : lo + step]
+        pis = grid[..., lo : lo + step]
         joint, p = kernel.joint(pis)
-        rewards[lo : lo + step] = kernel.weighted(weights, pis, own1, own2, p)
-        s, a, y = np.nonzero(p > MASS_EPS)
-        post = kernel.posteriors(joint, p)[s, a, y].reshape(len(s), parts)
+        rewards[:, lo : lo + step] = kernel.weighted(weights, pis, own1, own2, p)
+        # the live (point, action, output) triples in that order
+        s, a, y = np.nonzero(np.moveaxis(p > MASS_EPS, -1, 0))
+        live = (a * p.shape[1] + y) * p.shape[2] + s
+        # one posterior per row, as the interpolation takes them
+        post = np.take(joint, live[:, None] + np.arange(parts) * p.size) / np.take(p, live)[:, None]
         which, index, w = interpolate(post)
-        rows.append(((lo + s) * n_actions + a)[which])
+        rows.append((a * n_points + lo + s)[which])
         cols.append(index)
-        vals.append(p[s, a, y][which] * w)
+        vals.append(np.take(p, live)[which] * w)
     _, ref_idx, ref_w = interpolate(np.full((1, parts), 1.0 / parts))
     return rewards, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), ref_idx, ref_w
 
@@ -837,7 +862,7 @@ def solve_stationary(
     for iterations in range(1, max_iters + 1):
         acc = np.zeros(n_points * n_actions)
         np.add.at(acc, rows, vals * value[cols])
-        updated = (flat_rewards + acc).reshape(n_points, n_actions).max(axis=1)
+        updated = (flat_rewards + acc).reshape(n_actions, n_points).max(axis=0)
         gain = float(updated[ref_idx] @ ref_w)
         updated = updated - gain
         diff = updated - value
@@ -879,16 +904,16 @@ def reachability_diagnostic(
     first, group_of = first_rows(_quantized_rows((pis,)))
     # only states that share a group are compared, so only they get rewards
     shared = np.flatnonzero(np.bincount(group_of)[group_of] > 1)
-    rewards = np.empty((len(pis), len(kernel)))
+    rewards = np.empty((len(kernel), len(group_of)))
     if len(shared):
-        rewards[shared] = kernel.weighted(weights, pis[shared], labels1[shared], labels2[shared],
-                                          kernel.joint(pis[shared])[1])
+        rewards[:, shared] = kernel.weighted(weights, pis[..., shared], labels1[:, shared],
+                                             labels2[:, shared], kernel.joint(pis[..., shared])[1])
     conflicts = []
     for g in np.unique(group_of[shared]):
         for i, j in itertools.combinations(np.flatnonzero(group_of == g), 2):
-            if np.max(np.abs(pis[i] - pis[j])) > 1e-9:
+            if np.max(np.abs(pis[..., i] - pis[..., j])) > 1e-9:
                 continue
-            gap = np.abs(rewards[i] - rewards[j])
+            gap = np.abs(rewards[:, i] - rewards[:, j])
             conflicts.extend(
                 {"history_a": hists[i], "history_b": hists[j], "t_a": ts[i], "t_b": ts[j],
                  "action_index": int(a_i), "reward_gap": float(gap[a_i])}
@@ -896,4 +921,4 @@ def reachability_diagnostic(
             )
     root = tree.action_at(())
     injective = len(set(root.e1.table)) == space.m1 and len(set(root.e2.table)) == space.m2
-    return ReductionReport(len(pis), len(first), conflicts, injective)
+    return ReductionReport(len(group_of), len(first), conflicts, injective)

@@ -123,12 +123,18 @@ class PolicyTree:
         ``actions[at[i]]``: the tree that the dict of those nodes gives,
         built from the index array alone."""
         tree = cls.__new__(cls)
-        at = np.asarray(at).tolist()
+        at = np.asarray(at)
         tree._shape(depth, n_outputs, len(at))
-        # slots in order of first appearance, as the dict constructor numbers them
-        slot = {}
-        at = [slot.setdefault(i, len(slot)) for i in at]
-        tree._store(tuple(actions[i] for i in slot), at)
+        # slots in order of first appearance, as the dict constructor
+        # numbers them: the actions sorted by their first node, where an
+        # action that no node holds sorts last
+        first = np.empty(len(actions), dtype=np.uint32 if len(at) < 1 << 32 else np.intp)
+        first.fill(len(at))
+        np.minimum.at(first, at, np.arange(len(at), dtype=first.dtype))
+        order = np.argsort(first)
+        distinct = order[: first[order].searchsorted(len(at))]
+        slot = np.argsort(order).astype(np.uint8 if len(distinct) <= 256 else np.uintc)
+        tree._store(tuple(actions[i] for i in distinct.tolist()), slot[at])
         return tree
 
     def _shape(self, depth: int, n_outputs: int, n_nodes: int) -> None:
@@ -143,10 +149,18 @@ class PolicyTree:
             raise ValueError(f"{n_nodes} nodes do not make a complete tree of depth {depth} "
                              f"over {n_outputs} outputs")
 
-    def _store(self, distinct: tuple, at: list) -> None:
-        """Keep the distinct actions and each node's slot among them."""
+    def _store(self, distinct: tuple, at) -> None:
+        """Keep the distinct actions and each node's slot among them, given
+        as a list or an int array."""
+        small = len(distinct) <= 256
+        if isinstance(at, np.ndarray):
+            at = at.astype(np.uint8 if small else np.uintc, copy=False).tobytes()
         self._distinct = distinct
-        self._at = bytes(at) if len(distinct) <= 256 else array("I", at)
+        self._at = bytes(at) if small else array("I", at)
+
+    def _slots(self) -> np.ndarray:
+        """Each node's slot among ``actions``, read from the stored array."""
+        return np.frombuffer(self._at, dtype=np.uint8 if isinstance(self._at, bytes) else np.uintc)
 
     @property
     def actions(self) -> tuple:
@@ -196,12 +210,14 @@ class PolicyTree:
         return list(zip(histories(self.n_outputs, self.depth), self._actions()))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PolicyTree)
-            and self.depth == other.depth
-            and self.n_outputs == other.n_outputs
-            and self._actions() == other._actions()
-        )
+        if not isinstance(other, PolicyTree) or (self.depth, self.n_outputs) != (other.depth, other.n_outputs):
+            return False
+        # number the distinct actions of both trees by value, then compare
+        # the nodes' numbers
+        number = {}
+        ids = [np.array([number.setdefault(a, len(number)) for a in tree._distinct], dtype=np.intp)
+               for tree in (self, other)]
+        return bool(np.array_equal(ids[0][self._slots()], ids[1][other._slots()]))
 
 
 def _digits(values: Iterable[int]) -> str:
@@ -292,7 +308,7 @@ def prune_actions(
     pi, labels1, labels2 = state.pi.table, row_classes(state.beta1.rows), row_classes(state.beta2.rows)
     joint, p = kernel.joint(pi)
     ref1, ref2 = kernel.refined(labels1, labels2)
-    post = kernel.posteriors(joint, p).reshape((p.size,) + pi.shape)
+    post = kernel.posteriors(joint, p).reshape(pi.shape + (p.size,))
     keep = kernel.prune_mask(p.reshape(-1), post, ref1, ref2, np.arange(p.size).reshape(p.shape),
                              kernel.weighted(weights, pi, labels1, labels2, p), PRUNE_TOL)
     return [actions[a] for a in np.flatnonzero(keep)]

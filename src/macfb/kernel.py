@@ -12,8 +12,8 @@ counted from 0 in order of first appearance (``root_labels`` before any
 channel use, ``row_classes`` from a validated float table). At a state
 (pi, labels1, labels2) the joint J = L * pi then gives, for all actions:
 
-* the predictive distribution p[a, y] = sum_m J[a, y, m];
-* every posterior J[a, y] / p[a, y];
+* the predictive distribution p[a, y] = sum_m J[m, a, y];
+* every posterior J[m, a, y] / p[a, y];
 * i3 = H(p_a) - sum_m pi Hn[a];
 * i1 = H(Y | C2) - sum_m pi Hn[a], where C2 is sender 2's cell (its
   private class times its current symbol). An action reaches the
@@ -29,15 +29,25 @@ channel use, ``row_classes`` from a validated float table). At a state
 The rewards need the state and p only, not the joint. This is the
 common-information split of the state: the common belief carries the
 outputs, the labels only the encoders' partitions.
-Every method also takes a batch of states, stacked on a leading axis of
-pi and the labels, and then returns its results with that axis in
-front; each state's entries are bit-identical to evaluating it alone.
-The reward sums over the short axes (messages, outputs, sender cells) are
-slice additions in index order wherever numpy's own sum adds in that
-order, and numpy's sum where it regroups the terms (``_sum``); the margins
-carry the bits of the joint's message sums and a cell adds its members in
-message order, so the rewards carry the bits of plain numpy reductions
-over the joint at a fraction of their cost.
+
+Layout: every method also takes a batch of states, stacked on a last
+axis of pi (M1, M2, ...) and of the labels (M, ...), and returns its
+results with the same batch axes last; a single state is the stack with
+no batch axis, and each state's entries are bit-identical to evaluating
+it alone. An axis that is summed or compared over comes first: the joint
+and the posteriors are J[m1, m2, a, y, ...] (J[m1, m2, b, ...] per
+branch), the refined labels ref[m, k, ...], the predictive p[a, y, ...]
+and each reward [a, ...]. The batch is the long axis (hundreds of states
+a level) and the others are short (2-9 messages, 2-9 message pairs, 2-3
+outputs), so every elementwise operation runs numpy's inner loop the
+length of the batch, where a stack on a leading axis ran it over a short
+axis. The short sums (messages, outputs, sender cells) are slice
+additions over the leading axis, in numpy's own order for the same terms
+along a contiguous axis (``_sum``) or in index order where numpy adds in
+that order (``_sum_in_order``); the margins carry the bits of the
+joint's message sums and a cell adds its members in message order, so
+the rewards carry the bits of plain numpy reductions over the joint at a
+fraction of their cost.
 Everything here works on raw arrays and validates nothing; the validated
 belief and reward functions wrap it at the API boundary.
 
@@ -83,23 +93,43 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sum(x: np.ndarray, axis: int) -> np.ndarray:
-    """``x.sum(axis)``, bit for bit, for a negative ``axis``.
+def _sum_in_order(x: np.ndarray) -> np.ndarray:
+    """``x`` summed over its leading axis in index order, as numpy sums an
+    axis that more entries follow; the final + 0.0 is numpy's start from
+    +0.0, which sets the sign of a zero sum."""
+    if len(x) < 2:
+        return x[0] + 0.0 if len(x) else np.zeros(x.shape[1:])
+    acc = x[0] + x[1]
+    for k in range(2, len(x)):
+        acc += x[k]
+    acc += 0.0
+    return acc
 
-    Where numpy adds the terms in index order (along an axis followed by
-    more than one entry, or one shorter than 8 when nothing follows) this
-    is a chain of slice additions, which on the short axes here costs a
-    fraction of numpy's strided reduction; the final + 0.0 matches numpy's
-    start from +0.0 in the sign of a zero sum. Elsewhere numpy sums
-    pairwise and is left to it.
+
+def _sum(x: np.ndarray) -> np.ndarray:
+    """``x`` summed over its leading axis as slice additions, bit for bit
+    what numpy's sum gives along a contiguous axis of the same terms.
+
+    numpy adds fewer than 8 terms in index order. From 8 to 128 it keeps
+    eight running sums over blocks of 8, combines them as ((r0 + r1) + (r2
+    + r3)) + ((r4 + r5) + (r6 + r7)) and adds the tail in index order; then
+    + 0.0, its start. Above 128 terms it recurses, and is left to it. The
+    slices run numpy's inner loops over the trailing (batch) axes, where
+    its own reduction would run them the length of the summed axis.
     """
-    n = x.shape[axis]
-    if n < 2 or (n >= 8 and math.prod(x.shape[x.ndim + axis + 1 :]) == 1):
-        return x.sum(axis=axis)
-    tail = (slice(None),) * (-1 - axis)
-    acc = x[(..., 0) + tail] + x[(..., 1) + tail]
-    for k in range(2, n):
-        acc += x[(..., k) + tail]
+    n = len(x)
+    if n < 8:
+        return _sum_in_order(x)
+    if n > 128:
+        return np.ascontiguousarray(np.moveaxis(x, 0, -1)).sum(axis=-1)
+    stop = n - n % 8
+    r = [x[j] for j in range(8)]
+    for i in range(8, stop, 8):
+        r = [r[j] + x[i + j] for j in range(8)]
+    acc = (r[0] + r[1]) + (r[2] + r[3])
+    acc += (r[4] + r[5]) + (r[6] + r[7])
+    for i in range(stop, n):
+        acc += x[i]
     acc += 0.0
     return acc
 
@@ -110,18 +140,35 @@ def _column_entropies(cols: np.ndarray) -> np.ndarray:
 
 
 def _first_labels(codes: np.ndarray) -> np.ndarray:
-    """Relabel the last axis of an int array in order of first appearance:
-    equal codes get equal labels, counting up from 0."""
-    first = (codes[..., :, None] == codes[..., None, :]).argmax(axis=-1)
-    new = first == np.arange(codes.shape[-1])
-    return np.take_along_axis(np.cumsum(new, axis=-1) - 1, first, axis=-1)
+    """Relabel the leading axis of an int array in order of first
+    appearance: equal codes get equal labels, counting up from 0.
+
+    One state's few codes are compared pair by pair at once, in fewer
+    numpy calls; a stack goes message by message, so that every operation
+    runs the length of the stack (timeit: 11 against 20 us for one state
+    of 3 messages, 26 against 70 us for a (3, 8, 74) stack)."""
+    if codes.ndim == 1:
+        first = (codes[:, None] == codes).argmax(axis=0)
+        return np.cumsum(first == np.arange(len(codes)))[first] - 1
+    labels = np.zeros(codes.shape, dtype=np.intp)
+    count = np.ones(codes.shape[1:], dtype=np.intp)
+    for m in range(1, len(codes)):
+        # the label of the first earlier message with m's code, else a new one
+        label, new = count.copy(), np.ones(codes.shape[1:], dtype=bool)
+        for k in reversed(range(m)):
+            same = codes[k] == codes[m]
+            np.copyto(label, labels[k], where=same)
+            new &= ~same
+        labels[m] = label
+        count += new
+    return labels
 
 
 def root_labels(marginal: np.ndarray) -> np.ndarray:
     """A sender's labels before any channel use: the messages with mass in
     ``marginal`` share one class and each zero-mass message is a class of
     its own, as its point-mass row in ``belief.initial_state`` is."""
-    return _first_labels(np.where(marginal > 0.0, -1, np.arange(marginal.shape[-1])))
+    return _first_labels(np.where(marginal > 0.0, -1, np.arange(len(marginal))))
 
 
 def row_classes(rows: np.ndarray) -> np.ndarray:
@@ -170,57 +217,57 @@ def _cell_tables(own: np.ndarray, other_of: np.ndarray, n_symbols: int) -> tuple
     return bits, masks, base
 
 
-def _cell_sum(cells: np.ndarray) -> np.ndarray:
-    """cells[..., c, a] summed over c, bit for bit ``_sum`` of the
-    (..., a, c) transpose over its last axis."""
-    if cells.shape[-2] < 8:
-        return _sum(cells, -2)
-    return np.ascontiguousarray(np.swapaxes(cells, -1, -2)).sum(axis=-1)
-
-
 def _cell_entropy(margin: np.ndarray, labels: np.ndarray, bits: np.ndarray, masks: np.ndarray,
                   base: np.ndarray) -> np.ndarray:
-    """H(Y | C) in bits for every action.
+    """H(Y | C) in bits for every action, (A, ...).
 
-    margin[..., k, x, y, m] is the joint of the output and the conditioning
+    margin[y, k, x, m, ...] is the joint of the output and the conditioning
     sender's message m when that sender sends x and the other sender uses
     its distinct encoder k; C groups m by (label, current symbol). The
     terms of a cell depend on the action only through (k, x) and the
     cell's member set, so they are computed once for every member set u,
-    its members summed in message order, and each action's cells gather
-    them (``_cell_tables``). The empty set gives exact zeros, which
-    is what a cell that a state lacks adds. A batch of states shares one
-    cell count, the largest: in index order, below 8 cells, the padding
-    keeps every bit; from 8 on numpy sums the cells pairwise, so states
-    with fewer cells are summed apart, by count. Either way every state
-    gets the bits it gets alone.
+    its members summed in message order (a matmul with the 0/1 ``bits``),
+    and each action's cells gather them (``_cell_tables``). The empty set
+    gives exact zeros, which is what a cell that a state lacks adds. A
+    batch of states shares one cell count, the largest: in index order,
+    below 8 cells, the padding keeps every bit; from 8 on numpy sums the
+    cells pairwise, so states with fewer cells are summed apart, by count.
+    Either way every state gets the bits it gets alone.
     """
-    sub = margin @ bits  # (..., K, X, Y, sets)
-    terms = _xlogx(_sum(sub, -2)) - _sum(_xlogx(sub), -2)
-    lead = margin.shape[:-4]
+    batch = margin.shape[4:]
+    n_states = math.prod(batch)
+    margin = margin.reshape(margin.shape[:4] + (n_states,))
+    sub = bits.T @ margin  # (Y, K, X, sets, states)
+    terms = _xlogx(_sum_in_order(sub)) - _sum_in_order(_xlogx(sub))
+    del sub
+    labels = np.broadcast_to(labels.reshape(len(labels), -1), (len(labels), n_states))
     n_symbols = len(masks)
-    n_classes = labels.max(axis=-1) + 1
+    n_classes = labels.max(axis=0) + 1
     n_cells = int(n_classes.max()) * n_symbols
-    # members[..., j]: the messages of class j, as a bitmask
-    members = ((labels[..., None] == np.arange(n_cells // n_symbols))
-               << np.arange(labels.shape[-1])[:, None]).sum(axis=-2)
-    flat = terms.reshape(lead + (-1,))
-    offset = np.arange(flat[..., 0].size).reshape(lead) * flat.shape[-1]
-    index = base + (members[..., None, None] & masks) + offset[..., None, None, None]
-    cells = flat.reshape(-1)[index].reshape(lead + (n_cells, -1))  # (..., class x symbol, A)
+    # members[j, s]: the messages of class j at state s, as a bitmask
+    members = ((labels == np.arange(n_cells // n_symbols)[:, None, None])
+               << np.arange(len(labels))[:, None]).sum(axis=1)
+    # one index array, built in place: it is as large as the cells
+    index = members[:, None, None, :] & masks[:, :, None]
+    index += base[:, :, None]
+    index *= n_states
+    index += np.arange(n_states)
+    cells = np.take(terms, index).reshape((n_cells, -1, n_states))
+    del index
     if n_cells >= 8 and int(n_classes.min()) * n_symbols < n_cells:
-        counts = np.broadcast_to(n_classes * n_symbols, lead)
-        out = np.empty(cells.shape[:-2] + cells.shape[-1:])
+        counts = n_classes * n_symbols
+        out = np.empty(cells.shape[1:])
         for count in np.unique(counts):
             part = counts == count
-            out[part] = _cell_sum(cells[part][..., :count, :])
-        return out / _LN2
-    return _cell_sum(cells) / _LN2
+            out[:, part] = _sum(cells[:count, :, part])
+    else:
+        out = _sum(cells)
+    return (out / _LN2).reshape(out.shape[:1] + batch)
 
 
 @functools.lru_cache(maxsize=64)
 def _multipliers(width: int) -> np.ndarray:
-    """Fixed odd 64-bit multipliers, one per word of a row ``width`` words
+    """Fixed odd 64-bit multipliers, one per word of a key ``width`` words
     wide: the splitmix64 outputs of 1..width, made odd. Read-only, as
     every caller shares them."""
     x = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
@@ -232,32 +279,37 @@ def _multipliers(width: int) -> np.ndarray:
 
 
 def _hash(words: np.ndarray) -> np.ndarray:
-    """A 64-bit multiplicative hash of every row of a (rows, width) uint64
-    array, wrapping around in array arithmetic. Each word is first folded
-    onto its low half, since floats of round values differ in high bits
-    only."""
-    return (words ^ (words >> 32)) @ _multipliers(words.shape[1])
+    """A 64-bit multiplicative hash of every column of a (width, keys)
+    uint64 array, one multiply-add per word, wrapping around in array
+    arithmetic: the dot product of each key with ``_multipliers``. Each
+    word is first folded onto its low half, since floats of round values
+    differ in high bits only."""
+    folded = words >> 32
+    folded ^= words
+    folded *= _multipliers(len(words))[:, None]
+    return folded.sum(axis=0)
 
 
-def hashed_rows(rows: np.ndarray) -> tuple:
-    """(words, hashes) of a 2-D array: each row's bytes as 64-bit words,
-    zero-padded, and their hash. Rows with equal bytes get equal words and
-    hashes, so -0.0 and 0.0 stay apart."""
-    words = np.ascontiguousarray(rows)
-    if words.dtype.itemsize != 8:
-        raw = words.view(np.uint8)
+def hashed_rows(keys: np.ndarray) -> tuple:
+    """(words, hashes) of a 2-D array of keys, one key per column: each
+    key's bytes as 64-bit words, zero-padded, (words, keys), and their
+    hash. Keys with equal bytes get equal words and hashes, so -0.0 and 0.0
+    stay apart."""
+    if keys.dtype.itemsize == 8:
+        words = keys.view(np.uint64)
+    else:
+        raw = np.ascontiguousarray(keys.T).view(np.uint8)
         pad = np.zeros((len(raw), -raw.shape[1] % 8), dtype=np.uint8)
-        words = np.concatenate([raw, pad], axis=1)
-    words = words.view(np.uint64)
+        words = np.concatenate([raw, pad], axis=1).view(np.uint64).T
     return words, _hash(words)
 
 
 def first_hashed(words: np.ndarray, hashes: np.ndarray) -> tuple:
-    """``first_rows`` of the rows that ``hashed_rows`` gave (words, hashes).
+    """``first_rows`` of the keys that ``hashed_rows`` gave (words, hashes).
 
-    A quicksort groups the rows by hash and the first row of each group is
-    its smallest index; every row is then checked word by word against its
-    group's first row. The rows of a group with a mismatch, a hash
+    A quicksort groups the keys by hash and the first key of each group is
+    its smallest index; every key is then checked word by word against its
+    group's first key. The keys of a group with a mismatch, a hash
     collision, are told apart by their bytes, so a collision costs time
     but never changes a number.
     """
@@ -269,30 +321,32 @@ def first_hashed(words: np.ndarray, hashes: np.ndarray) -> tuple:
     start = np.empty(n, dtype=bool)
     start[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=start[1:])
-    # rep[i]: the first row with row i's bytes
+    # rep[i]: the first key with key i's bytes
     rep = np.empty(n, dtype=np.intp)
     rep[order] = np.minimum.reduceat(order, np.flatnonzero(start))[np.cumsum(start) - 1]
-    clash = np.take(words, rep, axis=0) != words
+    clash = np.take(words, rep, axis=1) != words
     if clash.any():
-        shared = np.flatnonzero(np.isin(rep, rep[np.flatnonzero(clash) // words.shape[1]]))
-        keys = words[shared].view(np.dtype((np.void, 8 * words.shape[1]))).ravel()
+        shared = np.flatnonzero(np.isin(rep, rep[clash.any(axis=0)]))
+        keys = np.ascontiguousarray(words[:, shared].T).view(np.dtype((np.void, 8 * len(words)))).ravel()
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         rep[shared] = shared[first[inverse.ravel()]]
     is_first = rep == np.arange(n)
     return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[rep]
 
 
-def first_rows(rows: np.ndarray) -> tuple:
-    """Distinct rows of a 2-D array, compared by their bytes, in order of
-    first appearance: (first, inverse) with ``rows[first]`` the distinct
-    rows and ``rows[i]`` equal to ``rows[first[inverse[i]]]``.
+def first_rows(keys: np.ndarray) -> tuple:
+    """Distinct keys of a 2-D array, one key per column, compared by their
+    bytes, in order of first appearance: (first, inverse) with
+    ``keys[:, first]`` the distinct keys and ``keys[:, i]`` equal to
+    ``keys[:, first[inverse[i]]]``.
 
-    The rows are grouped by a 64-bit hash of their words (``hashed_rows``)
-    and checked against their group's first row (``first_hashed``): a
-    quicksort of integers where ``np.unique`` over the rows' bytes would
-    mergesort them with a generic byte comparison, about a quarter of its
-    time on a 1890 x 4 level of int64 rows."""
-    return first_hashed(*hashed_rows(rows))
+    The keys are grouped by a 64-bit hash of their words (``hashed_rows``)
+    and checked against their group's first key (``first_hashed``): a
+    quicksort of integers where ``np.unique`` over the keys' bytes would
+    mergesort them with a generic byte comparison. Laid out as columns,
+    the hash and the check run one numpy loop the length of the keys per
+    word."""
+    return first_hashed(*hashed_rows(keys))
 
 
 class _ActionTables(NamedTuple):
@@ -328,7 +382,7 @@ def _action_tables(actions, n_x1: int, n_x2: int) -> _ActionTables:
     # the refined labels depend on an encoder through its partition only,
     # which its symbols relabelled by first appearance name
     _, partition_of = first_rows(
-        np.concatenate([_first_labels(enc1)[enc1_of], _first_labels(enc2)[enc2_of]], axis=1))
+        np.concatenate([_first_labels(enc1.T)[:, enc1_of], _first_labels(enc2.T)[:, enc2_of]]))
     tables = _ActionTables(actions, e1, e2, enc1, enc1_of, enc2, enc2_of, partition_of,
                           _cell_tables(e2, enc1_of, n_x2), _cell_tables(e1, enc2_of, n_x1))
     for x in tables[1:8] + tables.cells2 + tables.cells1:
@@ -361,17 +415,20 @@ def _tables_of(actions: list, x1: int, x2: int) -> _ActionTables:
 class ActionKernel:
     """Likelihoods and noise entropies of a fixed action list on one channel.
 
-    ``enc1_of[a]`` and ``enc2_of[a]`` index the distinct encoders of action
-    a, which is how the refined labels are shared between actions. The
-    tables that do not depend on the channel (``_ActionTables``) are shared
-    by every kernel of the enumerated action set of one shape.
+    ``lik[a, y, m1, m2]`` is the likelihood, a view of ``_lik[m1, m2, a,
+    y]``, which the products with a belief read, and ``noise[a, m1, m2]``
+    the noise entropy, which they read as ``_noise[m1, m2, a]``. ``enc1_of[a]`` and
+    ``enc2_of[a]`` index the distinct encoders of action a, which is how
+    the refined labels are shared between actions. The tables that do not
+    depend on the channel (``_ActionTables``) are shared by every kernel
+    of the enumerated action set of one shape.
 
     Branches, numbered in order of their first (a, y): ``branch_of[a, y]``
     is the branch of a pair, ``branch_pair[b]`` the flat index a * Y + y of
-    its first pair, ``branch_lik[b]`` its likelihood column and
-    ``branch_enc1[b]``, ``branch_enc2[b]`` the encoder indices of its first
-    pair. They are built on first access, and so are the tables the
-    rewards gather their cell terms with.
+    its first pair, ``branch_lik[b]`` its likelihood column (a view of
+    ``_branch_lik[m1, m2, b]``) and ``branch_enc1[b]``, ``branch_enc2[b]``
+    the encoder indices of its first pair. They are built on first access,
+    and so are the tables the rewards gather their cell terms with.
     """
 
     def __init__(self, channel: Channel, actions):
@@ -386,88 +443,105 @@ class ActionKernel:
         q = channel.kernel
         x1 = self.e1[:, :, None]
         x2 = self.e2[:, None, :]
-        self.lik = np.ascontiguousarray(np.moveaxis(q[:, x1, x2], 0, 1))
+        self._lik = np.ascontiguousarray(q[:, x1, x2].transpose(2, 3, 1, 0))
+        self.lik = np.moveaxis(self._lik, (0, 1), (2, 3))
         noise = _column_entropies(q.reshape(q.shape[0], -1)).reshape(q.shape[1:])
         self.noise = noise[x1, x2]
+        self._noise = np.ascontiguousarray(self.noise.transpose(1, 2, 0))
         self._q = q
 
     @functools.cached_property
     def _branches(self) -> tuple:
-        """(branch_pair, branch_of, branch_lik, branch_enc1, branch_enc2),
+        """(branch_pair, branch_of, _branch_lik, branch_enc1, branch_enc2),
         built on first access: only the finite-horizon programs read them."""
         n_actions, n_outputs = self.lik.shape[:2]
-        keys = np.concatenate(
-            [
-                self.lik.reshape(n_actions * n_outputs, -1).view(np.int64),
-                np.repeat(self._tables.partition_of, n_outputs)[:, None],
-            ],
-            axis=1,
-        )
+        columns = self._lik.reshape(-1, n_actions * n_outputs)
+        keys = np.concatenate([columns.view(np.int64),
+                               np.repeat(self._tables.partition_of, n_outputs)[None]])
         pair, branch_of = first_rows(keys)
         return (
             pair,
             branch_of.reshape(n_actions, n_outputs),
-            self.lik.reshape((-1,) + self.lik.shape[2:])[pair],
+            np.ascontiguousarray(self._lik.reshape(self._lik.shape[:2] + (-1,))[..., pair]),
             self.enc1_of[pair // n_outputs],
             self.enc2_of[pair // n_outputs],
         )
 
     branch_pair = property(lambda self: self._branches[0])
     branch_of = property(lambda self: self._branches[1])
-    branch_lik = property(lambda self: self._branches[2])
+    _branch_lik = property(lambda self: self._branches[2])
+    branch_lik = property(lambda self: np.moveaxis(self._branches[2], -1, 0))
     branch_enc1 = property(lambda self: self._branches[3])
     branch_enc2 = property(lambda self: self._branches[4])
 
     def __len__(self) -> int:
         return len(self.actions)
 
+    @staticmethod
+    def _times(table: np.ndarray, pi: np.ndarray) -> np.ndarray:
+        """table[m1, m2, ...] * pi[m1, m2, batch...], with the table's
+        axes between the messages' and the batch's."""
+        extra = table.ndim - 2
+        return table.reshape(table.shape + (1,) * (pi.ndim - 2)) * pi.reshape(
+            pi.shape[:2] + (1,) * extra + pi.shape[2:])
+
     def joint(self, pi: np.ndarray) -> tuple:
-        """J[..., a, y, m1, m2] = L * pi and the predictive p[..., a, y]."""
-        joint = self.lik * pi[..., None, None, :, :]
-        p = joint.reshape(joint.shape[:-2] + (-1,)).sum(axis=-1)
-        return joint, p
+        """J[m1, m2, a, y, ...] = L * pi and the predictive p[a, y, ...]."""
+        joint = self._times(self._lik, pi)
+        return joint, _sum(joint.reshape((-1,) + joint.shape[2:]))
+
+    def joint_of(self, a: int, pi: np.ndarray) -> tuple:
+        """J[m1, m2, y] and p[y] of action a alone at one state, bit for bit
+        those of ``joint`` at a."""
+        joint = self._lik[:, :, a] * pi[:, :, None]
+        return joint, _sum(joint.reshape((-1,) + joint.shape[2:]))
 
     def branch_joint(self, pi: np.ndarray) -> tuple:
-        """J[..., b, m1, m2] = L_b * pi and the predictive p[..., b] of every
+        """J[m1, m2, b, ...] = L_b * pi and the predictive p[b, ...] of every
         branch, bit for bit those of each of its pairs in ``joint``."""
-        joint = self.branch_lik * pi[..., None, :, :]
-        return joint, _sum(joint.reshape(joint.shape[:-2] + (-1,)), -1)
+        joint = self._times(self._branch_lik, pi)
+        return joint, _sum(joint.reshape((-1,) + joint.shape[2:]))
 
     @staticmethod
     def posteriors(joint: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """J[..., a, y] / p[..., a, y]. Entries whose p is at or below
-        MASS_EPS are impossible branches; they hold the unnormalised joint
+        """J / p, laid out as J. Entries whose p is at or below MASS_EPS
+        are impossible branches; they hold the unnormalised joint
         instead."""
-        safe = np.where(p > MASS_EPS, p, 1.0)
-        return joint / safe[..., None, None]
+        return joint / np.where(p > MASS_EPS, p, 1.0)
 
     @functools.cached_property
     def _cells(self) -> tuple:
         """(lik, bits, masks, base) of sender 2's cells (i1), then of
         sender 1's (i2), built on first access: only the rewards read them.
-        lik[k, x, y, m] = Q(y | ...) with the other sender's distinct
+        lik[m, y, k, x] = Q(y | ...) with the other sender's distinct
         encoder k on its message m and the conditioning sender on symbol x;
         bits, masks and base as ``_cell_tables`` returns them."""
         q = self._q
         return (
-            (q[:, self._enc1].transpose(1, 3, 0, 2), *self._tables.cells2),
-            (q[:, :, self._enc2].transpose(2, 1, 0, 3), *self._tables.cells1),
+            (np.ascontiguousarray(q[:, self._enc1].transpose(2, 0, 1, 3)), *self._tables.cells2),
+            (np.ascontiguousarray(q[:, :, self._enc2].transpose(3, 0, 2, 1)), *self._tables.cells1),
         )
 
     def rewards(self, pi, labels1, labels2, p) -> tuple:
-        """(i1, i2, i3) in bits, one (..., A) array each, from the
-        predictive p[..., a, y]."""
-        noise = (self.noise * pi[..., None, :, :]).reshape(p.shape[:-1] + (-1,)).sum(axis=-1)
-        i3 = -_sum(_xlogx(p), -1) / _LN2 - noise
+        """(i1, i2, i3) in bits, one (A, ...) array each, from the
+        predictive p[a, y, ...]."""
+        noise = _sum(self._times(self._noise, pi).reshape((-1,) + p.shape[:1] + p.shape[2:]))
+        i3 = -_sum(np.moveaxis(_xlogx(p), 1, 0)) / _LN2 - noise
         (lik1, *cells2), (lik2, *cells1) = self._cells
-        pi = pi[..., None, None, None, :, :]
+        batch = (1,) * (pi.ndim - 2)
         # the products and message sums of ``joint``, per distinct encoder,
         # one sender's at a time: with fewer temporaries alive at once (and
         # ``_xlogx`` in one array), glibc keeps the freed heap between
         # solves, where a horizon-wide solve at CHUNK_ENTRIES = 1 << 16
-        # faulted about 190 fresh pages in every time (ru_minflt)
-        i1 = _cell_entropy(_sum(lik1[..., None] * pi, -2), labels2, *cells2) - noise
-        i2 = _cell_entropy(_sum(lik2[..., None, :] * pi, -1), labels1, *cells1) - noise
+        # faulted about 190 fresh pages in every time (ru_minflt). Sender
+        # 1's messages are summed where sender 2's follow them in J, in
+        # index order unless sender 2 has one message; sender 2's are J's
+        # last message axis
+        i1 = _cell_entropy((_sum_in_order if pi.shape[1] > 1 else _sum)(
+            lik1.reshape(lik1.shape + (1,) + batch) * pi[:, None, None, None]), labels2, *cells2) - noise
+        i2 = _cell_entropy(_sum(
+            lik2.reshape(lik2.shape + (1,) + batch) * np.moveaxis(pi, 1, 0)[:, None, None, None]),
+            labels1, *cells1) - noise
         return i1, i2, i3
 
     def weighted(self, weights, pi, labels1, labels2, p) -> np.ndarray:
@@ -476,12 +550,13 @@ class ActionKernel:
         return weights.l1 * i1 + weights.l2 * i2 + weights.l3 * i3
 
     def refined(self, labels1, labels2) -> tuple:
-        """Both senders' labels refined by every distinct encoder: the
-        (label, symbol) pairs relabelled in order of first appearance.
-        Index the results with ``enc1_of[a]`` and ``enc2_of[a]`` on the axis
-        after the state axes."""
-        return (_first_labels(labels1[..., None, :] * self.n_x1 + self._enc1),
-                _first_labels(labels2[..., None, :] * self.n_x2 + self._enc2))
+        """Both senders' labels refined by every distinct encoder, (M1, K1,
+        ...) and (M2, K2, ...): the (label, symbol) pairs relabelled in
+        order of first appearance. Index the results with ``enc1_of[a]`` and
+        ``enc2_of[a]`` on the axis after the message axis."""
+        batch = (1,) * (labels1.ndim - 1)
+        return (_first_labels(labels1[:, None] * self.n_x1 + self._enc1.T.reshape(self._enc1.T.shape + batch)),
+                _first_labels(labels2[:, None] * self.n_x2 + self._enc2.T.reshape(self._enc2.T.shape + batch)))
 
     def refined_by(self, a: int, labels1, labels2) -> tuple:
         """Both senders' labels refined by action a's encoders alone, as
@@ -490,36 +565,36 @@ class ActionKernel:
                 _first_labels(labels2 * self.n_x2 + self.e2[a]))
 
     def prune_mask(self, p, post, ref1, ref2, pair_of, totals, tol: float) -> np.ndarray:
-        """Mask (..., A) of the actions that prune keeps at each state: the
+        """Mask (A, ...) of the actions that prune keeps at each state: the
         first action of every class of equal Bayes update and equal total,
         found by one dedupe of the actions over (state, update, total).
 
         Action a's update is its predictive distribution and its
         posteriors on the outputs with mass, rounded to multiples of
-        ``tol``, read at rows ``pair_of[a, y]`` of p (..., P) and post
-        (..., P, M1, M2), and both refined labels (as ``refined`` returns
-        them); its total ``totals[..., a]`` is rounded to a multiple of
+        ``tol``, read at rows ``pair_of[a, y]`` of p (P, ...) and post
+        (M1, M2, P, ...), and both refined labels (as ``refined`` returns
+        them); its total ``totals[a, ...]`` is rounded to a multiple of
         ``tol`` too. A rounded row enters the dedupe as its number among
         the distinct rounded rows, one word in place of 1 + M1 M2: at
         noisy_adder 3x3 that takes about two thirds of the time and half
         the memory of a dedupe over the rows themselves.
         """
-        n_states = math.prod(totals.shape[:-1])
-        masked = np.where((p > MASS_EPS)[..., None, None], post, 0.0)
-        rows = np.concatenate([p[..., None], masked.reshape(p.shape + (-1,))], axis=-1)
+        n_states = math.prod(totals.shape[1:])
+        p = p.reshape(len(p), n_states)
+        masked = np.where(p > MASS_EPS, post.reshape((-1,) + p.shape), 0.0)
+        rows = np.concatenate([p[None], masked])
         # + 0.0 folds -0.0 into 0.0
-        _, row_of = first_rows((np.rint(rows / tol) + 0.0).reshape(-1, rows.shape[-1]))
+        _, row_of = first_rows((np.rint(rows / tol) + 0.0).reshape(len(rows), -1))
         keys = np.concatenate(
             [
-                np.broadcast_to(np.arange(n_states)[:, None, None], (n_states, len(self), 1)),
-                row_of.reshape(n_states, -1)[:, pair_of],
-                ref1.reshape(n_states, -1, ref1.shape[-1])[:, self.enc1_of],
-                ref2.reshape(n_states, -1, ref2.shape[-1])[:, self.enc2_of],
-                (np.rint(totals / tol) + 0.0).reshape(n_states, -1, 1).view(np.int64),
-            ],
-            axis=-1,
+                np.broadcast_to(np.arange(n_states), (1, len(self), n_states)),
+                row_of.reshape(p.shape)[pair_of.T],
+                ref1.reshape(ref1.shape[:2] + (n_states,))[:, self.enc1_of],
+                ref2.reshape(ref2.shape[:2] + (n_states,))[:, self.enc2_of],
+                (np.rint(totals / tol) + 0.0).reshape(1, len(self), n_states).view(np.int64),
+            ]
         )
-        first, _ = first_rows(keys.reshape(n_states * len(self), -1))
+        first, _ = first_rows(keys.reshape(len(keys), -1))
         mask = np.zeros(totals.size, dtype=bool)
         mask[first] = True
         return mask.reshape(totals.shape)

@@ -406,7 +406,7 @@ def test_one_state_chunks_solve_the_same(monkeypatch):
 
     def counted(levels, step):
         for lo, batch in engine_batches(levels, step):
-            batches.append(len(batch[0]))
+            batches.append(batch[0].shape[-1])
             yield lo, batch
 
     engine_batches = dp._batches
@@ -461,11 +461,11 @@ def _level_numbers(rows: np.ndarray, cuts: np.ndarray, raw: bool) -> tuple:
     index, got, firsts = dp._LevelIndex(), [], []
     for lo, chunk in zip(np.concatenate([[0], cuts]), np.split(rows, cuts)):
         if raw:
-            number, new = index.add(chunk)
+            number, new = index.add(chunk.T)
             firsts.append(lo + new)
         else:
             first, inverse = _numbered_by_bytes(chunk)
-            number, new = index.add(chunk[first])
+            number, new = index.add(chunk[first].T)
             firsts.append(lo + first[new])
             number = number[inverse]
         got.append(number)
@@ -496,12 +496,12 @@ def test_first_rows_numbers_rows_by_their_bytes():
     for floats in (False, True):
         for _ in range(30):
             rows = _random_rows(rng, floats)
-            for got, expected in zip(first_rows(rows), _numbered_by_bytes(rows)):
+            for got, expected in zip(first_rows(rows.T), _numbered_by_bytes(rows)):
                 np.testing.assert_array_equal(got, expected)
-    first, inverse = first_rows(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]))
+    first, inverse = first_rows(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]).T)
     assert first.tolist() == [0, 1] and inverse.tolist() == [0, 1, 0]
     # rows of any byte width, not only whole 64-bit words
-    first, inverse = first_rows(np.array([[1, 2, 3], [1, 2, 3], [1, 2, 4]], dtype=np.int8))
+    first, inverse = first_rows(np.array([[1, 2, 3], [1, 2, 3], [1, 2, 4]], dtype=np.int8).T)
     assert first.tolist() == [0, 2] and inverse.tolist() == [0, 0, 1]
 
 
@@ -526,7 +526,7 @@ def test_hash_collisions_never_change_a_number(monkeypatch, collide):
     monkeypatch.setattr(dp, "CHUNK_ENTRIES", 1)
 
     def outputs():
-        numbered = [kernel.first_rows(rows) for rows, _, _ in cases]
+        numbered = [kernel.first_rows(rows.T) for rows, _, _ in cases]
         levels = [_level_numbers(rows, cuts, raw) for rows, cuts, raw in cases]
         horizon = solve_horizon(ch, space, weights, 3, prior)
         pruned = solve_horizon(ch, space, weights, 2, prior, prune=True)
@@ -537,9 +537,9 @@ def test_hash_collisions_never_change_a_number(monkeypatch, collide):
 
     numbered, levels, solves = outputs()
     if collide == "all":
-        monkeypatch.setattr(kernel, "_hash", lambda words: np.zeros(len(words), dtype=np.uint64))
+        monkeypatch.setattr(kernel, "_hash", lambda words: np.zeros(words.shape[1], dtype=np.uint64))
     else:
-        monkeypatch.setattr(kernel, "_hash", lambda words: words[:, 0] % np.uint64(3))
+        monkeypatch.setattr(kernel, "_hash", lambda words: words[0] % np.uint64(3))
     collided = outputs()
     for got, expected in zip(collided[0] + collided[1], numbered + levels):
         for a, b in zip(got, expected):
@@ -719,7 +719,7 @@ def test_walk_updates_the_chosen_action_only_and_rewards_come_in_one_pass(monkey
         raise AssertionError("the walk built every action's update")
 
     def counted(self, *args):
-        calls.append(len(args[1]))
+        calls.append(args[1].shape[-1])
         return weighted(self, *args)
 
     kernel = dp.policy_kernel(ch, res.policy)

@@ -169,6 +169,36 @@ def test_policy_tree_from_indices_equals_dict_tree(depth, n_outputs):
         PolicyTree.from_indices(depth, n_outputs, actions, np.append(at, 0))
 
 
+@pytest.mark.parametrize("depth,n_outputs", [(0, 3), (1, 3), (4, 3), (2, 400)])
+def test_index_trees_equal_dict_trees_node_by_node(depth, n_outputs):
+    # from_indices numbers its slots with numpy; the trees must equal the
+    # dict constructor's at every node, also at 400 outputs, where more
+    # actions than one byte can index sit in one tree, and equality must
+    # compare actions by value, whatever objects and slots hold them
+    rng = make_rng(7 * depth + n_outputs)
+    actions = enumerate_actions(MessageSpace(3, 3), Alphabets(3, 3, n_outputs))
+    hists = _histories(depth, n_outputs)
+    at = rng.integers(0, len(actions), len(hists))
+    tree = PolicyTree.from_indices(depth, n_outputs, actions, at)
+    nodes = {hist: actions[i] for hist, i in zip(hists, at)}
+    assert tree == PolicyTree(depth, n_outputs, nodes)
+    assert all(tree.action_at(hist) is action for hist, action in nodes.items())
+    assert tree.items() == list(nodes.items())
+    if n_outputs > 256:
+        assert len(tree.actions) > 256
+    # equal copies of the actions, listed in reverse, make an equal tree
+    copies = [EncoderAction(EncoderFunction(a.e1.table, 3), EncoderFunction(a.e2.table, 3))
+              for a in reversed(actions)]
+    assert tree == PolicyTree.from_indices(depth, n_outputs, copies, len(actions) - 1 - at)
+    if hists:
+        # one node changed makes another tree
+        changed = at.copy()
+        changed[-1] = (changed[-1] + 1) % len(actions)
+        assert tree != PolicyTree.from_indices(depth, n_outputs, actions, changed)
+    assert tree != PolicyTree.from_indices(depth + 1, n_outputs, actions,
+                                           np.zeros(len(_histories(depth + 1, n_outputs)), dtype=int))
+
+
 def test_policy_csv_round_trip():
     rng = make_rng(7)
     ch = preset("adder")

@@ -241,11 +241,11 @@ def test_kernel_bayes_updates_match_public_functions():
             for y in range(ch.n_outputs):
                 if pred[y] > 1e-15:
                     np.testing.assert_allclose(
-                        post[a, y], update_joint(state.pi, action, y, ch).table, rtol=0.0, atol=1e-15
+                        post[:, :, a, y], update_joint(state.pi, action, y, ch).table, rtol=0.0, atol=1e-15
                     )
             for ref, of, table, enc in ((ref1, kernel.enc1_of, state.beta1, action.e1),
                                         (ref2, kernel.enc2_of, state.beta2, action.e2)):
-                assert ref[of[a]].tolist() == row_classes(update_private(table, enc).rows).tolist()
+                assert ref[:, of[a]].tolist() == row_classes(update_private(table, enc).rows).tolist()
 
 
 def _priors_with_zero_mass(rng, m1, m2) -> tuple:
@@ -279,7 +279,7 @@ def test_label_refinement_equals_row_classes_of_float_tables():
             assert [own.tolist() for own in labels] == [row_classes(t.rows).tolist() for t in tables]
             for _ in range(int(rng.integers(1, 5))):
                 action = random_action(rng, space, ch.alphabets)
-                labels = [ref[0] for ref in ActionKernel(ch, [action]).refined(*labels)]
+                labels = [ref[:, 0] for ref in ActionKernel(ch, [action]).refined(*labels)]
                 tables = [update_private(tables[0], action.e1), update_private(tables[1], action.e2)]
                 for marginal, own, table in zip(marginals, labels, tables):
                     assert own.tolist() == row_classes(table.rows).tolist()
@@ -318,11 +318,11 @@ def _labels(state) -> tuple:
 
 
 def _stack(states) -> tuple:
-    """pi and both senders' labels of a batch of states."""
+    """pi and both senders' labels of a batch of states, batch last."""
     return (
-        np.stack([s.pi.table for s in states]),
-        np.stack([row_classes(s.beta1.rows) for s in states]),
-        np.stack([row_classes(s.beta2.rows) for s in states]),
+        np.stack([s.pi.table for s in states], axis=-1),
+        np.stack([row_classes(s.beta1.rows) for s in states], axis=-1),
+        np.stack([row_classes(s.beta2.rows) for s in states], axis=-1),
     )
 
 
@@ -373,9 +373,11 @@ def test_kernel_rewards_bitwise_equal_earlier_kernel_alone(batch):
         got = kernel.rewards(pis, labels1, labels2, p)
         for s, state in enumerate(states):
             pi = state.pi.table
-            want = rewards(kernel, pi, state.beta1.rows, state.beta2.rows, *kernel.joint(pi))
+            joint, p = kernel.joint(pi)
+            want = rewards(kernel, pi, state.beta1.rows, state.beta2.rows,
+                           np.ascontiguousarray(np.moveaxis(joint, (0, 1), (-2, -1))), p)
             for new, old in zip(got, want):
-                np.testing.assert_array_equal(_bits(new[s]), _bits(old))
+                np.testing.assert_array_equal(_bits(new[:, s]), _bits(old))
 
 
 def test_kernel_batch_equals_one_state_at_a_time_at_nine_cells():
@@ -388,7 +390,7 @@ def test_kernel_batch_equals_one_state_at_a_time_at_nine_cells():
     kernel = ActionKernel(ch, actions)
     states = _state_batch(rng, space, ch.alphabets, 120)
     pis, labels1, labels2 = _stack(states)
-    counts = {int(labels.max()) + 1 for labels in labels2}
+    counts = {int(labels.max()) + 1 for labels in labels2.T}
     assert 3 in counts and len(counts) > 1  # 9 cells and fewer, in one batch
     joint, p = kernel.joint(pis)
     batched = kernel.rewards(pis, labels1, labels2, p)
@@ -396,7 +398,7 @@ def test_kernel_batch_equals_one_state_at_a_time_at_nine_cells():
         pi = state.pi.table
         alone = kernel.rewards(pi, *_labels(state), kernel.joint(pi)[1])
         for many, one in zip(batched, alone):
-            np.testing.assert_array_equal(_bits(many[s]), _bits(one))
+            np.testing.assert_array_equal(_bits(many[:, s]), _bits(one))
 
 
 def test_kernel_one_cell_sender_bitwise_equal_alone_and_in_a_mixed_batch():
@@ -416,7 +418,7 @@ def test_kernel_one_cell_sender_bitwise_equal_alone_and_in_a_mixed_batch():
         pi = one.pi.table
         alone = kernel.rewards(pi, *_labels(one), kernel.joint(pi)[1])
         for many, single in zip(batched, alone):
-            np.testing.assert_array_equal(_bits(many[0]), _bits(single))
+            np.testing.assert_array_equal(_bits(many[:, 0]), _bits(single))
 
 
 def test_row_classes_do_not_chain_tolerance_matches():
@@ -549,8 +551,8 @@ def test_branch_updates_bitwise_equal_every_member():
         ref1, ref2 = kernel.refined(labels1, labels2)
         for a in range(len(kernel)):
             b = kernel.branch_of[a]
-            np.testing.assert_array_equal(_bits(p[:, a]), _bits(branch_p[:, b]))
-            np.testing.assert_array_equal(_bits(post[:, a]), _bits(branch_post[:, b]))
+            np.testing.assert_array_equal(_bits(p[a]), _bits(branch_p[b]))
+            np.testing.assert_array_equal(_bits(post[:, :, a]), _bits(branch_post[:, :, b]))
             for y in range(ch.n_outputs):
                 np.testing.assert_array_equal(ref1[:, kernel.enc1_of[a]], ref1[:, kernel.branch_enc1[b[y]]])
                 np.testing.assert_array_equal(ref2[:, kernel.enc2_of[a]], ref2[:, kernel.branch_enc2[b[y]]])
@@ -614,7 +616,7 @@ def test_subset_kernel_builds_its_own_tables():
         np.testing.assert_array_equal(sub._enc1[sub.enc1_of], full._enc1[full.enc1_of[idx]])
         np.testing.assert_array_equal(sub._enc2[sub.enc2_of], full._enc2[full.enc2_of[idx]])
         np.testing.assert_array_equal(
-            _bits(sub.weighted(weights, pis, labels1, labels2, sub.joint(pis)[1])), _bits(rewards[:, idx]))
+            _bits(sub.weighted(weights, pis, labels1, labels2, sub.joint(pis)[1])), _bits(rewards[idx]))
         sub1, sub2 = sub.refined(labels1, labels2)
         np.testing.assert_array_equal(sub1[:, sub.enc1_of], ref1[:, full.enc1_of[idx]])
         np.testing.assert_array_equal(sub2[:, sub.enc2_of], ref2[:, full.enc2_of[idx]])
@@ -633,9 +635,9 @@ def _first_per_update(kernel, pi, labels1, labels2, totals) -> list:
     for a in range(len(kernel)):
         update = []
         for y in range(p.shape[1]):
-            cell = post[a, y] if p[a, y] > MASS_EPS else np.zeros_like(post[a, y])
+            cell = post[:, :, a, y] if p[a, y] > MASS_EPS else np.zeros_like(post[:, :, a, y])
             update.extend(np.rint(np.append(p[a, y], cell) / PRUNE_TOL) + 0.0)
-        key = (tuple(update), tuple(ref1[kernel.enc1_of[a]]), tuple(ref2[kernel.enc2_of[a]]),
+        key = (tuple(update), tuple(ref1[:, kernel.enc1_of[a]]), tuple(ref2[:, kernel.enc2_of[a]]),
                float(np.rint(totals[a] / PRUNE_TOL) + 0.0))
         first.setdefault(key, a)
     return sorted(first.values())
@@ -679,12 +681,36 @@ def test_prune_mask_keeps_the_first_action_of_each_update_and_total():
             mask = kernel.prune_mask(p, kernel.posteriors(joint, p), ref1, ref2, kernel.branch_of,
                                      totals, PRUNE_TOL)
             for s in range(len(states)):
-                expected = _first_per_update(kernel, pis[s], labels1[s], labels2[s], totals[s])
-                assert np.flatnonzero(mask[s]).tolist() == expected
+                expected = _first_per_update(kernel, pis[..., s], labels1[:, s], labels2[:, s], totals[:, s])
+                assert np.flatnonzero(mask[:, s]).tolist() == expected
                 merged += len(kernel) - len(expected)
                 kept += len(expected)
         for s, state in enumerate(states):
-            expected = _first_per_update(kernel, pis[s], labels1[s], labels2[s], rewards[s])
+            expected = _first_per_update(kernel, pis[..., s], labels1[:, s], labels2[:, s], rewards[:, s])
             assert encoding.prune_actions(kernel.actions, state, ch, weights) == \
                 [kernel.actions[a] for a in expected]
     assert merged and kept
+
+
+# ---------------------------------------------------------------------------
+# the slice sums against numpy's own sums, bit for bit
+
+
+def test_slice_sums_equal_numpy_bit_for_bit():
+    # ``_sum`` adds the leading axis in numpy's order along a contiguous
+    # axis: index order below 8 terms, eight running sums from 8 to 128.
+    # Above 128 numpy recurses and ``_sum`` hands the sum to it, so 129 and
+    # 300 check the cut-off. ``_sum_in_order`` adds in index order, as numpy
+    # does along an axis that more entries follow. The terms span 16
+    # decades and hold exact zeros and -0.0, and one column is all -0.0,
+    # whose sum is +0.0
+    rng = make_rng(101)
+    for n in list(range(1, 129)) + [129, 300]:
+        x = rng.standard_normal((n, 7, 5)) * 10.0 ** rng.uniform(-8.0, 8.0, (n, 7, 5))
+        x[rng.random(x.shape) < 0.1] = 0.0
+        x[rng.random(x.shape) < 0.1] = -0.0
+        x[:, 0, 0] = -0.0
+        want = np.ascontiguousarray(np.moveaxis(x, 0, -1)).sum(axis=-1)
+        np.testing.assert_array_equal(_bits(kernel_module._sum(x)), _bits(want))
+        np.testing.assert_array_equal(_bits(kernel_module._sum_in_order(x)), _bits(x.sum(axis=0)))
+    assert not np.signbit(kernel_module._sum(np.full((9, 2), -0.0))).any()

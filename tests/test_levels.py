@@ -33,7 +33,8 @@ from macfb.reward import LambdaWeights
 # verbatim apart from the function headers, the returned tuples, the
 # counters in cost(), which counts like value(), the float private tables'
 # refinement and classes (now outside the kernel), the policy walk and
-# its completion
+# its completion, and the kernel's posteriors, whose message axes the
+# kernel puts first and these recursions last
 
 
 def _quantized(arr: np.ndarray) -> bytes:
@@ -111,7 +112,7 @@ def _policy(kernel, depth, pi, tables, choose, refine=None):
         nodes[hist] = kernel.actions[a]
         if t < depth:
             joint, p = kernel.joint(pi)
-            post = kernel.posteriors(joint, p)
+            post = np.moveaxis(kernel.posteriors(joint, p), (0, 1), (-2, -1))
             child = None if tables is None else refine(tables, a)
             stack.extend((t + 1, hist + (y,), post[a, y], child) for y in range(n_y) if p[a, y] > MASS_EPS)
     return _complete(depth, n_y, nodes, kernel.actions[0])
@@ -137,7 +138,7 @@ def recursive_horizon(channel, space, weights, n, prior=None, prune=False):
         totals = kernel.weighted(weights, pi, row_classes(rows1), row_classes(rows2), p)
         candidates = np.arange(len(actions))
         if t < n:
-            post = kernel.posteriors(joint, p)
+            post = np.moveaxis(kernel.posteriors(joint, p), (0, 1), (-2, -1))
             ref1, ref2 = _refine(rows1, same1), _refine(rows2, same2)
             if prune:
                 candidates = np.asarray(_distinct(kernel, totals, p, post, ref1, ref2, PRUNE_TOL))
@@ -207,7 +208,7 @@ def recursive_dsaht(channel, space, horizon, prior=None):
             return hit[0]
         stats["expanded"] += 1
         joint, p = kernel.joint(pi)
-        post = kernel.posteriors(joint, p)
+        post = np.moveaxis(kernel.posteriors(joint, p), (0, 1), (-2, -1))
         if t == horizon:
             cont = 1.0 - post.reshape(p.shape + (-1,)).max(axis=2)
         else:
@@ -332,16 +333,17 @@ def test_first_candidate_pair_represents_a_state(prune):
     kernel = ActionKernel(ch, enumerate_actions(MessageSpace(2, 2), ch.alphabets))
     n_actions, n_outputs = kernel.branch_of.shape
     n_branches = len(kernel.branch_lik)
-    totals = np.zeros((1, n_actions))
+    totals = np.zeros((n_actions, 1))
     totals[0, 0] = -np.inf if prune else 0.0
 
     def expand(t, x):
-        tags = 0.5 + 1e-13 * np.arange(n_branches)[:, None]
-        return np.ones((1, n_branches)), lambda s, b: (tags[b],)
+        tags = 0.5 + 1e-13 * np.arange(n_branches)[None]
+        # one state: the flat index of (branch b, state 0) is b
+        return np.ones((n_branches, 1)), lambda b: (tags[:, b],)
 
     def totals_at(t, x):
         # the root's totals at level 1, the state itself at level 2
-        return np.where((t == 1)[:, None], totals, np.repeat(x, n_actions, axis=1))
+        return np.where(t == 1, totals, np.repeat(x, n_actions, axis=0))
 
     value, policy, expanded, hits = _backward_induction(
         kernel, 2, (np.zeros((1, 1)),), expand, totals_at, 10**6, kernel.branch_lik.size
@@ -377,22 +379,27 @@ def test_engine_maximises_the_totals_it_is_given():
 
         def expand(t, x):
             seen.append((t, x.tobytes()))
-            r = np.rint(x[:, 0] * 100).astype(int)
-            p = np.stack([live(ri) for ri in r]).astype(float)
-            return p, lambda s, b: (x[s] + tags[b][:, None],)
+            r = np.rint(x[0] * 100).astype(int)
+            p = np.stack([live(ri) for ri in r], axis=-1).astype(float)
+
+            def gather(i):
+                b, s = np.divmod(i, x.shape[-1])
+                return (x[:, s] + tags[b],)
+
+            return p, gather
 
         def totals(t, x):
             rated.append((t, x))
-            r = np.rint(x[:, 0] * 100).astype(int)
-            out = np.empty((len(x), n_actions))
+            r = np.rint(x[0] * 100).astype(int)
+            out = np.empty((n_actions, x.shape[-1]))
             for level in np.unique(t):
                 rows = t == level
-                out[rows] = (np.repeat(r[rows][:, None].astype(float), n_actions, axis=1) if level == 3
-                             else np.where(rule(level, r[rows]), -np.inf, 0.0))
+                out[:, rows] = (np.repeat(r[rows][None].astype(float), n_actions, axis=0) if level == 3
+                                else np.where(rule(level, r[rows]), -np.inf, 0.0).T)
             return out
 
         result = _backward_induction(kernel, 3, (np.zeros((1, 1)),), expand, totals, 10**6, n_branches)
-        t, x = (np.concatenate(parts) for parts in zip(*rated))
+        t, x = (np.concatenate(parts, axis=-1) for parts in zip(*rated))
         return result, seen, (t.tobytes(), x.tobytes())
 
     def totals_at(t, r, rule):

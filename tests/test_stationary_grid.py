@@ -136,7 +136,7 @@ def reference_grid_tables(kernel, weights, space, resolution):
         pi = np.asarray(comp, dtype=float).reshape(space.m1, space.m2) / resolution
         joint, p = kernel.joint(pi)
         rewards[i] = kernel.weighted(weights, pi, own1, own2, p)
-        post = kernel.posteriors(joint, p)
+        post = np.moveaxis(kernel.posteriors(joint, p), (0, 1), (-2, -1))
         for a_i in range(n_actions):
             for y in range(n_y):
                 if p[a_i, y] <= MASS_EPS:
@@ -209,7 +209,11 @@ def test_grid_tables_equal_interpolator(name, params, messages, resolution, weig
     channel, space, kernel = _kernel(name, params, messages)
     want = reference_grid_tables(kernel, weights, space, resolution)
     got = _grid_tables(kernel, weights, space, resolution)
-    for g, w in zip(got, want):
+    # the solver lays its tables out actions x points: the reference's
+    # rewards transposed, its rows numbered over that flattened axis
+    n_points, n_actions = want[0].shape
+    rows = want[1] % n_actions * n_points + want[1] // n_actions
+    for g, w in zip(got, (np.ascontiguousarray(want[0].T), rows) + want[2:]):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
     res = solve_stationary(channel, space, weights, resolution, renewal="none")
@@ -267,9 +271,9 @@ def test_kept_vertices_of_kernel_posteriors_are_grid_points():
     # the posteriors the solver interpolates, at grid points and between them
     channel, space, kernel = _kernel("noisy_adder", (0.1,), (3, 3))
     rng = make_rng(7)
-    pis = np.concatenate([rng.dirichlet(np.ones(9), size=20), np.eye(9)]).reshape(-1, 3, 3)
+    pis = np.concatenate([rng.dirichlet(np.ones(9), size=20), np.eye(9)]).T.reshape(3, 3, -1)
     joint, p = kernel.joint(pis)
-    post = kernel.posteriors(joint, p)[p > MASS_EPS].reshape(-1, 9)
+    post = np.moveaxis(kernel.posteriors(joint, p), (0, 1), (-2, -1))[p > MASS_EPS].reshape(-1, 9)
     verts, w = _freudenthal(post, 3)
     keep = w > 1e-12
     kept = verts[keep]
