@@ -17,9 +17,10 @@ prune and DSAHT, on adder, noisy_adder(0.1), multiplier and two random
 channels (one with zero entries), message spaces 1x2 to 3x3, uniform,
 product, non-product and zero-mass priors, n and T from 1 to 3, and
 noisy_adder(0.1) 3x3 at n = 4 with and without prune and DSAHT at T = 4
-(27,886 states over levels of many chunks), and adder 2x2 with
+(27,886 states over levels of many chunks), adder 2x2 with
 lambda = (0, 0, 1) at n = T = 13, whose policy trees have 797,161 nodes,
-with ``evaluate_tree`` of the horizon policy. On the same
+with ``evaluate_tree`` of the horizon policy, and the horizon program at
+n = 1 and 2 on 4x2, 2x4 and 7x1 messages. On the same
 channels, spaces and priors it prints ``evaluate_tree`` of the solved
 policy and of a random tree, the reachability diagnostic, the actions
 ``prune_actions`` keeps at the start state and at two states it reaches,
@@ -135,6 +136,21 @@ def deep_lines():
     yield dsaht_line("adder", channel, space, "uniform", None, 13)
 
 
+def wide_lines():
+    """The horizon program at n = 1 and 2 on senders of 4 and 7 messages,
+    uniform and non-product priors: an n = 1 solve rates one state, so
+    cells of up to 7 member messages are summed with a batch of one as
+    well as with many."""
+    for name in ("noisy_adder", "random"):
+        channel = channels()[name]
+        for m1, m2 in ((4, 2), (2, 4), (7, 1)):
+            space = MessageSpace(m1, m2)
+            joint = np.random.default_rng(10 * m1 + m2).random((m1, m2)) + 1e-3
+            for prior_name, prior in (("uniform", None), ("joint", JointBelief(joint / joint.sum()))):
+                for n in (1, 2):
+                    yield horizon_line(name, channel, space, prior_name, prior, n, False)
+
+
 def _random_tree(rng, space, channel, depth: int) -> PolicyTree:
     """A tree of uniformly drawn actions at every history."""
     a = channel.alphabets
@@ -215,6 +231,8 @@ def main() -> int:
                            "uniform", None, 4, prune))
     print(dsaht_line("noisy_adder", preset("noisy_adder", (0.1,)), MessageSpace(3, 3), "uniform", None, 4))
     for line in deep_lines():
+        print(line)
+    for line in wide_lines():
         print(line)
     for name, channel in channels().items():
         for m1, m2 in SPACES:

@@ -397,15 +397,6 @@ def _batches(levels: list, step: int):
                             for states, a, b in zip(levels, starts, starts[1:]) if a < hi and lo < b])
 
 
-def _live_posteriors(joint: np.ndarray, p: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """The posteriors J / p of a branch joint J[m1, m2, b, s] at the flat
-    indices ``live`` of p[b, s], all with mass, batch last: each entry is
-    the one ``ActionKernel.posteriors`` gives there, computed only where it
-    is read."""
-    cells = np.take(joint.reshape(-1, p.size), live, axis=1)
-    return (cells / np.take(p, live)).reshape(joint.shape[:2] + (-1,))
-
-
 def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand, totals,
                         node_cap: int, width: int) -> tuple:
     """Level-synchronous backward induction over the distinct states of each
@@ -473,7 +464,7 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand, t
     n_actions, n_outputs = branch_of.shape
     step = max(1, CHUNK_ENTRIES // width)
     # members[a, b]: the outputs of action a in branch b
-    members = np.zeros((n_actions, len(kernel.branch_lik)), dtype=np.intp)
+    members = np.zeros((n_actions, len(kernel.branch_pair)), dtype=np.intp)
     np.add.at(members, (np.repeat(np.arange(n_actions), n_outputs), branch_of.ravel()), 1)
     pairs = members.sum(axis=0)
     # every level's states, and (p, succ) of every level but the last
@@ -577,7 +568,7 @@ def solve_horizon(
 
         def gather(live):
             b, s = np.divmod(live, p.shape[1])
-            return (_live_posteriors(joint, p, live),
+            return (kernel.posteriors_at(joint, p, live),
                     np.take(ref1.reshape(len(ref1), -1), enc1[b] * p.shape[1] + s, axis=1),
                     np.take(ref2.reshape(len(ref2), -1), enc2[b] * p.shape[1] + s, axis=1))
 
@@ -660,7 +651,7 @@ def solve_dsaht(
 
     def expand(t, pis):
         joint, p = kernel.branch_joint(pis)
-        return p, lambda live: (_live_posteriors(joint, p, live),)
+        return p, lambda live: (kernel.posteriors_at(joint, p, live),)
 
     def totals(t, pis):
         out = np.zeros((len(kernel), pis.shape[-1]))

@@ -3,8 +3,8 @@
 For a channel Q and a fixed list of joint encoder actions a = (e1, e2) two
 tables are built once:
 
-* the likelihood L[a, y, m1, m2] = Q(y | e1_a(m1), e2_a(m2));
-* the noise entropies Hn[a, m1, m2] = H(Q(. | e1_a(m1), e2_a(m2))) in bits.
+* the likelihood L[m1, m2, a, y] = Q(y | e1_a(m1), e2_a(m2));
+* the noise entropies Hn[m1, m2, a] = H(Q(. | e1_a(m1), e2_a(m2))) in bits.
 
 A state is the common belief pi and, per sender, one int label per
 message naming its private class, the messages with its input history,
@@ -141,15 +141,9 @@ def _column_entropies(cols: np.ndarray) -> np.ndarray:
 
 def _first_labels(codes: np.ndarray) -> np.ndarray:
     """Relabel the leading axis of an int array in order of first
-    appearance: equal codes get equal labels, counting up from 0.
-
-    One state's few codes are compared pair by pair at once, in fewer
-    numpy calls; a stack goes message by message, so that every operation
-    runs the length of the stack (timeit: 11 against 20 us for one state
-    of 3 messages, 26 against 70 us for a (3, 8, 74) stack)."""
-    if codes.ndim == 1:
-        first = (codes[:, None] == codes).argmax(axis=0)
-        return np.cumsum(first == np.arange(len(codes)))[first] - 1
+    appearance: equal codes get equal labels, counting up from 0. The
+    messages go one by one, so that every operation runs the length of
+    the trailing (batch) axes."""
     labels = np.zeros(codes.shape, dtype=np.intp)
     count = np.ones(codes.shape[1:], dtype=np.intp)
     for m in range(1, len(codes)):
@@ -202,31 +196,29 @@ def _cell_tables(own: np.ndarray, other_of: np.ndarray, n_symbols: int) -> tuple
     """The member sets and gather tables of one conditioning sender's cells.
 
     ``own[a]`` is this sender's encoder table in action a and
-    ``other_of[a]`` the other sender's encoder index. Returns (bits, masks,
-    base): ``bits[m, u]`` is 1 when message m is in the member set u, a
-    bitmask; ``masks[x, a]`` is the bitmask of the messages action a sends
-    to symbol x; and action a reads its cell of symbol x in a class of
-    messages v at ``base[x, a] + (v & masks[x, a])`` in one state's (other
-    encoder, symbol, member set) terms flattened.
+    ``other_of[a]`` the other sender's encoder index. A member set is a
+    bitmask of messages. Returns (masks, base): ``masks[x, a]`` is the
+    bitmask of the messages action a sends to symbol x; and action a reads
+    its cell of symbol x in a class of messages v at member set ``v &
+    masks[x, a]`` and (other encoder, symbol) ``base[x, a]``, flattened.
     """
-    n_msgs = own.shape[1]
-    msgs = np.arange(n_msgs)
-    bits = ((np.arange(1 << n_msgs) >> msgs[:, None]) & 1).astype(float)
+    msgs = np.arange(own.shape[1])
     masks = ((own.T[:, None, :] == np.arange(n_symbols)[:, None]) << msgs[:, None, None]).sum(axis=0)
-    base = (other_of * n_symbols + np.arange(n_symbols)[:, None]) << n_msgs
-    return bits, masks, base
+    base = other_of * n_symbols + np.arange(n_symbols)[:, None]
+    return masks, base
 
 
-def _cell_entropy(margin: np.ndarray, labels: np.ndarray, bits: np.ndarray, masks: np.ndarray,
+def _cell_entropy(margin: np.ndarray, labels: np.ndarray, masks: np.ndarray,
                   base: np.ndarray) -> np.ndarray:
     """H(Y | C) in bits for every action, (A, ...).
 
-    margin[y, k, x, m, ...] is the joint of the output and the conditioning
+    margin[m, y, k, x, ...] is the joint of the output and the conditioning
     sender's message m when that sender sends x and the other sender uses
     its distinct encoder k; C groups m by (label, current symbol). The
     terms of a cell depend on the action only through (k, x) and the
     cell's member set, so they are computed once for every member set u,
-    its members summed in message order (a matmul with the 0/1 ``bits``),
+    its members summed in message order by slice additions (the set's last
+    member added to the set of its earlier ones, whatever the batch size),
     and each action's cells gather them (``_cell_tables``). The empty set
     gives exact zeros, which is what a cell that a state lacks adds. A
     batch of states shares one cell count, the largest: in index order,
@@ -237,8 +229,16 @@ def _cell_entropy(margin: np.ndarray, labels: np.ndarray, bits: np.ndarray, mask
     batch = margin.shape[4:]
     n_states = math.prod(batch)
     margin = margin.reshape(margin.shape[:4] + (n_states,))
-    sub = bits.T @ margin  # (Y, K, X, sets, states)
-    terms = _xlogx(_sum_in_order(sub)) - _sum_in_order(_xlogx(sub))
+    n_msgs = len(margin)
+    # (sets, Y, K, X, states): a set's slots lie apart from its earlier
+    # members', so numpy adds them with no copy for overlap
+    sub = np.empty((1 << n_msgs,) + margin.shape[1:])
+    sub[0] = 0.0
+    for m in range(n_msgs):
+        # the sets whose last member is m
+        np.add(sub[: 1 << m], margin[m], out=sub[1 << m : 2 << m])
+    # summed over the outputs: (sets, K, X, states)
+    terms = _xlogx(_sum_in_order(sub.swapaxes(0, 1))) - _sum_in_order(_xlogx(sub).swapaxes(0, 1))
     del sub
     labels = np.broadcast_to(labels.reshape(len(labels), -1), (len(labels), n_states))
     n_symbols = len(masks)
@@ -249,6 +249,7 @@ def _cell_entropy(margin: np.ndarray, labels: np.ndarray, bits: np.ndarray, mask
                << np.arange(len(labels))[:, None]).sum(axis=1)
     # one index array, built in place: it is as large as the cells
     index = members[:, None, None, :] & masks[:, :, None]
+    index *= terms.shape[1] * terms.shape[2]
     index += base[:, :, None]
     index *= n_states
     index += np.arange(n_states)
@@ -415,20 +416,19 @@ def _tables_of(actions: list, x1: int, x2: int) -> _ActionTables:
 class ActionKernel:
     """Likelihoods and noise entropies of a fixed action list on one channel.
 
-    ``lik[a, y, m1, m2]`` is the likelihood, a view of ``_lik[m1, m2, a,
-    y]``, which the products with a belief read, and ``noise[a, m1, m2]``
-    the noise entropy, which they read as ``_noise[m1, m2, a]``. ``enc1_of[a]`` and
-    ``enc2_of[a]`` index the distinct encoders of action a, which is how
-    the refined labels are shared between actions. The tables that do not
-    depend on the channel (``_ActionTables``) are shared by every kernel
-    of the enumerated action set of one shape.
+    ``lik[m1, m2, a, y]`` is the likelihood and ``noise[m1, m2, a]`` the
+    noise entropy, message-first as the products with a belief read them.
+    ``enc1_of[a]`` and ``enc2_of[a]`` index the distinct encoders of action
+    a, which is how the refined labels are shared between actions. The
+    tables that do not depend on the channel (``_ActionTables``) are
+    shared by every kernel of the enumerated action set of one shape.
 
     Branches, numbered in order of their first (a, y): ``branch_of[a, y]``
     is the branch of a pair, ``branch_pair[b]`` the flat index a * Y + y of
-    its first pair, ``branch_lik[b]`` its likelihood column (a view of
-    ``_branch_lik[m1, m2, b]``) and ``branch_enc1[b]``, ``branch_enc2[b]``
-    the encoder indices of its first pair. They are built on first access,
-    and so are the tables the rewards gather their cell terms with.
+    its first pair, ``branch_lik[m1, m2, b]`` its likelihood column and
+    ``branch_enc1[b]``, ``branch_enc2[b]`` the encoder indices of its first
+    pair. They are built on first access, and so are the tables the
+    rewards gather their cell terms with.
     """
 
     def __init__(self, channel: Channel, actions):
@@ -441,36 +441,33 @@ class ActionKernel:
         self._enc2, self.enc2_of = tables.enc2, tables.enc2_of
         self._tables = tables
         q = channel.kernel
-        x1 = self.e1[:, :, None]
-        x2 = self.e2[:, None, :]
-        self._lik = np.ascontiguousarray(q[:, x1, x2].transpose(2, 3, 1, 0))
-        self.lik = np.moveaxis(self._lik, (0, 1), (2, 3))
+        x1 = self.e1.T[:, None, :]
+        x2 = self.e2.T[None, :, :]
+        self.lik = np.ascontiguousarray(q.transpose(1, 2, 0)[x1, x2])
         noise = _column_entropies(q.reshape(q.shape[0], -1)).reshape(q.shape[1:])
-        self.noise = noise[x1, x2]
-        self._noise = np.ascontiguousarray(self.noise.transpose(1, 2, 0))
+        self.noise = np.ascontiguousarray(noise[x1, x2])
         self._q = q
 
     @functools.cached_property
     def _branches(self) -> tuple:
-        """(branch_pair, branch_of, _branch_lik, branch_enc1, branch_enc2),
+        """(branch_pair, branch_of, branch_lik, branch_enc1, branch_enc2),
         built on first access: only the finite-horizon programs read them."""
-        n_actions, n_outputs = self.lik.shape[:2]
-        columns = self._lik.reshape(-1, n_actions * n_outputs)
+        n_actions, n_outputs = self.lik.shape[2:]
+        columns = self.lik.reshape(-1, n_actions * n_outputs)
         keys = np.concatenate([columns.view(np.int64),
                                np.repeat(self._tables.partition_of, n_outputs)[None]])
         pair, branch_of = first_rows(keys)
         return (
             pair,
             branch_of.reshape(n_actions, n_outputs),
-            np.ascontiguousarray(self._lik.reshape(self._lik.shape[:2] + (-1,))[..., pair]),
+            np.ascontiguousarray(self.lik.reshape(self.lik.shape[:2] + (-1,))[..., pair]),
             self.enc1_of[pair // n_outputs],
             self.enc2_of[pair // n_outputs],
         )
 
     branch_pair = property(lambda self: self._branches[0])
     branch_of = property(lambda self: self._branches[1])
-    _branch_lik = property(lambda self: self._branches[2])
-    branch_lik = property(lambda self: np.moveaxis(self._branches[2], -1, 0))
+    branch_lik = property(lambda self: self._branches[2])
     branch_enc1 = property(lambda self: self._branches[3])
     branch_enc2 = property(lambda self: self._branches[4])
 
@@ -487,19 +484,19 @@ class ActionKernel:
 
     def joint(self, pi: np.ndarray) -> tuple:
         """J[m1, m2, a, y, ...] = L * pi and the predictive p[a, y, ...]."""
-        joint = self._times(self._lik, pi)
+        joint = self._times(self.lik, pi)
         return joint, _sum(joint.reshape((-1,) + joint.shape[2:]))
 
     def joint_of(self, a: int, pi: np.ndarray) -> tuple:
         """J[m1, m2, y] and p[y] of action a alone at one state, bit for bit
         those of ``joint`` at a."""
-        joint = self._lik[:, :, a] * pi[:, :, None]
+        joint = self.lik[:, :, a] * pi[:, :, None]
         return joint, _sum(joint.reshape((-1,) + joint.shape[2:]))
 
     def branch_joint(self, pi: np.ndarray) -> tuple:
         """J[m1, m2, b, ...] = L_b * pi and the predictive p[b, ...] of every
         branch, bit for bit those of each of its pairs in ``joint``."""
-        joint = self._times(self._branch_lik, pi)
+        joint = self._times(self.branch_lik, pi)
         return joint, _sum(joint.reshape((-1,) + joint.shape[2:]))
 
     @staticmethod
@@ -509,23 +506,32 @@ class ActionKernel:
         instead."""
         return joint / np.where(p > MASS_EPS, p, 1.0)
 
+    @staticmethod
+    def posteriors_at(joint: np.ndarray, p: np.ndarray, flat: np.ndarray) -> np.ndarray:
+        """The posteriors J / p at the flat indices ``flat`` of p, all with
+        mass, (M1, M2, len(flat)): each entry is the one ``posteriors``
+        gives there, computed only where it is read."""
+        cells = np.take(joint.reshape(-1, p.size), flat, axis=1)
+        return (cells / np.take(p, flat)).reshape(joint.shape[:2] + (-1,))
+
     @functools.cached_property
     def _cells(self) -> tuple:
-        """(lik, bits, masks, base) of sender 2's cells (i1), then of
-        sender 1's (i2), built on first access: only the rewards read them.
-        lik[m, y, k, x] = Q(y | ...) with the other sender's distinct
-        encoder k on its message m and the conditioning sender on symbol x;
-        bits, masks and base as ``_cell_tables`` returns them."""
+        """(lik, masks, base) of sender 2's cells (i1), then of sender 1's
+        (i2), built on first access: only the rewards read them. lik[m, 0,
+        y, k, x] = Q(y | ...) with the other sender's distinct encoder k on
+        its message m and the conditioning sender on symbol x, the 0 axis
+        for the conditioning sender's message; masks and base as
+        ``_cell_tables`` returns them."""
         q = self._q
         return (
-            (np.ascontiguousarray(q[:, self._enc1].transpose(2, 0, 1, 3)), *self._tables.cells2),
-            (np.ascontiguousarray(q[:, :, self._enc2].transpose(3, 0, 2, 1)), *self._tables.cells1),
+            (np.ascontiguousarray(q[:, self._enc1].transpose(2, 0, 1, 3))[:, None], *self._tables.cells2),
+            (np.ascontiguousarray(q[:, :, self._enc2].transpose(3, 0, 2, 1))[:, None], *self._tables.cells1),
         )
 
     def rewards(self, pi, labels1, labels2, p) -> tuple:
         """(i1, i2, i3) in bits, one (A, ...) array each, from the
         predictive p[a, y, ...]."""
-        noise = _sum(self._times(self._noise, pi).reshape((-1,) + p.shape[:1] + p.shape[2:]))
+        noise = _sum(self._times(self.noise, pi).reshape((-1,) + p.shape[:1] + p.shape[2:]))
         i3 = -_sum(np.moveaxis(_xlogx(p), 1, 0)) / _LN2 - noise
         (lik1, *cells2), (lik2, *cells1) = self._cells
         batch = (1,) * (pi.ndim - 2)
@@ -538,9 +544,9 @@ class ActionKernel:
         # index order unless sender 2 has one message; sender 2's are J's
         # last message axis
         i1 = _cell_entropy((_sum_in_order if pi.shape[1] > 1 else _sum)(
-            lik1.reshape(lik1.shape + (1,) + batch) * pi[:, None, None, None]), labels2, *cells2) - noise
+            lik1.reshape(lik1.shape + batch) * pi[:, :, None, None, None]), labels2, *cells2) - noise
         i2 = _cell_entropy(_sum(
-            lik2.reshape(lik2.shape + (1,) + batch) * np.moveaxis(pi, 1, 0)[:, None, None, None]),
+            lik2.reshape(lik2.shape + batch) * np.moveaxis(pi, 1, 0)[:, :, None, None, None]),
             labels1, *cells1) - noise
         return i1, i2, i3
 

@@ -165,7 +165,9 @@ def _cell_entropy(marginal: np.ndarray, classes: np.ndarray, symbols: np.ndarray
 
 def rewards(self, pi, rows1, rows2, joint, p) -> tuple:
     """(i1, i2, i3) in bits, one (..., A) array each."""
-    noise = (self.noise * pi[..., None, :, :]).reshape(p.shape[:-1] + (-1,)).sum(axis=-1)
+    # the noise table as the earlier kernel stored it, (A, M1, M2)
+    noise = np.ascontiguousarray(np.moveaxis(self.noise, -1, 0))
+    noise = (noise * pi[..., None, :, :]).reshape(p.shape[:-1] + (-1,)).sum(axis=-1)
     i3 = -_xlogx(p).sum(axis=-1) / _LN2 - noise
     i1 = _cell_entropy(joint.sum(axis=-2), _row_classes(rows2), self.e2, self.n_x2) - noise
     i2 = _cell_entropy(joint.sum(axis=-1), _row_classes(rows1), self.e1, self.n_x1) - noise
@@ -421,6 +423,29 @@ def test_kernel_one_cell_sender_bitwise_equal_alone_and_in_a_mixed_batch():
             np.testing.assert_array_equal(_bits(many[:, 0]), _bits(single))
 
 
+@pytest.mark.parametrize("m1, m2", [(4, 2), (2, 4), (6, 2), (7, 1), (1, 7)])
+def test_kernel_batch_equals_one_state_at_many_messages(m1, m2):
+    # a cell's members are summed in message order whatever the batch size:
+    # a batch, a batch of one and a state alone give the same bits, with
+    # member sets of up to 7 messages
+    rng = make_rng(100 + 10 * m1 + m2)
+    space = MessageSpace(m1, m2)
+    ch = random_channel(rng, 2, 2, 3)
+    actions = [random_action(rng, space, ch.alphabets) for _ in range(24)]
+    kernel = ActionKernel(ch, actions)
+    states = _state_batch(rng, space, ch.alphabets, 12)
+    pis, labels1, labels2 = _stack(states)
+    batched = kernel.rewards(pis, labels1, labels2, kernel.joint(pis)[1])
+    for s, state in enumerate(states):
+        pi, (labels1, labels2) = state.pi.table, _labels(state)
+        alone = kernel.rewards(pi, labels1, labels2, kernel.joint(pi)[1])
+        one = kernel.rewards(pi[..., None], labels1[:, None], labels2[:, None],
+                             kernel.joint(pi[..., None])[1])
+        for many, single, first in zip(batched, alone, one):
+            np.testing.assert_array_equal(_bits(many[:, s]), _bits(single))
+            np.testing.assert_array_equal(_bits(first[:, 0]), _bits(single))
+
+
 def test_row_classes_do_not_chain_tolerance_matches():
     # r0 ~ r1 and r1 ~ r2 within the tolerance, r0 !~ r2: a message joins
     # the first class whose representative matches, which is not transitive
@@ -466,20 +491,20 @@ def test_branch_members_share_column_and_partitions():
         assert (n_actions, n_outputs) == (len(kernel), ch.n_outputs)
         flat = kernel.branch_of.ravel()
         # numbered in order of first (action, output) pair
-        firsts = [int(np.flatnonzero(flat == b)[0]) for b in range(len(kernel.branch_lik))]
+        firsts = [int(np.flatnonzero(flat == b)[0]) for b in range(len(kernel.branch_pair))]
         assert firsts == sorted(firsts) == kernel.branch_pair.tolist()
         keys = {}
         for a, action in enumerate(kernel.actions):
             for y in range(n_outputs):
-                column = kernel.lik[a, y].tobytes()
+                column = kernel.lik[:, :, a, y].tobytes()
                 key = (column, _partition(action.e1.table), _partition(action.e2.table))
                 keys.setdefault(kernel.branch_of[a, y], set()).add(key)
         # one key per branch, and different branches have different keys
         assert all(len(k) == 1 for k in keys.values())
-        assert len({next(iter(k)) for k in keys.values()}) == len(keys) == len(kernel.branch_lik)
+        assert len({next(iter(k)) for k in keys.values()}) == len(keys) == len(kernel.branch_pair)
         for b, pair in enumerate(kernel.branch_pair):
             a, y = divmod(int(pair), n_outputs)
-            assert kernel.branch_lik[b].tobytes() == kernel.lik[a, y].tobytes()
+            assert kernel.branch_lik[:, :, b].tobytes() == kernel.lik[:, :, a, y].tobytes()
             assert kernel.branch_enc1[b] == kernel.enc1_of[a]
             assert kernel.branch_enc2[b] == kernel.enc2_of[a]
 
@@ -488,7 +513,7 @@ def test_branch_counts_noisy_adder():
     ch = preset("noisy_adder", (0.1,))
     for m, pairs, branches in ((2, 48, 14), (3, 192, 74)):
         kernel = ActionKernel(ch, enumerate_actions(MessageSpace(m, m), ch.alphabets))
-        assert (kernel.branch_of.size, len(kernel.branch_lik)) == (pairs, branches)
+        assert (kernel.branch_of.size, len(kernel.branch_pair)) == (pairs, branches)
 
 
 def test_branch_map_built_on_first_access():
@@ -534,9 +559,9 @@ def test_reward_tables_built_on_first_reward_call(monkeypatch):
     assert len(built) == 3
     for kernel in built:
         assert "_branches" not in vars(kernel)
-        (_, bits2, masks2, base2), (_, bits1, masks1, base1) = kernel._cells
-        assert bits1.shape == (3, 8) and masks1.shape == base1.shape == (2, len(kernel))
-        assert bits2.shape == (2, 4) and masks2.shape == base2.shape == (2, len(kernel))
+        (_, masks2, base2), (_, masks1, base1) = kernel._cells
+        assert masks1.shape == base1.shape == (2, len(kernel))
+        assert masks2.shape == base2.shape == (2, len(kernel))
 
 
 def test_branch_updates_bitwise_equal_every_member():

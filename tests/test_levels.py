@@ -104,7 +104,7 @@ def _policy(kernel, depth, pi, tables, choose, refine=None):
     node reachable from (pi, tables), following outputs with predictive
     mass above MASS_EPS; ``refine(tables, a)`` gives a child's private
     tables (unused when ``tables`` is None)."""
-    n_y = kernel.lik.shape[1]
+    n_y = kernel.lik.shape[-1]
     nodes, stack = {}, [(1, (), pi, tables)]
     while stack:
         t, hist, pi, tables = stack.pop()
@@ -332,7 +332,7 @@ def test_first_candidate_pair_represents_a_state(prune):
     ch = preset("adder")
     kernel = ActionKernel(ch, enumerate_actions(MessageSpace(2, 2), ch.alphabets))
     n_actions, n_outputs = kernel.branch_of.shape
-    n_branches = len(kernel.branch_lik)
+    n_branches = len(kernel.branch_pair)
     totals = np.zeros((n_actions, 1))
     totals[0, 0] = -np.inf if prune else 0.0
 
@@ -367,7 +367,7 @@ def test_engine_maximises_the_totals_it_is_given():
     ch = preset("adder")
     kernel = ActionKernel(ch, enumerate_actions(MessageSpace(2, 2), ch.alphabets))
     branch_of = kernel.branch_of
-    n_actions, n_branches = len(branch_of), len(kernel.branch_lik)
+    n_actions, n_branches = len(branch_of), len(kernel.branch_pair)
     cls = np.arange(n_branches) % 3
     tags = 0.01 * cls + 1e-13 * np.arange(n_branches)
 

@@ -117,7 +117,7 @@ class _SimplexInterpolator:
 
 def reference_grid_tables(kernel, weights, space, resolution):
     actions = kernel.actions
-    channel_n_outputs = kernel.lik.shape[1]
+    channel_n_outputs = kernel.lik.shape[-1]
     # fully refined private tables: every message a class of its own
     own1, own2 = np.arange(space.m1), np.arange(space.m2)
     parts = space.pairs
