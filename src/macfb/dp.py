@@ -105,9 +105,9 @@ QUANT = 1e-9
 # 1 + 73 states in one reward call. Other temporaries are larger per state
 # than the width, such as the rewards' margin products (96 entries at
 # noisy_adder 2x2, against a width of 64). 10 s bench/run.py runs peak at
-# about 41.7 MB RSS on horizon-wide and 41.0 MB on dsaht-deep (seed 0, 2
-# cores), and one noisy_adder 3x3 solve in a fresh process at 33.9 MB at
-# n=3 and 49.7 MB at n=4.
+# about 41.3 MB RSS on horizon-wide and 40.8 MB on dsaht-deep (seeds 0 and
+# 1, 2 cores), and one noisy_adder 3x3 solve in a fresh process at 32.9 MB
+# at n=3 and 49.0 MB at n=4.
 CHUNK_ENTRIES = 1 << 16
 
 # totals this close to the optimum count as tied; the first one wins

@@ -212,15 +212,17 @@ def _cell_entropy(margin: np.ndarray, labels: np.ndarray, masks: np.ndarray,
                   base: np.ndarray) -> np.ndarray:
     """H(Y | C) in bits for every action, (A, ...).
 
-    margin[m, y, k, x, ...] is the joint of the output and the conditioning
+    margin[y, m, k, x, ...] is the joint of the output and the conditioning
     sender's message m when that sender sends x and the other sender uses
     its distinct encoder k; C groups m by (label, current symbol). The
     terms of a cell depend on the action only through (k, x) and the
     cell's member set, so they are computed once for every member set u,
-    its members summed in message order by slice additions (the set's last
-    member added to the set of its earlier ones, whatever the batch size),
-    and each action's cells gather them (``_cell_tables``). The empty set
-    gives exact zeros, which is what a cell that a state lacks adds. A
+    its members summed in message order by slice additions whatever the
+    batch size (the set's last member added to the set of its earlier
+    ones, one output at a time, so that numpy copies no slice for
+    overlap), and each action's cells gather them (``_cell_tables``). The
+    empty set gives exact zeros, which is what a cell that a state lacks
+    adds. A
     batch of states shares one cell count, the largest: in index order,
     below 8 cells, the padding keeps every bit; from 8 on numpy sums the
     cells pairwise, so states with fewer cells are summed apart, by count.
@@ -229,16 +231,15 @@ def _cell_entropy(margin: np.ndarray, labels: np.ndarray, masks: np.ndarray,
     batch = margin.shape[4:]
     n_states = math.prod(batch)
     margin = margin.reshape(margin.shape[:4] + (n_states,))
-    n_msgs = len(margin)
-    # (sets, Y, K, X, states): a set's slots lie apart from its earlier
-    # members', so numpy adds them with no copy for overlap
-    sub = np.empty((1 << n_msgs,) + margin.shape[1:])
-    sub[0] = 0.0
-    for m in range(n_msgs):
-        # the sets whose last member is m
-        np.add(sub[: 1 << m], margin[m], out=sub[1 << m : 2 << m])
-    # summed over the outputs: (sets, K, X, states)
-    terms = _xlogx(_sum_in_order(sub.swapaxes(0, 1))) - _sum_in_order(_xlogx(sub).swapaxes(0, 1))
+    n_msgs = margin.shape[1]
+    # (Y, sets, K, X, states)
+    sub = np.empty(margin.shape[:1] + (1 << n_msgs,) + margin.shape[2:])
+    sub[:, 0] = 0.0
+    for sets, part in zip(sub, margin):
+        for m in range(n_msgs):
+            # the sets whose last member is m
+            np.add(sets[: 1 << m], part[m], out=sets[1 << m : 2 << m])
+    terms = _xlogx(_sum_in_order(sub)) - _sum_in_order(_xlogx(sub))
     del sub
     labels = np.broadcast_to(labels.reshape(len(labels), -1), (len(labels), n_states))
     n_symbols = len(masks)
@@ -517,15 +518,15 @@ class ActionKernel:
     @functools.cached_property
     def _cells(self) -> tuple:
         """(lik, masks, base) of sender 2's cells (i1), then of sender 1's
-        (i2), built on first access: only the rewards read them. lik[m, 0,
-        y, k, x] = Q(y | ...) with the other sender's distinct encoder k on
+        (i2), built on first access: only the rewards read them. lik[m, y,
+        0, k, x] = Q(y | ...) with the other sender's distinct encoder k on
         its message m and the conditioning sender on symbol x, the 0 axis
         for the conditioning sender's message; masks and base as
         ``_cell_tables`` returns them."""
         q = self._q
         return (
-            (np.ascontiguousarray(q[:, self._enc1].transpose(2, 0, 1, 3))[:, None], *self._tables.cells2),
-            (np.ascontiguousarray(q[:, :, self._enc2].transpose(3, 0, 2, 1))[:, None], *self._tables.cells1),
+            (np.ascontiguousarray(q[:, self._enc1].transpose(2, 0, 1, 3))[:, :, None], *self._tables.cells2),
+            (np.ascontiguousarray(q[:, :, self._enc2].transpose(3, 0, 2, 1))[:, :, None], *self._tables.cells1),
         )
 
     def rewards(self, pi, labels1, labels2, p) -> tuple:
@@ -544,9 +545,9 @@ class ActionKernel:
         # index order unless sender 2 has one message; sender 2's are J's
         # last message axis
         i1 = _cell_entropy((_sum_in_order if pi.shape[1] > 1 else _sum)(
-            lik1.reshape(lik1.shape + batch) * pi[:, :, None, None, None]), labels2, *cells2) - noise
+            lik1.reshape(lik1.shape + batch) * pi[:, None, :, None, None]), labels2, *cells2) - noise
         i2 = _cell_entropy(_sum(
-            lik2.reshape(lik2.shape + batch) * np.moveaxis(pi, 1, 0)[:, :, None, None, None]),
+            lik2.reshape(lik2.shape + batch) * np.moveaxis(pi, 1, 0)[:, None, :, None, None]),
             labels1, *cells1) - noise
         return i1, i2, i3
 
