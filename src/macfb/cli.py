@@ -35,63 +35,33 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError("usage", message)
 
 
-# the config section each subcommand reads, where its name differs
-_SECTION_OF = {"oracle-check": "oracle_check", "diagnose-reduction": "diagnose"}
-
-
 def _build_parser() -> _Parser:
+    """One subparser per command of ``_COMMANDS``: the flags every command
+    shares, one flag per key of its config section and its emit flags.
+    Section flags pass their text on unchecked, so ``parse_config`` judges
+    a flag and a document key by one rule; a bool key is a switch."""
     parser = _Parser(prog="macfb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a YAML config document")
     common.add_argument("--preset", help="channel preset name (instead of --config)")
-    common.add_argument(
-        "--param", action="append", type=float, default=None,
-        help="preset parameter, repeatable",
-    )
+    common.add_argument("--param", action="append", help="preset parameter, repeatable")
     common.add_argument("--messages", help="message set sizes as 'm1,m2'")
     common.add_argument("--out", help="output file prefix")
     common.add_argument("--label", help="instance label used in reports")
 
-    p = sub.add_parser("validate", parents=[common], help="check a config document")
-
-    p = sub.add_parser("horizon", parents=[common], help="finite-horizon optimal value")
-    p.add_argument("--n", type=int, help="horizon length")
-    p.add_argument("--lambda", help="reward weights 'l1,l2,l3'")
-    p.add_argument("--prune", action="store_true", default=None, help="merge equivalent actions")
-    p.add_argument("--emit-policy", action="store_true", help="write <out>_policy.csv")
-    p.add_argument("--emit-beliefs", action="store_true", help="write <out>_beliefs.csv")
-
-    p = sub.add_parser("dsaht", parents=[common], help="minimum error probability")
-    p.add_argument("--T", type=int, help="number of channel uses")
-    p.add_argument("--emit-policy", action="store_true", help="write <out>_policy.csv")
-
-    p = sub.add_parser("stationary", parents=[common], help="average-reward gain")
-    p.add_argument("--lambda", help="reward weights 'l1,l2,l3'")
-    p.add_argument("--grid", type=int, help="belief grid resolution")
-    p.add_argument("--epsilon", type=float, help="span stopping threshold")
-    p.add_argument("--max-iters", type=int, help="iteration cap")
-    p.add_argument("--renewal", choices=("per_use", "none"), help="renewal mode")
-
-    p = sub.add_parser("region", parents=[common], help="achievable-rate region sweep")
-    p.add_argument("--n", type=int, help="horizon length per weight vector")
-    p.add_argument("--sweep", type=int, help="minimum number of weight vectors")
-    p.add_argument("--solver", choices=("horizon", "stationary"), help="bound solver")
-
-    p = sub.add_parser(
-        "oracle-check", parents=[common],
-        help="compare the dynamic programs against exhaustive search",
-    )
-    p.add_argument("--n", type=int, help="horizon length")
-    p.add_argument("--lambda", help="reward weights 'l1,l2,l3'")
-
-    p = sub.add_parser(
-        "diagnose-reduction", parents=[common],
-        help="check whether distinct histories reuse the same belief",
-    )
-    p.add_argument("--n", type=int, help="horizon length")
-    p.add_argument("--lambda", help="reward weights 'l1,l2,l3'")
+    for command, (section, text, _, emits) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=text)
+        for key, default in SECTION_DEFAULTS.get(section, {}).items():
+            shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+            p.add_argument(
+                "--" + key.replace("_", "-"), dest=key, default=None,
+                action="store_true" if isinstance(default, bool) else "store",
+                help=f"{section}.{key} (default {shown})",
+            )
+        for name in emits:
+            p.add_argument(f"--emit-{name}", action="store_true", help=f"write <out>_{name}.csv")
     return parser
 
 
@@ -104,10 +74,10 @@ def _lay(doc: dict, key: str, flags: dict) -> None:
         doc[key] = {**(raw or {}), **flags}
 
 
-def _config_from_args(args) -> RunConfig:
+def _config_from_args(args, section) -> RunConfig:
     """Validate the config document, or the one --preset and --messages
     describe, with the given flags laid over its keys: the top-level ones and
-    those of the command's section."""
+    those of ``section``."""
     if args.config:
         doc = read_document(args.config)
     else:
@@ -119,7 +89,7 @@ def _config_from_args(args) -> RunConfig:
         if len(sizes) != 2:
             raise ValidationError("messages", "expected 2 comma-separated values")
         doc = {
-            "channel": {"preset": {"name": args.preset, "params": list(args.param or [])}},
+            "channel": {"preset": {"name": args.preset, "params": args.param or []}},
             "messages": dict(zip(("m1", "m2"), sizes)),
         }
     if not isinstance(doc, dict):
@@ -127,8 +97,7 @@ def _config_from_args(args) -> RunConfig:
     if args.label:
         doc["label"] = args.label
     _lay(doc, "output", {"prefix": args.out or None})
-    section = _SECTION_OF.get(args.command, args.command)
-    flags = {key: getattr(args, key, None) for key in SECTION_DEFAULTS.get(section, ())}
+    flags = {key: getattr(args, key) for key in SECTION_DEFAULTS.get(section, ())}
     if flags.get("lambda") is not None:
         flags["lambda"] = flags["lambda"].split(",")
     _lay(doc, section, flags)
@@ -207,74 +176,67 @@ def _decoder_csv(decoder: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_validate(cfg: RunConfig, args, result: dict) -> int:
+def _write_csv(cfg: RunConfig, result: dict, name: str, text: str) -> None:
+    """Write the artifact ``<prefix>_<name>.csv`` and list it in the result."""
+    path = f"{cfg.output_prefix}_{name}.csv"
+    atomic_write_text(path, text)
+    result["files"][name] = path
+
+
+def _cmd_validate(cfg: RunConfig, sec: dict, emits: list, result: dict) -> int:
     result["values"]["ok"] = True
     result["values"]["kernel_min"] = float(cfg.channel.kernel.min())
     result["values"]["has_prior"] = cfg.prior is not None
     return EXIT_OK
 
 
-def _cmd_horizon(cfg: RunConfig, args, result: dict) -> int:
-    sec = cfg.section("horizon")
+def _cmd_horizon(cfg: RunConfig, sec: dict, emits: list, result: dict) -> int:
     res = dp.solve_horizon(
         cfg.channel, cfg.space, _weights(sec), sec["n"],
         prior=_prior_joint(cfg), prune=sec["prune"],
         node_cap=cfg.limits["node_cap"], action_cap=cfg.limits["action_cap"],
     )
-    result["params"] = {"n": sec["n"], "lambda": list(sec["lambda"]), "prune": sec["prune"]}
     result["values"] = {
         "total_value": res.total_value,
         "value_per_step": res.value_per_step,
         "states_expanded": res.states_expanded,
         "cache_hits": res.cache_hits,
     }
-    # main has checked that an emit flag comes with an output prefix
-    if args.emit_policy:
-        path = f"{cfg.output_prefix}_policy.csv"
-        atomic_write_text(path, policy_to_csv(res.policy))
-        result["files"]["policy"] = path
-    if args.emit_beliefs:
-        path = f"{cfg.output_prefix}_beliefs.csv"
-        atomic_write_text(path, _beliefs_csv(res.policy, cfg))
-        result["files"]["beliefs"] = path
+    if "policy" in emits:
+        _write_csv(cfg, result, "policy", policy_to_csv(res.policy))
+    if "beliefs" in emits:
+        _write_csv(cfg, result, "beliefs", _beliefs_csv(res.policy, cfg))
     return EXIT_OK
 
 
-def _cmd_dsaht(cfg: RunConfig, args, result: dict) -> int:
-    sec = cfg.section("dsaht")
+def _cmd_dsaht(cfg: RunConfig, sec: dict, emits: list, result: dict) -> int:
     res = dp.solve_dsaht(
         cfg.channel, cfg.space, sec["T"], prior=_prior_joint(cfg),
         node_cap=cfg.limits["node_cap"], action_cap=cfg.limits["action_cap"],
     )
-    result["params"] = {"T": sec["T"]}
     result["values"] = {
         "error_probability": res.error_probability,
         "states_expanded": res.states_expanded,
         "cache_hits": res.cache_hits,
     }
+    if "policy" in emits:
+        _write_csv(cfg, result, "policy", policy_to_csv(res.policy))
     if cfg.output_prefix:
-        if args.emit_policy:
-            path = f"{cfg.output_prefix}_policy.csv"
-            atomic_write_text(path, policy_to_csv(res.policy))
-            result["files"]["policy"] = path
-        path = f"{cfg.output_prefix}_decoder.csv"
-        atomic_write_text(path, _decoder_csv(res.decoder))
-        result["files"]["decoder"] = path
+        _write_csv(cfg, result, "decoder", _decoder_csv(res.decoder))
     return EXIT_OK
 
 
-def _cmd_stationary(cfg: RunConfig, args, result: dict) -> int:
-    sec = cfg.section("stationary")
+def _cmd_stationary(cfg: RunConfig, sec: dict, emits: list, result: dict) -> int:
     res = dp.solve_stationary(
         cfg.channel, cfg.space, _weights(sec),
         resolution=sec["grid"], epsilon=sec["epsilon"], max_iters=sec["max_iters"],
         prior=_prior_joint(cfg), renewal=sec["renewal"],
         grid_cap=cfg.limits["grid_cap"], action_cap=cfg.limits["action_cap"],
     )
-    result["params"] = {"lambda": list(sec["lambda"]), "renewal": sec["renewal"]}
     # only renewal: none uses the grid and the iteration settings
-    if sec["renewal"] == "none":
-        result["params"].update(grid=sec["grid"], epsilon=sec["epsilon"], max_iters=sec["max_iters"])
+    if sec["renewal"] == "per_use":
+        for key in ("grid", "epsilon", "max_iters"):
+            del result["params"][key]
     result["values"] = {
         "gain": res.gain,
         "iterations": res.iterations,
@@ -284,14 +246,12 @@ def _cmd_stationary(cfg: RunConfig, args, result: dict) -> int:
     return EXIT_OK if res.converged else EXIT_NOT_CONVERGED
 
 
-def _cmd_region(cfg: RunConfig, args, result: dict) -> int:
-    sec = cfg.section("region")
+def _cmd_region(cfg: RunConfig, sec: dict, emits: list, result: dict) -> int:
     est = region_mod.sweep(
         cfg.channel, cfg.space, sec["n"], sec["sweep"],
         solver=sec["solver"], prior=_prior_joint(cfg),
         node_cap=cfg.limits["node_cap"], action_cap=cfg.limits["action_cap"],
     )
-    result["params"] = {"n": sec["n"], "sweep": sec["sweep"], "solver": sec["solver"]}
     result["values"] = {
         "n_halfplanes": len(est.halfplanes),
         "n_vertices": len(est.vertices),
@@ -309,8 +269,7 @@ def _cmd_region(cfg: RunConfig, args, result: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle_check(cfg: RunConfig, args, result: dict) -> int:
-    sec = cfg.section("oracle_check")
+def _cmd_oracle_check(cfg: RunConfig, sec: dict, emits: list, result: dict) -> int:
     weights = _weights(sec)
     n = sec["n"]
     # each search runs before the solve it checks: a search over its
@@ -337,7 +296,6 @@ def _cmd_oracle_check(cfg: RunConfig, args, result: dict) -> int:
         (f"{cfg.label}:horizon", dp_h.value_per_step, ex_h[0]),
         (f"{cfg.label}:dsaht", dp_d.error_probability, ex_d[0]),
     ]
-    result["params"] = {"n": n, "lambda": list(sec["lambda"])}
     result["values"] = {
         "horizon": {"dp": rows[0][1], "oracle": rows[0][2],
                     "abs_diff": abs(rows[0][1] - rows[0][2])},
@@ -349,19 +307,15 @@ def _cmd_oracle_check(cfg: RunConfig, args, result: dict) -> int:
         lines = ["instance,dp_value,oracle_value,abs_diff"]
         for name, a, b in rows:
             lines.append(f"{name},{a:.17g},{b:.17g},{abs(a - b):.17g}")
-        path = f"{cfg.output_prefix}_oracle.csv"
-        atomic_write_text(path, "\n".join(lines) + "\n")
-        result["files"]["oracle"] = path
+        _write_csv(cfg, result, "oracle", "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def _cmd_diagnose(cfg: RunConfig, args, result: dict) -> int:
-    sec = cfg.section("diagnose")
+def _cmd_diagnose(cfg: RunConfig, sec: dict, emits: list, result: dict) -> int:
     rep = dp.reachability_diagnostic(
         cfg.channel, cfg.space, _weights(sec), sec["n"], prior=_prior_joint(cfg),
         node_cap=cfg.limits["node_cap"], action_cap=cfg.limits["action_cap"],
     )
-    result["params"] = {"n": sec["n"], "lambda": list(sec["lambda"])}
     result["values"] = {
         "n_states": rep.n_states,
         "n_groups": rep.n_groups,
@@ -372,14 +326,21 @@ def _cmd_diagnose(cfg: RunConfig, args, result: dict) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "horizon": _cmd_horizon,
-    "dsaht": _cmd_dsaht,
-    "stationary": _cmd_stationary,
-    "region": _cmd_region,
-    "oracle-check": _cmd_oracle_check,
-    "diagnose-reduction": _cmd_diagnose,
+# command: (the config section its flags set, help line, handler, the
+# artifacts it writes on request with --emit-<name>)
+_COMMANDS = {
+    "validate": (None, "check a config document", _cmd_validate, ()),
+    "horizon": ("horizon", "finite-horizon optimal value", _cmd_horizon, ("policy", "beliefs")),
+    "dsaht": ("dsaht", "minimum error probability", _cmd_dsaht, ("policy",)),
+    "stationary": ("stationary", "average-reward gain", _cmd_stationary, ()),
+    "region": ("region", "achievable-rate region sweep", _cmd_region, ()),
+    "oracle-check": (
+        "oracle_check", "compare the dynamic programs against exhaustive search",
+        _cmd_oracle_check, (),
+    ),
+    "diagnose-reduction": (
+        "diagnose", "check whether distinct histories reuse the same belief", _cmd_diagnose, (),
+    ),
 }
 
 
@@ -387,12 +348,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
-        emits = getattr(args, "emit_policy", False) or getattr(args, "emit_beliefs", False)
+        section, _, handler, emittable = _COMMANDS[args.command]
+        cfg = _config_from_args(args, section)
+        emits = [name for name in emittable if getattr(args, f"emit_{name}")]
         if emits and not cfg.output_prefix:
             raise ValidationError("usage", "--emit-policy and --emit-beliefs need --out or output.prefix")
         result = _base_result(args.command, cfg)
-        code = _HANDLERS[args.command](cfg, args, result)
+        sec = cfg.section(section) if section else {}
+        if section:
+            # the section as solved, lists where the settings hold tuples
+            result["params"] = {key: list(v) if isinstance(v, tuple) else v for key, v in sec.items()}
+        code = handler(cfg, sec, emits, result)
     except (ConfigError, ValueError, OSError) as exc:
         # solver ValueErrors flag parameter misuse (n < 1, sweep < 3, ...);
         # OSError covers unreadable config paths

@@ -94,15 +94,21 @@ class RunConfig:
 def _as_int(value, fieldname: str) -> int:
     if isinstance(value, bool):
         raise ValidationError(fieldname, f"expected an integer, got {value!r}")
-    if not isinstance(value, int):
+    if isinstance(value, int):
+        return value
+    if isinstance(value, str):
+        # whole-number digits exactly, past 2^53 too; "2.0" or "1e3" below
         try:
-            as_float = float(value)
-        except (TypeError, ValueError):
-            raise ValidationError(fieldname, f"expected an integer, got {value!r}") from None
-        if not as_float.is_integer():
-            raise ValidationError(fieldname, f"expected an integer, got {value!r}")
-        return int(as_float)
-    return value
+            return int(value)
+        except ValueError:
+            pass
+    try:
+        as_float = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(fieldname, f"expected an integer, got {value!r}") from None
+    if not as_float.is_integer():
+        raise ValidationError(fieldname, f"expected an integer, got {value!r}")
+    return int(as_float)
 
 
 def _as_float(value, fieldname: str) -> float:

@@ -46,9 +46,8 @@ the totals (actions, states), and a dedupe key is a column of words
 axis is 2-74 long, so numpy's inner loops run the length of the level
 and the hash is one multiply-add per word over all keys. The
 single-state code, ``walk_policy`` and the validated API, keeps a state's
-own shape, and the grid's interpolation (``_freudenthal``) takes one
-belief per row, into which ``_grid_tables`` gathers the posteriors it
-interpolates.
+own shape; the grid's interpolation (``_freudenthal``) takes its
+beliefs as columns too.
 Every walk over the beliefs a fixed policy reaches (the DSAHT decoder,
 ``evaluate_tree``, the diagnostic and the CLI's belief file) goes through
 one walker, ``walk_policy``, which builds only the chosen action's update
@@ -688,29 +687,30 @@ def _freudenthal(beliefs: np.ndarray, d: int) -> tuple:
     in Freudenthal's triangulation of the grid with spacing 1/d (Lovejoy,
     Oper. Res. 1991).
 
-    ``beliefs`` is (N, parts). A point is written in cumulative coordinates
-    z_j = d (b_{j+1} + ... + b_{parts-1}), j < parts - 1, clipped to [0, d]
-    and made non-increasing. Vertex k steps floor(z) up by 1 in the k
-    coordinates with the largest fractional parts, ties broken by index, so
-    its weight is the gap between the (k-1)-th and k-th largest fractional
-    part (1 above the largest, 0 below the smallest). Returns the vertices
-    as (N, parts, parts - 1) int cumulative coordinates and their weights
-    (N, parts). Every vertex whose weight is positive is a grid point:
-    equal floors are stepped up in index order, so the coordinates stay
-    non-increasing, and a coordinate at d has no fractional part, so only
-    vertices of weight 0 step it past d.
+    ``beliefs`` is (parts, N), one belief per column. A point is written in
+    cumulative coordinates z_j = d (b_{j+1} + ... + b_{parts-1}), j < parts
+    - 1, clipped to [0, d] and made non-increasing. Vertex k steps floor(z)
+    up by 1 in the k coordinates with the largest fractional parts, ties
+    broken by index, so its weight is the gap between the (k-1)-th and k-th
+    largest fractional part (1 above the largest, 0 below the smallest).
+    Returns the vertices as (parts - 1, parts, N) int cumulative
+    coordinates, coordinate j of vertex k of belief n at [j, k, n], and
+    their weights (parts, N). Every vertex whose weight is positive is a
+    grid point: equal floors are stepped up in index order, so the
+    coordinates stay non-increasing, and a coordinate at d has no
+    fractional part, so only vertices of weight 0 step it past d.
     """
-    n, parts = beliefs.shape
-    suffix = np.cumsum(beliefs[:, ::-1], axis=1)[:, ::-1]
-    z = np.minimum.accumulate(np.clip(d * suffix[:, 1:], 0.0, float(d)), axis=1)
+    parts, n = beliefs.shape
+    suffix = np.cumsum(beliefs[::-1], axis=0)[::-1]
+    z = np.minimum.accumulate(np.clip(d * suffix[1:], 0.0, float(d)), axis=0)
     base = np.floor(z)
     frac = z - base
-    order = np.argsort(-frac, axis=1, kind="stable")
-    rank = np.argsort(order, axis=1)
-    verts = base[:, None, :] + (rank[:, None, :] < np.arange(parts)[:, None])
-    fs = np.take_along_axis(frac, order, axis=1)
-    edges = np.concatenate([np.ones((n, 1)), fs, np.zeros((n, 1))], axis=1)
-    return verts.astype(np.int64), edges[:, :-1] - edges[:, 1:]
+    order = np.argsort(-frac, axis=0, kind="stable")
+    rank = np.argsort(order, axis=0)
+    verts = base[:, None] + (rank[:, None] < np.arange(parts)[:, None])
+    fs = np.take_along_axis(frac, order, axis=0)
+    edges = np.concatenate([np.ones((1, n)), fs, np.zeros((1, n))])
+    return verts.astype(np.int64), edges[:-1] - edges[1:]
 
 
 def _grid_tables(kernel: ActionKernel, weights: LambdaWeights, space: MessageSpace,
@@ -750,10 +750,10 @@ def _grid_tables(kernel: ActionKernel, weights: LambdaWeights, space: MessageSpa
         """(belief, grid index, weight) of every vertex kept, in (belief,
         vertex) order."""
         verts, w = _freudenthal(beliefs, d)
-        which, k = np.nonzero(w > 1e-12)
-        verts = verts[which, k]
-        above = np.concatenate([np.full((len(verts), 1), d), verts[:, :-1]], axis=1)
-        return which, (count[tail, above] - count[tail, verts]).sum(axis=1), w[which, k]
+        which, k = np.nonzero(w.T > 1e-12)
+        verts = verts[:, k, which]
+        above = np.concatenate([np.full((1, len(k)), d), verts[:-1]])
+        return which, (count[tail[:, None], above] - count[tail[:, None], verts]).sum(axis=0), w[k, which]
 
     # fully refined: every message is a private class of its own
     own1, own2 = np.arange(space.m1), np.arange(space.m2)
@@ -767,13 +767,11 @@ def _grid_tables(kernel: ActionKernel, weights: LambdaWeights, space: MessageSpa
         # the live (point, action, output) triples in that order
         s, a, y = np.nonzero(np.moveaxis(p > MASS_EPS, -1, 0))
         live = (a * p.shape[1] + y) * p.shape[2] + s
-        # one posterior per row, as the interpolation takes them
-        post = np.take(joint, live[:, None] + np.arange(parts) * p.size) / np.take(p, live)[:, None]
-        which, index, w = interpolate(post)
+        which, index, w = interpolate(kernel.posteriors_at(joint, p, live).reshape(parts, -1))
         rows.append((a * n_points + lo + s)[which])
         cols.append(index)
         vals.append(np.take(p, live)[which] * w)
-    _, ref_idx, ref_w = interpolate(np.full((1, parts), 1.0 / parts))
+    _, ref_idx, ref_w = interpolate(np.full((parts, 1), 1.0 / parts))
     return rewards, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), ref_idx, ref_w
 
 
@@ -851,8 +849,7 @@ def solve_stationary(
     iterations = 0
     converged = False
     for iterations in range(1, max_iters + 1):
-        acc = np.zeros(n_points * n_actions)
-        np.add.at(acc, rows, vals * value[cols])
+        acc = np.bincount(rows, vals * value[cols], minlength=n_points * n_actions)
         updated = (flat_rewards + acc).reshape(n_actions, n_points).max(axis=0)
         gain = float(updated[ref_idx] @ ref_w)
         updated = updated - gain

@@ -230,12 +230,21 @@ def _digits(values: Iterable[int]) -> str:
 
 
 def policy_to_csv(tree: PolicyTree) -> str:
-    """Render a tree as CSV rows t,history,e1,e2 with digit-string fields."""
+    """Render a tree as CSV rows t,history,e1,e2 with digit-string fields.
+
+    Rows go level by level in (t, history) order: each level's histories
+    extend the previous level's by one output digit, and each distinct
+    action's fields are formatted once."""
+    fields = [f"{_digits(a.e1.table)},{_digits(a.e2.table)}" for a in tree.actions]
+    slots = tree._slots().tolist()
     lines = ["t,history,e1,e2"]
-    for hist, action in tree.items():
-        lines.append(
-            f"{len(hist) + 1},{_digits(hist)},{_digits(action.e1.table)},{_digits(action.e2.table)}"
-        )
+    hists = [""]
+    for t in range(1, tree.depth + 1):
+        if t > 1:
+            digits = [_digits([y]) for y in range(tree.n_outputs)]
+            hists = [h + y for h in hists for y in digits]
+        start = len(lines) - 1  # the nodes above this level, one line each
+        lines.extend([f"{t},{h},{fields[s]}" for h, s in zip(hists, slots[start : start + len(hists)])])
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from macfb import cli
 from macfb.belief import initial_state, update_augmented
 from macfb.channel import MessageSpace, preset
+from macfb.config import SECTION_DEFAULTS
 from macfb.encoding import policy_from_csv
 from macfb.errors import ImpossibleObservation
 
@@ -183,6 +185,95 @@ def test_flags_override_the_section(tmp_path, capsys):
     code, doc = run_json(["horizon", "--config", str(path), "--lambda", "0, 0,1", "--prune"], capsys)
     assert code == 0
     assert doc["params"] == {"n": 2, "lambda": [0.0, 0.0, 1.0], "prune": True}
+
+
+ADDER_YAML = "channel: {preset: {name: adder}}\nmessages: {m1: 2, m2: 2}\n"
+
+
+@pytest.mark.parametrize(
+    "command, key, text",
+    [
+        # int
+        ("horizon", "n", "2"),
+        ("horizon", "n", "2.0"),
+        ("horizon", "n", "1.5"),
+        ("horizon", "n", "-1"),
+        ("horizon", "n", "two"),
+        ("region", "sweep", "3"),
+        ("stationary", "max_iters", "0"),
+        # float
+        ("stationary", "epsilon", "1e-3"),
+        ("stationary", "epsilon", "0"),
+        ("stationary", "epsilon", "nan"),
+        ("stationary", "epsilon", "small"),
+        # lambda
+        ("horizon", "lambda", "0.3,0.3,0.4"),
+        ("horizon", "lambda", "1,2"),
+        ("horizon", "lambda", "-1,1,1"),
+        ("horizon", "lambda", "a,b,c"),
+        # choice
+        ("stationary", "renewal", "none"),
+        ("stationary", "renewal", "bogus"),
+        ("region", "solver", "stationary"),
+        ("region", "solver", "guess"),
+    ],
+)
+def test_a_flag_and_a_document_key_are_judged_alike(tmp_path, capsys, command, key, text):
+    # the flag passes its text on, and the document holds the same text:
+    # quoted, it must give the same exit code, output and message; bare, as
+    # YAML reads it, the same exit code and output, or an error naming the
+    # same field
+    def outcome(body, *flags):
+        path = tmp_path / "run.yaml"
+        path.write_text(ADDER_YAML + body)
+        code = cli.main([command, "--config", str(path), *flags])
+        return (code, *capsys.readouterr())
+
+    flag = outcome("", f"--{key.replace('_', '-')}={text}")
+    value = text.split(",") if key == "lambda" else text
+    assert outcome(f"{command}: {{{key}: {json.dumps(value)}}}\n") == flag
+    bare = outcome(f"{command}: {{{key}: {f'[{text}]' if key == 'lambda' else text}}}\n")
+    if flag[0] == 1:
+        field = f"error: invalid field '{command}.{key}': "
+        assert flag[2].startswith(field) and bare[:2] == (1, "") and bare[2].startswith(field)
+    else:
+        assert bare == flag and flag[0] == 0
+
+
+def test_a_switch_and_a_document_bool_are_judged_alike(tmp_path, capsys):
+    base = tmp_path / "base.yaml"
+    base.write_text(ADDER_YAML)
+    doc = tmp_path / "doc.yaml"
+    for value, flags in ((True, ["--prune"]), (False, [])):
+        doc.write_text(ADDER_YAML + f"horizon: {{n: 2, prune: {json.dumps(value)}}}\n")
+        code, out = run(["horizon", "--config", str(base), "--n", "2", *flags], capsys)
+        assert code == 0 and json.loads(out)["params"]["prune"] is value
+        assert run(["horizon", "--config", str(doc)], capsys) == (code, out)
+
+
+@pytest.mark.parametrize(
+    "command, section, extra",
+    [
+        ("validate", None, []),
+        ("horizon", "horizon", ["--emit-policy", "--emit-beliefs"]),
+        ("dsaht", "dsaht", ["--emit-policy"]),
+        ("stationary", "stationary", []),
+        ("region", "region", []),
+        ("oracle-check", "oracle_check", []),
+        ("diagnose-reduction", "diagnose", []),
+    ],
+)
+def test_help_lists_the_section_keys(monkeypatch, capsys, command, section, extra):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--help"])
+    assert info.value.code == 0
+    text = capsys.readouterr().out
+    keys = list(SECTION_DEFAULTS.get(section, ()))
+    assert re.findall(r"  (\w+)\.(\w+) \(default ", text) == [(section, key) for key in keys]
+    flags = {"--help", "--config", "--preset", "--param", "--messages", "--out", "--label", *extra}
+    flags |= {"--" + key.replace("_", "-") for key in keys}
+    assert set(re.findall(r"^  (?:-h, )?(--[\w-]+)", text, re.M)) == flags
 
 
 def test_horizon_json_and_artifacts(tmp_path, capsys):

@@ -88,6 +88,9 @@ def test_numeric_strings_accepted():
     sec = cfg.section("stationary")
     assert sec["epsilon"] == 1e-6
     assert sec["grid"] == 8
+    # whole-number digits are read exactly, past the 2^53 a float holds
+    for text, n in (("9007199254740993", 9007199254740993), ("2.0", 2), ("1e3", 1000)):
+        assert parse_config(base_doc(horizon={"n": text})).section("horizon")["n"] == n
 
 
 @pytest.mark.parametrize(

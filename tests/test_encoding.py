@@ -211,6 +211,42 @@ def test_policy_csv_round_trip():
     assert policy_to_csv(again) == text
 
 
+def _csv_per_node(tree):
+    """The CSV one row per node, as policy_to_csv wrote it before it went
+    level by level."""
+    def digits(values):
+        if any(not 0 <= v <= 9 for v in values):
+            raise ValueError("digit-string serialisation supports alphabet sizes up to 10")
+        return "".join(map(str, values))
+
+    lines = ["t,history,e1,e2"]
+    for hist, action in tree.items():
+        lines.append(f"{len(hist) + 1},{digits(hist)},{digits(action.e1.table)},{digits(action.e2.table)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("depth", [0, 1, 4])
+def test_policy_csv_equals_per_node_rendering(depth):
+    # 7 outputs: 400 nodes at depth 4, holding 300 distinct actions, more
+    # than one byte can index
+    actions = enumerate_actions(MessageSpace(5, 4), Alphabets(2, 2, 7))
+    tree = PolicyTree.from_indices(depth, 7, actions, np.arange(tree_size(7, depth)) * 7 % 300)
+    assert len(tree.actions) == min(300, tree_size(7, depth))
+    assert policy_to_csv(tree) == _csv_per_node(tree)
+
+
+def test_policy_csv_refuses_digits_above_nine():
+    # an output above 9 in a history, or a symbol above 9 in an action,
+    # has no digit; a tree of depth 1 has only the empty history
+    actions = enumerate_actions(MessageSpace(1, 1), Alphabets(11, 1, 11))
+    assert policy_to_csv(PolicyTree.from_indices(1, 11, actions, [0])) == "t,history,e1,e2\n1,,0,0\n"
+    for depth, at in ((2, [0] * 12), (1, [10])):
+        tree = PolicyTree.from_indices(depth, 11, actions, at)
+        for render in (policy_to_csv, _csv_per_node):
+            with pytest.raises(ValueError, match="alphabet sizes up to 10"):
+                render(tree)
+
+
 def test_policy_csv_rejects_bad_header():
     with pytest.raises(ValueError):
         policy_from_csv("who,knows\n", preset("adder").alphabets)

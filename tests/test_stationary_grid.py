@@ -253,10 +253,10 @@ def test_kept_freudenthal_vertices_are_grid_points(parts, d):
     beliefs.extend(rng.dirichlet(np.ones(parts), size=200))
     beliefs.extend(rng.dirichlet(np.full(parts, 0.1), size=200))
     beliefs = np.array(beliefs)
-    verts, w = _freudenthal(beliefs, d)
-    assert verts.shape == (len(beliefs), parts, parts - 1)
+    verts, w = _freudenthal(beliefs.T, d)
+    assert verts.shape == (parts - 1, parts, len(beliefs))
     keep = w > 1e-12
-    for b, v, wk, k in zip(beliefs, verts, w, keep):
+    for b, v, wk, k in zip(beliefs, verts.transpose(2, 1, 0), w.T, keep.T):
         assert k.any()
         n = int(k.sum())
         comps = -np.diff(np.column_stack([np.full(n, d), v[k], np.zeros(n, dtype=np.int64)]), axis=1)
@@ -273,12 +273,12 @@ def test_kept_vertices_of_kernel_posteriors_are_grid_points():
     rng = make_rng(7)
     pis = np.concatenate([rng.dirichlet(np.ones(9), size=20), np.eye(9)]).T.reshape(3, 3, -1)
     joint, p = kernel.joint(pis)
-    post = np.moveaxis(kernel.posteriors(joint, p), (0, 1), (-2, -1))[p > MASS_EPS].reshape(-1, 9)
+    post = kernel.posteriors(joint, p)[:, :, p > MASS_EPS].reshape(9, -1)
     verts, w = _freudenthal(post, 3)
     keep = w > 1e-12
-    kept = verts[keep]
-    assert (kept[:, :-1] >= kept[:, 1:]).all() and (kept >= 0).all() and (kept <= 3).all()
-    assert np.abs(np.where(keep, w, 0.0).sum(axis=1) - 1.0).max() <= 1e-12
+    kept = verts[:, keep]
+    assert (kept[:-1] >= kept[1:]).all() and (kept >= 0).all() and (kept <= 3).all()
+    assert np.abs(np.where(keep, w, 0.0).sum(axis=0) - 1.0).max() <= 1e-12
 
 
 def test_grid_cap_checked_before_any_point_is_built():
