@@ -27,15 +27,22 @@ policy and of a random tree, the reachability diagnostic, the actions
 and ``solve_stationary`` with per-use renewal (and without renewal on a
 grid, up to 2x2); then the bounds and vertices of a 2x2 ``sweep`` with
 either solver, per channel, from the uniform and the non-product prior.
-Only the public API is called, so the script runs unchanged on an older
-tree. The output is not pinned by any test: the last bits may differ
+Last, on adder and noisy_adder(0.1) at every message space, from the
+uniform and the non-product prior at n = 1 to 3, it prints the sha1 of the
+belief file that ``macfb horizon --emit-beliefs`` writes, run through
+``cli.main``. Only the public API and ``cli.main`` are called, so the
+script runs unchanged on an older tree. The output is not pinned by any test: the last bits may differ
 between numpy builds.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +71,7 @@ from macfb import (  # noqa: E402
     update_augmented,
     validate_channel,
 )
+from macfb import cli  # noqa: E402
 
 WEIGHTS = LambdaWeights(0.3, 0.3, 0.4)
 SPACES = ((1, 2), (2, 2), (2, 3), (3, 3))
@@ -217,6 +225,30 @@ def region_lines(name, channel):
                    f"{len(est.vertices)} {_sha1(vertices)} {int(est.degenerate)}")
 
 
+def belief_lines():
+    """The sha1 of ``horizon --emit-beliefs``'s belief file on adder and
+    noisy_adder(0.1), every message space, the uniform and the non-product
+    prior, n = 1 to 3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, params in (("adder", []), ("noisy_adder", [0.1])):
+            for m1, m2 in SPACES:
+                for prior_name, prior in priors(m1, m2, 10 * m1 + m2).items():
+                    if prior_name not in ("uniform", "joint"):
+                        continue
+                    doc = {"channel": {"preset": {"name": name, "params": params}},
+                           "messages": {"m1": m1, "m2": m2},
+                           "prior": None if prior is None else prior.table.reshape(-1).tolist()}
+                    path = Path(tmp) / "run.yaml"
+                    path.write_text(json.dumps(doc))
+                    for n in (1, 2, 3):
+                        argv = ["horizon", "--config", str(path), "--n", str(n), "--lambda", "0.3,0.3,0.4",
+                                "--emit-beliefs", "--out", str(Path(tmp) / "run")]
+                        with contextlib.redirect_stdout(io.StringIO()):
+                            code = cli.main(argv)
+                        text = (Path(tmp) / "run_beliefs.csv").read_text()
+                        yield f"beliefs {name} {m1}x{m2} {prior_name} n={n} {code} {_sha1(text)}"
+
+
 def main() -> int:
     for name, channel in channels().items():
         for m1, m2 in SPACES:
@@ -245,6 +277,8 @@ def main() -> int:
                     print(line)
         for line in region_lines(name, channel):
             print(line)
+    for line in belief_lines():
+        print(line)
     return 0
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, MessageSpace
+from .channel import Channel, MessageSpace, check_action
 from .errors import ImpossibleObservation
 
 # predictive mass at or below this is treated as an impossible branch
@@ -167,7 +167,10 @@ def _likelihood(channel: Channel, action) -> np.ndarray:
 
 
 def predictive_distribution(pi: JointBelief, action, channel: Channel) -> np.ndarray:
-    """Output distribution P(y) = sum_m pi(m) Q(y | e(m)) before observing."""
+    """Output distribution P(y) = sum_m pi(m) Q(y | e(m)) before observing.
+    Raises ValueError when the action's encoders do not fit the belief's
+    message counts and the channel's input alphabets."""
+    check_action(action, pi.m1, pi.m2, channel)
     lik = _likelihood(channel, action)
     return (lik * pi.table[None, :, :]).sum(axis=(1, 2))
 
@@ -180,8 +183,10 @@ def update_joint(pi: JointBelief, action, y: int, channel: Channel) -> JointBeli
     """One Bayes step of the common belief after observing output y.
 
     Raises ImpossibleObservation when the predictive mass of y is at or
-    below 1e-15; there is no posterior to report in that branch.
+    below 1e-15; there is no posterior to report in that branch, and
+    ValueError when the action does not fit (``predictive_distribution``).
     """
+    check_action(action, pi.m1, pi.m2, channel)
     lik = channel.kernel[y][np.ix_(np.asarray(action.e1.table), np.asarray(action.e2.table))]
     num = lik * pi.table
     mass = float(num.sum())

@@ -76,6 +76,18 @@ class Channel:
         return self.alphabets.y
 
 
+def check_action(action, m1: int, m2: int, channel: Channel, where: str = "") -> None:
+    """Raise ValueError naming the first sender whose encoder in ``action``
+    does not map its ``m1`` or ``m2`` messages into the channel's input
+    alphabet; ``where`` follows "encoder" in the message."""
+    for sender, enc, m, x in ((1, action.e1, m1, channel.alphabets.x1),
+                              (2, action.e2, m2, channel.alphabets.x2)):
+        if (enc.n_messages, enc.n_symbols) != (m, x):
+            raise ValueError(
+                f"sender {sender}'s encoder{where} maps {enc.n_messages} messages to {enc.n_symbols} "
+                f"symbols; the space has {m} messages and the channel {x} symbols")
+
+
 def validate_channel(kernel) -> Channel:
     """Build a Channel from a [y][x1][x2] table, rejecting invalid entries.
 

@@ -142,29 +142,19 @@ def _base_result(command: str, cfg: RunConfig) -> dict:
 def _beliefs_csv(tree, cfg: RunConfig) -> str:
     root = initial_state(cfg.space, cfg.prior)
     kernel = dp.policy_kernel(cfg.channel, tree)
-    # after[hist]: the tables the action at hist refines, met before hist's children
-    after, seen = {}, []
-    for t, hist, pi, _, _, a, _ in dp.walk_policy(kernel, tree, root.pi.table):
-        beta1, beta2 = after[hist[:-1]] if hist else (root.beta1, root.beta2)
-        if a is not None:
-            action = kernel.actions[a]
-            after[hist] = (update_private(beta1, action.e1), update_private(beta2, action.e2))
-        # the walker counts channel uses from 1; the file counts outputs seen
-        seen.append((t - 1, hist, pi, beta1.rows, beta2.rows))
-    seen.sort(key=lambda node: node[:2])
-    lines = []
-    for t, hist, pi, rows1, rows2 in seen:
-        hist_str = "".join(str(y) for y in hist)
-        lines.append(f"# t={t} history={hist_str}")
-        lines.append("m1,m2,pi")
-        for i in range(cfg.space.m1):
-            for j in range(cfg.space.m2):
-                lines.append(f"{i},{j},{pi[i, j]:.17g}")
-        lines.append("i,m,mprime,beta")
-        for sender, table in ((1, rows1), (2, rows2)):
-            for m in range(table.shape[0]):
-                for mp in range(table.shape[1]):
-                    lines.append(f"{sender},{m},{mp},{table[m, mp]:.17g}")
+    # after[hist]: the tables the action at hist refines, read by hist's children
+    after, lines = {}, []
+    for level in dp.walk_policy(kernel, tree, root.pi.table):
+        actions = [None] * len(level.mass) if level.a is None else [kernel.actions[a] for a in level.a]
+        for hist, pi, action in zip(map(tuple, level.outputs.T.tolist()), np.moveaxis(level.pi, -1, 0), actions):
+            beta1, beta2 = after[hist[:-1]] if hist else (root.beta1, root.beta2)
+            if action is not None:
+                after[hist] = (update_private(beta1, action.e1), update_private(beta2, action.e2))
+            # the walker counts channel uses from 1; the file counts outputs seen
+            lines += [f"# t={level.t - 1} history={''.join(map(str, hist))}", "m1,m2,pi",
+                      *(f"{i},{j},{pi[i, j]:.17g}" for i, j in np.ndindex(pi.shape)), "i,m,mprime,beta",
+                      *(f"{sender},{m},{mp},{table[m, mp]:.17g}"
+                        for sender, table in ((1, beta1.rows), (2, beta2.rows)) for m, mp in np.ndindex(table.shape))]
     return "\n".join(lines) + "\n"
 
 

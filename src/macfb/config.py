@@ -32,6 +32,7 @@ the document before ``parse_config`` runs, so they face the same checks.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -101,7 +102,13 @@ def _as_int(value, fieldname: str) -> int:
         try:
             return int(value)
         except ValueError:
-            pass
+            # int() refuses more digits than the interpreter's limit
+            digits = value.strip().lstrip("+-").replace("_", "")
+            limit = sys.get_int_max_str_digits()
+            if digits.isdecimal() and limit and len(digits) > limit:
+                raise ValidationError(
+                    fieldname, f"expected an integer of at most {limit} digits, got {len(digits)} digits"
+                ) from None
     try:
         as_float = float(value)
     except (TypeError, ValueError):

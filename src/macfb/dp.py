@@ -44,15 +44,16 @@ of states, the states lie on the last axis, as in the kernel (see
 the totals (actions, states), and a dedupe key is a column of words
 (words, keys). A level holds tens to thousands of states and every other
 axis is 2-74 long, so numpy's inner loops run the length of the level
-and the hash is one multiply-add per word over all keys. The
-single-state code, ``walk_policy`` and the validated API, keeps a state's
-own shape; the grid's interpolation (``_freudenthal``) takes its
-beliefs as columns too.
+and the hash is one multiply-add per word over all keys. Only the
+validated API (``macfb.belief``, ``macfb.reward``) keeps a single state's
+own shape; the grid's interpolation (``_freudenthal``) takes its beliefs
+as columns too.
 Every walk over the beliefs a fixed policy reaches (the DSAHT decoder,
 ``evaluate_tree``, the diagnostic and the CLI's belief file) goes through
-one walker, ``walk_policy``, which builds only the chosen action's update
-at each node; ``evaluate_tree`` and the diagnostic then evaluate every
-node they walked in one batched reward pass.
+one walker, ``walk_policy``, which advances a depth's reached nodes at
+once, each by its chosen action alone; ``evaluate_tree`` and the
+diagnostic then evaluate every node they walked in one batched reward
+pass.
 
 The engine maximises the totals it is given: an action that ``prune``
 rules out has the total -inf, and DSAHT passes minus its error, an exact
@@ -67,6 +68,7 @@ optimum itself.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -75,7 +77,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .belief import MASS_EPS, JointBelief, check_prior
-from .channel import Channel, MessageSpace
+from .channel import Channel, MessageSpace, check_action
 from .encoding import (
     DEFAULT_ACTION_CAP,
     PRUNE_TOL,
@@ -218,13 +220,7 @@ def _check_fits(channel: Channel, space: MessageSpace, tree: PolicyTree) -> None
     # the actions in order of their first node, so the first node that
     # does not fit is named
     for action in tree.actions:
-        for sender, enc, m, x in ((1, action.e1, space.m1, channel.alphabets.x1),
-                                  (2, action.e2, space.m2, channel.alphabets.x2)):
-            if (enc.n_messages, enc.n_symbols) != (m, x):
-                raise ValueError(
-                    f"sender {sender}'s encoder at history {tree.first_history(action)} maps "
-                    f"{enc.n_messages} messages to {enc.n_symbols} symbols; the space has {m} "
-                    f"messages and the channel {x} symbols")
+        check_action(action, space.m1, space.m2, channel, f" at history {tree.first_history(action)}")
 
 
 def policy_kernel(channel: Channel, tree: PolicyTree) -> ActionKernel:
@@ -232,46 +228,65 @@ def policy_kernel(channel: Channel, tree: PolicyTree) -> ActionKernel:
     return ActionKernel(channel, dict.fromkeys(tree.actions))
 
 
-def walk_policy(kernel: ActionKernel, tree: PolicyTree, pi, labels1=None, labels2=None):
-    """Depth-first walk over the beliefs a fixed policy tree reaches.
+# the reached nodes of one depth of a fixed-policy walk (``walk_policy``)
+WalkLevel = collections.namedtuple("WalkLevel", "t pi labels1 labels2 outputs a mass rank")
 
-    ``kernel`` must hold every action the tree uses. Yields (t, hist, pi,
-    labels1, labels2, a, mass) in history order for t = 1..depth, with a
-    the index in ``kernel`` of the action at hist, then the beliefs at
-    t = depth + 1 with a = None; ``mass`` is the probability of the output
-    history, the product of the predictive masses along it. Only the
-    chosen action's update is built: its joint, posteriors and refined
-    labels, bit for bit those of the kernel's all-action methods. Branches
-    with predictive mass at or below MASS_EPS are not followed. Without
-    labels (labels1 = labels2 = None) only the common belief is carried.
+
+def walk_policy(kernel: ActionKernel, tree: PolicyTree, pi, labels1=None, labels2=None) -> list:
+    """Level-synchronous walk over the beliefs a fixed policy tree reaches
+    from ``pi`` (M1, M2) and the labels (M,).
+
+    ``kernel`` must hold every action the tree uses. Returns one
+    ``WalkLevel`` per t = 1..depth + 1, its nodes in history order, batch
+    last: beliefs ``pi`` (M1, M2, nodes), labels (M, nodes) or None,
+    ``outputs`` (t - 1, nodes), ``a`` the action indices in ``kernel``
+    (None at t = depth + 1), ``mass`` the product of the predictive masses
+    along each history, and ``rank`` each node's place in the depth-first
+    order of all reached nodes. Only the tree's slots at reached positions
+    are read, and only each node's chosen action is updated (``joint_of``,
+    J / p, ``refined_by``), bit for bit as the all-action methods give it.
+    Branches with predictive mass at or below MASS_EPS are not followed.
+    Without labels only the common belief is carried.
     """
     index = {action: a for a, action in enumerate(kernel.actions)}
-    stack = [(1, (), pi, labels1, labels2, 1.0)]
-    while stack:
-        t, hist, pi, labels1, labels2, mass = stack.pop()
-        if t > tree.depth:
-            yield t, hist, pi, labels1, labels2, None, mass
-            continue
-        a = index[tree.action_at(hist)]
-        yield t, hist, pi, labels1, labels2, a, mass
-        joint, p = kernel.joint_of(a, pi)
-        post = kernel.posteriors(joint, p)
+    kernel_of = np.array([index[action] for action in tree.actions], dtype=np.intp)
+    slots, n_outputs, levels, first = tree._slots(), tree.n_outputs, [], 0
+    pis, labels = pi[..., None], (None, None) if labels1 is None else (labels1[:, None], labels2[:, None])
+    outputs, mass, number = np.zeros((0, 1), dtype=np.intp), np.ones(1), np.zeros(1, dtype=np.intp)
+    for t in range(1, tree.depth + 2):
+        # number: the histories of length t - 1 as base n_outputs numerals;
+        # their slots follow the first one's, at tree_size(n_outputs, t - 1)
+        a = kernel_of[slots[first + number]] if t <= tree.depth else None
+        levels.append([t, pis, *labels, outputs, a, mass, number])
+        if a is None:
+            break
+        joint, p = kernel.joint_of(a, pis)
+        # the live (node, output) pairs in that order, which is history order
+        node, y = np.nonzero((p > MASS_EPS).T)
+        live = p[y, node]
+        pis = joint[:, :, y, node] / live
         if labels1 is not None:
-            labels1, labels2 = kernel.refined_by(a, labels1, labels2)
-        for y in reversed(range(len(p))):
-            if p[y] > MASS_EPS:
-                stack.append((t + 1, hist + (y,), post[..., y], labels1, labels2, mass * p[y]))
+            labels = tuple(x[:, node] for x in kernel.refined_by(a, *labels))
+        outputs, mass = np.concatenate([outputs[:, node], y[None]]), mass[node] * live
+        number, first = number[node] * n_outputs + y, first * n_outputs + 1
+    # depth-first order: the numerals padded with zero digits to depth
+    # outputs, sorted stably, so a history comes before its extensions
+    padded = np.concatenate([level[-1] * n_outputs ** (tree.depth + 1 - level[0]) for level in levels])
+    rank = np.argsort(padded, kind="stable").argsort()
+    starts = np.cumsum([0] + [len(level[-1]) for level in levels])
+    return [WalkLevel(*level[:-1], rank[lo:hi]) for level, lo, hi in zip(levels, starts, starts[1:])]
 
 
 def _walked(kernel: ActionKernel, tree: PolicyTree, start: tuple) -> tuple:
-    """The columns (t, hist, pi, labels1, labels2, a, mass) of the nodes
-    ``walk_policy`` yields before the last step, in walk order, with the
-    beliefs and labels stacked on a last axis for one batched kernel
-    pass."""
-    walked = [node for node in walk_policy(kernel, tree, *start) if node[5] is not None]
-    t, hist, pis, labels1, labels2, a, mass = zip(*walked)
-    return (t, hist, np.stack(pis, axis=-1), np.stack(labels1, axis=-1), np.stack(labels2, axis=-1),
-            a, mass)
+    """The nodes ``walk_policy`` reaches before the last step, stacked
+    batch last in depth-first order for one batched kernel pass: (t, hist,
+    pi, labels1, labels2, a, mass), where ``hist[:t - 1, i]`` is node i's
+    output history, padded with -1 to depth - 1 outputs."""
+    t, pis, labels1, labels2, outputs, a, mass, rank = zip(*walk_policy(kernel, tree, *start)[:-1])
+    order = np.argsort(np.concatenate(rank))
+    hist = [np.concatenate([x, np.full((tree.depth - 1 - len(x), x.shape[1]), -1)]) for x in outputs]
+    return (np.repeat(t, [len(x) for x in mass])[order],
+            *(np.concatenate(x, axis=-1)[..., order] for x in (hist, pis, labels1, labels2, a, mass)))
 
 
 def _best_guesses(channel: Channel, policy: PolicyTree, prior: np.ndarray) -> dict:
@@ -279,11 +294,9 @@ def _best_guesses(channel: Channel, policy: PolicyTree, prior: np.ndarray) -> di
     # row-major argmax: the smallest (m1, m2) among tied maximisers
     if policy.depth == 0:
         return {(): divmod(int(np.argmax(prior)), prior.shape[1])}
-    decoder = {}
-    for t, hist, pi, _, _, a, _ in walk_policy(policy_kernel(channel, policy), policy, prior):
-        if a is None:
-            decoder[hist] = divmod(int(np.argmax(pi)), pi.shape[1])
-    return decoder
+    last = walk_policy(policy_kernel(channel, policy), policy, prior)[-1]
+    m1, m2 = np.divmod(last.pi.reshape(-1, len(last.mass)).argmax(axis=0), prior.shape[1])
+    return dict(zip(map(tuple, last.outputs.T.tolist()), zip(m1.tolist(), m2.tolist())))
 
 
 class _LevelIndex:
@@ -614,9 +627,8 @@ def evaluate_tree(
     kernel = policy_kernel(channel, tree)
     _, _, pis, labels1, labels2, actions, masses = _walked(kernel, tree, _start(space, prior))
     rewards = kernel.weighted(weights, pis, labels1, labels2, kernel.joint(pis)[1])
-    acc = 0.0
-    for mass, reward in zip(masses, rewards[actions, np.arange(len(actions))]):
-        acc += mass * reward
+    # added node by node in depth-first order; + 0.0 as a start at 0.0 gives
+    acc = np.cumsum(masses * rewards[actions, np.arange(len(actions))])[-1] + 0.0
     return float(acc) / tree.depth
 
 
@@ -903,7 +915,8 @@ def reachability_diagnostic(
                 continue
             gap = np.abs(rewards[:, i] - rewards[:, j])
             conflicts.extend(
-                {"history_a": hists[i], "history_b": hists[j], "t_a": ts[i], "t_b": ts[j],
+                {"history_a": tuple(hists[: ts[i] - 1, i].tolist()),
+                 "history_b": tuple(hists[: ts[j] - 1, j].tolist()), "t_a": int(ts[i]), "t_b": int(ts[j]),
                  "action_index": int(a_i), "reward_gap": float(gap[a_i])}
                 for a_i in np.flatnonzero(gap > 1e-9)
             )

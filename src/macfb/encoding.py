@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channel import Alphabets, Channel, MessageSpace
+from .channel import Alphabets, Channel, MessageSpace, check_action
 from .errors import ActionSpaceTooLarge
 from .kernel import ActionKernel, row_classes
 from .reward import LambdaWeights
@@ -311,8 +311,13 @@ def prune_actions(
     lexicographically first action of each class survives
     (``ActionKernel.prune_mask``, the dedupe of the horizon program's
     prune), so the result is an order-preserving subsequence of
-    ``actions``.
+    ``actions``. Raises ValueError at the first action that does not fit
+    the state's message counts and the channel's input alphabets.
     """
+    for action in actions:
+        check_action(action, state.pi.m1, state.pi.m2, channel)
+    if not actions:
+        return []
     kernel = ActionKernel(channel, actions)
     pi, labels1, labels2 = state.pi.table, row_classes(state.beta1.rows), row_classes(state.beta2.rows)
     joint, p = kernel.joint(pi)

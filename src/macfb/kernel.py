@@ -488,10 +488,11 @@ class ActionKernel:
         joint = self._times(self.lik, pi)
         return joint, _sum(joint.reshape((-1,) + joint.shape[2:]))
 
-    def joint_of(self, a: int, pi: np.ndarray) -> tuple:
-        """J[m1, m2, y] and p[y] of action a alone at one state, bit for bit
-        those of ``joint`` at a."""
-        joint = self.lik[:, :, a] * pi[:, :, None]
+    def joint_of(self, a: np.ndarray, pi: np.ndarray) -> tuple:
+        """J[m1, m2, y, s] and p[y, s] of action ``a[s]`` alone at each state
+        s of a stack pi (M1, M2, states), bit for bit those of ``joint`` at
+        (a[s], s); no other action's update is built."""
+        joint = self.lik.transpose(0, 1, 3, 2)[..., a] * pi[:, :, None]
         return joint, _sum(joint.reshape((-1,) + joint.shape[2:]))
 
     def branch_joint(self, pi: np.ndarray) -> tuple:
@@ -565,11 +566,12 @@ class ActionKernel:
         return (_first_labels(labels1[:, None] * self.n_x1 + self._enc1.T.reshape(self._enc1.T.shape + batch)),
                 _first_labels(labels2[:, None] * self.n_x2 + self._enc2.T.reshape(self._enc2.T.shape + batch)))
 
-    def refined_by(self, a: int, labels1, labels2) -> tuple:
-        """Both senders' labels refined by action a's encoders alone, as
-        ``refined`` gives them at ``enc1_of[a]`` and ``enc2_of[a]``."""
-        return (_first_labels(labels1 * self.n_x1 + self.e1[a]),
-                _first_labels(labels2 * self.n_x2 + self.e2[a]))
+    def refined_by(self, a: np.ndarray, labels1, labels2) -> tuple:
+        """Both senders' labels (M, states) refined by the encoders of action
+        ``a[s]`` alone at each state s, as ``refined`` gives them at
+        ``enc1_of[a[s]]`` and ``enc2_of[a[s]]``."""
+        return (_first_labels(labels1 * self.n_x1 + self.e1[a].T),
+                _first_labels(labels2 * self.n_x2 + self.e2[a].T))
 
     def prune_mask(self, p, post, ref1, ref2, pair_of, totals, tol: float) -> np.ndarray:
         """Mask (A, ...) of the actions that prune keeps at each state: the

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief import AugmentedState, JointBelief, PrivateBeliefTable
-from .channel import Channel
+from .channel import Channel, check_action
 from .errors import NotNormalized
 from .kernel import ActionKernel, row_classes
 
@@ -81,7 +81,10 @@ def entropy(p) -> float:
 
 
 def _components(state: AugmentedState, action, channel: Channel) -> tuple:
-    """(i1, i2, i3) of one action: the action kernel on a one-action list."""
+    """(i1, i2, i3) of one action: the action kernel on a one-action list.
+    Raises ValueError when the action's encoders do not fit the state's
+    message counts and the channel's input alphabets."""
+    check_action(action, state.pi.m1, state.pi.m2, channel)
     kernel = ActionKernel(channel, [action])
     pi = state.pi.table
     labels1, labels2 = row_classes(state.beta1.rows), row_classes(state.beta2.rows)

@@ -61,3 +61,16 @@ def random_state(rng, space: MessageSpace) -> AugmentedState:
 
     pi = JointBelief(random_prior(rng, space.m1, space.m2))
     return AugmentedState(pi, table(space.m1), table(space.m2))
+
+
+# actions that do not fit adder 2x2, each with the start of its message: a
+# 3-symbol encoder on adder's binary inputs, a 3x3 action on a 2x2 state,
+# and a misfit on sender 2's side alone
+MISFITS = [
+    (EncoderAction(EncoderFunction((0, 2), 3), EncoderFunction((0, 1), 2)),
+     "sender 1's encoder maps 2 messages to 3 symbols; the space has 2 messages and the channel 2 symbols"),
+    (EncoderAction(EncoderFunction((0, 1, 1), 2), EncoderFunction((1, 0, 0), 2)),
+     "sender 1's encoder maps 3 messages to 2 symbols; the space has 2 messages"),
+    (EncoderAction(EncoderFunction((0, 1), 2), EncoderFunction((1,), 2)),
+     "sender 2's encoder maps 1 messages to 2 symbols; the space has 2 messages"),
+]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_rng, random_action, random_channel, random_state
+from conftest import MISFITS, make_rng, random_action, random_channel, random_state
 from macfb.belief import (
     MASS_EPS,
     AugmentedState,
@@ -174,3 +174,17 @@ def test_nan_entries_are_rejected():
 def test_joint_belief_message_prints_a_plain_float():
     with pytest.raises(ValueError, match=r"^joint belief sums to 1\.0000000005, expected 1$"):
         JointBelief(np.array([[0.25, 0.25], [0.25, 0.2500000005]]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda state, action, ch: predictive_distribution(state.pi, action, ch),
+    lambda state, action, ch: observation_distribution(state, action, ch),
+    lambda state, action, ch: update_joint(state.pi, action, 0, ch),
+    lambda state, action, ch: update_augmented(state, action, 0, ch),
+], ids=["predictive", "observation", "update_joint", "update_augmented"])
+def test_belief_updates_refuse_actions_that_do_not_fit(call):
+    ch, state = preset("adder"), uniform_initial(MessageSpace(2, 2))
+    for action, message in MISFITS:
+        with pytest.raises(ValueError) as info:
+            call(state, action, ch)
+        assert str(info.value).startswith(message)

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import time
 
 import numpy as np
@@ -115,6 +116,16 @@ def test_cap_errors_print_any_count(argv, capsys):
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert "exceed the" in err and len(err) < 200
+
+
+def test_a_flag_past_the_digit_limit_exits_1_briefly(capsys):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("no str -> int digit limit in this interpreter")
+    argv = ["horizon", "--preset", "adder", "--messages", "2,2", "--n", "1" + "0" * (limit + 100)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "'horizon.n'" in err and f"got {limit + 101} digits" in err and len(err) < 200
 
 
 def test_oracle_check_refuses_before_any_solve(tmp_path, monkeypatch, capsys):
@@ -304,60 +315,73 @@ def test_horizon_json_and_artifacts(tmp_path, capsys):
 
 
 def _belief_blocks(text: str) -> dict:
-    """(t, history) -> the lines of each sender's i,m,mprime,beta block."""
-    blocks, key = {}, None
+    """(t, history) -> the lines of the m1,m2,pi block and of each sender's
+    i,m,mprime,beta block."""
+    blocks, lines = {}, None
     for line in text.splitlines():
         if line.startswith("# t="):
             t, hist = line[len("# t="):].split(" history=")
-            key = (int(t), tuple(int(ch) for ch in hist))
-            blocks[key] = None
-        elif line == "i,m,mprime,beta":
-            blocks[key] = []
-        elif blocks[key] is not None:
-            blocks[key].append(line)
+            blocks[(int(t), tuple(int(ch) for ch in hist))] = lines = {}
+        elif line in ("m1,m2,pi", "i,m,mprime,beta"):
+            lines[line] = []
+        else:
+            lines[list(lines)[-1]].append(line)
     return blocks
 
 
-def test_belief_file_below_the_root_matches_update_augmented(tmp_path, capsys):
-    # a non-product prior with a zero-mass message of sender 2, at n = 2:
-    # every node's private tables, written below the root too, are the .17g
-    # text of the tables update_augmented gives along the node's history
-    prior = [0.3, 0.0, 0.2, 0.1, 0.0, 0.4]
+@pytest.mark.parametrize(
+    "name, params, m1, m2, prior, n",
+    [
+        # a non-product prior with a zero-mass message of sender 2
+        ("noisy_adder", [0.1], 2, 3, [0.3, 0.0, 0.2, 0.1, 0.0, 0.4], 2),
+        ("noisy_adder", [0.1], 2, 2, [0.1, 0.2, 0.3, 0.4], 3),
+        ("noisy_adder", [0.05], 2, 2, None, 4),
+        ("multiplier", [], 2, 3, [0.25, 0.05, 0.1, 0.2, 0.3, 0.1], 2),
+    ],
+)
+def test_belief_file_below_the_root_matches_update_augmented(tmp_path, capsys, name, params, m1, m2,
+                                                             prior, n):
+    # every node's common belief and private tables, written below the root
+    # too, are the .17g text of what update_augmented (update_joint on the
+    # common belief) gives along the node's history
     path = tmp_path / "run.yaml"
     path.write_text(
-        "channel: {preset: {name: noisy_adder, params: [0.1]}}\n"
-        "messages: {m1: 2, m2: 3}\n"
-        f"prior: {prior}\n"
+        f"channel: {{preset: {{name: {name}, params: {params}}}}}\n"
+        f"messages: {{m1: {m1}, m2: {m2}}}\n"
+        f"prior: {'null' if prior is None else prior}\n"
     )
     prefix = tmp_path / "run"
     code, _ = run(
-        ["horizon", "--config", str(path), "--n", "2", "--lambda", "0.3,0.3,0.4",
+        ["horizon", "--config", str(path), "--n", str(n), "--lambda", "0.3,0.3,0.4",
          "--emit-policy", "--emit-beliefs", "--out", str(prefix)],
         capsys,
     )
     assert code == 0
-    ch = preset("noisy_adder", (0.1,))
-    space = MessageSpace(2, 3)
+    ch = preset(name, tuple(params))
+    space = MessageSpace(m1, m2)
     tree = policy_from_csv((tmp_path / "run_policy.csv").read_text(), ch.alphabets)
     blocks = _belief_blocks((tmp_path / "run_beliefs.csv").read_text())
 
     want = {}
-    stack = [((), initial_state(space, np.reshape(prior, (2, 3))))]
+    stack = [((), initial_state(space, None if prior is None else np.reshape(prior, (m1, m2))))]
     while stack:
         hist, state = stack.pop()
-        want[(len(hist), hist)] = [
-            f"{sender},{m},{mp},{table.rows[m, mp]:.17g}"
-            for sender, table in ((1, state.beta1), (2, state.beta2))
-            for m in range(table.n_messages)
-            for mp in range(table.n_messages)
-        ]
+        want[(len(hist), hist)] = {
+            "m1,m2,pi": [f"{i},{j},{state.pi.table[i, j]:.17g}" for i in range(m1) for j in range(m2)],
+            "i,m,mprime,beta": [
+                f"{sender},{m},{mp},{table.rows[m, mp]:.17g}"
+                for sender, table in ((1, state.beta1), (2, state.beta2))
+                for m in range(table.n_messages)
+                for mp in range(table.n_messages)
+            ],
+        }
         if len(hist) < tree.depth:
             for y in range(ch.n_outputs):
                 try:
                     stack.append((hist + (y,), update_augmented(state, tree.action_at(hist), y, ch)))
                 except ImpossibleObservation:
                     pass
-    assert any(t == 2 for t, _ in want)
+    assert any(t == n for t, _ in want)
     assert blocks == want
 
 

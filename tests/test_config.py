@@ -1,5 +1,6 @@
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,19 @@ def test_numeric_strings_accepted():
     # whole-number digits are read exactly, past the 2^53 a float holds
     for text, n in (("9007199254740993", 9007199254740993), ("2.0", 2), ("1e3", 1000)):
         assert parse_config(base_doc(horizon={"n": text})).section("horizon")["n"] == n
+
+
+def test_integers_past_the_digit_limit_are_refused_briefly():
+    # int() refuses more digits than the interpreter's limit (4300 unless
+    # set otherwise); the error gives the count instead of every digit
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("no str -> int digit limit in this interpreter")
+    with pytest.raises(ValidationError) as info:
+        parse_config(base_doc(horizon={"n": "1" + "0" * (limit + 100)}))
+    message = str(info.value)
+    assert "'horizon.n'" in message and f"got {limit + 101} digits" in message
+    assert len(message) < 200
 
 
 @pytest.mark.parametrize(

@@ -726,7 +726,7 @@ def test_walk_updates_the_chosen_action_only_and_rewards_come_in_one_pass(monkey
     monkeypatch.setattr(ActionKernel, "joint", all_actions)
     monkeypatch.setattr(ActionKernel, "refined", all_actions)
     start = dp._start(space, None)
-    assert len(list(dp.walk_policy(kernel, res.policy, *start))) == 1 + 3 + 9 + 27
+    assert sum(len(level.mass) for level in dp.walk_policy(kernel, res.policy, *start)) == 1 + 3 + 9 + 27
     monkeypatch.undo()
 
     monkeypatch.setattr(ActionKernel, "weighted", counted)

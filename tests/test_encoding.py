@@ -5,7 +5,7 @@ from array import array
 import numpy as np
 import pytest
 
-from conftest import make_rng, random_tree
+from conftest import MISFITS, make_rng, random_tree
 from macfb.belief import uniform_initial
 from macfb.channel import Alphabets, MessageSpace, preset
 from macfb.encoding import (
@@ -282,3 +282,16 @@ def test_prune_keeps_distinct_rewards_apart():
     identity = EncoderAction(EncoderFunction((0, 1), 2), EncoderFunction((0, 1), 2))
     assert constant in kept
     assert identity in kept
+
+
+def test_prune_refuses_actions_that_do_not_fit():
+    ch, state = preset("adder"), uniform_initial(MessageSpace(2, 2))
+    actions = enumerate_actions(MessageSpace(2, 2), ch.alphabets)
+    for action, message in MISFITS:
+        with pytest.raises(ValueError) as info:
+            prune_actions(actions + [action], state, ch, L3)
+        assert str(info.value).startswith(message)
+
+
+def test_prune_of_no_actions_is_empty():
+    assert prune_actions([], uniform_initial(MessageSpace(2, 2)), preset("adder"), L3) == []

@@ -20,6 +20,7 @@ from macfb.dp import (
     QUANT,
     TIE_TOL,
     _backward_induction,
+    evaluate_tree,
     solve_dsaht,
     solve_horizon,
 )
@@ -514,6 +515,16 @@ def test_dsaht_equals_recursion(name, m1, m2, prior):
         assert res.policy == policy
         assert res.decoder == reference_decoder(ch, policy, pri or initial_state(space).pi)
         assert (res.states_expanded, res.cache_hits) == (expanded, hits)
+
+
+def test_sparse_deep_trees_walk_to_their_values():
+    # adder 2x2 at n = T = 13: policy trees of 797,161 nodes, of which the
+    # walk reaches a few per level
+    ch, space, weights = preset("adder"), MessageSpace(2, 2), LambdaWeights(0.0, 0.0, 1.0)
+    res = solve_horizon(ch, space, weights, 13)
+    assert evaluate_tree(ch, space, res.policy, weights) == pytest.approx(res.value_per_step, abs=1e-9)
+    res = solve_dsaht(ch, space, 13)
+    assert res.decoder == reference_decoder(ch, res.policy, initial_state(space).pi)
 
 
 def test_dsaht_counters_pinned():

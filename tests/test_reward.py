@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_rng, random_action, random_channel, random_state
+from conftest import MISFITS, make_rng, random_action, random_channel, random_state
 from macfb.belief import JointBelief, PrivateBeliefTable, AugmentedState, uniform_initial
 from macfb.channel import MessageSpace, preset
 from macfb.encoding import EncoderAction, EncoderFunction, enumerate_actions
@@ -146,3 +146,18 @@ def test_entropy_rejects_negative_entries():
     with pytest.raises(ValueError, match="negative"):
         entropy([0.5, 0.5, -1e-300])
     assert entropy([-0.0, 1.0]) == 0.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda state, action, ch: reward_i1(state, action, ch),
+    lambda state, action, ch: reward_i2(state, action, ch),
+    lambda state, action, ch: reward_i3(state, action, ch),
+    lambda state, action, ch: reward_weighted(state, action, ch, L_ALL),
+    lambda state, action, ch: reward_reduced(state.pi, action, ch, L_ALL),
+], ids=["i1", "i2", "i3", "weighted", "reduced"])
+def test_rewards_refuse_actions_that_do_not_fit(call):
+    ch, state = preset("adder"), uniform_initial(MessageSpace(2, 2))
+    for action, message in MISFITS:
+        with pytest.raises(ValueError) as info:
+            call(state, action, ch)
+        assert str(info.value).startswith(message)
