@@ -151,10 +151,11 @@ def _beliefs_csv(tree, cfg: RunConfig) -> str:
             if action is not None:
                 after[hist] = (update_private(beta1, action.e1), update_private(beta2, action.e2))
             # the walker counts channel uses from 1; the file counts outputs seen
-            lines += [f"# t={level.t - 1} history={''.join(map(str, hist))}", "m1,m2,pi",
-                      *(f"{i},{j},{pi[i, j]:.17g}" for i, j in np.ndindex(pi.shape)), "i,m,mprime,beta",
-                      *(f"{sender},{m},{mp},{table[m, mp]:.17g}"
-                        for sender, table in ((1, beta1.rows), (2, beta2.rows)) for m, mp in np.ndindex(table.shape))]
+            lines += [f"# t={level.t - 1} history={''.join(map(str, hist))}", "m1,m2,pi"]
+            lines += [f"{i},{j},{pi[i, j]:.17g}" for i, j in np.ndindex(pi.shape)]
+            lines.append("i,m,mprime,beta")
+            for sender, table in ((1, beta1.rows), (2, beta2.rows)):
+                lines += [f"{sender},{m},{mp},{table[m, mp]:.17g}" for m, mp in np.ndindex(table.shape)]
     return "\n".join(lines) + "\n"
 
 

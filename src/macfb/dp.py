@@ -165,8 +165,14 @@ class DsahtResult:
     @functools.cached_property
     def decoder(self) -> dict:
         """Terminal output history -> best-guess message pair, for every
-        history the policy reaches; built on first access."""
-        return _best_guesses(self._channel, self.policy, self._prior)
+        history the policy reaches, built on first access: the row-major
+        argmax of the terminal belief, the smallest (m1, m2) among tied
+        maximisers."""
+        if self.policy.depth == 0:
+            return {(): divmod(int(np.argmax(self._prior)), self._prior.shape[1])}
+        last = walk_policy(policy_kernel(self._channel, self.policy), self.policy, self._prior)[-1]
+        m1, m2 = np.divmod(last.pi.reshape(-1, len(last.mass)).argmax(axis=0), self._prior.shape[1])
+        return dict(zip(map(tuple, last.outputs.T.tolist()), zip(m1.tolist(), m2.tolist())))
 
 
 @dataclass
@@ -250,14 +256,15 @@ def walk_policy(kernel: ActionKernel, tree: PolicyTree, pi, labels1=None, labels
     """
     index = {action: a for a, action in enumerate(kernel.actions)}
     kernel_of = np.array([index[action] for action in tree.actions], dtype=np.intp)
-    slots, n_outputs, levels, first = tree._slots(), tree.n_outputs, [], 0
+    slots, n_outputs, levels, numbers, first = tree.slots(), tree.n_outputs, [], [], 0
     pis, labels = pi[..., None], (None, None) if labels1 is None else (labels1[:, None], labels2[:, None])
     outputs, mass, number = np.zeros((0, 1), dtype=np.intp), np.ones(1), np.zeros(1, dtype=np.intp)
     for t in range(1, tree.depth + 2):
         # number: the histories of length t - 1 as base n_outputs numerals;
         # their slots follow the first one's, at tree_size(n_outputs, t - 1)
         a = kernel_of[slots[first + number]] if t <= tree.depth else None
-        levels.append([t, pis, *labels, outputs, a, mass, number])
+        levels.append((t, pis, *labels, outputs, a, mass))
+        numbers.append(number)
         if a is None:
             break
         joint, p = kernel.joint_of(a, pis)
@@ -271,10 +278,10 @@ def walk_policy(kernel: ActionKernel, tree: PolicyTree, pi, labels1=None, labels
         number, first = number[node] * n_outputs + y, first * n_outputs + 1
     # depth-first order: the numerals padded with zero digits to depth
     # outputs, sorted stably, so a history comes before its extensions
-    padded = np.concatenate([level[-1] * n_outputs ** (tree.depth + 1 - level[0]) for level in levels])
+    padded = np.concatenate([x * n_outputs ** (tree.depth - length) for length, x in enumerate(numbers)])
     rank = np.argsort(padded, kind="stable").argsort()
-    starts = np.cumsum([0] + [len(level[-1]) for level in levels])
-    return [WalkLevel(*level[:-1], rank[lo:hi]) for level, lo, hi in zip(levels, starts, starts[1:])]
+    starts = np.cumsum([0] + [len(x) for x in numbers])
+    return [WalkLevel(*level, rank[lo:hi]) for level, lo, hi in zip(levels, starts, starts[1:])]
 
 
 def _walked(kernel: ActionKernel, tree: PolicyTree, start: tuple) -> tuple:
@@ -287,16 +294,6 @@ def _walked(kernel: ActionKernel, tree: PolicyTree, start: tuple) -> tuple:
     hist = [np.concatenate([x, np.full((tree.depth - 1 - len(x), x.shape[1]), -1)]) for x in outputs]
     return (np.repeat(t, [len(x) for x in mass])[order],
             *(np.concatenate(x, axis=-1)[..., order] for x in (hist, pis, labels1, labels2, a, mass)))
-
-
-def _best_guesses(channel: Channel, policy: PolicyTree, prior: np.ndarray) -> dict:
-    """Best-guess message pair at every terminal history the policy reaches."""
-    # row-major argmax: the smallest (m1, m2) among tied maximisers
-    if policy.depth == 0:
-        return {(): divmod(int(np.argmax(prior)), prior.shape[1])}
-    last = walk_policy(policy_kernel(channel, policy), policy, prior)[-1]
-    m1, m2 = np.divmod(last.pi.reshape(-1, len(last.mass)).argmax(axis=0), prior.shape[1])
-    return dict(zip(map(tuple, last.outputs.T.tolist()), zip(m1.tolist(), m2.tolist())))
 
 
 class _LevelIndex:

@@ -158,9 +158,12 @@ class PolicyTree:
         self._distinct = distinct
         self._at = bytes(at) if small else array("I", at)
 
-    def _slots(self) -> np.ndarray:
-        """Each node's slot among ``actions``, read from the stored array."""
-        return np.frombuffer(self._at, dtype=np.uint8 if isinstance(self._at, bytes) else np.uintc)
+    def slots(self) -> np.ndarray:
+        """Each node's slot among ``actions``: a read-only view of the stored
+        array."""
+        slots = np.frombuffer(self._at, dtype=np.uint8 if isinstance(self._at, bytes) else np.uintc)
+        slots.flags.writeable = False
+        return slots
 
     @property
     def actions(self) -> tuple:
@@ -217,7 +220,7 @@ class PolicyTree:
         number = {}
         ids = [np.array([number.setdefault(a, len(number)) for a in tree._distinct], dtype=np.intp)
                for tree in (self, other)]
-        return bool(np.array_equal(ids[0][self._slots()], ids[1][other._slots()]))
+        return bool(np.array_equal(ids[0][self.slots()], ids[1][other.slots()]))
 
 
 def _digits(values: Iterable[int]) -> str:
@@ -236,7 +239,7 @@ def policy_to_csv(tree: PolicyTree) -> str:
     extend the previous level's by one output digit, and each distinct
     action's fields are formatted once."""
     fields = [f"{_digits(a.e1.table)},{_digits(a.e2.table)}" for a in tree.actions]
-    slots = tree._slots().tolist()
+    slots = tree.slots().tolist()
     lines = ["t,history,e1,e2"]
     hists = [""]
     for t in range(1, tree.depth + 1):

@@ -489,9 +489,8 @@ class ActionKernel:
         return joint, _sum(joint.reshape((-1,) + joint.shape[2:]))
 
     def joint_of(self, a: np.ndarray, pi: np.ndarray) -> tuple:
-        """J[m1, m2, y, s] and p[y, s] of action ``a[s]`` alone at each state
-        s of a stack pi (M1, M2, states), bit for bit those of ``joint`` at
-        (a[s], s); no other action's update is built."""
+        """J[m1, m2, y, s] and p[y, s] of action a[s] alone at each state s
+        of a stack, bit for bit those of ``joint`` at (a[s], s)."""
         joint = self.lik.transpose(0, 1, 3, 2)[..., a] * pi[:, :, None]
         return joint, _sum(joint.reshape((-1,) + joint.shape[2:]))
 
@@ -567,9 +566,8 @@ class ActionKernel:
                 _first_labels(labels2[:, None] * self.n_x2 + self._enc2.T.reshape(self._enc2.T.shape + batch)))
 
     def refined_by(self, a: np.ndarray, labels1, labels2) -> tuple:
-        """Both senders' labels (M, states) refined by the encoders of action
-        ``a[s]`` alone at each state s, as ``refined`` gives them at
-        ``enc1_of[a[s]]`` and ``enc2_of[a[s]]``."""
+        """Both senders' labels (M, s) refined by action a[s]'s encoders alone,
+        as ``refined`` gives them at ``enc1_of[a[s]]`` and ``enc2_of[a[s]]``."""
         return (_first_labels(labels1 * self.n_x1 + self.e1[a].T),
                 _first_labels(labels2 * self.n_x2 + self.e2[a].T))
 

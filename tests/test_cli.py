@@ -329,60 +329,57 @@ def _belief_blocks(text: str) -> dict:
     return blocks
 
 
-@pytest.mark.parametrize(
-    "name, params, m1, m2, prior, n",
-    [
+def test_belief_file_below_the_root_matches_update_augmented(tmp_path, capsys):
+    # every node's common belief and private tables, written below the root
+    # too, are the .17g text of what update_augmented (update_joint on the
+    # common belief) gives along the node's history; the walks reach 13,
+    # 40, 121 and 7 nodes
+    cases = [
         # a non-product prior with a zero-mass message of sender 2
         ("noisy_adder", [0.1], 2, 3, [0.3, 0.0, 0.2, 0.1, 0.0, 0.4], 2),
         ("noisy_adder", [0.1], 2, 2, [0.1, 0.2, 0.3, 0.4], 3),
         ("noisy_adder", [0.05], 2, 2, None, 4),
         ("multiplier", [], 2, 3, [0.25, 0.05, 0.1, 0.2, 0.3, 0.1], 2),
-    ],
-)
-def test_belief_file_below_the_root_matches_update_augmented(tmp_path, capsys, name, params, m1, m2,
-                                                             prior, n):
-    # every node's common belief and private tables, written below the root
-    # too, are the .17g text of what update_augmented (update_joint on the
-    # common belief) gives along the node's history
-    path = tmp_path / "run.yaml"
-    path.write_text(
-        f"channel: {{preset: {{name: {name}, params: {params}}}}}\n"
-        f"messages: {{m1: {m1}, m2: {m2}}}\n"
-        f"prior: {'null' if prior is None else prior}\n"
-    )
-    prefix = tmp_path / "run"
-    code, _ = run(
-        ["horizon", "--config", str(path), "--n", str(n), "--lambda", "0.3,0.3,0.4",
-         "--emit-policy", "--emit-beliefs", "--out", str(prefix)],
-        capsys,
-    )
-    assert code == 0
-    ch = preset(name, tuple(params))
-    space = MessageSpace(m1, m2)
-    tree = policy_from_csv((tmp_path / "run_policy.csv").read_text(), ch.alphabets)
-    blocks = _belief_blocks((tmp_path / "run_beliefs.csv").read_text())
+    ]
+    for name, params, m1, m2, prior, n in cases:
+        path = tmp_path / "run.yaml"
+        path.write_text(
+            f"channel: {{preset: {{name: {name}, params: {params}}}}}\n"
+            f"messages: {{m1: {m1}, m2: {m2}}}\n"
+            f"prior: {'null' if prior is None else prior}\n"
+        )
+        prefix = tmp_path / "run"
+        code, _ = run(
+            ["horizon", "--config", str(path), "--n", str(n), "--lambda", "0.3,0.3,0.4",
+             "--emit-policy", "--emit-beliefs", "--out", str(prefix)],
+            capsys,
+        )
+        assert code == 0
+        ch = preset(name, tuple(params))
+        tree = policy_from_csv((tmp_path / "run_policy.csv").read_text(), ch.alphabets)
+        blocks = _belief_blocks((tmp_path / "run_beliefs.csv").read_text())
 
-    want = {}
-    stack = [((), initial_state(space, None if prior is None else np.reshape(prior, (m1, m2))))]
-    while stack:
-        hist, state = stack.pop()
-        want[(len(hist), hist)] = {
-            "m1,m2,pi": [f"{i},{j},{state.pi.table[i, j]:.17g}" for i in range(m1) for j in range(m2)],
-            "i,m,mprime,beta": [
-                f"{sender},{m},{mp},{table.rows[m, mp]:.17g}"
-                for sender, table in ((1, state.beta1), (2, state.beta2))
-                for m in range(table.n_messages)
-                for mp in range(table.n_messages)
-            ],
-        }
-        if len(hist) < tree.depth:
-            for y in range(ch.n_outputs):
-                try:
-                    stack.append((hist + (y,), update_augmented(state, tree.action_at(hist), y, ch)))
-                except ImpossibleObservation:
-                    pass
-    assert any(t == n for t, _ in want)
-    assert blocks == want
+        want = {}
+        stack = [((), initial_state(MessageSpace(m1, m2), None if prior is None else np.reshape(prior, (m1, m2))))]
+        while stack:
+            hist, state = stack.pop()
+            want[(len(hist), hist)] = {
+                "m1,m2,pi": [f"{i},{j},{state.pi.table[i, j]:.17g}" for i in range(m1) for j in range(m2)],
+                "i,m,mprime,beta": [
+                    f"{sender},{m},{mp},{table.rows[m, mp]:.17g}"
+                    for sender, table in ((1, state.beta1), (2, state.beta2))
+                    for m in range(table.n_messages)
+                    for mp in range(table.n_messages)
+                ],
+            }
+            if len(hist) < tree.depth:
+                for y in range(ch.n_outputs):
+                    try:
+                        stack.append((hist + (y,), update_augmented(state, tree.action_at(hist), y, ch)))
+                    except ImpossibleObservation:
+                        pass
+        assert any(t == n for t, _ in want)
+        assert blocks == want
 
 
 def test_dsaht_decoder_artifact(tmp_path, capsys):

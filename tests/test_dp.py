@@ -726,7 +726,12 @@ def test_walk_updates_the_chosen_action_only_and_rewards_come_in_one_pass(monkey
     monkeypatch.setattr(ActionKernel, "joint", all_actions)
     monkeypatch.setattr(ActionKernel, "refined", all_actions)
     start = dp._start(space, None)
-    assert sum(len(level.mass) for level in dp.walk_policy(kernel, res.policy, *start)) == 1 + 3 + 9 + 27
+    levels = dp.walk_policy(kernel, res.policy, *start)
+    assert sum(len(level.mass) for level in levels) == 1 + 3 + 9 + 27
+    # the ranks give the depth-first order, which is tuple order: a history
+    # before its extensions, siblings in output order
+    ranked = sorted((int(r), tuple(h)) for level in levels for r, h in zip(level.rank, level.outputs.T.tolist()))
+    assert [h for _, h in ranked] == sorted(h for _, h in ranked)
     monkeypatch.undo()
 
     monkeypatch.setattr(ActionKernel, "weighted", counted)

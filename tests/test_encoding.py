@@ -141,6 +141,8 @@ def test_policy_tree_with_many_distinct_actions():
     assert all(tree.action_at(hist) == action for hist, action in nodes.items())
     assert tree.nodes == nodes
     assert tree != PolicyTree(2, 400, {**nodes, (399,): actions[0]})
+    # the slots are a view of the tree's store, so no caller may write them
+    assert not tree.slots().flags.writeable
 
 
 @pytest.mark.parametrize("depth,n_outputs", [(0, 3), (1, 3), (3, 2), (4, 3), (2, 400)])
