@@ -624,7 +624,8 @@ def evaluate_tree(
     kernel = policy_kernel(channel, tree)
     _, _, pis, labels1, labels2, actions, masses = _walked(kernel, tree, _start(space, prior))
     rewards = kernel.weighted(weights, pis, labels1, labels2, kernel.joint(pis)[1])
-    # added node by node in depth-first order; + 0.0 as a start at 0.0 gives
+    # summed node by node in depth-first order as from a start at 0.0,
+    # which + 0.0 stands for: it turns a sum of -0.0 terms into 0.0
     acc = np.cumsum(masses * rewards[actions, np.arange(len(actions))])[-1] + 0.0
     return float(acc) / tree.depth
 
