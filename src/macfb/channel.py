@@ -21,18 +21,19 @@ ROW_SUM_TOL = 1e-9
 PRESET_NAMES = ("adder", "noisy_adder", "multiplier", "bsc_p2p", "useless")
 
 
-def _set_size(obj, name: str, what: str) -> None:
-    """Store field ``name`` of a frozen size record as a plain int: any
-    integer ``operator.index`` accepts (numpy's too), at least 1, and not a
-    bool."""
-    size = getattr(obj, name)
+def check_count(value, name: str, least: int = 1) -> int:
+    """``value`` as a plain int: any integer ``operator.index`` accepts
+    (numpy's too), not a bool, and at least ``least``; anything else raises
+    a ValueError that names ``name``. Sizes, depths and counts all pass
+    through it."""
     try:
-        value = None if isinstance(size, bool) else operator.index(size)
+        count = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        value = None
-    if value is None or value < 1:
-        raise ValueError(f"{what} {name} must be a positive integer, got {size!r}")
-    object.__setattr__(obj, name, value)
+        count = None
+    if count is None or count < least:
+        kind = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ class Alphabets:
 
     def __post_init__(self):
         for name in ("x1", "x2", "y"):
-            _set_size(self, name, "alphabet size")
+            object.__setattr__(self, name, check_count(getattr(self, name), f"alphabet size {name}"))
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class MessageSpace:
 
     def __post_init__(self):
         for name in ("m1", "m2"):
-            _set_size(self, name, "message count")
+            object.__setattr__(self, name, check_count(getattr(self, name), f"message count {name}"))
 
     @property
     def pairs(self) -> int:

@@ -281,11 +281,28 @@ def parse_config(doc: dict) -> RunConfig:
     )
 
 
+class _Loader(yaml.SafeLoader):
+    """yaml's safe loader, refusing an integer longer than the interpreter
+    converts at the integer's own line rather than inside ``int()``."""
+
+    def construct_yaml_int(self, node):
+        try:
+            return super().construct_yaml_int(node)
+        except ValueError:
+            limit, digits = sys.get_int_max_str_digits(), sum(ch.isdigit() for ch in node.value)
+            problem = (f"expected an integer of at most {limit} digits, got {digits} digits"
+                       if limit and digits > limit else f"not an integer: {node.value!r}")
+            raise yaml.constructor.ConstructorError(None, None, problem, node.start_mark) from None
+
+
+_Loader.add_constructor("tag:yaml.org,2002:int", _Loader.construct_yaml_int)
+
+
 def read_document(path):
     """Read a config document from disk, unvalidated."""
     text = Path(path).read_text()
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark is not None else 0

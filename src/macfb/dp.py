@@ -16,26 +16,23 @@ Three solvers:
   fallback).
 
 The two finite-horizon programs share one level-synchronous engine,
-``_backward_induction``, in three passes. The state moves forward one
-channel use at a time, so a forward pass builds every time step's
-distinct states from the previous step's as one batch, with no weights
-in it: the action kernel (``macfb.kernel``) gives a stack of states'
-predictive distributions, posteriors and refined labels for every action
-at once. A Bayes update depends on an (action, output) pair only through
-the pair's branch, its likelihood column and encoder partitions, so the
-successors are built once per (state, branch) and deduplicated on their
-common belief quantised to QUANT and their labels, each represented by
-its first occurrence in (state, action, output) order. The dedupe
-numbers keys by a 64-bit hash of their words and checks each key against
-the first key with its hash, so a hash collision costs time, never a
-number. A reward pass then evaluates what every action earns at every
-level's states, stacked in level order into batches that may span
-levels, and a backward pass takes the maximum level by level, forming
-each (state, branch)'s mass times continuation once and reading it per
-(action, output). The policy is extracted level by level, one gather of
-the chosen actions and one of their successors per level, into an array
-of action indices. Validated belief objects exist only at the API
-boundary.
+``_backward_induction``: three passes, each reading the plain values the
+one before it returns. The state moves forward one channel use at a
+time, so the forward pass (``_forward_pass``) builds every time step's
+distinct states from the previous step's as one batch, with neither the
+weights nor the horizon in it: the action kernel (``macfb.kernel``)
+gives a stack of states' predictive distributions, posteriors and
+refined labels for every action at once, and a Bayes update depends on
+an (action, output) pair only through the pair's branch, so successors
+are built once per (state, branch) and deduplicated on their common
+belief quantised to QUANT and their labels. The dedupe numbers keys by
+a 64-bit hash of their words and checks each key against the first key
+with its hash, so a hash collision costs time, never a number. The
+reward pass (``_reward_pass``) evaluates what every action earns at
+every level's states, in batches that may span levels, and the backward
+pass (``_backward_pass``) takes the maximum level by level and reads the
+policy off into an array of action indices. Validated belief objects
+exist only at the API boundary.
 
 Layout: wherever the engine, the programs or the grid process a stack
 of states, the states lie on the last axis, as in the kernel (see
@@ -77,7 +74,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .belief import MASS_EPS, JointBelief, check_prior
-from .channel import Channel, MessageSpace, check_action
+from .channel import Channel, MessageSpace, check_action, check_count
 from .encoding import (
     DEFAULT_ACTION_CAP,
     PRUNE_TOL,
@@ -361,11 +358,10 @@ def _look_up(run: tuple, words: np.ndarray, hashes: np.ndarray, number: np.ndarr
 
 
 def _expand_level(expand, t: int, states: tuple, step: int) -> tuple:
-    """One level of the forward pass of ``_backward_induction``, ``step``
-    states at a time: (p, succ, the next level's states). ``succ`` numbers
-    the successors in the next level's order, which is their order of
-    first occurrence. The level's temporaries, its index among them, are
-    freed when this returns."""
+    """One level of ``_forward_pass``, ``step`` states at a time: (p, succ,
+    the next level's states). ``succ`` numbers the successors in the next
+    level's order, which is their order of first occurrence. The level's
+    temporaries, its index among them, are freed when this returns."""
     ps, succs, reps, index = [], [], [], _LevelIndex()
     for lo in range(0, states[0].shape[-1], step):
         p, gather = expand(t, *(x[..., lo : lo + step] for x in states))
@@ -406,11 +402,110 @@ def _batches(levels: list, step: int):
                             for states, a, b in zip(levels, starts, starts[1:]) if a < hi and lo < b])
 
 
+Levels = collections.namedtuple("Levels", "states links visits")
+
+
+def _forward_pass(depth: int, root: tuple, expand, branch_of: np.ndarray, node_cap: int,
+                  step: int) -> Levels:
+    """The distinct states of levels 1..depth from ``root``, built with no
+    total and no weight: level t + 1 holds the successors of level t along
+    every branch with predictive mass above MASS_EPS, each live (state,
+    branch) gathered once (the members of a branch have bit-identical
+    successors) and deduplicated on its arrays, the float ones quantised to
+    QUANT (``_quantized_rows``). A new state is represented by its first
+    occurrence in (state, action, output) order, which is (state, branch)
+    order, so each level lists its states in depth-first first-visit order.
+    A level is expanded ``step`` states at a time and numbered as one
+    dedupe (``_expand_level``). Level t depends on the levels before it
+    alone, so a deeper solve from the same root builds these levels first.
+
+    Returns ``Levels``: ``states``, every level's tuple of state arrays;
+    ``links``, (p, succ) of every level but the last, where the pair (a, y)
+    of state s leads to state ``succ[branch_of[a, y], s]`` of the next
+    level (-1: none); and ``visits``, the live (state, action, output)
+    triples of those levels. Raises LevelTooWide before building the
+    successors of a level with more such triples than ``node_cap``.
+    """
+    pairs = np.bincount(branch_of.ravel())  # the (action, output) pairs of each branch
+    states, links, visits = [root], [], 0
+    for t in range(1, depth):
+        triples = states[-1][0].shape[-1] * branch_of.size
+        if triples > node_cap:
+            raise LevelTooWide(t, triples, node_cap)
+        p, succ, nxt = _expand_level(expand, t, states[-1], step)
+        visits += int(pairs @ (p > MASS_EPS).sum(axis=1))
+        states.append(nxt)
+        links.append((p, succ))
+    return Levels(states, links, visits)
+
+
+def _reward_pass(levels: Levels, totals, branch_of: np.ndarray, step: int) -> tuple:
+    """What every action earns at every level's states, ``step`` states at
+    a time stacked in level order (``_batches``), so a batch may span
+    levels: (earned, last, ruled_out), each inner level's totals (actions,
+    states); the last level's (value, best), chosen batch by batch; and the
+    live (state, action, output) triples of the inner levels whose action
+    has the total -inf.
+    """
+    sizes = [states[0].shape[-1] for states in levels.states]
+    starts = np.cumsum([0] + sizes)
+    level_of = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    head = starts[-2]
+    earned, last = np.empty((branch_of.shape[0], head)), []
+    for lo, batch in _batches(levels.states, step):
+        hi = lo + batch[0].shape[-1]
+        out = totals(level_of[lo:hi], *batch)
+        inner = max(0, min(hi, head) - lo)
+        earned[:, lo : lo + inner] = out[:, :inner]
+        if hi > head:
+            last.append(_choose(out[:, inner:]))
+    earned = [earned[:, a:b] for a, b in zip(starts[:-2], starts[1:-1])]
+    ruled_out = 0
+    for (p, _), level in zip(levels.links, earned):
+        out = level == -np.inf
+        if out.any():
+            ruled_out += int(np.count_nonzero((p > MASS_EPS)[branch_of] & out[:, None]))
+    return earned, tuple(np.concatenate(x) for x in zip(*last)), ruled_out
+
+
+def _backward_pass(levels: Levels, earned: list, last: tuple, branch_of: np.ndarray,
+                   actions: list) -> tuple:
+    """The root's value and the policy tree that attains it, from the last
+    level's (value, best) back: each level forms p * cont over the outputs
+    with mass once per (state, branch), adds it to every pair's total
+    output by output, and takes the maximum and the first action within
+    TIE_TOL of it. The policy is then read off level by level: the chosen
+    actions at the reached states and their successors along
+    ``branch_of[a]`` give the next level's reached states and histories,
+    numbered in base n_outputs and placed after the shorter histories in
+    the tree's order, and the action indices go into
+    ``PolicyTree.from_indices`` (actions[0] at every history not reached).
+    """
+    depth, n_outputs = len(levels.states), branch_of.shape[1]
+    value, best = last[0], [None] * (depth - 1) + [last[1]]
+    for t in reversed(range(depth - 1)):
+        p, succ = levels.links[t]
+        cont = np.append(value, 0.0)[succ]
+        value, best[t] = _choose(_add_continuation(earned[t], p, cont, branch_of))
+    at = np.zeros(tree_size(n_outputs, depth), dtype=np.intp)
+    hist, states = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    for t in range(depth):
+        a = best[t][states]
+        at[tree_size(n_outputs, t) + hist] = a
+        if t + 1 < depth:
+            succ = levels.links[t][1][branch_of[a].T, states]
+            live = succ >= 0
+            hist = (hist * n_outputs + np.arange(n_outputs)[:, None])[live]
+            states = succ[live]
+    return float(value[0]), PolicyTree.from_indices(depth, n_outputs, actions, at)
+
+
 def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand, totals,
                         node_cap: int, width: int) -> tuple:
     """Level-synchronous backward induction over the distinct states of each
-    time step: the maximum over actions of what they earn now plus the
-    expected value of what follows.
+    time step, the maximum over actions of what they earn now plus the
+    expected value of what follows: ``_forward_pass``, ``_reward_pass`` and
+    ``_backward_pass`` in turn, ``width`` kernel entries per state.
 
     ``root`` holds the start state's arrays, each with a last (batch) axis
     of length 1. The program supplies two functions of a batch of states,
@@ -429,107 +524,18 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand, t
       rules an action out, and some action of every state must keep a
       finite total.
 
-    Forward pass, which the totals do not enter: level t + 1 holds the
-    successors of level t along every branch with predictive mass above
-    MASS_EPS, deduplicated on their float arrays quantised to QUANT and
-    their int arrays as they are (``_quantized_rows``). The members of a
-    branch have bit-identical successors, so each live (state, branch) is
-    gathered, quantised and deduplicated once. A new state is represented
-    by its first occurrence in (state, action, output) order, which is
-    (state, branch) order, so each level lists its states in depth-first
-    first-visit order. ``succ[b, s]`` indexes the successor (-1 where there
-    is none), and the pair (a, y) reads it at ``branch_of[a, y]``. A level
-    is expanded CHUNK_ENTRIES kernel entries at a time, ``width`` of them
-    per state, and ``_LevelIndex`` numbers each chunk's successors as one
-    dedupe of the level, by a hash of their rows checked row by row
-    against the first row with that hash, which gives exactly the
-    numbering of a dedupe by the rows' bytes. The last level is the
-    deduplicated successors of level depth - 1.
-
-    Reward pass: ``totals`` evaluates every level's states, stacked in
-    level order, CHUNK_ENTRIES // width states at a time (``_batches``).
-    The last level's rows are chosen at once, the others kept for the
-    backward pass; the live pairs of ruled-out actions leave the cache
-    hits here.
-
-    Backward pass: each level forms p * cont over the outputs with mass
-    once per (state, branch), adds it to every pair's total output by
-    output, then takes the maximum and the first action within TIE_TOL of
-    it. The policy is then read off level by level: the chosen actions at
-    the reached states (``best[t][states]``) and their successors along
-    ``branch_of[a]`` give the next level's reached states and histories,
-    numbered in base n_outputs, and the action indices go into
-    ``PolicyTree.from_indices``.
-
     Returns (value, policy, expanded, hits): the root's value, the policy
-    tree (the chosen action at every history it reaches, actions[0]
-    elsewhere), the number of distinct states over all levels, and the
-    number of successor visits that found an existing state (live
-    successors of actions with a finite total, minus distinct states).
-    Raises LevelTooWide before building the successors of a level with more
-    (state, action, output) triples than ``node_cap``.
+    tree, the distinct states over all levels, and the successor visits
+    that found an existing state (live successors of actions with a finite
+    total, minus distinct states other than the root). Raises LevelTooWide
+    as the forward pass does.
     """
-    branch_of = kernel.branch_of
-    n_actions, n_outputs = branch_of.shape
     step = max(1, CHUNK_ENTRIES // width)
-    # members[a, b]: the outputs of action a in branch b
-    members = np.zeros((n_actions, len(kernel.branch_pair)), dtype=np.intp)
-    np.add.at(members, (np.repeat(np.arange(n_actions), n_outputs), branch_of.ravel()), 1)
-    pairs = members.sum(axis=0)
-    # every level's states, and (p, succ) of every level but the last
-    level_states, levels, states, hits = [], [], root, 0
-    for t in range(1, depth):
-        n_states = states[0].shape[-1]
-        if n_states * n_actions * n_outputs > node_cap:
-            raise LevelTooWide(t, n_states * n_actions * n_outputs, node_cap)
-        p, succ, nxt = _expand_level(expand, t, states, step)
-        # live successors, minus those that are new to the level
-        hits += int(pairs @ (p > MASS_EPS).sum(axis=1)) - nxt[0].shape[-1]
-        level_states.append(states)
-        levels.append((p, succ))
-        states = nxt
-    level_states.append(states)
-    sizes = [states[0].shape[-1] for states in level_states]
-    starts = np.cumsum([0] + sizes)
-
-    level_of = np.repeat(np.arange(1, depth + 1), sizes)
-    head = starts[-2]
-    earned, last = np.empty((n_actions, head)), []
-    for lo, batch in _batches(level_states, step):
-        hi = lo + batch[0].shape[-1]
-        out = totals(level_of[lo:hi], *batch)
-        inner = max(0, min(hi, head) - lo)
-        earned[:, lo : lo + inner] = out[:, :inner]
-        if hi > head:
-            last.append(_choose(out[:, inner:]))
-    value, last_best = (np.concatenate(x) for x in zip(*last))
-    earned = [earned[:, starts[t] : starts[t + 1]] for t in range(depth - 1)]
-    for (p, _), level in zip(levels, earned):
-        ruled_out = level == -np.inf
-        if ruled_out.any():
-            hits -= int(((p > MASS_EPS) * (members.T @ ruled_out)).sum())
-
-    best = [None] * (depth - 1) + [last_best]
-    for t in reversed(range(depth - 1)):
-        p, succ = levels[t]
-        cont = np.append(value, 0.0)[succ]
-        value, best[t] = _choose(_add_continuation(earned[t], p, cont, branch_of))
-
-    # the policy, level by level: hist numbers the reached histories of
-    # length t in base n_outputs, states holds their states, and the
-    # histories of length t follow the shorter ones in the tree's order
-    at = np.zeros(tree_size(n_outputs, depth), dtype=np.intp)
-    hist, states = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
-    for t in range(depth):
-        a = best[t][states]
-        at[tree_size(n_outputs, t) + hist] = a
-        if t + 1 < depth:
-            succ = levels[t][1][branch_of[a].T, states]
-            live = succ >= 0
-            hist = (hist * n_outputs + np.arange(n_outputs)[:, None])[live]
-            states = succ[live]
-    policy = PolicyTree.from_indices(depth, n_outputs, kernel.actions, at)
-    return float(value[0]), policy, sum(sizes), hits
+    levels = _forward_pass(depth, root, expand, kernel.branch_of, node_cap, step)
+    earned, last, ruled_out = _reward_pass(levels, totals, kernel.branch_of, step)
+    value, policy = _backward_pass(levels, earned, last, kernel.branch_of, kernel.actions)
+    expanded = sum(states[0].shape[-1] for states in levels.states)
+    return value, policy, expanded, levels.visits - (expanded - 1) - ruled_out
 
 
 def solve_horizon(
@@ -543,29 +549,22 @@ def solve_horizon(
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> HorizonResult:
     """Best n-step average weighted reward and an achieving policy tree,
-    from ``prior`` (uniform when None).
-
-    Level-synchronous backward induction over augmented states (see
-    ``_backward_induction``): a forward pass, which the weights do not
-    enter, builds the distinct states of steps 1..n, skipping branches
-    whose predictive mass is at or below 1e-15; a reward pass evaluates
-    every state's actions; and a backward pass adds the continuation
-    values and takes the maximum. ``states_expanded`` counts the distinct
+    from ``prior`` (uniform when None), by the level engine over augmented
+    states (``_backward_induction``), skipping branches whose predictive
+    mass is at or below 1e-15. ``states_expanded`` counts the distinct
     states over all steps and ``cache_hits`` the successor visits that
-    found a state already built (live successors minus distinct states).
-    With ``prune`` the reward pass recomputes the Bayes updates of the
-    states whose successors get built and keeps, at each, the first action
-    of every class of equal update and reward rounded to PRUNE_TOL
-    (``ActionKernel.prune_mask``); every other action gets the total -inf,
-    so it is never chosen and its successors count no cache hits. The
-    forward pass is the same code either way, so the same states are
-    built, and the value never changes. Raises
-    HorizonTooDeep when the policy tree has more nodes than ``node_cap``
+    found a state already built. With ``prune`` the reward pass recomputes
+    the Bayes updates of the states whose successors get built and keeps,
+    at each, the first action of every class of equal update and reward
+    rounded to PRUNE_TOL (``ActionKernel.prune_mask``); every other action
+    gets the total -inf, so it is never chosen and its successors count no
+    cache hits. The forward pass is the same either way, so the same
+    states are built, and the value never changes. Raises HorizonTooDeep
+    when the policy tree has more nodes than ``node_cap``
     (``_check_tree_size``), and LevelTooWide before a step whose states x
     actions x outputs exceed it.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_count(n, "n")
     _check_tree_size(channel, n, node_cap)
     pi, labels1, labels2 = _start(space, prior)
     kernel = ActionKernel(channel, enumerate_actions(space, channel.alphabets, cap=action_cap))
@@ -648,8 +647,7 @@ def solve_dsaht(
     same guards and the same two counters over common beliefs (both 0 at
     T = 0).
     """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    horizon = check_count(horizon, "horizon", 0)
     pi = _prior_table(space, prior)
     if horizon == 0:
         policy = PolicyTree(0, channel.n_outputs, {})
@@ -829,14 +827,11 @@ def solve_stationary(
     every channel; this mode exists to make that degeneracy observable.
 
     Both modes raise ValueError when ``resolution`` or ``max_iters`` is
-    below 1.
+    not an integer of at least 1 (``channel.check_count``).
     """
     if renewal not in ("per_use", "none"):
         raise ValueError(f"unknown renewal mode {renewal!r}")
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    resolution, max_iters = check_count(resolution, "resolution"), check_count(max_iters, "max_iters")
     pi = _prior_table(space, prior)
     actions = enumerate_actions(space, channel.alphabets, cap=action_cap)
     kernel = ActionKernel(channel, actions)

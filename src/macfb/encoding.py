@@ -252,18 +252,25 @@ def policy_to_csv(tree: PolicyTree) -> str:
 
 
 def policy_from_csv(text: str, alphabets: Alphabets) -> PolicyTree:
-    """Parse the policy CSV format produced by policy_to_csv."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "t,history,e1,e2":
+    """Parse the policy CSV format produced by policy_to_csv. A row without
+    four fields, or one that repeats a history, raises ValueError naming
+    its line."""
+    lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1] != "t,history,e1,e2":
         raise ValueError("missing policy header t,history,e1,e2")
     nodes = {}
     depth = 0
-    for ln in lines[1:]:
-        t_str, hist_str, e1_str, e2_str = ln.split(",")
+    for number, ln in lines[1:]:
+        fields = ln.split(",")
+        if len(fields) != 4:
+            raise ValueError(f"policy line {number}: expected 4 fields t,history,e1,e2, got {len(fields)}")
+        t_str, hist_str, e1_str, e2_str = fields
         t = int(t_str)
         hist = tuple(int(ch) for ch in hist_str)
         if len(hist) != t - 1:
-            raise ValueError(f"history {hist_str!r} inconsistent with t={t}")
+            raise ValueError(f"policy line {number}: history {hist_str!r} inconsistent with t={t}")
+        if hist in nodes:
+            raise ValueError(f"policy line {number}: history {hist_str!r} given twice")
         action = EncoderAction(
             EncoderFunction(tuple(int(ch) for ch in e1_str), alphabets.x1),
             EncoderFunction(tuple(int(ch) for ch in e2_str), alphabets.x2),

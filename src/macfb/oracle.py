@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .channel import Channel, MessageSpace
+from .channel import Channel, MessageSpace, check_count
 from .encoding import DEFAULT_ACTION_CAP, PolicyTree, enumerate_actions, histories, tree_size
 from .errors import NotConverged, SearchTooLarge, TableTooLarge
 
@@ -207,8 +207,7 @@ def exhaustive_Cn(
     wins, which makes repeated runs byte-stable. ``table_cap`` caps each
     tree's trajectory table (see ``build_trajectories``).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_count(n, "n")
     best_value = -math.inf
     best_tree = None
     for tree in _all_trees(channel, space, n, tree_cap, action_cap):
@@ -254,6 +253,7 @@ def exhaustive_min_error(
 ):
     """Minimum decoding-error probability over every depth-T policy tree;
     ``table_cap`` as in ``exhaustive_Cn``."""
+    horizon = check_count(horizon, "horizon", 0)
     if horizon == 0:
         prior = _check_prior(space, prior)
         return 1.0 - float(prior.max()), PolicyTree(0, channel.n_outputs, {})

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .belief import JointBelief
-from .channel import Channel, MessageSpace
+from .channel import Channel, MessageSpace, check_count
 from .dp import DEFAULT_NODE_CAP, solve_horizon, solve_stationary
 from .encoding import DEFAULT_ACTION_CAP
 from .reward import LambdaWeights
@@ -51,8 +51,7 @@ def lambda_samples(count: int) -> list:
     The three corner vectors are always present; grids at different levels
     nest, which keeps sweep refinement monotone.
     """
-    if count < 3:
-        raise ValueError("need at least 3 weight samples")
+    count = check_count(count, "weight samples", 3)
     level = 1
     while (level + 1) * (level + 2) // 2 < count:
         level *= 2
@@ -83,7 +82,7 @@ def sweep(
     """
     if solver not in ("horizon", "stationary"):
         raise ValueError(f"unknown region solver {solver!r}")
-    lams = lambda_samples(samples)
+    n, lams = check_count(n, "n"), lambda_samples(samples)
 
     def bound_for(lam):
         weights = LambdaWeights(*lam)

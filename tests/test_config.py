@@ -200,6 +200,25 @@ def test_load_config_reports_yaml_line(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("where,line", [("horizon: {{n: {}}}", 4), ("limits:\n  node_cap: {}", 5)])
+def test_bare_integers_past_the_digit_limit_name_their_line(tmp_path, where, line):
+    # the YAML loader reads a bare integer with int(), which refuses more
+    # digits than the interpreter's limit; the error gives the line and
+    # the count instead of the interpreter's advice
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("no str -> int digit limit in this interpreter")
+    path = tmp_path / "long.yaml"
+    path.write_text("channel:\n  preset: {name: adder}\nmessages: {m1: 2, m2: 2}\n"
+                    + where.format("1" + "0" * (limit + 100)) + "\n")
+    with pytest.raises(ParseError) as info:
+        load_config(path)
+    assert info.value.line == line
+    assert str(info.value) == (f"parse error at line {line}: expected an integer of at most "
+                               f"{limit} digits, got {limit + 101} digits")
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_empty_document_rejected(tmp_path):
     path = tmp_path / "empty.yaml"
     path.write_text("\n")

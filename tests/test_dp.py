@@ -24,7 +24,7 @@ from macfb.encoding import (
     policy_to_csv,
 )
 from macfb.errors import GridTooLarge, HorizonTooDeep
-from macfb.oracle import evaluate_policy_In
+from macfb.oracle import evaluate_policy_In, exhaustive_Cn, exhaustive_min_error
 from macfb.reward import LambdaWeights, reward_weighted
 
 L3 = LambdaWeights(0.0, 0.0, 1.0)
@@ -621,6 +621,30 @@ def test_raw_table_prior_is_rejected(call):
     # on its missing m1
     with pytest.raises(TypeError, match="^prior must be a JointBelief, not ndarray$"):
         call(np.full((2, 2), 0.25))
+
+
+@pytest.mark.parametrize(
+    "call,name,good",
+    [
+        (lambda v: solve_horizon(_ADDER, _SPACE, L3, v), "n", 2),
+        (lambda v: solve_dsaht(_ADDER, _SPACE, v), "horizon", 2),
+        (lambda v: solve_stationary(_ADDER, _SPACE, L3, v, renewal="none"), "resolution", 2),
+        (lambda v: solve_stationary(_ADDER, _SPACE, L3, 2, max_iters=v, renewal="none"), "max_iters", 1),
+        (lambda v: region.sweep(_ADDER, _SPACE, v, 3), "n", 1),
+        (lambda v: region.sweep(_ADDER, _SPACE, 1, v), "weight samples", 3),
+        (lambda v: exhaustive_Cn(_ADDER, MessageSpace(1, 2), L3, v), "n", 1),
+        (lambda v: exhaustive_min_error(_ADDER, MessageSpace(1, 2), v), "horizon", 1),
+    ],
+    ids=["horizon", "dsaht", "stationary-resolution", "stationary-max-iters", "region-n",
+         "region-samples", "oracle-Cn", "oracle-min-error"],
+)
+def test_depths_and_counts_follow_the_size_rule(call, name, good):
+    # as for MessageSpace and Alphabets: a numpy integer is an integer, a
+    # bool or a float is not (True solved n = 1, 2.0 failed in range())
+    assert call(np.int64(good)) == call(good)
+    for bad in (True, np.True_, float(good)):
+        with pytest.raises(ValueError, match=f"^{name} must be .*, got {bad!r}$"):
+            call(bad)
 
 
 def test_diagnostic_reports_private_table_conflicts():

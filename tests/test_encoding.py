@@ -213,6 +213,18 @@ def test_policy_csv_round_trip():
     assert policy_to_csv(again) == text
 
 
+def test_policy_csv_row_with_missing_fields_names_its_line():
+    text = "t,history,e1,e2\n1,,01,10\n\n2,0,01\n"
+    with pytest.raises(ValueError, match=r"^policy line 4: expected 4 fields t,history,e1,e2, got 3$"):
+        policy_from_csv(text, preset("adder").alphabets)
+
+
+def test_policy_csv_history_given_twice_names_its_line():
+    rows = ["t,history,e1,e2", "1,,01,10", "2,0,00,00", "2,1,00,00", "2,2,00,00", "2,1,11,11"]
+    with pytest.raises(ValueError, match="^policy line 6: history '1' given twice$"):
+        policy_from_csv("\n".join(rows) + "\n", preset("adder").alphabets)
+
+
 def _csv_per_node(tree):
     """The CSV one row per node, as policy_to_csv wrote it before it went
     level by level."""

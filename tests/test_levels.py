@@ -491,6 +491,17 @@ def test_forward_pass_is_free_of_the_weights(monkeypatch):
                 runs.append(seen)
         assert [t for t, *_ in runs[0]] == [1, 2]
         assert all(run == runs[0] for run in runs)
+        # nor the horizon: an n-step solve hands expand the leading arrays
+        # of an (n + 1)-step solve, in both programs
+        for solve in (lambda n: solve_horizon(ch, space, W_MIX, n, pri),
+                      lambda n: solve_dsaht(ch, space, n, pri)):
+            runs = []
+            for n in (3, 4):
+                seen = []
+                solve(n)
+                runs.append(seen)
+            assert runs[1][: len(runs[0])] == runs[0]
+            assert {t for t, *_ in runs[1][len(runs[0]) :]} == {3}
 
 
 def test_horizon_counters_noisy_adder_3x3_n3():
