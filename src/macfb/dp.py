@@ -15,7 +15,9 @@ Three solvers:
   (``_grid_tables``, Freudenthal interpolation with no nearest-point
   fallback).
 
-The two finite-horizon programs share one level-synchronous engine,
+Each finite-horizon program is a value, a ``Program`` built by one
+function (``_horizon_program``, ``_dsaht_program``). Both share the
+forward hook ``_expand`` and one level-synchronous engine,
 ``_backward_induction``: three passes, each reading the plain values the
 one before it returns. The state moves forward one channel use at a
 time, so the forward pass (``_forward_pass``) builds every time step's
@@ -25,9 +27,7 @@ gives a stack of states' predictive distributions, posteriors and
 refined labels for every action at once, and a Bayes update depends on
 an (action, output) pair only through the pair's branch, so successors
 are built once per (state, branch) and deduplicated on their common
-belief quantised to QUANT and their labels. The dedupe numbers keys by
-a 64-bit hash of their words and checks each key against the first key
-with its hash, so a hash collision costs time, never a number. The
+belief quantised to QUANT and their labels (``_LevelIndex``). The
 reward pass (``_reward_pass``) evaluates what every action earns at
 every level's states, in batches that may span levels, and the backward
 pass (``_backward_pass``) takes the maximum level by level and reads the
@@ -53,14 +53,11 @@ diagnostic then evaluate every node they walked in one batched reward
 pass.
 
 The engine maximises the totals it is given: an action that ``prune``
-rules out has the total -inf, and DSAHT passes minus its error, an exact
-negation. Prune is one branch of the horizon program's ``totals``, which
-finds the first action of each class of equal update and rounded reward
-in the batch of states it rates; the forward pass is the same with and
-without it. Ties: the policy takes the lexicographically smallest action
-whose total lies within TIE_TOL of the maximum, so rounding noise in the
-last bits never decides between tied actions. The reported value is the
-optimum itself.
+rules out has the total -inf (see ``solve_horizon``), and DSAHT passes
+minus its error, an exact negation. Ties: the policy takes the
+lexicographically smallest action whose total lies within TIE_TOL of the
+maximum, so rounding noise in the last bits never decides between tied
+actions. The reported value is the optimum itself.
 """
 
 from __future__ import annotations
@@ -102,10 +99,7 @@ QUANT = 1e-9
 # 2x2 in DSAHT, 98 at 3x3 in the horizon program, so horizon-wide rates its
 # 1 + 73 states in one reward call. Other temporaries are larger per state
 # than the width, such as the rewards' margin products (96 entries at
-# noisy_adder 2x2, against a width of 64). 10 s bench/run.py runs peak at
-# about 41.3 MB RSS on horizon-wide and 40.8 MB on dsaht-deep (seeds 0 and
-# 1, 2 cores), and one noisy_adder 3x3 solve in a fresh process at 32.9 MB
-# at n=3 and 49.0 MB at n=4.
+# noisy_adder 2x2, against a width of 64).
 CHUNK_ENTRIES = 1 << 16
 
 # totals this close to the optimum count as tied; the first one wins
@@ -500,16 +494,12 @@ def _backward_pass(levels: Levels, earned: list, last: tuple, branch_of: np.ndar
     return float(value[0]), PolicyTree.from_indices(depth, n_outputs, actions, at)
 
 
-def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand, totals,
-                        node_cap: int, width: int) -> tuple:
-    """Level-synchronous backward induction over the distinct states of each
-    time step, the maximum over actions of what they earn now plus the
-    expected value of what follows: ``_forward_pass``, ``_reward_pass`` and
-    ``_backward_pass`` in turn, ``width`` kernel entries per state.
+class Program(collections.namedtuple("Program", "kernel root expand totals width")):
+    """A finite-horizon program, as ``_backward_induction`` runs it.
 
     ``root`` holds the start state's arrays, each with a last (batch) axis
-    of length 1. The program supplies two functions of a batch of states,
-    stacked on that axis:
+    of length 1, and ``width`` counts one state's kernel entries. The two
+    hooks are functions of a batch of states, stacked on that axis:
 
     * ``expand(t, *arrays)``, for levels t = 1..depth - 1, returns
       (p, gather): p[b, s], the predictive mass of every branch of the
@@ -523,6 +513,33 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand, t
       level order, so those below the last level lead the batch. -inf
       rules an action out, and some action of every state must keep a
       finite total.
+    """
+
+
+def _expand(kernel: ActionKernel, t: int, pis: np.ndarray, *labels) -> tuple:
+    """Both programs' forward hook: branch masses at beliefs ``pis``, and a
+    gather of the successors' posteriors and, given labels, refined labels."""
+    joint, p = kernel.branch_joint(pis)
+    refined = kernel.refined(*labels) if labels else ()
+
+    def gather(live):
+        if not labels:
+            return (kernel.posteriors_at(joint, p, live),)
+        b, s = np.divmod(live, p.shape[1])
+        return (kernel.posteriors_at(joint, p, live),
+                *(np.take(ref.reshape(len(ref), -1), enc[b] * p.shape[1] + s, axis=1)
+                  for ref, enc in zip(refined, (kernel.branch_enc1, kernel.branch_enc2))))
+
+    return p, gather
+
+
+def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand, totals,
+                        node_cap: int, width: int) -> tuple:
+    """Level-synchronous backward induction over the distinct states of each
+    time step, the maximum over actions of what they earn now plus the
+    expected value of what follows: ``_forward_pass``, ``_reward_pass`` and
+    ``_backward_pass`` in turn. The arguments but ``depth`` and
+    ``node_cap`` are a ``Program``'s, whose docstring gives the contract.
 
     Returns (value, policy, expanded, hits): the root's value, the policy
     tree, the distinct states over all levels, and the successor visits
@@ -536,6 +553,30 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand, t
     value, policy = _backward_pass(levels, earned, last, kernel.branch_of, kernel.actions)
     expanded = sum(states[0].shape[-1] for states in levels.states)
     return value, policy, expanded, levels.visits - (expanded - 1) - ruled_out
+
+
+def _horizon_program(channel: Channel, space: MessageSpace, weights: LambdaWeights, n: int,
+                     prior: JointBelief, prune: bool, action_cap: int) -> Program:
+    """The horizon program: augmented states from ``prior``, weighted rewards."""
+    root = tuple(x[..., None] for x in _start(space, prior))
+    kernel = ActionKernel(channel, enumerate_actions(space, channel.alphabets, cap=action_cap))
+    branch_of = kernel.branch_of
+
+    def totals(t, pis, labels1, labels2):
+        # the members of a branch share its predictive mass bit for bit
+        rewards = kernel.weighted(weights, pis, labels1, labels2, kernel.branch_joint(pis)[1][branch_of])
+        if prune and t[0] < n:
+            # prune leaves the last level alone; the levels below it lead the batch
+            k = int(np.count_nonzero(t < n))
+            joint, p = kernel.branch_joint(pis[..., :k])
+            ref1, ref2 = kernel.refined(labels1[:, :k], labels2[:, :k])
+            keep = kernel.prune_mask(p, kernel.posteriors(joint, p), ref1, ref2, branch_of,
+                                     rewards[:, :k], PRUNE_TOL)
+            rewards[:, :k] = np.where(keep, rewards[:, :k], -np.inf)
+        return rewards
+
+    return Program(kernel, root, functools.partial(_expand, kernel), totals,
+                   max(kernel.branch_lik.size, kernel.noise.size))
 
 
 def solve_horizon(
@@ -566,39 +607,8 @@ def solve_horizon(
     """
     n = check_count(n, "n")
     _check_tree_size(channel, n, node_cap)
-    pi, labels1, labels2 = _start(space, prior)
-    kernel = ActionKernel(channel, enumerate_actions(space, channel.alphabets, cap=action_cap))
-    enc1, enc2, branch_of = kernel.branch_enc1, kernel.branch_enc2, kernel.branch_of
-
-    def expand(t, pis, labels1, labels2):
-        joint, p = kernel.branch_joint(pis)
-        ref1, ref2 = kernel.refined(labels1, labels2)
-
-        def gather(live):
-            b, s = np.divmod(live, p.shape[1])
-            return (kernel.posteriors_at(joint, p, live),
-                    np.take(ref1.reshape(len(ref1), -1), enc1[b] * p.shape[1] + s, axis=1),
-                    np.take(ref2.reshape(len(ref2), -1), enc2[b] * p.shape[1] + s, axis=1))
-
-        return p, gather
-
-    def totals(t, pis, labels1, labels2):
-        # the members of a branch share its predictive mass bit for bit
-        rewards = kernel.weighted(weights, pis, labels1, labels2, kernel.branch_joint(pis)[1][branch_of])
-        if prune and t[0] < n:
-            # prune leaves the last level alone; the levels below it lead the batch
-            k = int(np.count_nonzero(t < n))
-            joint, p = kernel.branch_joint(pis[..., :k])
-            ref1, ref2 = kernel.refined(labels1[:, :k], labels2[:, :k])
-            keep = kernel.prune_mask(p, kernel.posteriors(joint, p), ref1, ref2, branch_of,
-                                     rewards[:, :k], PRUNE_TOL)
-            rewards[:, :k] = np.where(keep, rewards[:, :k], -np.inf)
-        return rewards
-
-    root = (pi[..., None], labels1[:, None], labels2[:, None])
-    total, policy, expanded, hits = _backward_induction(
-        kernel, n, root, expand, totals, node_cap, max(kernel.branch_lik.size, kernel.noise.size)
-    )
+    kernel, root, expand, totals, width = _horizon_program(channel, space, weights, n, prior, prune, action_cap)
+    total, policy, expanded, hits = _backward_induction(kernel, n, root, expand, totals, node_cap, width)
     return HorizonResult(total / n, total, policy, expanded, hits)
 
 
@@ -629,6 +639,32 @@ def evaluate_tree(
     return float(acc) / tree.depth
 
 
+def _dsaht_program(channel: Channel, space: MessageSpace, horizon: int, pi: np.ndarray,
+                   action_cap: int) -> Program:
+    """DSAHT's program: the common belief alone from the prior table ``pi``."""
+    kernel = ActionKernel(channel, enumerate_actions(space, channel.alphabets, cap=action_cap))
+
+    def totals(t, pis):
+        out = np.zeros((len(kernel), pis.shape[-1]))
+        # the last level's states close the batch
+        k = int(np.count_nonzero(t < horizon))
+        if k < len(t):
+            # minus the terminal error, max(posterior) - 1, without the
+            # posteriors: dividing by a positive mass keeps the order, and
+            # the rounding too. The max is taken in slices over the
+            # message pairs
+            joint, p = kernel.branch_joint(pis[..., k:])
+            cells = joint.reshape((-1,) + p.shape)
+            largest = cells[0]
+            for cell in cells[1:]:
+                largest = np.maximum(largest, cell)
+            minus_error = largest / np.where(p > MASS_EPS, p, 1.0) - 1.0
+            out[:, k:] = _add_continuation(out[:, k:], p, minus_error, kernel.branch_of)
+        return out
+
+    return Program(kernel, (pi[..., None],), functools.partial(_expand, kernel), totals, kernel.branch_lik.size)
+
+
 def solve_dsaht(
     channel: Channel,
     space: MessageSpace,
@@ -650,39 +686,11 @@ def solve_dsaht(
     horizon = check_count(horizon, "horizon", 0)
     pi = _prior_table(space, prior)
     if horizon == 0:
-        policy = PolicyTree(0, channel.n_outputs, {})
-        return DsahtResult(1.0 - float(pi.max()), policy, 0, 0, channel, pi)
+        return DsahtResult(1.0 - float(pi.max()), PolicyTree(0, channel.n_outputs, {}), 0, 0, channel, pi)
     _check_tree_size(channel, horizon, node_cap)
-    kernel = ActionKernel(channel, enumerate_actions(space, channel.alphabets, cap=action_cap))
-    branch_of = kernel.branch_of
-
-    def expand(t, pis):
-        joint, p = kernel.branch_joint(pis)
-        return p, lambda live: (kernel.posteriors_at(joint, p, live),)
-
-    def totals(t, pis):
-        out = np.zeros((len(kernel), pis.shape[-1]))
-        # the last level's states close the batch
-        k = int(np.count_nonzero(t < horizon))
-        if k < len(t):
-            # minus the terminal error, max(posterior) - 1, without the
-            # posteriors: dividing by a positive mass keeps the order, and
-            # the rounding too. The max is taken in slices over the
-            # message pairs
-            joint, p = kernel.branch_joint(pis[..., k:])
-            cells = joint.reshape((-1,) + p.shape)
-            largest = cells[0]
-            for cell in cells[1:]:
-                largest = np.maximum(largest, cell)
-            minus_error = largest / np.where(p > MASS_EPS, p, 1.0) - 1.0
-            out[:, k:] = _add_continuation(out[:, k:], p, minus_error, branch_of)
-        return out
-
-    # the engine maximises minus the error; negation is exact in every sum
-    # and product, so 0.0 - value has the bits of the minimised error
-    value, policy, expanded, hits = _backward_induction(
-        kernel, horizon, (pi[..., None],), expand, totals, node_cap, kernel.branch_lik.size
-    )
+    kernel, root, expand, totals, width = _dsaht_program(channel, space, horizon, pi, action_cap)
+    # negation is exact in every sum and product, so 0.0 - value has the bits of the minimised error
+    value, policy, expanded, hits = _backward_induction(kernel, horizon, root, expand, totals, node_cap, width)
     return DsahtResult(0.0 - value, policy, expanded, hits, channel, pi)
 
 
@@ -833,8 +841,7 @@ def solve_stationary(
         raise ValueError(f"unknown renewal mode {renewal!r}")
     resolution, max_iters = check_count(resolution, "resolution"), check_count(max_iters, "max_iters")
     pi = _prior_table(space, prior)
-    actions = enumerate_actions(space, channel.alphabets, cap=action_cap)
-    kernel = ActionKernel(channel, actions)
+    kernel = ActionKernel(channel, enumerate_actions(space, channel.alphabets, cap=action_cap))
 
     if renewal == "per_use":
         own1, own2 = np.arange(space.m1), np.arange(space.m2)
@@ -845,14 +852,8 @@ def solve_stationary(
     if n_points > grid_cap:
         raise GridTooLarge(n_points, grid_cap)
     rewards, rows, cols, vals, ref_idx, ref_w = _grid_tables(kernel, weights, space, resolution)
-    n_actions = len(actions)
-
-    flat_rewards = rewards.reshape(-1)
-    value = np.zeros(n_points)
-    gain = 0.0
-    span = math.inf
-    iterations = 0
-    converged = False
+    n_actions, flat_rewards = len(kernel), rewards.reshape(-1)
+    value, gain, span, iterations, converged = np.zeros(n_points), 0.0, math.inf, 0, False
     for iterations in range(1, max_iters + 1):
         acc = np.bincount(rows, vals * value[cols], minlength=n_points * n_actions)
         updated = (flat_rewards + acc).reshape(n_actions, n_points).max(axis=0)
@@ -889,8 +890,7 @@ def reachability_diagnostic(
     across the group by more than 1e-9. Purely informational; conflicts are
     evidence that the private tables still matter on this instance.
     """
-    tree = solve_horizon(channel, space, weights, n, prior, action_cap=action_cap,
-                         node_cap=node_cap).policy
+    tree = solve_horizon(channel, space, weights, n, prior, action_cap=action_cap, node_cap=node_cap).policy
     kernel = ActionKernel(channel, enumerate_actions(space, channel.alphabets, cap=action_cap))
     ts, hists, pis, labels1, labels2, *_ = _walked(kernel, tree, _start(space, prior))
     # groups in order of first appearance, each listing its states in walk order

@@ -253,8 +253,10 @@ def policy_to_csv(tree: PolicyTree) -> str:
 
 def policy_from_csv(text: str, alphabets: Alphabets) -> PolicyTree:
     """Parse the policy CSV format produced by policy_to_csv. A row without
-    four fields, or one that repeats a history, raises ValueError naming
-    its line."""
+    four digit-string fields (the history may be empty), one that repeats
+    a history, or one with an output or symbol outside its alphabet raises
+    ValueError naming its line; a file that leaves out a history raises
+    ValueError naming the first history missing in (t, history) order."""
     lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1] != "t,history,e1,e2":
         raise ValueError("missing policy header t,history,e1,e2")
@@ -264,19 +266,35 @@ def policy_from_csv(text: str, alphabets: Alphabets) -> PolicyTree:
         fields = ln.split(",")
         if len(fields) != 4:
             raise ValueError(f"policy line {number}: expected 4 fields t,history,e1,e2, got {len(fields)}")
+        for name, field in zip(("t", "history", "e1", "e2"), fields):
+            if not (field.isascii() and field.isdigit()) and (field or name != "history"):
+                raise ValueError(f"policy line {number}: {name} {field!r} is not a digit string")
         t_str, hist_str, e1_str, e2_str = fields
-        t = int(t_str)
-        hist = tuple(int(ch) for ch in hist_str)
-        if len(hist) != t - 1:
-            raise ValueError(f"policy line {number}: history {hist_str!r} inconsistent with t={t}")
+        # t is compared as digits, so a t past int()'s digit limit is named too
+        t, hist = len(hist_str) + 1, tuple(int(ch) for ch in hist_str)
+        if t_str.lstrip("0") != str(t):
+            raise ValueError(f"policy line {number}: history {hist_str!r} inconsistent with t={t_str}")
         if hist in nodes:
             raise ValueError(f"policy line {number}: history {hist_str!r} given twice")
-        action = EncoderAction(
-            EncoderFunction(tuple(int(ch) for ch in e1_str), alphabets.x1),
-            EncoderFunction(tuple(int(ch) for ch in e2_str), alphabets.x2),
-        )
-        nodes[hist] = action
+        if any(y >= alphabets.y for y in hist):
+            raise ValueError(f"policy line {number}: history {hist_str!r} has an output outside "
+                             f"{alphabets.y} outputs")
+        encoders = []
+        for name, field, size in (("e1", e1_str, alphabets.x1), ("e2", e2_str, alphabets.x2)):
+            try:
+                encoders.append(EncoderFunction(tuple(int(ch) for ch in field), size))
+            except ValueError as err:
+                raise ValueError(f"policy line {number}: {name}: {err}") from None
+        nodes[hist] = EncoderAction(*encoders)
         depth = max(depth, t)
+    if tree_size(alphabets.y, depth, len(nodes)) != len(nodes):
+        # every row holds its own position below the tree's size, so a
+        # history among the first len(nodes) + 1 is missing
+        missing = next(hist for hist in histories(alphabets.y, depth) if hist not in nodes)
+        name = "".join(map(str, missing))
+        raise ValueError(f"policy: no row for history {name!r} at t={len(missing) + 1}; "
+                         f"{len(nodes)} nodes do not make a complete tree of depth {depth} "
+                         f"over {alphabets.y} outputs")
     return PolicyTree(depth, alphabets.y, nodes)
 
 

@@ -6,7 +6,9 @@ the product of kernel factors, and read quantities straight off their
 definitions (conditional mutual informations as grouped sums, error
 probability as one minus the best-guess mass). No belief recursion, no
 reward shortcuts; the only shared vocabulary with the solver modules is
-the channel, the message space and the policy-tree container.
+the channel, the message space and the policy-tree container. A prior
+comes as a raw (M1, M2) table or as the solvers' ``JointBelief``, whose
+table alone is read.
 
 All sums over trajectory collections use compensated summation.
 """
@@ -44,7 +46,7 @@ def _uniform_prior(space: MessageSpace) -> np.ndarray:
 def _check_prior(space: MessageSpace, prior) -> np.ndarray:
     if prior is None:
         return _uniform_prior(space)
-    p = np.asarray(prior, dtype=float)
+    p = np.asarray(getattr(prior, "table", prior), dtype=float)
     if p.shape != (space.m1, space.m2):
         raise ValueError("prior shape disagrees with the message space")
     if (p < 0.0).any() or not abs(float(p.sum()) - 1.0) <= 1e-9:  # NaN fails it too

@@ -1,5 +1,6 @@
 """Seeded generators shared across the test modules."""
 
+import collections
 import itertools
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import numpy as np
 from macfb.belief import AugmentedState, JointBelief, PrivateBeliefTable
 from macfb.channel import Channel, MessageSpace, validate_channel
 from macfb.encoding import EncoderAction, EncoderFunction, PolicyTree
+from macfb.reward import LambdaWeights
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CASES_DIR = REPO_ROOT / "cases"
@@ -26,6 +28,45 @@ def random_channel(rng, x1: int, x2: int, y: int, sparse: bool = False) -> Chann
                 if raw[:, i, j].sum() <= 0.0:
                     raw[int(rng.integers(y)), i, j] = 1.0
     return validate_channel(raw / raw.sum(axis=0, keepdims=True))
+
+
+def random_kind_channel(rng, kind: str, x1: int, x2: int, y: int) -> Channel:
+    """A channel of ``kind``: ``random_channel`` dense or sparse, or
+    near-deterministic, a random map of the input pairs to outputs plus a
+    spread drawn log-uniformly from 1e-12 to 1e-3, normalised."""
+    if kind != "near-deterministic":
+        return random_channel(rng, x1, x2, y, sparse=kind == "sparse")
+    raw = np.zeros((y, x1, x2))
+    raw[(rng.integers(y, size=(x1, x2)), *np.indices((x1, x2)))] = 1.0
+    raw += 10.0 ** -rng.uniform(3.0, 12.0) * rng.random((y, x1, x2))
+    return validate_channel(raw / raw.sum(axis=0, keepdims=True))
+
+
+Instance = collections.namedtuple("Instance", "channel space n prior weights")
+
+
+def random_instances(seed: int, kind: str, count: int) -> list:
+    """``count`` seeded instances over binary-input channels of ``kind``
+    (``random_kind_channel``): 2 or 3 outputs, 2x2, 2x3 or 3x2 messages,
+    n = 2..4 with n = 4 on 2-output channels only (a dense 3-output solve
+    at n = 4 takes about a second), the uniform prior (None), a product
+    and a non-product ``JointBelief`` in turn, and random weights."""
+    rng = make_rng(seed)
+    instances = []
+    for i in range(count):
+        y = int(rng.integers(2, 4))
+        m1, m2 = ((2, 2), (2, 3), (3, 2))[rng.integers(3)]
+        n = int(rng.integers(2, 5 if y == 2 else 4))
+        channel = random_kind_channel(rng, kind, 2, 2, y)
+        if i % 3 == 0:
+            prior = None
+        elif i % 3 == 1:
+            prior = JointBelief(np.outer(rng.dirichlet(np.ones(m1)), rng.dirichlet(np.ones(m2))))
+        else:
+            prior = JointBelief(random_prior(rng, m1, m2))
+        instances.append(Instance(channel, MessageSpace(m1, m2), n, prior,
+                                  LambdaWeights(*rng.dirichlet(np.ones(3)))))
+    return instances
 
 
 def random_prior(rng, m1: int, m2: int) -> np.ndarray:

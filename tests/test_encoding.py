@@ -219,6 +219,32 @@ def test_policy_csv_row_with_missing_fields_names_its_line():
         policy_from_csv(text, preset("adder").alphabets)
 
 
+@pytest.mark.parametrize("row,message", [
+    ("1,,0x,10", "policy line 2: e1 '0x' is not a digit string"),
+    ("x,,01,10", "policy line 2: t 'x' is not a digit string"),
+    ("1,,012,10", "policy line 2: e1: symbol 2 outside alphabet of size 2"),
+    pytest.param("9" * 5000 + ",,01,10", "policy line 2: history '' inconsistent with t=" + "9" * 5000,
+                 id="t-past-the-digit-limit"),
+])
+def test_policy_csv_bad_field_names_its_line(row, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        policy_from_csv(f"t,history,e1,e2\n{row}\n", preset("adder").alphabets)
+
+
+def test_policy_csv_output_outside_the_channel_names_its_line():
+    # the adder has 3 outputs, 0 to 2
+    rows = ["t,history,e1,e2", "1,,01,10", "2,0,00,00", "2,1,00,00", "2,2,00,00", "2,3,00,00"]
+    with pytest.raises(ValueError, match="^policy line 6: history '3' has an output outside 3 outputs$"):
+        policy_from_csv("\n".join(rows) + "\n", preset("adder").alphabets)
+
+
+def test_policy_csv_missing_history_is_named():
+    rows = ["t,history,e1,e2", "1,,01,10", "2,0,00,00", "2,2,00,00"]
+    with pytest.raises(ValueError, match=r"^policy: no row for history '1' at t=2; 3 nodes do not make "
+                                         r"a complete tree of depth 2 over 3 outputs$"):
+        policy_from_csv("\n".join(rows) + "\n", preset("adder").alphabets)
+
+
 def test_policy_csv_history_given_twice_names_its_line():
     rows = ["t,history,e1,e2", "1,,01,10", "2,0,00,00", "2,1,00,00", "2,2,00,00", "2,1,11,11"]
     with pytest.raises(ValueError, match="^policy line 6: history '1' given twice$"):

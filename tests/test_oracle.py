@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_rng, random_channel, random_prior, random_tree
-from macfb.belief import uniform_initial
+from macfb.belief import JointBelief, uniform_initial
 from macfb.channel import Alphabets, MessageSpace, preset
 from macfb.encoding import EncoderAction, EncoderFunction, PolicyTree
 from macfb.errors import SearchTooLarge, TableTooLarge
@@ -176,3 +176,22 @@ def test_oracle_prior_check_rejects_nan():
     prior = np.array([[np.nan, 0.5], [0.25, 0.25]])
     with pytest.raises(ValueError, match="prior must be a probability table"):
         build_trajectories(preset("adder"), MessageSpace(2, 2), tree, prior)
+
+
+def test_oracle_reads_a_joint_belief_prior_as_its_table():
+    # the solvers take a JointBelief; the oracle takes it or its raw
+    # table, with the same results bit for bit
+    rng = make_rng(231)
+    ch, space = random_channel(rng, 2, 2, 3), MessageSpace(2, 2)
+    table = random_prior(rng, 2, 2)
+    tree = random_tree(rng, space, ch.alphabets, 2)
+    weights = LambdaWeights(0.3, 0.3, 0.4)
+
+    def results(prior):
+        return (evaluate_policy_In(ch, space, tree, weights, prior),
+                evaluate_scheme_error(ch, space, tree, prior),
+                exhaustive_Cn(ch, space, weights, 1, prior),
+                exhaustive_min_error(ch, space, 1, prior),
+                exhaustive_min_error(ch, space, 0, prior))
+
+    assert results(JointBelief(table)) == results(table)
