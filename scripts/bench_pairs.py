@@ -15,7 +15,9 @@ run and the fresh interpreters it launches for ``setup_s``.
 For every metric it prints the parent's and the change's median, the
 parent's quartiles, and the pairs that the change wins, loses and ties,
 better being the direction the change's BENCHMARK.json gives the metric
-(lower where it gives none); then each run's page faults.
+(lower where it gives none); then every metric whose change median is
+worse than the parent's by more than that file's bound for it, relative to
+the parent's median; then each run's page faults.
 """
 
 from __future__ import annotations
@@ -58,6 +60,23 @@ def format_rows(rows: list) -> list:
     return lines
 
 
+def over_bounds(rows: list, metrics: list) -> list:
+    """(name, relative change, bound) of every row of ``summarize`` whose
+    change median is worse than the parent's by more than its bound, a
+    share of the parent's median. ``metrics`` lists BENCHMARK.json's
+    end_to_end entries, each with a name, a better direction and a bound;
+    a metric that none of them names is not judged."""
+    spec = {m["name"]: m for m in metrics}
+    over = []
+    for name, before, after, *_ in rows:
+        if name in spec:
+            sign = -1.0 if spec[name]["better"] == "higher" else 1.0
+            if sign * (after - before) > spec[name]["bound"] * abs(before):
+                change = (after - before) / before if before else float("inf")
+                over.append((name, change, spec[name]["bound"]))
+    return over
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
     """(metric name -> value, minor page faults) of one bench/run.py run."""
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
@@ -96,7 +115,11 @@ def main(argv=None) -> int:
         print(f"# pair {i + 1}/{args.pairs} done ({' then '.join(order)})", flush=True)
 
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs")
-    print("\n".join(format_rows(summarize(pairs, better))))
+    rows = summarize(pairs, better)
+    print("\n".join(format_rows(rows)))
+    print("\n".join(f"OVER BOUND: {name} {100.0 * change:+.1f}% against a bound of {bound:g}"
+                     for name, change, bound in over_bounds(rows, spec["end_to_end"]))
+          or "every metric within its bound")
     for i, (before, after) in enumerate(faults, 1):
         print(f"pair {i}: ru_minflt parent {before} change {after}")
     return 0

@@ -19,7 +19,7 @@ from . import dp, oracle, region as region_mod
 from ._io import atomic_write_text
 from .belief import JointBelief, initial_state, update_private
 from .config import SECTION_DEFAULTS, RunConfig, parse_config, read_document
-from .encoding import policy_to_csv
+from .encoding import _digits, policy_to_csv
 from .errors import ConfigError, SolverError, ValidationError
 from .reward import LambdaWeights
 
@@ -151,7 +151,7 @@ def _beliefs_csv(tree, cfg: RunConfig) -> str:
             if action is not None:
                 after[hist] = (update_private(beta1, action.e1), update_private(beta2, action.e2))
             # the walker counts channel uses from 1; the file counts outputs seen
-            lines += [f"# t={level.t - 1} history={''.join(map(str, hist))}", "m1,m2,pi"]
+            lines += [f"# t={level.t - 1} history={_digits(hist)}", "m1,m2,pi"]
             lines += [f"{i},{j},{pi[i, j]:.17g}" for i, j in np.ndindex(pi.shape)]
             lines.append("i,m,mprime,beta")
             for sender, table in ((1, beta1.rows), (2, beta2.rows)):
@@ -163,15 +163,18 @@ def _decoder_csv(decoder: dict) -> str:
     lines = ["history,m1,m2"]
     for hist in sorted(decoder):
         m1, m2 = decoder[hist]
-        lines.append("".join(str(y) for y in hist) + f",{m1},{m2}")
+        lines.append(f"{_digits(hist)},{m1},{m2}")
     return "\n".join(lines) + "\n"
 
 
-def _write_csv(cfg: RunConfig, result: dict, name: str, text: str) -> None:
-    """Write the artifact ``<prefix>_<name>.csv`` and list it in the result."""
-    path = f"{cfg.output_prefix}_{name}.csv"
-    atomic_write_text(path, text)
-    result["files"][name] = path
+def _write_csvs(cfg: RunConfig, result: dict, texts: dict) -> None:
+    """Write every artifact ``<prefix>_<name>.csv`` of ``texts`` (name ->
+    text) and list it in the result. The texts are rendered before any is
+    written, so a file that refuses its contents leaves no file behind."""
+    for name, text in texts.items():
+        path = f"{cfg.output_prefix}_{name}.csv"
+        atomic_write_text(path, text)
+        result["files"][name] = path
 
 
 def _cmd_validate(cfg: RunConfig, sec: dict, emits: list, result: dict) -> int:
@@ -193,10 +196,8 @@ def _cmd_horizon(cfg: RunConfig, sec: dict, emits: list, result: dict) -> int:
         "states_expanded": res.states_expanded,
         "cache_hits": res.cache_hits,
     }
-    if "policy" in emits:
-        _write_csv(cfg, result, "policy", policy_to_csv(res.policy))
-    if "beliefs" in emits:
-        _write_csv(cfg, result, "beliefs", _beliefs_csv(res.policy, cfg))
+    render = {"policy": policy_to_csv, "beliefs": lambda tree: _beliefs_csv(tree, cfg)}
+    _write_csvs(cfg, result, {name: render[name](res.policy) for name in emits})
     return EXIT_OK
 
 
@@ -210,10 +211,10 @@ def _cmd_dsaht(cfg: RunConfig, sec: dict, emits: list, result: dict) -> int:
         "states_expanded": res.states_expanded,
         "cache_hits": res.cache_hits,
     }
-    if "policy" in emits:
-        _write_csv(cfg, result, "policy", policy_to_csv(res.policy))
+    texts = {"policy": policy_to_csv(res.policy)} if "policy" in emits else {}
     if cfg.output_prefix:
-        _write_csv(cfg, result, "decoder", _decoder_csv(res.decoder))
+        texts["decoder"] = _decoder_csv(res.decoder)
+    _write_csvs(cfg, result, texts)
     return EXIT_OK
 
 
@@ -298,7 +299,7 @@ def _cmd_oracle_check(cfg: RunConfig, sec: dict, emits: list, result: dict) -> i
         lines = ["instance,dp_value,oracle_value,abs_diff"]
         for name, a, b in rows:
             lines.append(f"{name},{a:.17g},{b:.17g},{abs(a - b):.17g}")
-        _write_csv(cfg, result, "oracle", "\n".join(lines) + "\n")
+        _write_csvs(cfg, result, {"oracle": "\n".join(lines) + "\n"})
     return EXIT_OK
 
 

@@ -91,15 +91,14 @@ DEFAULT_STATIONARY_EPSILON = 1e-6
 # states are told apart by their coordinates quantised to this granularity
 QUANT = 1e-9
 
-# the finite-horizon programs put CHUNK_ENTRIES // width states through one
-# chunk of the forward pass and one batch of the reward pass, where width
-# counts one state's entries in the branch joint (branches x message pairs)
-# in DSAHT, and in the horizon program in that or the rewards' noise term
-# (actions x message pairs), whichever is larger: 1170 states at noisy_adder
-# 2x2 in DSAHT, 98 at 3x3 in the horizon program, so horizon-wide rates its
-# 1 + 73 states in one reward call. Other temporaries are larger per state
-# than the width, such as the rewards' margin products (96 entries at
-# noisy_adder 2x2, against a width of 64).
+# every finite-horizon program puts CHUNK_ENTRIES // width states through
+# one chunk of the forward pass and one batch of the reward pass, where
+# width is one state's entries in the kernel's branch joint (branches x
+# message pairs) or its noise term (actions x message pairs), whichever is
+# larger: 1024 states at noisy_adder 2x2, 98 at 3x3, so horizon-wide rates
+# its 1 + 73 states in one reward call. Other temporaries are larger per
+# state than the width, such as the rewards' margin products (96 entries
+# at noisy_adder 2x2, against a width of 64).
 CHUNK_ENTRIES = 1 << 16
 
 # totals this close to the optimum count as tied; the first one wins
@@ -396,11 +395,10 @@ def _batches(levels: list, step: int):
                             for states, a, b in zip(levels, starts, starts[1:]) if a < hi and lo < b])
 
 
-Levels = collections.namedtuple("Levels", "states links visits")
+Levels = collections.namedtuple("Levels", "states links")
 
 
-def _forward_pass(depth: int, root: tuple, expand, branch_of: np.ndarray, node_cap: int,
-                  step: int) -> Levels:
+def _forward_pass(depth: int, root: tuple, expand, n_pairs: int, node_cap: int, step: int) -> Levels:
     """The distinct states of levels 1..depth from ``root``, built with no
     total and no weight: level t + 1 holds the successors of level t along
     every branch with predictive mass above MASS_EPS, each live (state,
@@ -413,39 +411,35 @@ def _forward_pass(depth: int, root: tuple, expand, branch_of: np.ndarray, node_c
     dedupe (``_expand_level``). Level t depends on the levels before it
     alone, so a deeper solve from the same root builds these levels first.
 
-    Returns ``Levels``: ``states``, every level's tuple of state arrays;
-    ``links``, (p, succ) of every level but the last, where the pair (a, y)
-    of state s leads to state ``succ[branch_of[a, y], s]`` of the next
-    level (-1: none); and ``visits``, the live (state, action, output)
-    triples of those levels. Raises LevelTooWide before building the
-    successors of a level with more such triples than ``node_cap``.
+    Returns ``Levels``: ``states``, every level's tuple of state arrays,
+    and ``links``, (p, succ) of every level but the last, where the pair
+    (a, y) of state s leads to state ``succ[kernel.branch_of[a, y], s]`` of
+    the next level (-1: none). Raises LevelTooWide before building the
+    successors of a level whose states x ``n_pairs`` (action, output)
+    pairs exceed ``node_cap``.
     """
-    pairs = np.bincount(branch_of.ravel())  # the (action, output) pairs of each branch
-    states, links, visits = [root], [], 0
+    states, links = [root], []
     for t in range(1, depth):
-        triples = states[-1][0].shape[-1] * branch_of.size
+        triples = states[-1][0].shape[-1] * n_pairs
         if triples > node_cap:
             raise LevelTooWide(t, triples, node_cap)
         p, succ, nxt = _expand_level(expand, t, states[-1], step)
-        visits += int(pairs @ (p > MASS_EPS).sum(axis=1))
         states.append(nxt)
         links.append((p, succ))
-    return Levels(states, links, visits)
+    return Levels(states, links)
 
 
-def _reward_pass(levels: Levels, totals, branch_of: np.ndarray, step: int) -> tuple:
+def _reward_pass(levels: Levels, totals, n_actions: int, step: int) -> tuple:
     """What every action earns at every level's states, ``step`` states at
     a time stacked in level order (``_batches``), so a batch may span
-    levels: (earned, last, ruled_out), each inner level's totals (actions,
-    states); the last level's (value, best), chosen batch by batch; and the
-    live (state, action, output) triples of the inner levels whose action
-    has the total -inf.
+    levels: (earned, last), each inner level's totals (actions, states) and
+    the last level's (value, best), chosen batch by batch.
     """
     sizes = [states[0].shape[-1] for states in levels.states]
     starts = np.cumsum([0] + sizes)
     level_of = np.repeat(np.arange(1, len(sizes) + 1), sizes)
     head = starts[-2]
-    earned, last = np.empty((branch_of.shape[0], head)), []
+    earned, last = np.empty((n_actions, head)), []
     for lo, batch in _batches(levels.states, step):
         hi = lo + batch[0].shape[-1]
         out = totals(level_of[lo:hi], *batch)
@@ -454,12 +448,7 @@ def _reward_pass(levels: Levels, totals, branch_of: np.ndarray, step: int) -> tu
         if hi > head:
             last.append(_choose(out[:, inner:]))
     earned = [earned[:, a:b] for a, b in zip(starts[:-2], starts[1:-1])]
-    ruled_out = 0
-    for (p, _), level in zip(levels.links, earned):
-        out = level == -np.inf
-        if out.any():
-            ruled_out += int(np.count_nonzero((p > MASS_EPS)[branch_of] & out[:, None]))
-    return earned, tuple(np.concatenate(x) for x in zip(*last)), ruled_out
+    return earned, tuple(np.concatenate(x) for x in zip(*last))
 
 
 def _backward_pass(levels: Levels, earned: list, last: tuple, branch_of: np.ndarray,
@@ -494,12 +483,12 @@ def _backward_pass(levels: Levels, earned: list, last: tuple, branch_of: np.ndar
     return float(value[0]), PolicyTree.from_indices(depth, n_outputs, actions, at)
 
 
-class Program(collections.namedtuple("Program", "kernel root expand totals width")):
+class Program(collections.namedtuple("Program", "kernel root expand totals")):
     """A finite-horizon program, as ``_backward_induction`` runs it.
 
     ``root`` holds the start state's arrays, each with a last (batch) axis
-    of length 1, and ``width`` counts one state's kernel entries. The two
-    hooks are functions of a batch of states, stacked on that axis:
+    of length 1. The two hooks are functions of a batch of states, stacked
+    on that axis:
 
     * ``expand(t, *arrays)``, for levels t = 1..depth - 1, returns
       (p, gather): p[b, s], the predictive mass of every branch of the
@@ -534,7 +523,7 @@ def _expand(kernel: ActionKernel, t: int, pis: np.ndarray, *labels) -> tuple:
 
 
 def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand, totals,
-                        node_cap: int, width: int) -> tuple:
+                        node_cap: int) -> tuple:
     """Level-synchronous backward induction over the distinct states of each
     time step, the maximum over actions of what they earn now plus the
     expected value of what follows: ``_forward_pass``, ``_reward_pass`` and
@@ -542,17 +531,21 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand, t
     ``node_cap`` are a ``Program``'s, whose docstring gives the contract.
 
     Returns (value, policy, expanded, hits): the root's value, the policy
-    tree, the distinct states over all levels, and the successor visits
-    that found an existing state (live successors of actions with a finite
-    total, minus distinct states other than the root). Raises LevelTooWide
-    as the forward pass does.
+    tree, the distinct states over all levels, and the successors reached
+    that were built already: the live successors (``succ >= 0``) of the
+    actions with a finite total over the inner levels, minus the distinct
+    states other than the root. Raises LevelTooWide as the forward pass
+    does.
     """
-    step = max(1, CHUNK_ENTRIES // width)
-    levels = _forward_pass(depth, root, expand, kernel.branch_of, node_cap, step)
-    earned, last, ruled_out = _reward_pass(levels, totals, kernel.branch_of, step)
-    value, policy = _backward_pass(levels, earned, last, kernel.branch_of, kernel.actions)
+    branch_of = kernel.branch_of
+    step = max(1, CHUNK_ENTRIES // max(kernel.branch_lik.size, kernel.noise.size))
+    levels = _forward_pass(depth, root, expand, branch_of.size, node_cap, step)
+    earned, last = _reward_pass(levels, totals, len(branch_of), step)
+    value, policy = _backward_pass(levels, earned, last, branch_of, kernel.actions)
     expanded = sum(states[0].shape[-1] for states in levels.states)
-    return value, policy, expanded, levels.visits - (expanded - 1) - ruled_out
+    hits = sum(np.count_nonzero((succ >= 0)[branch_of] & np.isfinite(level)[:, None])
+               for (_, succ), level in zip(levels.links, earned))
+    return value, policy, expanded, int(hits) - (expanded - 1)
 
 
 def _horizon_program(channel: Channel, space: MessageSpace, weights: LambdaWeights, n: int,
@@ -575,8 +568,7 @@ def _horizon_program(channel: Channel, space: MessageSpace, weights: LambdaWeigh
             rewards[:, :k] = np.where(keep, rewards[:, :k], -np.inf)
         return rewards
 
-    return Program(kernel, root, functools.partial(_expand, kernel), totals,
-                   max(kernel.branch_lik.size, kernel.noise.size))
+    return Program(kernel, root, functools.partial(_expand, kernel), totals)
 
 
 def solve_horizon(
@@ -593,8 +585,8 @@ def solve_horizon(
     from ``prior`` (uniform when None), by the level engine over augmented
     states (``_backward_induction``), skipping branches whose predictive
     mass is at or below 1e-15. ``states_expanded`` counts the distinct
-    states over all steps and ``cache_hits`` the successor visits that
-    found a state already built. With ``prune`` the reward pass recomputes
+    states over all steps and ``cache_hits`` the successors reached that
+    were built already. With ``prune`` the reward pass recomputes
     the Bayes updates of the states whose successors get built and keeps,
     at each, the first action of every class of equal update and reward
     rounded to PRUNE_TOL (``ActionKernel.prune_mask``); every other action
@@ -607,8 +599,8 @@ def solve_horizon(
     """
     n = check_count(n, "n")
     _check_tree_size(channel, n, node_cap)
-    kernel, root, expand, totals, width = _horizon_program(channel, space, weights, n, prior, prune, action_cap)
-    total, policy, expanded, hits = _backward_induction(kernel, n, root, expand, totals, node_cap, width)
+    kernel, root, expand, totals = _horizon_program(channel, space, weights, n, prior, prune, action_cap)
+    total, policy, expanded, hits = _backward_induction(kernel, n, root, expand, totals, node_cap)
     return HorizonResult(total / n, total, policy, expanded, hits)
 
 
@@ -662,7 +654,7 @@ def _dsaht_program(channel: Channel, space: MessageSpace, horizon: int, pi: np.n
             out[:, k:] = _add_continuation(out[:, k:], p, minus_error, kernel.branch_of)
         return out
 
-    return Program(kernel, (pi[..., None],), functools.partial(_expand, kernel), totals, kernel.branch_lik.size)
+    return Program(kernel, (pi[..., None],), functools.partial(_expand, kernel), totals)
 
 
 def solve_dsaht(
@@ -688,9 +680,9 @@ def solve_dsaht(
     if horizon == 0:
         return DsahtResult(1.0 - float(pi.max()), PolicyTree(0, channel.n_outputs, {}), 0, 0, channel, pi)
     _check_tree_size(channel, horizon, node_cap)
-    kernel, root, expand, totals, width = _dsaht_program(channel, space, horizon, pi, action_cap)
+    kernel, root, expand, totals = _dsaht_program(channel, space, horizon, pi, action_cap)
     # negation is exact in every sum and product, so 0.0 - value has the bits of the minimised error
-    value, policy, expanded, hits = _backward_induction(kernel, horizon, root, expand, totals, node_cap, width)
+    value, policy, expanded, hits = _backward_induction(kernel, horizon, root, expand, totals, node_cap)
     return DsahtResult(0.0 - value, policy, expanded, hits, channel, pi)
 
 

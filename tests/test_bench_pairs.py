@@ -28,6 +28,26 @@ def test_summary_of_fixed_pairs():
     assert lines[1].split() == ["solve_p50_s", "3.5", "2.75", "-21.4", "2.75", "4.25", "2/1/1"]
 
 
+def test_metrics_over_their_bound_are_named():
+    # rows as summarize gives them: (name, parent median, change median, ...)
+    rows = [
+        ("solve_p50_s", 0.010, 0.0125, 0, 0, 0, 0, 0),  # +25%, lower is better
+        ("run_s", 10.0, 11.5, 0, 0, 0, 0, 0),  # +15%, within 0.2
+        ("peak_rss_mb", 50.0, 40.0, 0, 0, 0, 0, 0),  # -20%, better
+        ("pass_rate", 1.0, 0.98, 0, 0, 0, 0, 0),  # -2%, higher is better
+        ("setup_s", 2.0, 9.0, 0, 0, 0, 0, 0),  # named by no entry: not judged
+    ]
+    metrics = [
+        {"name": "solve_p50_s", "better": "lower", "bound": 0.2},
+        {"name": "run_s", "better": "lower", "bound": 0.2},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+        {"name": "pass_rate", "better": "higher", "bound": 0.01},
+    ]
+    over = bench_pairs.over_bounds(rows, metrics)
+    assert [(name, bound) for name, _, bound in over] == [("solve_p50_s", 0.2), ("pass_rate", 0.01)]
+    assert [round(change, 12) for _, change, _ in over] == [0.25, -0.02]
+
+
 def test_one_pair_has_its_value_as_quartiles():
     rows = bench_pairs.summarize([({"run_s": 2.0}, {"run_s": 2.0})], {})
     assert rows == [("run_s", 2.0, 2.0, 2.0, 2.0, 0, 0, 1)]

@@ -397,6 +397,37 @@ def test_dsaht_decoder_artifact(tmp_path, capsys):
     assert (tmp_path / "d_policy.csv").exists()
 
 
+# the useless channel with 11 outputs, every one of them reached
+ELEVEN_OUTPUTS = ["--preset", "useless", "--param", "2", "--param", "2", "--param", "11", "--messages", "2,2"]
+
+
+@pytest.mark.parametrize("emits", [[], ["--emit-policy"]])
+def test_decoder_file_refuses_outputs_above_nine(tmp_path, capsys, emits):
+    # (1, 0, 10) and (10, 1, 0) would both be written as history 1010
+    prefix = tmp_path / "d"
+    code = cli.main(["dsaht", *ELEVEN_OUTPUTS, "--T", "3", "--out", str(prefix), *emits])
+    assert code == 1
+    assert "digit-string serialisation supports alphabet sizes up to 10" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_belief_file_refuses_outputs_above_nine(tmp_path, capsys):
+    # at n = 1 the policy file holds the empty history alone and is
+    # written; the belief file's histories of one output are refused,
+    # and then neither file is written
+    prefix = tmp_path / "h"
+    code = cli.main(["horizon", *ELEVEN_OUTPUTS, "--n", "1", "--out", str(prefix), "--emit-policy"])
+    assert code == 0 and (tmp_path / "h_policy.csv").exists()
+    for path in tmp_path.iterdir():
+        path.unlink()
+    capsys.readouterr()
+    code = cli.main(["horizon", *ELEVEN_OUTPUTS, "--n", "1", "--out", str(prefix),
+                     "--emit-policy", "--emit-beliefs"])
+    assert code == 1
+    assert "digit-string serialisation supports alphabet sizes up to 10" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_stationary_not_converged_exit_three(tmp_path, capsys):
     prefix = tmp_path / "s"
     code, doc = run_json(

@@ -24,6 +24,7 @@ from macfb.encoding import (
     policy_to_csv,
 )
 from macfb.errors import GridTooLarge, HorizonTooDeep
+from macfb.kernel import ActionKernel
 from macfb.oracle import evaluate_policy_In, exhaustive_Cn, exhaustive_min_error
 from macfb.reward import LambdaWeights, reward_weighted
 
@@ -431,6 +432,33 @@ def test_one_state_chunks_solve_the_same(monkeypatch):
     assert min(expanded) > 50
     assert small_batches == [1] * sum(expanded)
     assert whole_batches == expanded
+
+
+def test_every_program_batches_by_one_rule(monkeypatch):
+    # both programs rate CHUNK_ENTRIES // max(branch_lik.size, noise.size)
+    # states per reward batch, 1024 at noisy_adder 2x2; the levels of these
+    # solves hold more states than that together, so every batch but the
+    # last is full
+    ch = preset("noisy_adder", (0.1,))
+    space = MessageSpace(2, 2)
+    kernel = ActionKernel(ch, enumerate_actions(space, ch.alphabets))
+    step = dp.CHUNK_ENTRIES // max(kernel.branch_lik.size, kernel.noise.size)
+    assert step == 1024
+    batches = []
+
+    def counted(levels, step):
+        for lo, batch in engine_batches(levels, step):
+            batches.append(batch[0].shape[-1])
+            yield lo, batch
+
+    engine_batches = dp._batches
+    monkeypatch.setattr(dp, "_batches", counted)
+    for solve in (lambda: solve_dsaht(ch, space, 7),
+                  lambda: solve_horizon(ch, space, LambdaWeights(0.3, 0.3, 0.4), 6)):
+        batches.clear()
+        expanded = solve().states_expanded
+        assert expanded > step and sum(batches) == expanded
+        assert batches[:-1] == [step] * (len(batches) - 1) and 0 < batches[-1] <= step
 
 
 def _numbered_by_bytes(rows: np.ndarray) -> tuple:

@@ -347,7 +347,7 @@ def test_first_candidate_pair_represents_a_state(prune):
         return np.where(t == 1, totals, np.repeat(x, n_actions, axis=0))
 
     value, policy, expanded, hits = _backward_induction(
-        kernel, 2, (np.zeros((1, 1)),), expand, totals_at, 10**6, kernel.branch_lik.size
+        kernel, 2, (np.zeros((1, 1)),), expand, totals_at, 10**6
     )
     assert kernel.branch_of[0, 0] == 0 and kernel.branch_of[1, 0] != 0
     tag = 0.5
@@ -399,7 +399,7 @@ def test_engine_maximises_the_totals_it_is_given():
                                 else np.where(rule(level, r[rows]), -np.inf, 0.0).T)
             return out
 
-        result = _backward_induction(kernel, 3, (np.zeros((1, 1)),), expand, totals, 10**6, n_branches)
+        result = _backward_induction(kernel, 3, (np.zeros((1, 1)),), expand, totals, 10**6)
         t, x = (np.concatenate(parts, axis=-1) for parts in zip(*rated))
         return result, seen, (t.tobytes(), x.tobytes())
 
@@ -470,12 +470,12 @@ def test_engine_maximises_the_totals_it_is_given():
 def test_forward_pass_is_free_of_the_weights(monkeypatch):
     # the weights and prune enter the reward pass only: every run hands
     # expand the same states, level by level, bit for bit
-    def spied(kernel, depth, root, expand, totals, node_cap, width):
+    def spied(kernel, depth, root, expand, totals, node_cap):
         def recorded(t, *arrays):
             seen.append((t,) + tuple(x.tobytes() for x in arrays))
             return expand(t, *arrays)
 
-        return engine(kernel, depth, root, recorded, totals, node_cap, width)
+        return engine(kernel, depth, root, recorded, totals, node_cap)
 
     engine = dp._backward_induction
     monkeypatch.setattr(dp, "_backward_induction", spied)
