@@ -50,7 +50,10 @@ Every walk over the beliefs a fixed policy reaches (the DSAHT decoder,
 one walker, ``walk_policy``, which advances a depth's reached nodes at
 once, each by its chosen action alone; ``evaluate_tree`` and the
 diagnostic then evaluate every node they walked in one batched reward
-pass.
+pass. The kernel of every action is built once per channel object and
+message shape (``_enumerated_kernel``), kept while the channel lives and
+shared read-only by every solve, sweep weight and the diagnostic on it;
+a walk builds one over the policy's own actions (``policy_kernel``).
 
 The engine maximises the totals it is given: an action that ``prune``
 rules out has the total -inf (see ``solve_horizon``), and DSAHT passes
@@ -66,6 +69,7 @@ import collections
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,6 +221,26 @@ def _check_fits(channel: Channel, space: MessageSpace, tree: PolicyTree) -> None
     # does not fit is named
     for action in tree.actions:
         check_action(action, space.m1, space.m2, channel, f" at history {tree.first_history(action)}")
+
+
+_KERNELS = weakref.WeakKeyDictionary()
+
+
+def _enumerated_kernel(channel: Channel, space: MessageSpace, action_cap: int) -> ActionKernel:
+    """The kernel of every action of ``space`` on ``channel``, built once per
+    channel object and message shape, kept while the channel lives and
+    shared read-only by every solve, sweep weight and diagnostic on it.
+    Raises ActionSpaceTooLarge past ``action_cap``, cached kernel or not.
+
+    A Channel compares by identity (``eq=False``) and its table is
+    read-only, so the object itself is the key: equal tables in two
+    channels build two kernels. The kernel keeps the table, not the
+    channel, so the entry goes with the channel."""
+    actions = enumerate_actions(space, channel.alphabets, cap=action_cap)
+    shapes = _KERNELS.setdefault(channel, {})
+    if space not in shapes:
+        shapes[space] = ActionKernel(channel, actions)
+    return shapes[space]
 
 
 def policy_kernel(channel: Channel, tree: PolicyTree) -> ActionKernel:
@@ -552,7 +576,7 @@ def _horizon_program(channel: Channel, space: MessageSpace, weights: LambdaWeigh
                      prior: JointBelief, prune: bool, action_cap: int) -> Program:
     """The horizon program: augmented states from ``prior``, weighted rewards."""
     root = tuple(x[..., None] for x in _start(space, prior))
-    kernel = ActionKernel(channel, enumerate_actions(space, channel.alphabets, cap=action_cap))
+    kernel = _enumerated_kernel(channel, space, action_cap)
     branch_of = kernel.branch_of
 
     def totals(t, pis, labels1, labels2):
@@ -634,7 +658,7 @@ def evaluate_tree(
 def _dsaht_program(channel: Channel, space: MessageSpace, horizon: int, pi: np.ndarray,
                    action_cap: int) -> Program:
     """DSAHT's program: the common belief alone from the prior table ``pi``."""
-    kernel = ActionKernel(channel, enumerate_actions(space, channel.alphabets, cap=action_cap))
+    kernel = _enumerated_kernel(channel, space, action_cap)
 
     def totals(t, pis):
         out = np.zeros((len(kernel), pis.shape[-1]))
@@ -833,7 +857,7 @@ def solve_stationary(
         raise ValueError(f"unknown renewal mode {renewal!r}")
     resolution, max_iters = check_count(resolution, "resolution"), check_count(max_iters, "max_iters")
     pi = _prior_table(space, prior)
-    kernel = ActionKernel(channel, enumerate_actions(space, channel.alphabets, cap=action_cap))
+    kernel = _enumerated_kernel(channel, space, action_cap)
 
     if renewal == "per_use":
         own1, own2 = np.arange(space.m1), np.arange(space.m2)
@@ -883,7 +907,7 @@ def reachability_diagnostic(
     evidence that the private tables still matter on this instance.
     """
     tree = solve_horizon(channel, space, weights, n, prior, action_cap=action_cap, node_cap=node_cap).policy
-    kernel = ActionKernel(channel, enumerate_actions(space, channel.alphabets, cap=action_cap))
+    kernel = _enumerated_kernel(channel, space, action_cap)
     ts, hists, pis, labels1, labels2, *_ = _walked(kernel, tree, _start(space, prior))
     # groups in order of first appearance, each listing its states in walk order
     first, group_of = first_rows(_quantized_rows((pis,)))

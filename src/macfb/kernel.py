@@ -429,7 +429,8 @@ class ActionKernel:
     its first pair, ``branch_lik[m1, m2, b]`` its likelihood column and
     ``branch_enc1[b]``, ``branch_enc2[b]`` the encoder indices of its first
     pair. They are built on first access, and so are the tables the
-    rewards gather their cell terms with.
+    rewards gather their cell terms with. Every array is read-only, since
+    every solve on a channel shares its kernel (``dp._enumerated_kernel``).
     """
 
     def __init__(self, channel: Channel, actions):
@@ -448,6 +449,7 @@ class ActionKernel:
         noise = _column_entropies(q.reshape(q.shape[0], -1)).reshape(q.shape[1:])
         self.noise = np.ascontiguousarray(noise[x1, x2])
         self._q = q
+        self.lik.flags.writeable = self.noise.flags.writeable = False
 
     @functools.cached_property
     def _branches(self) -> tuple:
@@ -458,13 +460,16 @@ class ActionKernel:
         keys = np.concatenate([columns.view(np.int64),
                                np.repeat(self._tables.partition_of, n_outputs)[None]])
         pair, branch_of = first_rows(keys)
-        return (
+        branches = (
             pair,
             branch_of.reshape(n_actions, n_outputs),
             np.ascontiguousarray(self.lik.reshape(self.lik.shape[:2] + (-1,))[..., pair]),
             self.enc1_of[pair // n_outputs],
             self.enc2_of[pair // n_outputs],
         )
+        for x in branches:
+            x.flags.writeable = False
+        return branches
 
     branch_pair = property(lambda self: self._branches[0])
     branch_of = property(lambda self: self._branches[1])
@@ -524,10 +529,10 @@ class ActionKernel:
         for the conditioning sender's message; masks and base as
         ``_cell_tables`` returns them."""
         q = self._q
-        return (
-            (np.ascontiguousarray(q[:, self._enc1].transpose(2, 0, 1, 3))[:, :, None], *self._tables.cells2),
-            (np.ascontiguousarray(q[:, :, self._enc2].transpose(3, 0, 2, 1))[:, :, None], *self._tables.cells1),
-        )
+        lik1 = np.ascontiguousarray(q[:, self._enc1].transpose(2, 0, 1, 3))[:, :, None]
+        lik2 = np.ascontiguousarray(q[:, :, self._enc2].transpose(3, 0, 2, 1))[:, :, None]
+        lik1.flags.writeable = lik2.flags.writeable = False
+        return (lik1, *self._tables.cells2), (lik2, *self._tables.cells1)
 
     def rewards(self, pi, labels1, labels2, p) -> tuple:
         """(i1, i2, i3) in bits, one (A, ...) array each, from the

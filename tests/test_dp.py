@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import math
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from macfb.encoding import (
     enumerate_actions,
     policy_to_csv,
 )
-from macfb.errors import GridTooLarge, HorizonTooDeep
+from macfb.errors import ActionSpaceTooLarge, GridTooLarge, HorizonTooDeep
 from macfb.kernel import ActionKernel
 from macfb.oracle import evaluate_policy_In, exhaustive_Cn, exhaustive_min_error
 from macfb.reward import LambdaWeights, reward_weighted
@@ -793,3 +795,75 @@ def test_walk_updates_the_chosen_action_only_and_rewards_come_in_one_pass(monkey
     calls.clear()
     assert reachability_diagnostic(ch, space, L_ALL, 3) == report
     assert len(calls) <= 1
+
+
+def test_one_enumerated_kernel_per_channel_and_message_shape(monkeypatch):
+    # every program, the diagnostic and both region sweeps on one channel
+    # object share one kernel per message shape; a channel with an equal
+    # table is another object and builds its own
+    built = []
+
+    class Recorded(ActionKernel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(dp, "ActionKernel", Recorded)
+    ch, space = preset("noisy_adder", (0.1,)), MessageSpace(2, 2)
+    solve_horizon(ch, space, L_ALL, 2)
+    solve_dsaht(ch, space, 2)
+    for renewal in ("per_use", "none"):
+        solve_stationary(ch, space, L_ALL, 3, renewal=renewal)
+    reachability_diagnostic(ch, space, L_ALL, 2)
+    region.sweep(ch, space, 1, 3)
+    region.sweep(ch, space, 1, 3, solver="stationary")
+    assert len(built) == 1
+    solve_dsaht(ch, MessageSpace(3, 2), 1)
+    assert len(built) == 2
+    solve_dsaht(preset("noisy_adder", (0.1,)), space, 1)
+    assert len(built) == 3
+
+
+def test_shared_kernel_gives_the_bits_of_a_fresh_one():
+    # DSAHT builds the shared kernel's branch map, the horizon program adds
+    # its cell tables, and DSAHT runs again on a kernel both filled in: each
+    # result has the bits of the same solve on a channel of its own
+    space, weights = MessageSpace(3, 2), LambdaWeights(0.3, 0.3, 0.4)
+    prior = JointBelief(random_prior(make_rng(131), 3, 2))
+    shared = preset("noisy_adder", (0.1,))
+
+    def bits(res):
+        if isinstance(res, dp.DsahtResult):
+            value, decoder = res.error_probability, res.decoder
+        else:
+            value, decoder = res.total_value, None
+        return (value.hex(), res.policy.actions, res.policy.slots().tolist(), decoder,
+                res.states_expanded, res.cache_hits)
+
+    for solve in (lambda ch: solve_dsaht(ch, space, 3, prior),
+                  lambda ch: solve_horizon(ch, space, weights, 3, prior, prune=True),
+                  lambda ch: solve_dsaht(ch, space, 3, prior)):
+        assert bits(solve(shared)) == bits(solve(preset("noisy_adder", (0.1,))))
+
+
+def test_a_cached_kernel_keeps_the_action_cap():
+    ch, space = preset("noisy_adder", (0.1,)), MessageSpace(2, 2)
+    solve_horizon(ch, space, L_ALL, 1)
+    for solve in (lambda: solve_horizon(ch, space, L_ALL, 1, action_cap=15),
+                  lambda: solve_dsaht(ch, space, 1, action_cap=15),
+                  lambda: solve_stationary(ch, space, L_ALL, 3, action_cap=15),
+                  lambda: reachability_diagnostic(ch, space, L_ALL, 1, action_cap=15)):
+        with pytest.raises(ActionSpaceTooLarge):
+            solve()
+
+
+def test_kernel_entry_goes_with_its_channel():
+    ch, space = preset("noisy_adder", (0.1,)), MessageSpace(2, 2)
+    solve_horizon(ch, space, L_ALL, 1)
+    gc.collect()
+    entries = len(dp._KERNELS)
+    channel, kernel = weakref.ref(ch), weakref.ref(dp._KERNELS[ch][space])
+    del ch
+    gc.collect()
+    assert channel() is None and kernel() is None
+    assert len(dp._KERNELS) == entries - 1

@@ -531,6 +531,18 @@ def test_branch_map_built_on_first_access():
     assert "_branches" in vars(kernel)
 
 
+def test_kernel_arrays_are_read_only():
+    # a kernel outlives its solve (``dp._enumerated_kernel``), so no write
+    # may reach the tables every later solve on the channel reads
+    ch = preset("noisy_adder", (0.1,))
+    space = MessageSpace(2, 2)
+    kernel = ActionKernel(ch, enumerate_actions(space, ch.alphabets))
+    (lik1, *_), (lik2, *_) = kernel._cells
+    for table in (kernel.lik, kernel.noise, *kernel._branches, lik1, lik2):
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 0
+
+
 def test_reward_tables_built_on_first_reward_call(monkeypatch):
     # the cell tables are built by the first reward evaluation, so DSAHT and
     # its decoder, which evaluate none, never build them; the gather tables
@@ -552,10 +564,12 @@ def test_reward_tables_built_on_first_reward_call(monkeypatch):
     assert dp.solve_dsaht(ch, space, 2).decoder
     assert len(built) == 2 and not any("_cells" in vars(k) for k in built)
     built.clear()
-    dp.solve_stationary(ch, space, weights, 3)
-    dp.solve_stationary(ch, space, weights, 3, renewal="none")
+    # a channel object shares one enumerated kernel between its solves, so
+    # each call gets a channel of its own
+    dp.solve_stationary(preset("noisy_adder", (0.1,)), space, weights, 3)
+    dp.solve_stationary(preset("noisy_adder", (0.1,)), space, weights, 3, renewal="none")
     encoding.prune_actions(enumerate_actions(space, ch.alphabets), random_state(make_rng(98), space),
-                           ch, weights)
+                           preset("noisy_adder", (0.1,)), weights)
     assert len(built) == 3
     for kernel in built:
         assert "_branches" not in vars(kernel)
