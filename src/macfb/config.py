@@ -204,13 +204,13 @@ def _validate_section(name: str, raw) -> dict:
     out = dict(raw)
     if "lambda" in out:
         out["lambda"] = _as_lambda(out["lambda"], f"{name}.lambda")
-    for key in ("n", "T", "grid", "sweep", "max_iters"):
+    # the least value of each count, the one its solver accepts
+    for key, least in {"n": 1, "T": 0, "grid": 1, "sweep": 3, "max_iters": 1}.items():
         if key in out:
             out[key] = _as_int(out[key], f"{name}.{key}")
-            if out[key] < 0:
-                raise ValidationError(f"{name}.{key}", "must be non-negative")
-    if out.get("max_iters") == 0:
-        raise ValidationError(f"{name}.max_iters", "must be positive")
+            if out[key] < least:
+                reason = {0: "must be non-negative", 1: "must be positive"}.get(least, f"must be at least {least}")
+                raise ValidationError(f"{name}.{key}", reason)
     if "epsilon" in out:
         out["epsilon"] = _as_float(out["epsilon"], f"{name}.epsilon")
         if not out["epsilon"] > 0.0:  # NaN included

@@ -53,7 +53,8 @@ diagnostic then evaluate every node they walked in one batched reward
 pass. The kernel of every action is built once per channel object and
 message shape (``_enumerated_kernel``), kept while the channel lives and
 shared read-only by every solve, sweep weight and the diagnostic on it;
-a walk builds one over the policy's own actions (``policy_kernel``).
+a walk builds one over the policy's own actions (``policy_kernel``),
+which builds no branch map, and cell tables only to rate the nodes.
 
 The engine maximises the totals it is given: an action that ``prune``
 rules out has the total -inf (see ``solve_horizon``), and DSAHT passes
@@ -577,7 +578,11 @@ def _horizon_program(channel: Channel, space: MessageSpace, weights: LambdaWeigh
     """The horizon program: augmented states from ``prior``, weighted rewards."""
     root = tuple(x[..., None] for x in _start(space, prior))
     kernel = _enumerated_kernel(channel, space, action_cap)
-    branch_of = kernel.branch_of
+    # the branch map and the reward tables are built here, before the
+    # passes: built in the first reward pass, among its temporaries, they
+    # moved where glibc put those, and most horizon-wide bench runs then
+    # faulted fresh heap pages in on every later solve (ru_minflt)
+    branch_of, _ = kernel.branch_of, kernel._cells
 
     def totals(t, pis, labels1, labels2):
         # the members of a branch share its predictive mass bit for bit

@@ -71,7 +71,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -351,97 +350,34 @@ def first_rows(keys: np.ndarray) -> tuple:
     return first_hashed(*hashed_rows(keys))
 
 
-class _ActionTables(NamedTuple):
-    """The tables of an action list that the channel does not enter: the
-    encoder tables ``e1`` (A, M1) and ``e2`` (A, M2), the distinct
-    encoders ``enc1``, ``enc2`` with each action's index into them
-    (``enc1_of``, ``enc2_of``), ``partition_of[a]`` numbering the pair of
-    encoder partitions of action a in order of first appearance, and the
-    cell tables of the rewards, ``cells2`` for sender 2's cells (i1) and
-    ``cells1`` for sender 1's (i2), as ``_cell_tables`` returns them.
-    Every array is read-only, since kernels of one shape share them."""
-
-    actions: tuple
-    e1: np.ndarray
-    e2: np.ndarray
-    enc1: np.ndarray
-    enc1_of: np.ndarray
-    enc2: np.ndarray
-    enc2_of: np.ndarray
-    partition_of: np.ndarray
-    cells2: tuple
-    cells1: tuple
-
-
-def _action_tables(actions, n_x1: int, n_x2: int) -> _ActionTables:
-    """Build the channel-free tables of an action list on input alphabets
-    of sizes ``n_x1`` and ``n_x2``."""
-    actions = tuple(actions)
-    e1 = np.array([a.e1.table for a in actions], dtype=np.intp)
-    e2 = np.array([a.e2.table for a in actions], dtype=np.intp)
-    enc1, enc1_of = _distinct_encoders(a.e1.table for a in actions)
-    enc2, enc2_of = _distinct_encoders(a.e2.table for a in actions)
-    # the refined labels depend on an encoder through its partition only,
-    # which its symbols relabelled by first appearance name
-    _, partition_of = first_rows(
-        np.concatenate([_first_labels(enc1.T)[:, enc1_of], _first_labels(enc2.T)[:, enc2_of]]))
-    tables = _ActionTables(actions, e1, e2, enc1, enc1_of, enc2, enc2_of, partition_of,
-                          _cell_tables(e2, enc1_of, n_x2), _cell_tables(e1, enc2_of, n_x1))
-    for x in tables[1:8] + tables.cells2 + tables.cells1:
-        x.flags.writeable = False
-    return tables
-
-
-@functools.lru_cache(maxsize=4)
-def _enumerated_tables(m1: int, m2: int, x1: int, x2: int) -> _ActionTables:
-    """``_action_tables`` of the enumerated action set of one shape, built
-    once per shape."""
-    from .encoding import _all_actions  # encoding imports this module
-
-    return _action_tables(_all_actions(m1, m2, x1, x2), x1, x2)
-
-
-def _tables_of(actions: list, x1: int, x2: int) -> _ActionTables:
-    """The shared tables of the enumerated action set when ``actions`` is
-    that set, in its order; otherwise tables built for ``actions``."""
-    m1, m2 = actions[0].e1.n_messages, actions[0].e2.n_messages
-    if len(actions) == x1**m1 * x2**m2:
-        tables = _enumerated_tables(m1, m2, x1, x2)
-        # the enumerated list holds the cached action objects, so this
-        # compares identities
-        if tables.actions == tuple(actions):
-            return tables
-    return _action_tables(actions, x1, x2)
-
-
 class ActionKernel:
     """Likelihoods and noise entropies of a fixed action list on one channel.
 
     ``lik[m1, m2, a, y]`` is the likelihood and ``noise[m1, m2, a]`` the
     noise entropy, message-first as the products with a belief read them.
-    ``enc1_of[a]`` and ``enc2_of[a]`` index the distinct encoders of action
-    a, which is how the refined labels are shared between actions. The
-    tables that do not depend on the channel (``_ActionTables``) are
-    shared by every kernel of the enumerated action set of one shape.
+    ``e1[a]`` and ``e2[a]`` are the encoder tables of action a, and
+    ``enc1_of[a]`` and ``enc2_of[a]`` index its distinct encoders, which is
+    how the refined labels are shared between actions.
 
     Branches, numbered in order of their first (a, y): ``branch_of[a, y]``
     is the branch of a pair, ``branch_pair[b]`` the flat index a * Y + y of
     its first pair, ``branch_lik[m1, m2, b]`` its likelihood column and
     ``branch_enc1[b]``, ``branch_enc2[b]`` the encoder indices of its first
-    pair. They are built on first access, and so are the tables the
-    rewards gather their cell terms with. Every array is read-only, since
-    every solve on a channel shares its kernel (``dp._enumerated_kernel``).
+    pair. They are built on first access, with the encoder partitions they
+    are keyed on, and so are the cell tables the rewards gather their terms
+    with: a DSAHT solve never builds the cell tables, and a walk that rates
+    no node builds neither. Every array is read-only, since every solve on
+    a channel shares its kernel (``dp._enumerated_kernel``).
     """
 
     def __init__(self, channel: Channel, actions):
         self.actions = list(actions)
         self.n_x1 = channel.alphabets.x1
         self.n_x2 = channel.alphabets.x2
-        tables = _tables_of(self.actions, self.n_x1, self.n_x2)
-        self.e1, self.e2 = tables.e1, tables.e2
-        self._enc1, self.enc1_of = tables.enc1, tables.enc1_of
-        self._enc2, self.enc2_of = tables.enc2, tables.enc2_of
-        self._tables = tables
+        self.e1 = np.array([a.e1.table for a in self.actions], dtype=np.intp)
+        self.e2 = np.array([a.e2.table for a in self.actions], dtype=np.intp)
+        self._enc1, self.enc1_of = _distinct_encoders(a.e1.table for a in self.actions)
+        self._enc2, self.enc2_of = _distinct_encoders(a.e2.table for a in self.actions)
         q = channel.kernel
         x1 = self.e1.T[:, None, :]
         x2 = self.e2.T[None, :, :]
@@ -449,16 +385,20 @@ class ActionKernel:
         noise = _column_entropies(q.reshape(q.shape[0], -1)).reshape(q.shape[1:])
         self.noise = np.ascontiguousarray(noise[x1, x2])
         self._q = q
-        self.lik.flags.writeable = self.noise.flags.writeable = False
+        for x in (self.e1, self.e2, self._enc1, self.enc1_of, self._enc2, self.enc2_of, self.lik, self.noise):
+            x.flags.writeable = False
 
     @functools.cached_property
     def _branches(self) -> tuple:
         """(branch_pair, branch_of, branch_lik, branch_enc1, branch_enc2),
         built on first access: only the finite-horizon programs read them."""
         n_actions, n_outputs = self.lik.shape[2:]
+        # the refined labels depend on an encoder through its partition only,
+        # which its symbols relabelled by first appearance name
+        _, partition_of = first_rows(np.concatenate(
+            [_first_labels(self._enc1.T)[:, self.enc1_of], _first_labels(self._enc2.T)[:, self.enc2_of]]))
         columns = self.lik.reshape(-1, n_actions * n_outputs)
-        keys = np.concatenate([columns.view(np.int64),
-                               np.repeat(self._tables.partition_of, n_outputs)[None]])
+        keys = np.concatenate([columns.view(np.int64), np.repeat(partition_of, n_outputs)[None]])
         pair, branch_of = first_rows(keys)
         branches = (
             pair,
@@ -531,8 +471,11 @@ class ActionKernel:
         q = self._q
         lik1 = np.ascontiguousarray(q[:, self._enc1].transpose(2, 0, 1, 3))[:, :, None]
         lik2 = np.ascontiguousarray(q[:, :, self._enc2].transpose(3, 0, 2, 1))[:, :, None]
-        lik1.flags.writeable = lik2.flags.writeable = False
-        return (lik1, *self._tables.cells2), (lik2, *self._tables.cells1)
+        cells2 = _cell_tables(self.e2, self.enc1_of, self.n_x2)
+        cells1 = _cell_tables(self.e1, self.enc2_of, self.n_x1)
+        for x in (lik1, lik2, *cells2, *cells1):
+            x.flags.writeable = False
+        return (lik1, *cells2), (lik2, *cells1)
 
     def rewards(self, pi, labels1, labels2, p) -> tuple:
         """(i1, i2, i3) in bits, one (A, ...) array each, from the

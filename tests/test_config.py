@@ -162,6 +162,9 @@ def test_rejected_documents(mutate):
         (base_doc(horizon={"n": True}), "horizon.n", "expected an integer"),
         (base_doc(limits={"node_cap": False}), "limits.node_cap", "expected an integer"),
         (base_doc(stationary={"max_iters": 0}), "stationary.max_iters", "must be positive"),
+        (base_doc(horizon={"n": 0}), "horizon.n", "must be positive"),
+        (base_doc(stationary={"grid": 0}), "stationary.grid", "must be positive"),
+        (base_doc(region={"sweep": 2}), "region.sweep", "must be at least 3"),
     ],
 )
 def test_rejection_names_field_and_reason(doc, field, reason):

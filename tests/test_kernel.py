@@ -31,7 +31,7 @@ from macfb.channel import MessageSpace, preset
 from macfb.encoding import PRUNE_TOL, enumerate_actions
 from macfb.kernel import ROW_MATCH_TOL as KERNEL_ROW_MATCH_TOL
 from macfb.kernel import ActionKernel, root_labels, row_classes
-from macfb.reward import LambdaWeights
+from macfb.reward import LambdaWeights, reward_weighted
 
 # ---------------------------------------------------------------------------
 # reference: the per-cell formulas as they stood before the kernel, verbatim
@@ -537,8 +537,9 @@ def test_kernel_arrays_are_read_only():
     ch = preset("noisy_adder", (0.1,))
     space = MessageSpace(2, 2)
     kernel = ActionKernel(ch, enumerate_actions(space, ch.alphabets))
-    (lik1, *_), (lik2, *_) = kernel._cells
-    for table in (kernel.lik, kernel.noise, *kernel._branches, lik1, lik2):
+    tables = (kernel.e1, kernel.e2, kernel._enc1, kernel.enc1_of, kernel._enc2, kernel.enc2_of,
+              kernel.lik, kernel.noise, *kernel._branches, *kernel._cells[0], *kernel._cells[1])
+    for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[(0,) * table.ndim] = 0
 
@@ -578,6 +579,32 @@ def test_reward_tables_built_on_first_reward_call(monkeypatch):
         assert masks2.shape == base2.shape == (2, len(kernel))
 
 
+def test_tables_built_where_they_are_read(monkeypatch):
+    # the cell tables are built only by a reward evaluation and the encoder
+    # partitions only by the branch map, so a DSAHT solve and its decoder
+    # walk build no cell tables and a one-action reward builds no partitions
+    calls = {"_cell_tables": 0, "first_rows": 0}
+
+    def counted(name):
+        wrapped = getattr(kernel_module, name)
+
+        def count(*args):
+            calls[name] += 1
+            return wrapped(*args)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(kernel_module, name, counted(name))
+    assert dp.solve_dsaht(preset("noisy_adder", (0.1,)), MessageSpace(3, 2), 2).decoder
+    assert calls["_cell_tables"] == 0
+    space, ch = MessageSpace(3, 2), preset("noisy_adder", (0.1,))
+    calls["first_rows"] = 0
+    reward_weighted(initial_state(space), random_action(make_rng(101), space, ch.alphabets), ch,
+                    LambdaWeights(0.3, 0.3, 0.4))
+    assert calls["first_rows"] == 0
+
+
 def test_branch_updates_bitwise_equal_every_member():
     rng = make_rng(96)
     for ch, space, kernel in _branch_instances():
@@ -597,47 +624,10 @@ def test_branch_updates_bitwise_equal_every_member():
                 np.testing.assert_array_equal(ref2[:, kernel.enc2_of[a]], ref2[:, kernel.branch_enc2[b[y]]])
 
 
-def _kernel_outputs(kernel, pis, labels1, labels2) -> tuple:
-    """What a program reads from a kernel: the branch map, every action's
-    weighted reward (as bits) and both refined labels per action."""
-    ref1, ref2 = kernel.refined(labels1, labels2)
-    rewards = kernel.weighted(LambdaWeights(0.3, 0.3, 0.4), pis, labels1, labels2, kernel.joint(pis)[1])
-    return (kernel.branch_of.tolist(), _bits(rewards).tolist(),
-            ref1[:, kernel.enc1_of].tolist(), ref2[:, kernel.enc2_of].tolist())
-
-
-def test_enumerated_tables_shared_per_shape():
-    # the channel-free tables of the enumerated action set are built once
-    # per (m1, m2, x1, x2) and shared, read-only, by every kernel of that shape
-    rng = make_rng(97)
-    space = MessageSpace(3, 2)
-    first, second = preset("noisy_adder", (0.1,)), random_channel(rng, 2, 2, 3, sparse=True)
-    actions = enumerate_actions(space, first.alphabets)
-    a, b = ActionKernel(first, actions), ActionKernel(second, enumerate_actions(space, second.alphabets))
-    assert a._tables is b._tables
-
-    def tables(k):
-        return (k.e1, k.e2, k._enc1, k.enc1_of, k._enc2, k.enc2_of, *k._cells[0][1:], *k._cells[1][1:])
-
-    for x, y in zip(tables(a), tables(b), strict=True):
-        assert x is y
-        with pytest.raises(ValueError, match="read-only"):
-            x.flat[0] = 0
-    # another shape gets tables of its own
-    assert ActionKernel(first, enumerate_actions(MessageSpace(2, 3), first.alphabets))._tables is not a._tables
-    # the shared tables give the second channel what tables built afresh give it
-    pis, labels1, labels2 = _stack(_state_batch(rng, space, second.alphabets, 8))
-    shared = _kernel_outputs(b, pis, labels1, labels2)
-    kernel_module._enumerated_tables.cache_clear()
-    fresh = ActionKernel(second, actions)
-    assert fresh._tables is not b._tables
-    assert _kernel_outputs(fresh, pis, labels1, labels2) == shared
-
-
 def test_subset_kernel_builds_its_own_tables():
-    # a policy's distinct actions, and the enumerated actions in another
-    # order, are not the enumerated set: their kernels build tables that
-    # agree with the full kernel's at the same actions
+    # the kernels of a policy's distinct actions and of the enumerated
+    # actions in another order build tables that agree with the full
+    # kernel's at the same actions
     rng = make_rng(99)
     ch, space = preset("noisy_adder", (0.1,)), MessageSpace(3, 3)
     full = ActionKernel(ch, enumerate_actions(space, ch.alphabets))
@@ -648,7 +638,6 @@ def test_subset_kernel_builds_its_own_tables():
     ref1, ref2 = full.refined(labels1, labels2)
     index = {action: a for a, action in enumerate(full.actions)}
     for sub in (dp.policy_kernel(ch, tree), ActionKernel(ch, full.actions[::-1])):
-        assert sub._tables is not full._tables
         idx = np.array([index[action] for action in sub.actions])
         np.testing.assert_array_equal(sub.e1, full.e1[idx])
         np.testing.assert_array_equal(sub.e2, full.e2[idx])
