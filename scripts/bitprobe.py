@@ -30,7 +30,10 @@ either solver, per channel, from the uniform and the non-product prior.
 Last, on adder and noisy_adder(0.1) at every message space, from the
 uniform and the non-product prior at n = 1 to 3, it prints the sha1 of the
 belief file that ``macfb horizon --emit-beliefs`` writes, run through
-``cli.main``. Only the public API and ``cli.main`` are called, so the
+``cli.main``, and for ``macfb oracle-check`` on adder, multiplier and
+noisy_adder(0.1) 2x2 at n = 1 and multiplier 2x2 at n = 2 the exit code,
+the sha1 of its stdout (run without ``--out``, so no path is in it) and
+the sha1 of the oracle CSV (run with ``--out``). Only the public API and ``cli.main`` are called, so the
 script runs unchanged on an older tree. The output is not pinned by any test: the last bits may differ
 between numpy builds.
 """
@@ -249,6 +252,24 @@ def belief_lines():
                         yield f"beliefs {name} {m1}x{m2} {prior_name} n={n} {code} {_sha1(text)}"
 
 
+def oracle_lines():
+    """``macfb oracle-check`` through ``cli.main`` on 2x2 messages: the exit
+    code and the sha1 of stdout without ``--out``, and the sha1 of
+    ``<prefix>_oracle.csv`` from a run with ``--out``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, params, n in (("adder", [], 1), ("multiplier", [], 1),
+                                ("noisy_adder", ["--param", "0.1"], 1), ("multiplier", [], 2)):
+            argv = ["oracle-check", "--preset", name, *params, "--messages", "2,2", "--n", str(n)]
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main(argv)
+            prefix = Path(tmp) / f"{name}-n{n}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(argv + ["--out", str(prefix)])
+            text = Path(f"{prefix}_oracle.csv").read_text()
+            yield f"oracle-check {name} 2x2 n={n} {code} {_sha1(stdout.getvalue())} {_sha1(text)}"
+
+
 def main() -> int:
     for name, channel in channels().items():
         for m1, m2 in SPACES:
@@ -277,7 +298,7 @@ def main() -> int:
                     print(line)
         for line in region_lines(name, channel):
             print(line)
-    for line in belief_lines():
+    for line in (*belief_lines(), *oracle_lines()):
         print(line)
     return 0
 

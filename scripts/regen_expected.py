@@ -19,6 +19,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -42,27 +43,32 @@ def _one_minus_h(p: float) -> float:
     return 1.0 + p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p)
 
 
+@functools.cache
 def _adder_cn(n: int) -> float:
     value, _ = exhaustive_Cn(preset("adder"), MessageSpace(2, 2), L3, n)
     return value
 
 
+@functools.cache
 def _multiplier_cn(n: int) -> float:
     value, _ = exhaustive_Cn(preset("multiplier"), MessageSpace(2, 2), L3, n)
     return value
 
 
+@functools.cache
 def _adder_min_error(t: int) -> float:
     error, _ = exhaustive_min_error(preset("adder"), MessageSpace(2, 2), t)
     return error
 
 
+@functools.cache
 def _multiplier_min_error(t: int) -> float:
     error, _ = exhaustive_min_error(preset("multiplier"), MessageSpace(2, 2), t)
     return error
 
 
-# (case label, dotted field) -> zero-argument source returning the fresh value
+# (case label, dotted field) -> zero-argument source returning the fresh value;
+# the searches are cached, so a quantity several fields read is computed once
 ORACLE_SOURCES = {
     ("horizon-adder-n1", "values.total_value"): lambda: _adder_cn(1),
     ("horizon-adder-n1", "values.value_per_step"): lambda: _adder_cn(1),

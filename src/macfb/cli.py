@@ -262,43 +262,25 @@ def _cmd_region(cfg: RunConfig, sec: dict, emits: list, result: dict) -> int:
 
 
 def _cmd_oracle_check(cfg: RunConfig, sec: dict, emits: list, result: dict) -> int:
-    weights = _weights(sec)
-    n = sec["n"]
-    # each search runs before the solve it checks: a search over its
-    # tree_cap or table_cap stops on its first step, before any DP work
-    ex_h = oracle.exhaustive_Cn(
-        cfg.channel, cfg.space, weights, n, prior=cfg.prior,
-        tree_cap=cfg.limits["tree_cap"], action_cap=cfg.limits["action_cap"],
-        table_cap=cfg.limits["table_cap"],
-    )
-    dp_h = dp.solve_horizon(
-        cfg.channel, cfg.space, weights, n, prior=_prior_joint(cfg),
-        node_cap=cfg.limits["node_cap"], action_cap=cfg.limits["action_cap"],
-    )
-    ex_d = oracle.exhaustive_min_error(
-        cfg.channel, cfg.space, n, prior=cfg.prior,
-        tree_cap=cfg.limits["tree_cap"], action_cap=cfg.limits["action_cap"],
-        table_cap=cfg.limits["table_cap"],
-    )
-    dp_d = dp.solve_dsaht(
-        cfg.channel, cfg.space, n, prior=_prior_joint(cfg),
-        node_cap=cfg.limits["node_cap"], action_cap=cfg.limits["action_cap"],
-    )
-    rows = [
-        (f"{cfg.label}:horizon", dp_h.value_per_step, ex_h[0]),
-        (f"{cfg.label}:dsaht", dp_d.error_probability, ex_d[0]),
-    ]
-    result["values"] = {
-        "horizon": {"dp": rows[0][1], "oracle": rows[0][2],
-                    "abs_diff": abs(rows[0][1] - rows[0][2])},
-        "dsaht": {"dp": rows[1][1], "oracle": rows[1][2],
-                  "abs_diff": abs(rows[1][1] - rows[1][2])},
-        "max_abs_diff": max(abs(r[1] - r[2]) for r in rows),
-    }
+    search_kw = {"prior": cfg.prior, "tree_cap": cfg.limits["tree_cap"],
+                 "action_cap": cfg.limits["action_cap"], "table_cap": cfg.limits["table_cap"]}
+    solve_kw = {"prior": _prior_joint(cfg), "node_cap": cfg.limits["node_cap"],
+                "action_cap": cfg.limits["action_cap"]}
+    # one (program, dp value, oracle value) record per program; each search
+    # runs before the solve it checks: a search over its tree_cap or
+    # table_cap stops on its first step, before any DP work
+    records = []
+    for program, search, solve, args, value in (
+        ("horizon", oracle.exhaustive_Cn, dp.solve_horizon, (_weights(sec), sec["n"]), "value_per_step"),
+        ("dsaht", oracle.exhaustive_min_error, dp.solve_dsaht, (sec["n"],), "error_probability"),
+    ):
+        best = search(cfg.channel, cfg.space, *args, **search_kw)[0]
+        records.append((program, getattr(solve(cfg.channel, cfg.space, *args, **solve_kw), value), best))
+    result["values"] = {program: {"dp": a, "oracle": b, "abs_diff": abs(a - b)} for program, a, b in records}
+    result["values"]["max_abs_diff"] = max(abs(a - b) for _, a, b in records)
     if cfg.output_prefix:
         lines = ["instance,dp_value,oracle_value,abs_diff"]
-        for name, a, b in rows:
-            lines.append(f"{name},{a:.17g},{b:.17g},{abs(a - b):.17g}")
+        lines += [f"{cfg.label}:{program},{a:.17g},{b:.17g},{abs(a - b):.17g}" for program, a, b in records]
         _write_csvs(cfg, result, {"oracle": "\n".join(lines) + "\n"})
     return EXIT_OK
 

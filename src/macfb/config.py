@@ -26,8 +26,12 @@ Unknown keys are rejected, at the top level and inside every section, so
 typos fail loudly instead of being silently ignored; ``SECTION_DEFAULTS``
 lists every key a section has. Command-line flags are laid over the keys of
 the document before ``parse_config`` runs, so they face the same checks.
-``limits.table_cap`` caps the trajectory table of each tree the
-``oracle-check`` search evaluates.
+Every count meets one check, ``_as_count``: a whole number, never a bool,
+of at least 0 for ``T``, 3 for ``sweep`` and 1 for the other section
+counts, each limit, the message counts and the alphabet sizes; a refused
+count raises a ``ValidationError`` naming its field. ``limits.table_cap``
+caps the trajectory table of each tree the ``oracle-check`` search
+evaluates.
 """
 
 from __future__ import annotations
@@ -92,15 +96,16 @@ class RunConfig:
         return merged
 
 
-def _as_int(value, fieldname: str) -> int:
+def _as_count(value, fieldname: str, least: int = 1) -> int:
+    """``value`` as a whole number of at least ``least``, or a
+    ``ValidationError`` naming ``fieldname``."""
     if isinstance(value, bool):
         raise ValidationError(fieldname, f"expected an integer, got {value!r}")
-    if isinstance(value, int):
-        return value
+    count = value if isinstance(value, int) else None
     if isinstance(value, str):
         # whole-number digits exactly, past 2^53 too; "2.0" or "1e3" below
         try:
-            return int(value)
+            count = int(value)
         except ValueError:
             # int() refuses more digits than the interpreter's limit
             digits = value.strip().lstrip("+-").replace("_", "")
@@ -109,13 +114,18 @@ def _as_int(value, fieldname: str) -> int:
                 raise ValidationError(
                     fieldname, f"expected an integer of at most {limit} digits, got {len(digits)} digits"
                 ) from None
-    try:
-        as_float = float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(fieldname, f"expected an integer, got {value!r}") from None
-    if not as_float.is_integer():
-        raise ValidationError(fieldname, f"expected an integer, got {value!r}")
-    return int(as_float)
+    if count is None:
+        try:
+            as_float = float(value)
+        except (TypeError, ValueError):
+            raise ValidationError(fieldname, f"expected an integer, got {value!r}") from None
+        if not as_float.is_integer():
+            raise ValidationError(fieldname, f"expected an integer, got {value!r}")
+        count = int(as_float)
+    if count < least:
+        reason = {0: "must be non-negative", 1: "must be positive"}.get(least, f"must be at least {least}")
+        raise ValidationError(fieldname, reason)
+    return count
 
 
 def _as_float(value, fieldname: str) -> float:
@@ -160,9 +170,7 @@ def _channel_from(doc: dict) -> tuple:
     alph = spec.get("alphabets")
     if not isinstance(alph, dict) or set(alph) != {"x1", "x2", "y"}:
         raise ValidationError("channel.alphabets", "expected {x1, x2, y}")
-    sx1 = _as_int(alph["x1"], "channel.alphabets.x1")
-    sx2 = _as_int(alph["x2"], "channel.alphabets.x2")
-    sy = _as_int(alph["y"], "channel.alphabets.y")
+    sx1, sx2, sy = (_as_count(alph[key], f"channel.alphabets.{key}") for key in ("x1", "x2", "y"))
     flat = spec["kernel"]
     if not isinstance(flat, list):
         raise ValidationError("channel.kernel", "expected a flat list of reals")
@@ -207,10 +215,7 @@ def _validate_section(name: str, raw) -> dict:
     # the least value of each count, the one its solver accepts
     for key, least in {"n": 1, "T": 0, "grid": 1, "sweep": 3, "max_iters": 1}.items():
         if key in out:
-            out[key] = _as_int(out[key], f"{name}.{key}")
-            if out[key] < least:
-                reason = {0: "must be non-negative", 1: "must be positive"}.get(least, f"must be at least {least}")
-                raise ValidationError(f"{name}.{key}", reason)
+            out[key] = _as_count(out[key], f"{name}.{key}", least)
     if "epsilon" in out:
         out["epsilon"] = _as_float(out["epsilon"], f"{name}.epsilon")
         if not out["epsilon"] > 0.0:  # NaN included
@@ -237,7 +242,7 @@ def parse_config(doc: dict) -> RunConfig:
     msgs = doc.get("messages")
     if not isinstance(msgs, dict) or set(msgs) != {"m1", "m2"}:
         raise ValidationError("messages", "expected {m1, m2}")
-    space = MessageSpace(_as_int(msgs["m1"], "messages.m1"), _as_int(msgs["m2"], "messages.m2"))
+    space = MessageSpace(_as_count(msgs["m1"], "messages.m1"), _as_count(msgs["m2"], "messages.m2"))
 
     prior = _prior_from(doc, space)
 
@@ -250,9 +255,7 @@ def parse_config(doc: dict) -> RunConfig:
     for key, value in raw_limits.items():
         if key not in _DEFAULT_LIMITS:
             raise ValidationError(f"limits.{key}", "unknown limit")
-        limits[key] = _as_int(value, f"limits.{key}")
-        if limits[key] < 1:
-            raise ValidationError(f"limits.{key}", "must be positive")
+        limits[key] = _as_count(value, f"limits.{key}")
 
     output = {} if doc.get("output") is None else doc["output"]
     if not isinstance(output, dict):

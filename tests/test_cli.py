@@ -505,6 +505,11 @@ def test_oracle_check_csv(tmp_path, capsys):
     assert lines[0] == "instance,dp_value,oracle_value,abs_diff"
     assert lines[1].startswith("mult:horizon,")
     assert lines[2].startswith("mult:dsaht,")
+    # each row's numbers are its program's JSON values, to the bit
+    for line, program in zip(lines[1:], ("horizon", "dsaht")):
+        values = doc["values"][program]
+        assert [float(v) for v in line.split(",")[1:]] == [values["dp"], values["oracle"], values["abs_diff"]]
+    assert doc["values"]["max_abs_diff"] == max(doc["values"][p]["abs_diff"] for p in ("horizon", "dsaht"))
 
 
 def test_diagnose_json(capsys):

@@ -165,6 +165,13 @@ def test_rejected_documents(mutate):
         (base_doc(horizon={"n": 0}), "horizon.n", "must be positive"),
         (base_doc(stationary={"grid": 0}), "stationary.grid", "must be positive"),
         (base_doc(region={"sweep": 2}), "region.sweep", "must be at least 3"),
+        # message counts and alphabet sizes meet the same count check
+        (base_doc(messages={"m1": 0, "m2": 2}), "messages.m1", "must be positive"),
+        (base_doc(messages={"m1": 2, "m2": -3}), "messages.m2", "must be positive"),
+        (base_doc(channel={"alphabets": {"x1": 0, "x2": 1, "y": 1}, "kernel": []}),
+         "channel.alphabets.x1", "must be positive"),
+        (base_doc(channel={"alphabets": {"x1": 1, "x2": 1, "y": 0}, "kernel": []}),
+         "channel.alphabets.y", "must be positive"),
     ],
 )
 def test_rejection_names_field_and_reason(doc, field, reason):
