@@ -17,7 +17,11 @@ parent's quartiles, and the pairs that the change wins, loses and ties,
 better being the direction the change's BENCHMARK.json gives the metric
 (lower where it gives none); then every metric whose change median is
 worse than the parent's by more than that file's bound for it, relative to
-the parent's median; then each run's page faults.
+the parent's median; then each run's page faults, marking every pair whose
+two counts differ by more than a tenth of the smaller one. A run whose heap
+lands in another state (glibc's dynamic mmap and trim thresholds) faults
+thousands more pages and times differently, so a marked pair measures the
+heap as much as the change.
 """
 
 from __future__ import annotations
@@ -77,6 +81,12 @@ def over_bounds(rows: list, metrics: list) -> list:
     return over
 
 
+def heap_mismatches(faults: list) -> list:
+    """Indices, from 0, of the (parent, change) page fault counts in
+    ``faults`` that differ by more than a tenth of the smaller count."""
+    return [i for i, (before, after) in enumerate(faults) if abs(after - before) > 0.1 * min(before, after)]
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
     """(metric name -> value, minor page faults) of one bench/run.py run."""
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
@@ -120,8 +130,10 @@ def main(argv=None) -> int:
     print("\n".join(f"OVER BOUND: {name} {100.0 * change:+.1f}% against a bound of {bound:g}"
                      for name, change, bound in over_bounds(rows, spec["end_to_end"]))
           or "every metric within its bound")
-    for i, (before, after) in enumerate(faults, 1):
-        print(f"pair {i}: ru_minflt parent {before} change {after}")
+    mismatched = set(heap_mismatches(faults))
+    for i, (before, after) in enumerate(faults):
+        mark = "  HEAP STATES DIFFER" if i in mismatched else ""
+        print(f"pair {i + 1}: ru_minflt parent {before} change {after}{mark}")
     return 0
 
 

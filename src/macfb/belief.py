@@ -137,11 +137,11 @@ def initial_state(space: MessageSpace, prior=None) -> AugmentedState:
     With no input history every private row equals the corresponding prior
     marginal. Messages carrying zero marginal mass can never occur; their
     rows are set to a point mass at themselves purely to keep the table
-    well formed.
+    well formed. ``prior`` is a JointBelief or its raw (M1, M2) table.
     """
     if prior is None:
         return uniform_initial(space)
-    pi = check_prior(space, JointBelief(np.asarray(prior, dtype=float)))
+    pi = check_prior(space, prior if isinstance(prior, JointBelief) else JointBelief(prior))
 
     def rows_from(marginal):
         n = marginal.shape[0]

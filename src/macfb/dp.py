@@ -586,7 +586,7 @@ def _horizon_program(channel: Channel, space: MessageSpace, weights: LambdaWeigh
 
     def totals(t, pis, labels1, labels2):
         # the members of a branch share its predictive mass bit for bit
-        rewards = kernel.weighted(weights, pis, labels1, labels2, kernel.branch_joint(pis)[1][branch_of])
+        rewards = kernel.weighted(weights, pis, labels1, labels2, kernel.branch_joint(pis)[1], branch_of)
         if prune and t[0] < n:
             # prune leaves the last level alone; the levels below it lead the batch
             k = int(np.count_nonzero(t < n))

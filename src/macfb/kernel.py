@@ -146,22 +146,33 @@ def _first_labels(codes: np.ndarray) -> np.ndarray:
     labels = np.zeros(codes.shape, dtype=np.intp)
     count = np.ones(codes.shape[1:], dtype=np.intp)
     for m in range(1, len(codes)):
-        # the label of the first earlier message with m's code, else a new one
-        label, new = count.copy(), np.ones(codes.shape[1:], dtype=bool)
+        # the label of the first earlier message with m's code, else a new
+        # one; every earlier label is below the count, so m's label is new
+        # exactly where it equals the count
+        label = labels[m, ...]
+        label[...] = count
         for k in reversed(range(m)):
-            same = codes[k] == codes[m]
-            np.copyto(label, labels[k], where=same)
-            new &= ~same
-        labels[m] = label
-        count += new
+            np.copyto(label, labels[k], where=codes[k] == codes[m])
+        count += label == count
     return labels
 
 
 def root_labels(marginal: np.ndarray) -> np.ndarray:
     """A sender's labels before any channel use: the messages with mass in
     ``marginal`` share one class and each zero-mass message is a class of
-    its own, as its point-mass row in ``belief.initial_state`` is."""
-    return _first_labels(np.where(marginal > 0.0, -1, np.arange(len(marginal))))
+    its own, as its point-mass row in ``belief.initial_state`` is.
+    ``marginal`` is 1-D and a few messages long, so it is numbered in plain
+    Python."""
+    labels, count, shared = [], 0, None
+    for has_mass in (marginal > 0.0).tolist():
+        if has_mass and shared is not None:
+            labels.append(shared)
+            continue
+        if has_mass:
+            shared = count
+        labels.append(count)
+        count += 1
+    return np.array(labels, dtype=np.intp)
 
 
 def row_classes(rows: np.ndarray) -> np.ndarray:
@@ -220,8 +231,8 @@ def _cell_entropy(margin: np.ndarray, labels: np.ndarray, masks: np.ndarray,
     batch size (the set's last member added to the set of its earlier
     ones, one output at a time, so that numpy copies no slice for
     overlap), and each action's cells gather them (``_cell_tables``). The
-    empty set gives exact zeros, which is what a cell that a state lacks
-    adds. A
+    empty set's term is written as +0.0, the value its logarithms would
+    give, without taking them; it is what a cell that a state lacks adds. A
     batch of states shares one cell count, the largest: in index order,
     below 8 cells, the padding keeps every bit; from 8 on numpy sums the
     cells pairwise, so states with fewer cells are summed apart, by count.
@@ -238,7 +249,10 @@ def _cell_entropy(margin: np.ndarray, labels: np.ndarray, masks: np.ndarray,
         for m in range(n_msgs):
             # the sets whose last member is m
             np.add(sets[: 1 << m], part[m], out=sets[1 << m : 2 << m])
-    terms = _xlogx(_sum_in_order(sub)) - _sum_in_order(_xlogx(sub))
+    terms = np.empty(sub.shape[1:])
+    terms[0] = 0.0
+    sub = sub[:, 1:]
+    np.subtract(_xlogx(_sum_in_order(sub)), _sum_in_order(_xlogx(sub)), out=terms[1:])
     del sub
     labels = np.broadcast_to(labels.reshape(len(labels), -1), (len(labels), n_states))
     n_symbols = len(masks)
@@ -247,12 +261,11 @@ def _cell_entropy(margin: np.ndarray, labels: np.ndarray, masks: np.ndarray,
     # members[j, s]: the messages of class j at state s, as a bitmask
     members = ((labels == np.arange(n_cells // n_symbols)[:, None, None])
                << np.arange(len(labels))[:, None]).sum(axis=1)
-    # one index array, built in place: it is as large as the cells
+    # one index array, built in place: it is as large as the cells; the
+    # (other encoder, symbol) and state offsets come in one small table
     index = members[:, None, None, :] & masks[:, :, None]
-    index *= terms.shape[1] * terms.shape[2]
-    index += base[:, :, None]
-    index *= n_states
-    index += np.arange(n_states)
+    index *= terms.shape[1] * terms.shape[2] * n_states
+    index += (base * n_states)[:, :, None] + np.arange(n_states)
     cells = np.take(terms, index).reshape((n_cells, -1, n_states))
     del index
     if n_cells >= 8 and int(n_classes.min()) * n_symbols < n_cells:
@@ -477,11 +490,18 @@ class ActionKernel:
             x.flags.writeable = False
         return (lik1, *cells2), (lik2, *cells1)
 
-    def rewards(self, pi, labels1, labels2, p) -> tuple:
+    def rewards(self, pi, labels1, labels2, p, pair_of=None) -> tuple:
         """(i1, i2, i3) in bits, one (A, ...) array each, from the
-        predictive p[a, y, ...]."""
-        noise = _sum(self._times(self.noise, pi).reshape((-1,) + p.shape[:1] + p.shape[2:]))
-        i3 = -_sum(np.moveaxis(_xlogx(p), 1, 0)) / _LN2 - noise
+        predictive p[a, y, ...], or with ``pair_of`` from the predictive
+        p[b, ...] of the branches, the pair (a, y) reading row
+        ``pair_of[a, y]`` (``branch_of``, as ``prune_mask`` reads it). The
+        output entropies of i3 are then taken once per branch and gathered
+        per pair, with the bits of the pair form."""
+        noise = _sum(self._times(self.noise, pi).reshape((-1, len(self)) + pi.shape[2:]))
+        # (Y, A, ...): the outputs lead, to be summed
+        plogp = np.moveaxis(_xlogx(p), 1, 0) if pair_of is None else _xlogx(p)[pair_of.T]
+        i3 = -_sum(plogp) / _LN2 - noise
+        del plogp
         (lik1, *cells2), (lik2, *cells1) = self._cells
         batch = (1,) * (pi.ndim - 2)
         # the products and message sums of ``joint``, per distinct encoder,
@@ -499,9 +519,10 @@ class ActionKernel:
             labels1, *cells1) - noise
         return i1, i2, i3
 
-    def weighted(self, weights, pi, labels1, labels2, p) -> np.ndarray:
-        """l1 i1 + l2 i2 + l3 i3 for every action."""
-        i1, i2, i3 = self.rewards(pi, labels1, labels2, p)
+    def weighted(self, weights, pi, labels1, labels2, p, pair_of=None) -> np.ndarray:
+        """l1 i1 + l2 i2 + l3 i3 for every action, p and ``pair_of`` as
+        ``rewards`` reads them."""
+        i1, i2, i3 = self.rewards(pi, labels1, labels2, p, pair_of)
         return weights.l1 * i1 + weights.l2 * i2 + weights.l3 * i3
 
     def refined(self, labels1, labels2) -> tuple:

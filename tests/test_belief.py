@@ -60,9 +60,12 @@ def test_uniform_initial_tables():
 
 def test_initial_state_prior_marginals():
     prior = np.array([[0.5, 0.25], [0.125, 0.125]])
-    s = initial_state(MessageSpace(2, 2), prior)
-    assert np.allclose(s.beta1.rows, np.tile(prior.sum(axis=1), (2, 1)))
-    assert np.allclose(s.beta2.rows, np.tile(prior.sum(axis=0), (2, 1)))
+    # the raw table and the JointBelief every solver takes give one state
+    for given in (prior, JointBelief(prior)):
+        s = initial_state(MessageSpace(2, 2), given)
+        assert np.array_equal(s.pi.table, prior)
+        assert np.allclose(s.beta1.rows, np.tile(prior.sum(axis=1), (2, 1)))
+        assert np.allclose(s.beta2.rows, np.tile(prior.sum(axis=0), (2, 1)))
 
 
 def test_initial_state_zero_marginal_gets_point_mass():

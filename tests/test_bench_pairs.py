@@ -48,6 +48,18 @@ def test_metrics_over_their_bound_are_named():
     assert [round(change, 12) for _, change, _ in over] == [0.25, -0.02]
 
 
+def test_pairs_whose_page_faults_differ_are_named():
+    faults = [
+        (36_500, 36_600),  # 100 pages apart: one heap state
+        (36_500, 42_000),  # the change faults 15% more
+        (60_000, 36_500),  # the parent does
+        (40_000, 44_000),  # exactly a tenth of the smaller: not flagged
+        (40_000, 44_001),  # just over it
+        (0, 0),
+    ]
+    assert bench_pairs.heap_mismatches(faults) == [1, 2, 4]
+
+
 def test_one_pair_has_its_value_as_quartiles():
     rows = bench_pairs.summarize([({"run_s": 2.0}, {"run_s": 2.0})], {})
     assert rows == [("run_s", 2.0, 2.0, 2.0, 2.0, 0, 0, 1)]

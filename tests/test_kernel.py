@@ -291,6 +291,40 @@ def test_label_refinement_equals_row_classes_of_float_tables():
     assert steps > 300
 
 
+def test_root_labels_equal_first_labels_of_mass_codes():
+    # the plain-Python numbering against the array one it replaced, on every
+    # zero-mass pattern: at the front, in the middle, at the end, everywhere
+    # but one message and everywhere
+    rng = make_rng(75)
+    for m in range(1, 8):
+        for pattern in range(1 << m):
+            marginal = rng.dirichlet(np.ones(m)) * ((pattern >> np.arange(m)) & 1)
+            got = root_labels(marginal)
+            want = kernel_module._first_labels(np.where(marginal > 0, -1, np.arange(m)))
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+def _first_appearance(codes: np.ndarray) -> np.ndarray:
+    """Each code along the leading axis numbered in order of first
+    appearance, one column of the trailing axes at a time, in plain Python."""
+    columns = codes.reshape(len(codes), -1).T.tolist()
+    labels = []
+    for column in columns:
+        seen = {}
+        labels.append([seen.setdefault(code, len(seen)) for code in column])
+    return np.array(labels, dtype=np.intp).T.reshape(codes.shape)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (3, 8), (1, 4, 5), (3, 8, 98), (7, 3, 200)])
+def test_first_labels_equal_first_appearance_reference(shape):
+    rng = make_rng(76)
+    for high in (2, 3, 9):
+        codes = rng.integers(-1, high, shape)
+        got = kernel_module._first_labels(codes)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, _first_appearance(codes))
+
+
 def test_kernel_zero_mass_cells_contribute_nothing():
     # all mass on one message pair: no output tells anything
     rng = make_rng(74)
@@ -373,6 +407,14 @@ def test_kernel_rewards_bitwise_equal_earlier_kernel_alone(batch):
         pis, labels1, labels2 = _stack(states)
         joint, p = kernel.joint(pis)
         got = kernel.rewards(pis, labels1, labels2, p)
+        # the branch form: the output entropies taken per branch and
+        # gathered per pair keep the bits of the gathered per-pair masses
+        _, by_branch = kernel.branch_joint(pis)
+        gathered = kernel.rewards(pis, labels1, labels2, by_branch[kernel.branch_of])
+        for new, old, pairs in zip(kernel.rewards(pis, labels1, labels2, by_branch, kernel.branch_of),
+                                   gathered, got):
+            np.testing.assert_array_equal(_bits(new), _bits(old))
+            np.testing.assert_array_equal(_bits(new), _bits(pairs))
         for s, state in enumerate(states):
             pi = state.pi.table
             joint, p = kernel.joint(pi)
