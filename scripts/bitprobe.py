@@ -22,7 +22,8 @@ lambda = (0, 0, 1) at n = T = 13, whose policy trees have 797,161 nodes,
 with ``evaluate_tree`` of the horizon policy, and the horizon program at
 n = 1 and 2 on 4x2, 2x4 and 7x1 messages. On the same
 channels, spaces and priors it prints ``evaluate_tree`` of the solved
-policy and of a random tree, the reachability diagnostic, the actions
+policy and of a random tree, the reachability diagnostic (both also at
+n = 1, where a walk is its root alone), the actions
 ``prune_actions`` keeps at the start state and at two states it reaches,
 and ``solve_stationary`` with per-use renewal (and without renewal on a
 grid, up to 2x2); then the bounds and vertices of a 2x2 ``sweep`` with
@@ -174,19 +175,28 @@ def _random_tree(rng, space, channel, depth: int) -> PolicyTree:
                                    for h in histories})
 
 
+def diagnostic_line(head: str, channel, space, prior, n: int) -> str:
+    rep = reachability_diagnostic(channel, space, WEIGHTS, n, prior)
+    conflicts = "".join(f"{c['history_a']},{c['history_b']},{c['t_a']},{c['t_b']},{c['action_index']},"
+                        f"{c['reward_gap'].hex()}\n" for c in rep.conflicts)
+    return (f"diagnostic {head} n={n} {rep.n_states} {rep.n_groups} {len(rep.conflicts)} "
+            f"{_sha1(conflicts)} {int(rep.root_action_injective)}")
+
+
 def tree_lines(name, channel, space, prior_name, prior, seed: int):
     """``evaluate_tree`` of the solved n = 2 policy and of a random depth-3
-    tree, and the reachability diagnostic at n = 2."""
+    tree, and the reachability diagnostic at n = 2; then ``evaluate_tree``
+    of the solved n = 1 policy and the diagnostic at n = 1, whose walks
+    stop at the root."""
     head = f"{name} {space.m1}x{space.m2} {prior_name}"
     solved = solve_horizon(channel, space, WEIGHTS, 2, prior).policy
     for label, tree in (("solved", solved), ("random", _random_tree(np.random.default_rng(seed), space,
                                                                      channel, 3))):
         yield f"evaluate {head} {label} {evaluate_tree(channel, space, tree, WEIGHTS, prior).hex()}"
-    rep = reachability_diagnostic(channel, space, WEIGHTS, 2, prior)
-    conflicts = "".join(f"{c['history_a']},{c['history_b']},{c['t_a']},{c['t_b']},{c['action_index']},"
-                        f"{c['reward_gap'].hex()}\n" for c in rep.conflicts)
-    yield (f"diagnostic {head} n=2 {rep.n_states} {rep.n_groups} {len(rep.conflicts)} "
-           f"{_sha1(conflicts)} {int(rep.root_action_injective)}")
+    yield diagnostic_line(head, channel, space, prior, 2)
+    solved = solve_horizon(channel, space, WEIGHTS, 1, prior).policy
+    yield f"evaluate {head} solved n=1 {evaluate_tree(channel, space, solved, WEIGHTS, prior).hex()}"
+    yield diagnostic_line(head, channel, space, prior, 1)
 
 
 def prune_lines(name, channel, space, prior_name, prior, seed: int):

@@ -18,8 +18,6 @@ from .errors import NegativeEntry, NonStochastic, ParamOutOfRange, UnknownPreset
 
 ROW_SUM_TOL = 1e-9
 
-PRESET_NAMES = ("adder", "noisy_adder", "multiplier", "bsc_p2p", "useless")
-
 
 def check_count(value, name: str, least: int = 1) -> int:
     """``value`` as a plain int: any integer ``operator.index`` accepts
@@ -114,6 +112,35 @@ def validate_channel(kernel) -> Channel:
     return Channel(alph, q)
 
 
+def _gate(f, n_outputs: int) -> np.ndarray:
+    """The noiseless table of y = f(x1, x2) over binary inputs."""
+    q = np.zeros((n_outputs, 2, 2))
+    for x1, x2 in np.ndindex(2, 2):
+        q[f(x1, x2), x1, x2] = 1.0
+    return q
+
+
+def _noisy_adder(eps: float) -> np.ndarray:
+    # symmetric crossover: stay with 1-eps, move to either other symbol with eps/2
+    cross = np.full((3, 3), eps / 2.0)
+    np.fill_diagonal(cross, 1.0 - eps)
+    return np.einsum("zy,yab->zab", cross, _gate(operator.add, 3))
+
+
+# name -> (the names of its probability parameters, each in [0, 1], or None
+# for the useless channel's optional sizes; its [y][x1][x2] table from them)
+_PRESETS = {
+    "adder": ((), lambda: _gate(operator.add, 3)),
+    "noisy_adder": (("eps",), _noisy_adder),
+    "multiplier": ((), lambda: _gate(operator.mul, 2)),
+    # sender 2 has one symbol
+    "bsc_p2p": (("p",), lambda p: np.array([[1.0 - p, p], [p, 1.0 - p]])[:, :, None]),
+    "useless": (None, lambda x1=2, x2=2, y=2: np.full((y, x1, x2), 1.0 / y)),
+}
+
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def _as_size(preset: str, value: float, what: str) -> int:
     if not math.isfinite(value) or value != int(value) or value < 1:
         raise ParamOutOfRange(preset, f"{what} must be a positive integer, got {value!r}")
@@ -133,58 +160,17 @@ def preset(name: str, params=()) -> Channel:
     A parameter list that does not fit the preset raises ParamOutOfRange.
     """
     params = tuple(float(v) for v in params)
-
-    if name in ("adder", "multiplier") and params:
-        raise ParamOutOfRange(name, f"takes no parameters, got {len(params)}")
-
-    if name == "adder":
-        q = np.zeros((3, 2, 2))
-        for x1 in range(2):
-            for x2 in range(2):
-                q[x1 + x2, x1, x2] = 1.0
-        return validate_channel(q)
-
-    if name == "noisy_adder":
-        if len(params) != 1:
-            raise ParamOutOfRange(name, f"expected one parameter (eps), got {len(params)}")
-        eps = params[0]
-        if not 0.0 <= eps <= 1.0:
-            raise ParamOutOfRange(name, f"eps must lie in [0, 1], got {eps!r}")
-        clean = preset("adder").kernel
-        # symmetric crossover: stay with 1-eps, move to either other symbol with eps/2
-        cross = np.full((3, 3), eps / 2.0)
-        np.fill_diagonal(cross, 1.0 - eps)
-        return validate_channel(np.einsum("zy,yab->zab", cross, clean))
-
-    if name == "multiplier":
-        q = np.zeros((2, 2, 2))
-        for x1 in range(2):
-            for x2 in range(2):
-                q[x1 * x2, x1, x2] = 1.0
-        return validate_channel(q)
-
-    if name == "bsc_p2p":
-        if len(params) != 1:
-            raise ParamOutOfRange(name, f"expected one parameter (p), got {len(params)}")
-        p = params[0]
-        if not 0.0 <= p <= 1.0:
-            raise ParamOutOfRange(name, f"p must lie in [0, 1], got {p!r}")
-        q = np.zeros((2, 2, 1))
-        for x1 in range(2):
-            for y in range(2):
-                q[y, x1, 0] = 1.0 - p if y == x1 else p
-        return validate_channel(q)
-
-    if name == "useless":
-        if params and len(params) != 3:
-            raise ParamOutOfRange(name, "expected no parameters or three sizes (x1, x2, y)")
-        if params:
-            sx1 = _as_size(name, params[0], "x1 size")
-            sx2 = _as_size(name, params[1], "x2 size")
-            sy = _as_size(name, params[2], "y size")
-        else:
-            sx1, sx2, sy = 2, 2, 2
-        q = np.full((sy, sx1, sx2), 1.0 / sy)
-        return validate_channel(q)
-
-    raise UnknownPreset(name)
+    if name not in _PRESETS:
+        raise UnknownPreset(name)
+    names, build = _PRESETS[name]
+    if len(params) not in ((0, 3) if names is None else (len(names),)):
+        raise ParamOutOfRange(name, "expected no parameters or three sizes (x1, x2, y)" if names is None
+                              else f"expected one parameter ({names[0]}), got {len(params)}" if names
+                              else f"takes no parameters, got {len(params)}")
+    if names is None:
+        return validate_channel(build(*(_as_size(name, value, f"{axis} size")
+                                        for value, axis in zip(params, ("x1", "x2", "y")))))
+    for what, value in zip(names, params):
+        if not 0.0 <= value <= 1.0:
+            raise ParamOutOfRange(name, f"{what} must lie in [0, 1], got {value!r}")
+    return validate_channel(build(*params))

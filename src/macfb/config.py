@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import dp, encoding, oracle
+from . import dp, encoding, oracle, region
 from .belief import JointBelief
 from .channel import Channel, MessageSpace, preset, validate_channel, PRESET_NAMES
 from .errors import ParseError, ValidationError
@@ -223,9 +223,9 @@ def _validate_section(name: str, raw) -> dict:
     if "prune" in out:
         if not isinstance(out["prune"], bool):
             raise ValidationError(f"{name}.prune", "expected true or false")
-    if "solver" in out and out["solver"] not in ("horizon", "stationary"):
+    if "solver" in out and out["solver"] not in region.SOLVERS:
         raise ValidationError(f"{name}.solver", f"unknown solver {out['solver']!r}")
-    if "renewal" in out and out["renewal"] not in ("per_use", "none"):
+    if "renewal" in out and out["renewal"] not in dp.RENEWALS:
         raise ValidationError(f"{name}.renewal", f"unknown renewal mode {out['renewal']!r}")
     return out
 

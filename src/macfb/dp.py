@@ -16,13 +16,17 @@ Three solvers:
   fallback).
 
 Each finite-horizon program is a value, a ``Program`` built by one
-function (``_horizon_program``, ``_dsaht_program``). Both share the
-forward hook ``_expand`` and one level-synchronous engine,
-``_backward_induction``: three passes, each reading the plain values the
-one before it returns. The state moves forward one channel use at a
-time, so the forward pass (``_forward_pass``) builds every time step's
-distinct states from the previous step's as one batch, with neither the
-weights nor the horizon in it: the action kernel (``macfb.kernel``)
+function (``_horizon_program``, ``_dsaht_program``) from the channel, the
+weights and the prior, with no horizon: the paper's program is the same
+at every step, so one program serves every depth, and the engine alone
+owns the stage count, telling the reward hook each state's steps to go.
+Both programs share the forward hook ``_expand`` and one
+level-synchronous engine, ``_backward_induction(program, depth,
+node_cap)``: three passes, each reading the plain values the one before
+it returns. The state moves forward one channel use at a time, so the
+forward pass (``_forward_pass``) builds every time step's distinct
+states from the previous step's as one batch, with neither the weights
+nor the horizon in it: the action kernel (``macfb.kernel``)
 gives a stack of states' predictive distributions, posteriors and
 refined labels for every action at once, and a Bayes update depends on
 an (action, output) pair only through the pair's branch, so successors
@@ -92,6 +96,7 @@ DEFAULT_NODE_CAP = 1_000_000
 DEFAULT_GRID_CAP = 500_000
 DEFAULT_STATIONARY_ITERS = 500
 DEFAULT_STATIONARY_EPSILON = 1e-6
+RENEWALS = ("per_use", "none")  # the renewal modes of solve_stationary
 
 # states are told apart by their coordinates quantised to this granularity
 QUANT = 1e-9
@@ -250,7 +255,7 @@ def policy_kernel(channel: Channel, tree: PolicyTree) -> ActionKernel:
 
 
 # the reached nodes of one depth of a fixed-policy walk (``walk_policy``)
-WalkLevel = collections.namedtuple("WalkLevel", "t pi labels1 labels2 outputs a mass rank")
+WalkLevel = collections.namedtuple("WalkLevel", "t pi labels1 labels2 outputs a mass")
 
 
 def walk_policy(kernel: ActionKernel, tree: PolicyTree, pi, labels1=None, labels2=None) -> list:
@@ -261,9 +266,8 @@ def walk_policy(kernel: ActionKernel, tree: PolicyTree, pi, labels1=None, labels
     ``WalkLevel`` per t = 1..depth + 1, its nodes in history order, batch
     last: beliefs ``pi`` (M1, M2, nodes), labels (M, nodes) or None,
     ``outputs`` (t - 1, nodes), ``a`` the action indices in ``kernel``
-    (None at t = depth + 1), ``mass`` the product of the predictive masses
-    along each history, and ``rank`` each node's place in the depth-first
-    order of all reached nodes. Only the tree's slots at reached positions
+    (None at t = depth + 1) and ``mass`` the product of the predictive
+    masses along each history. Only the tree's slots at reached positions
     are read, and only each node's chosen action is updated (``joint_of``,
     J / p, ``refined_by``), bit for bit as the all-action methods give it.
     Branches with predictive mass at or below MASS_EPS are not followed.
@@ -271,15 +275,14 @@ def walk_policy(kernel: ActionKernel, tree: PolicyTree, pi, labels1=None, labels
     """
     index = {action: a for a, action in enumerate(kernel.actions)}
     kernel_of = np.array([index[action] for action in tree.actions], dtype=np.intp)
-    slots, n_outputs, levels, numbers, first = tree.slots(), tree.n_outputs, [], [], 0
+    slots, n_outputs, levels, first = tree.slots(), tree.n_outputs, [], 0
     pis, labels = pi[..., None], (None, None) if labels1 is None else (labels1[:, None], labels2[:, None])
     outputs, mass, number = np.zeros((0, 1), dtype=np.intp), np.ones(1), np.zeros(1, dtype=np.intp)
     for t in range(1, tree.depth + 2):
         # number: the histories of length t - 1 as base n_outputs numerals;
         # their slots follow the first one's, at tree_size(n_outputs, t - 1)
         a = kernel_of[slots[first + number]] if t <= tree.depth else None
-        levels.append((t, pis, *labels, outputs, a, mass))
-        numbers.append(number)
+        levels.append(WalkLevel(t, pis, *labels, outputs, a, mass))
         if a is None:
             break
         joint, p = kernel.joint_of(a, pis)
@@ -291,24 +294,21 @@ def walk_policy(kernel: ActionKernel, tree: PolicyTree, pi, labels1=None, labels
             labels = tuple(x[:, node] for x in kernel.refined_by(a, *labels))
         outputs, mass = np.concatenate([outputs[:, node], y[None]]), mass[node] * live
         number, first = number[node] * n_outputs + y, first * n_outputs + 1
-    # depth-first order: the numerals padded with zero digits to depth
-    # outputs, sorted stably, so a history comes before its extensions
-    padded = np.concatenate([x * n_outputs ** (tree.depth - length) for length, x in enumerate(numbers)])
-    rank = np.argsort(padded, kind="stable").argsort()
-    starts = np.cumsum([0] + [len(x) for x in numbers])
-    return [WalkLevel(*level, rank[lo:hi]) for level, lo, hi in zip(levels, starts, starts[1:])]
+    return levels
 
 
 def _walked(kernel: ActionKernel, tree: PolicyTree, start: tuple) -> tuple:
     """The nodes ``walk_policy`` reaches before the last step, stacked
     batch last in depth-first order for one batched kernel pass: (t, hist,
     pi, labels1, labels2, a, mass), where ``hist[:t - 1, i]`` is node i's
-    output history, padded with -1 to depth - 1 outputs."""
-    t, pis, labels1, labels2, outputs, a, mass, rank = zip(*walk_policy(kernel, tree, *start)[:-1])
-    order = np.argsort(np.concatenate(rank))
-    hist = [np.concatenate([x, np.full((tree.depth - 1 - len(x), x.shape[1]), -1)]) for x in outputs]
-    return (np.repeat(t, [len(x) for x in mass])[order],
-            *(np.concatenate(x, axis=-1)[..., order] for x in (hist, pis, labels1, labels2, a, mass)))
+    output history padded with -1 to depth outputs (so ``np.lexsort`` has
+    a key at depth 1 too), whose lexicographic order is depth-first."""
+    t, pis, labels1, labels2, outputs, a, mass = zip(*walk_policy(kernel, tree, *start)[:-1])
+    hist = np.concatenate([np.concatenate([x, np.full((tree.depth - len(x), x.shape[1]), -1)])
+                           for x in outputs], axis=1)
+    order = np.lexsort(hist[::-1])
+    return (np.repeat(t, [len(x) for x in mass])[order], hist[:, order],
+            *(np.concatenate(x, axis=-1)[..., order] for x in (pis, labels1, labels2, a, mass)))
 
 
 class _LevelIndex:
@@ -375,14 +375,14 @@ def _look_up(run: tuple, words: np.ndarray, hashes: np.ndarray, number: np.ndarr
         number[i] = ids[pos[i] + same[0]] if len(same) else -1
 
 
-def _expand_level(expand, t: int, states: tuple, step: int) -> tuple:
+def _expand_level(expand, states: tuple, step: int) -> tuple:
     """One level of ``_forward_pass``, ``step`` states at a time: (p, succ,
     the next level's states). ``succ`` numbers the successors in the next
     level's order, which is their order of first occurrence. The level's
     temporaries, its index among them, are freed when this returns."""
     ps, succs, reps, index = [], [], [], _LevelIndex()
     for lo in range(0, states[0].shape[-1], step):
-        p, gather = expand(t, *(x[..., lo : lo + step] for x in states))
+        p, gather = expand(*(x[..., lo : lo + step] for x in states))
         # the live (state, branch) pairs in (state, branch) order, as flat
         # indices of p (branches x states)
         live = np.arange(p.size).reshape(p.shape).T[(p > MASS_EPS).T]
@@ -395,17 +395,12 @@ def _expand_level(expand, t: int, states: tuple, step: int) -> tuple:
         reps.append(tuple(np.take(x, new, axis=-1) for x in nxt))
         # the chunk's temporaries go before the next chunk is expanded
         del gather, nxt
-    return _joined(ps), _joined(succs), _stacked(reps)
+    return _joined(ps), _joined(succs), tuple(map(_joined, zip(*reps)))
 
 
-def _joined(parts: list) -> np.ndarray:
+def _joined(parts) -> np.ndarray:
     """Arrays joined along the batch axis; one array is returned as it is."""
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-
-
-def _stacked(parts: list) -> tuple:
-    """Tuples of state arrays joined along the batch axis."""
-    return parts[0] if len(parts) == 1 else tuple(np.concatenate(x, axis=-1) for x in zip(*parts))
 
 
 def _batches(levels: list, step: int):
@@ -416,8 +411,9 @@ def _batches(levels: list, step: int):
     starts = np.cumsum([0] + [states[0].shape[-1] for states in levels])
     for lo in range(0, starts[-1], step):
         hi = lo + step
-        yield lo, _stacked([tuple(x[..., max(lo - a, 0) : hi - a] for x in states)
-                            for states, a, b in zip(levels, starts, starts[1:]) if a < hi and lo < b])
+        parts = [tuple(x[..., max(lo - a, 0) : hi - a] for x in states)
+                 for states, a, b in zip(levels, starts, starts[1:]) if a < hi and lo < b]
+        yield lo, tuple(map(_joined, zip(*parts)))
 
 
 Levels = collections.namedtuple("Levels", "states links")
@@ -448,7 +444,7 @@ def _forward_pass(depth: int, root: tuple, expand, n_pairs: int, node_cap: int, 
         triples = states[-1][0].shape[-1] * n_pairs
         if triples > node_cap:
             raise LevelTooWide(t, triples, node_cap)
-        p, succ, nxt = _expand_level(expand, t, states[-1], step)
+        p, succ, nxt = _expand_level(expand, states[-1], step)
         states.append(nxt)
         links.append((p, succ))
     return Levels(states, links)
@@ -462,12 +458,12 @@ def _reward_pass(levels: Levels, totals, n_actions: int, step: int) -> tuple:
     """
     sizes = [states[0].shape[-1] for states in levels.states]
     starts = np.cumsum([0] + sizes)
-    level_of = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    togo = np.repeat(np.arange(len(sizes) - 1, -1, -1), sizes)
     head = starts[-2]
     earned, last = np.empty((n_actions, head)), []
     for lo, batch in _batches(levels.states, step):
         hi = lo + batch[0].shape[-1]
-        out = totals(level_of[lo:hi], *batch)
+        out = totals(togo[lo:hi], *batch)
         inner = max(0, min(hi, head) - lo)
         earned[:, lo : lo + inner] = out[:, :inner]
         if hi > head:
@@ -509,28 +505,30 @@ def _backward_pass(levels: Levels, earned: list, last: tuple, branch_of: np.ndar
 
 
 class Program(collections.namedtuple("Program", "kernel root expand totals")):
-    """A finite-horizon program, as ``_backward_induction`` runs it.
+    """A finite-horizon program, as ``_backward_induction`` runs it. It
+    knows no horizon: one program serves every depth, and the engine
+    tells ``totals`` how many steps follow each state.
 
     ``root`` holds the start state's arrays, each with a last (batch) axis
     of length 1. The two hooks are functions of a batch of states, stacked
     on that axis:
 
-    * ``expand(t, *arrays)``, for levels t = 1..depth - 1, returns
-      (p, gather): p[b, s], the predictive mass of every branch of the
-      kernel (see ``macfb.kernel``), which is that of each of its (action,
-      output) pairs, and gather(i), the successor states' arrays, batch
-      last, for a vector i of flat indices b * states + s of p;
-    * ``totals(t, *arrays)`` returns totals[a, s], what each action
+    * ``expand(*arrays)``, for the states of every level but the last,
+      returns (p, gather): p[b, s], the predictive mass of every branch of
+      the kernel (see ``macfb.kernel``), which is that of each of its
+      (action, output) pairs, and gather(i), the successor states' arrays,
+      batch last, for a vector i of flat indices b * states + s of p;
+    * ``totals(togo, *arrays)`` returns totals[a, s], what each action
       earns before any continuation: its reward, or in DSAHT minus the
       expected terminal error at the last level. The batch may span
-      levels: ``t[s]`` is the level of state s, and the states come in
-      level order, so those below the last level lead the batch. -inf
-      rules an action out, and some action of every state must keep a
-      finite total.
+      levels: ``togo[s]`` is the number of steps after state s's level,
+      0 at the last level, and the states come in level order, so those
+      with steps to go lead the batch. -inf rules an action out, and some
+      action of every state must keep a finite total.
     """
 
 
-def _expand(kernel: ActionKernel, t: int, pis: np.ndarray, *labels) -> tuple:
+def _expand(kernel: ActionKernel, pis: np.ndarray, *labels) -> tuple:
     """Both programs' forward hook: branch masses at beliefs ``pis``, and a
     gather of the successors' posteriors and, given labels, refined labels."""
     joint, p = kernel.branch_joint(pis)
@@ -547,13 +545,11 @@ def _expand(kernel: ActionKernel, t: int, pis: np.ndarray, *labels) -> tuple:
     return p, gather
 
 
-def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand, totals,
-                        node_cap: int) -> tuple:
-    """Level-synchronous backward induction over the distinct states of each
-    time step, the maximum over actions of what they earn now plus the
-    expected value of what follows: ``_forward_pass``, ``_reward_pass`` and
-    ``_backward_pass`` in turn. The arguments but ``depth`` and
-    ``node_cap`` are a ``Program``'s, whose docstring gives the contract.
+def _backward_induction(program: Program, depth: int, node_cap: int) -> tuple:
+    """Level-synchronous backward induction of ``program`` over ``depth``
+    steps, on the distinct states of each time step: the maximum over
+    actions of what they earn now plus the expected value of what follows,
+    by ``_forward_pass``, ``_reward_pass`` and ``_backward_pass`` in turn.
 
     Returns (value, policy, expanded, hits): the root's value, the policy
     tree, the distinct states over all levels, and the successors reached
@@ -562,10 +558,11 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand, t
     states other than the root. Raises LevelTooWide as the forward pass
     does.
     """
+    kernel = program.kernel
     branch_of = kernel.branch_of
     step = max(1, CHUNK_ENTRIES // max(kernel.branch_lik.size, kernel.noise.size))
-    levels = _forward_pass(depth, root, expand, branch_of.size, node_cap, step)
-    earned, last = _reward_pass(levels, totals, len(branch_of), step)
+    levels = _forward_pass(depth, program.root, program.expand, branch_of.size, node_cap, step)
+    earned, last = _reward_pass(levels, program.totals, len(branch_of), step)
     value, policy = _backward_pass(levels, earned, last, branch_of, kernel.actions)
     expanded = sum(states[0].shape[-1] for states in levels.states)
     hits = sum(np.count_nonzero((succ >= 0)[branch_of] & np.isfinite(level)[:, None])
@@ -573,7 +570,7 @@ def _backward_induction(kernel: ActionKernel, depth: int, root: tuple, expand, t
     return value, policy, expanded, int(hits) - (expanded - 1)
 
 
-def _horizon_program(channel: Channel, space: MessageSpace, weights: LambdaWeights, n: int,
+def _horizon_program(channel: Channel, space: MessageSpace, weights: LambdaWeights,
                      prior: JointBelief, prune: bool, action_cap: int) -> Program:
     """The horizon program: augmented states from ``prior``, weighted rewards."""
     root = tuple(x[..., None] for x in _start(space, prior))
@@ -584,12 +581,12 @@ def _horizon_program(channel: Channel, space: MessageSpace, weights: LambdaWeigh
     # faulted fresh heap pages in on every later solve (ru_minflt)
     branch_of, _ = kernel.branch_of, kernel._cells
 
-    def totals(t, pis, labels1, labels2):
+    def totals(togo, pis, labels1, labels2):
         # the members of a branch share its predictive mass bit for bit
         rewards = kernel.weighted(weights, pis, labels1, labels2, kernel.branch_joint(pis)[1], branch_of)
-        if prune and t[0] < n:
-            # prune leaves the last level alone; the levels below it lead the batch
-            k = int(np.count_nonzero(t < n))
+        if prune and togo[0]:
+            # prune leaves the last level alone; the states with steps to go lead the batch
+            k = int(np.count_nonzero(togo))
             joint, p = kernel.branch_joint(pis[..., :k])
             ref1, ref2 = kernel.refined(labels1[:, :k], labels2[:, :k])
             keep = kernel.prune_mask(p, kernel.posteriors(joint, p), ref1, ref2, branch_of,
@@ -628,8 +625,8 @@ def solve_horizon(
     """
     n = check_count(n, "n")
     _check_tree_size(channel, n, node_cap)
-    kernel, root, expand, totals = _horizon_program(channel, space, weights, n, prior, prune, action_cap)
-    total, policy, expanded, hits = _backward_induction(kernel, n, root, expand, totals, node_cap)
+    program = _horizon_program(channel, space, weights, prior, prune, action_cap)
+    total, policy, expanded, hits = _backward_induction(program, n, node_cap)
     return HorizonResult(total / n, total, policy, expanded, hits)
 
 
@@ -660,16 +657,15 @@ def evaluate_tree(
     return float(acc) / tree.depth
 
 
-def _dsaht_program(channel: Channel, space: MessageSpace, horizon: int, pi: np.ndarray,
-                   action_cap: int) -> Program:
+def _dsaht_program(channel: Channel, space: MessageSpace, pi: np.ndarray, action_cap: int) -> Program:
     """DSAHT's program: the common belief alone from the prior table ``pi``."""
     kernel = _enumerated_kernel(channel, space, action_cap)
 
-    def totals(t, pis):
+    def totals(togo, pis):
         out = np.zeros((len(kernel), pis.shape[-1]))
         # the last level's states close the batch
-        k = int(np.count_nonzero(t < horizon))
-        if k < len(t):
+        k = int(np.count_nonzero(togo))
+        if k < len(togo):
             # minus the terminal error, max(posterior) - 1, without the
             # posteriors: dividing by a positive mass keeps the order, and
             # the rounding too. The max is taken in slices over the
@@ -709,9 +705,9 @@ def solve_dsaht(
     if horizon == 0:
         return DsahtResult(1.0 - float(pi.max()), PolicyTree(0, channel.n_outputs, {}), 0, 0, channel, pi)
     _check_tree_size(channel, horizon, node_cap)
-    kernel, root, expand, totals = _dsaht_program(channel, space, horizon, pi, action_cap)
+    program = _dsaht_program(channel, space, pi, action_cap)
     # negation is exact in every sum and product, so 0.0 - value has the bits of the minimised error
-    value, policy, expanded, hits = _backward_induction(kernel, horizon, root, expand, totals, node_cap)
+    value, policy, expanded, hits = _backward_induction(program, horizon, node_cap)
     return DsahtResult(0.0 - value, policy, expanded, hits, channel, pi)
 
 
@@ -858,7 +854,7 @@ def solve_stationary(
     Both modes raise ValueError when ``resolution`` or ``max_iters`` is
     not an integer of at least 1 (``channel.check_count``).
     """
-    if renewal not in ("per_use", "none"):
+    if renewal not in RENEWALS:
         raise ValueError(f"unknown renewal mode {renewal!r}")
     resolution, max_iters = check_count(resolution, "resolution"), check_count(max_iters, "max_iters")
     pi = _prior_table(space, prior)
@@ -906,10 +902,12 @@ def reachability_diagnostic(
     """Probe whether the common belief alone pins down rewards on-policy.
 
     Solves the horizon program, enumerates the augmented states reachable
-    under its argmax tree, groups states whose joint beliefs agree within
-    1e-9 entrywise, and reports every action whose weighted reward differs
-    across the group by more than 1e-9. Purely informational; conflicts are
-    evidence that the private tables still matter on this instance.
+    under its argmax tree, groups them by the engine's dedupe key on their
+    common belief (π quantised to QUANT), and compares, within a group,
+    each pair of states whose beliefs also agree within 1e-9 entrywise: it
+    reports every action whose weighted reward differs across such a pair
+    by more than 1e-9. Purely informational; conflicts are evidence that
+    the private tables still matter on this instance.
     """
     tree = solve_horizon(channel, space, weights, n, prior, action_cap=action_cap, node_cap=node_cap).policy
     kernel = _enumerated_kernel(channel, space, action_cap)

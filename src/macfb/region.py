@@ -25,6 +25,7 @@ from ._io import atomic_write_text
 
 CLIP_EPS = 1e-12
 VERTEX_DEDUP_TOL = 1e-9
+SOLVERS = ("horizon", "stationary")  # the solvers sweep takes its bounds from
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ def sweep(
     gain, which is exact and needs no belief grid, so it has no grid or
     iteration settings.
     """
-    if solver not in ("horizon", "stationary"):
+    if solver not in SOLVERS:
         raise ValueError(f"unknown region solver {solver!r}")
     n, lams = check_count(n, "n"), lambda_samples(samples)
 

@@ -776,16 +776,21 @@ def test_walk_updates_the_chosen_action_only_and_rewards_come_in_one_pass(monkey
         calls.append(args[1].shape[-1])
         return weighted(self, *args)
 
-    kernel = dp.policy_kernel(ch, res.policy)
+    trees = (res.policy, solve_horizon(ch, space, L_ALL, 1).policy)
+    kernels = [dp.policy_kernel(ch, tree) for tree in trees]
     monkeypatch.setattr(ActionKernel, "joint", all_actions)
     monkeypatch.setattr(ActionKernel, "refined", all_actions)
     start = dp._start(space, None)
-    levels = dp.walk_policy(kernel, res.policy, *start)
+    levels = dp.walk_policy(kernels[0], res.policy, *start)
     assert sum(len(level.mass) for level in levels) == 1 + 3 + 9 + 27
-    # the ranks give the depth-first order, which is tuple order: a history
-    # before its extensions, siblings in output order
-    ranked = sorted((int(r), tuple(h)) for level in levels for r, h in zip(level.rank, level.outputs.T.tolist()))
-    assert [h for _, h in ranked] == sorted(h for _, h in ranked)
+    # the nodes before the last step come out of _walked in depth-first
+    # order, which is tuple order: a history before its extensions,
+    # siblings in output order; at depth 1 too, where it is the root alone
+    for kernel, tree, nodes in zip(kernels, trees, (1 + 3 + 9, 1)):
+        ts, hists, *_ = dp._walked(kernel, tree, start)
+        walked = [tuple(hists[: t - 1, i].tolist()) for i, t in enumerate(ts)]
+        assert len(set(walked)) == nodes
+        assert walked == sorted(walked)
     monkeypatch.undo()
 
     monkeypatch.setattr(ActionKernel, "weighted", counted)

@@ -19,12 +19,13 @@ from macfb.channel import MessageSpace, preset
 from macfb.dp import (
     QUANT,
     TIE_TOL,
+    Program,
     _backward_induction,
     evaluate_tree,
     solve_dsaht,
     solve_horizon,
 )
-from macfb.encoding import PRUNE_TOL, PolicyTree, enumerate_actions
+from macfb.encoding import DEFAULT_ACTION_CAP, PRUNE_TOL, PolicyTree, enumerate_actions
 from macfb.errors import LevelTooWide, SolverError
 from macfb.kernel import ActionKernel, row_classes
 from macfb.reward import LambdaWeights
@@ -337,17 +338,19 @@ def test_first_candidate_pair_represents_a_state(prune):
     totals = np.zeros((n_actions, 1))
     totals[0, 0] = -np.inf if prune else 0.0
 
-    def expand(t, x):
+    depth = 2
+
+    def expand(x):
         tags = 0.5 + 1e-13 * np.arange(n_branches)[None]
         # one state: the flat index of (branch b, state 0) is b
         return np.ones((n_branches, 1)), lambda b: (tags[:, b],)
 
-    def totals_at(t, x):
+    def totals_at(togo, x):
         # the root's totals at level 1, the state itself at level 2
-        return np.where(t == 1, totals, np.repeat(x, n_actions, axis=0))
+        return np.where(togo == depth - 1, totals, np.repeat(x, n_actions, axis=0))
 
     value, policy, expanded, hits = _backward_induction(
-        kernel, 2, (np.zeros((1, 1)),), expand, totals_at, 10**6
+        Program(kernel, (np.zeros((1, 1)),), expand, totals_at), depth, 10**6
     )
     assert kernel.branch_of[0, 0] == 0 and kernel.branch_of[1, 0] != 0
     tag = 0.5
@@ -371,6 +374,7 @@ def test_engine_maximises_the_totals_it_is_given():
     n_actions, n_branches = len(branch_of), len(kernel.branch_pair)
     cls = np.arange(n_branches) % 3
     tags = 0.01 * cls + 1e-13 * np.arange(n_branches)
+    depth = 3
 
     def live(r):
         return (np.arange(n_branches) + r) % 4 != 3
@@ -378,8 +382,8 @@ def test_engine_maximises_the_totals_it_is_given():
     def run(rule):
         seen, rated = [], []
 
-        def expand(t, x):
-            seen.append((t, x.tobytes()))
+        def expand(x):
+            seen.append(x.tobytes())
             r = np.rint(x[0] * 100).astype(int)
             p = np.stack([live(ri) for ri in r], axis=-1).astype(float)
 
@@ -389,7 +393,8 @@ def test_engine_maximises_the_totals_it_is_given():
 
             return p, gather
 
-        def totals(t, x):
+        def totals(togo, x):
+            t = depth - togo
             rated.append((t, x))
             r = np.rint(x[0] * 100).astype(int)
             out = np.empty((n_actions, x.shape[-1]))
@@ -399,7 +404,7 @@ def test_engine_maximises_the_totals_it_is_given():
                                 else np.where(rule(level, r[rows]), -np.inf, 0.0).T)
             return out
 
-        result = _backward_induction(kernel, 3, (np.zeros((1, 1)),), expand, totals, 10**6)
+        result = _backward_induction(Program(kernel, (np.zeros((1, 1)),), expand, totals), depth, 10**6)
         t, x = (np.concatenate(parts, axis=-1) for parts in zip(*rated))
         return result, seen, (t.tobytes(), x.tobytes())
 
@@ -438,7 +443,8 @@ def test_engine_maximises_the_totals_it_is_given():
             for b in np.flatnonzero(live(int(np.rint(x[0] * 100)))):
                 first.setdefault(np.rint((x + tags[b]) / QUANT).astype(np.int64).tobytes(), x + tags[b])
         levels.append(list(first.values()))
-    expected_seen = [(t + 1, np.stack(level).tobytes()) for t, level in enumerate(levels[:2])]
+    # expand sees levels 1 and 2, in that order
+    expected_seen = [np.stack(level).tobytes() for level in levels[:2]]
     # the reward pass rates every level's states once, in level order
     expected_rated = (np.repeat(np.arange(1, 4), [len(level) for level in levels]).tobytes(),
                       np.concatenate([np.stack(level) for level in levels]).tobytes())
@@ -470,12 +476,12 @@ def test_engine_maximises_the_totals_it_is_given():
 def test_forward_pass_is_free_of_the_weights(monkeypatch):
     # the weights and prune enter the reward pass only: every run hands
     # expand the same states, level by level, bit for bit
-    def spied(kernel, depth, root, expand, totals, node_cap):
-        def recorded(t, *arrays):
-            seen.append((t,) + tuple(x.tobytes() for x in arrays))
-            return expand(t, *arrays)
+    def spied(program, depth, node_cap):
+        def recorded(*arrays):
+            seen.append((arrays[0].shape[-1],) + tuple(x.tobytes() for x in arrays))
+            return program.expand(*arrays)
 
-        return engine(kernel, depth, root, recorded, totals, node_cap)
+        return engine(program._replace(expand=recorded), depth, node_cap)
 
     engine = dp._backward_induction
     monkeypatch.setattr(dp, "_backward_induction", spied)
@@ -489,19 +495,44 @@ def test_forward_pass_is_free_of_the_weights(monkeypatch):
                 seen = []
                 solve_horizon(ch, space, weights, 3, pri, prune=prune)
                 runs.append(seen)
-        assert [t for t, *_ in runs[0]] == [1, 2]
+        # one expand call per level but the last
+        assert len(runs[0]) == 2
         assert all(run == runs[0] for run in runs)
         # nor the horizon: an n-step solve hands expand the leading arrays
         # of an (n + 1)-step solve, in both programs
         for solve in (lambda n: solve_horizon(ch, space, W_MIX, n, pri),
                       lambda n: solve_dsaht(ch, space, n, pri)):
-            runs = []
+            runs, results = [], []
             for n in (3, 4):
                 seen = []
-                solve(n)
+                results.append(solve(n))
                 runs.append(seen)
             assert runs[1][: len(runs[0])] == runs[0]
-            assert {t for t, *_ in runs[1][len(runs[0]) :]} == {3}
+            # and the rest are the states of the 3-step solve's last level
+            inner = sum(states for states, *_ in runs[0])
+            assert sum(states for states, *_ in runs[1][len(runs[0]) :]) == results[0].states_expanded - inner
+
+
+@pytest.mark.parametrize("name", list(CHANNELS) + ["random_sparse"])
+def test_one_program_solves_every_depth(name):
+    # a program knows no horizon: each is built once and solves depths 1-4
+    # with the bits of a fresh solve at each depth, counters included
+    rng = make_rng(32)
+    ch = CHANNELS[name] if name in CHANNELS else random_channel(rng, 2, 2, 3, sparse=True)
+    space, pri = MessageSpace(2, 2), JointBelief(random_prior(rng, 2, 2))
+    horizon = {prune: dp._horizon_program(ch, space, W_MIX, pri, prune, DEFAULT_ACTION_CAP)
+               for prune in (False, True)}
+    dsaht = dp._dsaht_program(ch, space, pri.table, DEFAULT_ACTION_CAP)
+    for depth in (1, 2, 3, 4):
+        for prune, program in horizon.items():
+            value, *rest = _backward_induction(program, depth, dp.DEFAULT_NODE_CAP)
+            res = solve_horizon(ch, space, W_MIX, depth, pri, prune=prune)
+            assert value.hex() == res.total_value.hex()
+            assert rest == [res.policy, res.states_expanded, res.cache_hits]
+        value, *rest = _backward_induction(dsaht, depth, dp.DEFAULT_NODE_CAP)
+        res = solve_dsaht(ch, space, depth, pri)
+        assert (0.0 - value).hex() == res.error_probability.hex()
+        assert rest == [res.policy, res.states_expanded, res.cache_hits]
 
 
 def test_horizon_counters_noisy_adder_3x3_n3():
